@@ -1,8 +1,9 @@
 """Command-line surface: verify, monodromy, generate, fixture.
 
-Exit codes: 0 all requested verdicts pass; 2 instance hypotheses dirty;
-3 a conclusion is non-exact; 4 malformed or unreadable input; 64 bad
-command line.  `-` names standard input/output for piping.
+Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
+two monodromy constructions disagree, or a curve fixture fails its own
+hypothesis check); 2 instance hypotheses dirty; 3 a conclusion is
+non-exact; 4 malformed or unreadable input; 64 bad command line.  `-` names standard input/output for piping.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .verifier import (
 from .degenerations import curve_cs_instance
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_DIRTY = 2
 EXIT_NONEXACT = 3
 EXIT_BAD_INPUT = 4
@@ -212,7 +214,7 @@ def _cmd_monodromy(args) -> int:
         other = monodromy_filtration_recursive(op, args.center)
         if other != cf:
             print("csverify: internal error: the two constructions disagree", file=sys.stderr)
-            return 1
+            return EXIT_INTERNAL
         payload["cross_check"] = "agree"
     _emit(dumps(payload))
     return EXIT_OK
@@ -249,7 +251,7 @@ def _cmd_fixture(args) -> int:
         inst = curve_cs_instance(graph)
     except FixtureError as exc:
         print(f"csverify: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INTERNAL
     _emit(dumps(instance_to_json(inst)))
     return EXIT_OK
 

@@ -3,8 +3,11 @@
 Everything downstream (filtrations, monodromy, the sequence verifiers)
 reduces to the subspace lattice implemented here: canonical reduced
 row-echelon bases, sums, intersections, images, kernels and preimages.
-No floating point is used anywhere; scalars are arbitrary-precision
-rationals (gmpy2.mpq when available, fractions.Fraction otherwise).
+No floating point is used anywhere: entries are fractions.Fraction.
+The inner loops (elimination, products, membership) run on Python ints:
+each row or column is scaled to integer numerators over a common
+denominator, elimination is fraction-free, and a Fraction is built once
+per output entry.  Only this module knows the integer form.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -16,28 +19,19 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def Q(value: Union[int, str, "_mpq"] = 0, den: Optional[int] = None):
-        if den is not None:
-            return _mpq(value, den)
-        return _mpq(value)
-
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
-
-    def Q(value=0, den=None):
-        if den is not None:
-            return _mpq(value, den)
-        if isinstance(value, str):
-            return _mpq(value)
-        return _mpq(value)
+def Q(value: Union[int, str, Fraction] = 0, den: Optional[int] = None) -> Fraction:
+    """Parse a rational: an int, a Fraction, "p/q" text, or value/den."""
+    return Fraction(value, den)
 
 
-QLike = Union[int, str, "_mpq"]
+QLike = Union[int, str, Fraction]
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -53,7 +47,25 @@ def qstr(x) -> str:
 
 
 def _row(values: Iterable[QLike]) -> tuple:
-    return tuple(Q(v) for v in values)
+    # a Fraction is immutable, so one already in hand is kept, not copied
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def _int_row(values) -> tuple:
+    """(integer numerators, common denominator) of a row of rationals."""
+    dens = [x.denominator for x in values]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
+
+
+def _frac(num: int, den: int) -> Fraction:
+    if not num:
+        return _ZERO
+    if den == 1:
+        return Fraction(num)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -90,11 +102,12 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        # transpose the right factor once; inner loops then run over rows
-        bt = list(zip(*other.rows)) if other.rows and other.ncols else [()] * other.ncols
+        # integer dot products of rows by columns, one Fraction per entry
+        cols = [_int_row(c) for c in transpose(other).rows]
         out = []
         for r in self.rows:
-            out.append(tuple(sum((r[k] * col[k] for k in range(self.ncols)), _ZERO) for col in bt))
+            a, da = _int_row(r)
+            out.append(tuple(_frac(sum(map(mul, a, b)), da * db) for b, db in cols))
         return Matrix(self.nrows, other.ncols, tuple(out))
 
     def apply(self, vec: Sequence[QLike]) -> tuple:
@@ -102,7 +115,12 @@ class Matrix:
         v = _row(vec)
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"vector of length {len(v)} for {self.nrows}x{self.ncols}")
-        return tuple(sum((r[k] * v[k] for k in range(self.ncols)), _ZERO) for r in self.rows)
+        b, db = _int_row(v)
+        out = []
+        for r in self.rows:
+            a, da = _int_row(r)
+            out.append(_frac(sum(map(mul, a, b)), da * db))
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return transpose(self)
@@ -156,51 +174,49 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.nrows, a.ncols + b.ncols, tuple(r1 + r2 for r1, r2 in zip(a.rows, b.rows)))
 
 
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    top = hstack(a, Matrix.zero(a.nrows, b.ncols))
-    bottom = hstack(Matrix.zero(b.nrows, a.ncols), b)
-    return vstack(top, bottom)
-
-
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form.
 
     Returns (rows, pivots) where rows are the nonzero reduced rows and
     pivots the strictly increasing pivot column indices.
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers (scaling
+    a row leaves its span, and so the reduced form, unchanged), every
+    update p*row - f*pivot_row is divided by the row's content, and the
+    pivot rows are divided by their pivots once at the end.
     """
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+    if not m.nrows or not m.ncols:
+        return (), ()
+    rows = [_int_row(r)[0] for r in m.rows]
+    nrows = m.nrows
     pivots = []
     pr = 0
-    for c in range(ncols):
-        pivot_row = None
+    for c in range(m.ncols):
         for i in range(pr, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = _ONE / rows[pr][c]
-        if inv != 1:
-            row = rows[pr]
-            for j in range(c, ncols):
-                row[j] = row[j] * inv
+        rows[pr], rows[i] = rows[i], rows[pr]
         prow = rows[pr]
+        p = prow[c]
         for i in range(nrows):
-            if i == pr:
-                continue
-            factor = rows[i][c]
-            if factor != 0:
-                row = rows[i]
-                for j in range(c, ncols):
-                    row[j] = row[j] - factor * prow[j]
+            f = rows[i][c]
+            if f and i != pr:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         pr += 1
         if pr == nrows:
             break
-    reduced = tuple(tuple(rows[i]) for i in range(pr))
-    return reduced, tuple(pivots)
+    reduced = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        reduced.append(tuple(_frac(x, p) for x in row))
+    return tuple(reduced), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -228,16 +244,26 @@ class Subspace:
     def basis_rows(self) -> tuple:
         return self.basis.rows
 
+    @cached_property
+    def _int_basis(self) -> tuple:
+        """(den, [(j, column j of den * basis)] over the non-pivot columns j)."""
+        den = lcm(*[x.denominator for r in self.basis.rows for x in r])
+        pivot_set = set(self.pivots)
+        free = [(j, [x.numerator * (den // x.denominator) for x in col])
+                for j, col in enumerate(transpose(self.basis).rows) if j not in pivot_set]
+        return den, free
+
     def contains_vector(self, vec: Sequence[QLike]) -> bool:
-        v = list(_row(vec))
+        v = _row(vec)
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector/ambient dimension mismatch")
-        for row, p in zip(self.basis.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                for j in range(p, self.ambient_dim):
-                    v[j] = v[j] - c * row[j]
-        return all(x == 0 for x in v)
+        # Eliminating v against the reduced basis leaves v - sum_i v[p_i] * row_i,
+        # which is zero on the pivot columns; v is in the span iff it is zero
+        # on the free columns too.
+        v, _ = _int_row(v)
+        den, free = self._int_basis
+        coeffs = [v[p] for p in self.pivots]
+        return all(den * v[j] == sum(map(mul, coeffs, col)) for j, col in free)
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -264,12 +290,8 @@ class Subspace:
             return zero_subspace(self.ambient_dim)
         stacked = hstack(transpose(self.basis), transpose(other.basis).scale(-1))
         combos = kernel(stacked)
-        rows = []
-        for comb in combos.basis.rows:
-            x = comb[:p]
-            rows.append(tuple(sum((x[i] * self.basis.rows[i][j] for i in range(p)), _ZERO)
-                              for j in range(self.ambient_dim)))
-        return canonicalize(Matrix.from_rows(rows, ncols=self.ambient_dim))
+        x = Matrix(combos.dim, p, tuple(comb[:p] for comb in combos.basis.rows))
+        return canonicalize(x @ self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

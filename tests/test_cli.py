@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 
-from csverify.cli import main
+from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph
 from csverify.generators import GenProfile, gen_cs_instance
 from csverify.serialize import dumps, graph_to_json, instance_to_json
@@ -109,6 +109,20 @@ def test_monodromy_subcommand_cross_check(tmp_path, capsys):
     assert payload["cross_check"] == "agree"
     assert payload["steps"]["0"] == [["1", "0"]]
     assert payload["steps"]["2"] == [["1", "0"], ["0", "1"]]
+
+
+def test_monodromy_cross_check_disagreement_exit_one(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({
+        "space": {"dim": 2, "steps": {"0": [[1, 0], [0, 1]]}},
+        "matrix": [["0", "1"], ["0", "0"]],
+    }))
+    monkeypatch.setattr("csverify.cli.monodromy_filtration_recursive", lambda op, center: None)
+    code, out, err = run_cli(["monodromy", str(path), "--center", "1", "--cross-check"],
+                             capsys=capsys)
+    assert code == EXIT_INTERNAL == 1
+    assert out == ""
+    assert "disagree" in err
 
 
 def test_monodromy_rejects_non_nilpotent(tmp_path, capsys):
