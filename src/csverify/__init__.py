@@ -17,7 +17,6 @@ from .filtration import (
     ExactnessVerdict,
     FilteredMap,
     FilteredSpace,
-    PurityCertificate,
     check_exact_at,
     direct_sum,
     graded_piece,
@@ -64,7 +63,7 @@ from .degenerations import (
 
 __all__ = [
     "Matrix", "Q", "Subspace", "canonicalize", "image", "kernel", "preimage",
-    "ExactnessVerdict", "FilteredMap", "FilteredSpace", "PurityCertificate",
+    "ExactnessVerdict", "FilteredMap", "FilteredSpace",
     "check_exact_at", "direct_sum", "graded_piece", "induced_on_sub_quotient",
     "is_strict", "tate_twist", "weights_geq", "weights_leq",
     "CenteredFiltration", "NilpotentOp", "ker_coker_weight_bounds",

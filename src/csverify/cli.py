@@ -229,11 +229,11 @@ def _parse_range(text: str):
 
 
 def _cmd_generate(args) -> int:
-    profile = GenProfile(seed=args.seed, max_dim_per_node=args.max_dim,
-                         degree_range=_parse_range(args.range),
-                         weight_spread=args.weight_spread,
-                         broken_hypothesis=args.broken)
     try:
+        profile = GenProfile(seed=args.seed, max_dim_per_node=args.max_dim,
+                             degree_range=_parse_range(args.range),
+                             weight_spread=args.weight_spread,
+                             broken_hypothesis=args.broken)
         if profile.broken_hypothesis is None:
             inst = gen_cs_instance(profile)
         else:

@@ -60,7 +60,7 @@ class DualGraph:
             raise ValueError("a dual graph needs at least one vertex")
         norm = []
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = map(int, e)
             if not (0 <= i < vertices and 0 <= j < vertices):
                 raise ValueError(f"edge {e} out of range")
             norm.append((min(i, j), max(i, j)))

@@ -107,14 +107,8 @@ class FilteredSpace:
             prev = sub.dim
         return out
 
-    def min_weight(self) -> Optional[int]:
-        return self.steps[0][0] if self.steps else None
-
     def max_weight(self) -> Optional[int]:
         return self.steps[-1][0] if self.steps else None
-
-    def is_pure(self, weight: int) -> bool:
-        return self.dim == 0 or self.jumps == (weight,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredSpace):
@@ -127,18 +121,6 @@ class FilteredSpace:
     def __repr__(self) -> str:
         parts = ", ".join(f"{w}:{sub.dim}" for w, sub in self.steps)
         return f"FilteredSpace(dim {self.dim}; W {parts})"
-
-
-@dataclass(frozen=True)
-class PurityCertificate:
-    """Witness that a space is pure: all graded pieces vanish off one weight."""
-
-    space: FilteredSpace
-    weight: int
-
-    def __post_init__(self):
-        if not self.space.is_pure(self.weight):
-            raise FiltrationError(f"space is not pure of weight {self.weight}")
 
 
 def tate_twist(v: FilteredSpace, n: int) -> FilteredSpace:
@@ -185,15 +167,11 @@ def graded_piece(v: FilteredSpace, i: int) -> GradedPiece:
 
 
 class FilteredMap:
-    """A weight-compatible linear map between filtered spaces.
+    """A weight-compatible linear map between filtered spaces."""
 
-    The twist tag is bookkeeping: it records that the target's weights
-    were produced by an n-fold Tate twist, for reporting purposes only.
-    """
+    __slots__ = ("source", "target", "matrix")
 
-    __slots__ = ("source", "target", "matrix", "twist")
-
-    def __init__(self, source: FilteredSpace, target: FilteredSpace, matrix: Matrix, twist: int = 0):
+    def __init__(self, source: FilteredSpace, target: FilteredSpace, matrix: Matrix):
         if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise DimensionMismatchError(
                 f"map matrix is {matrix.nrows}x{matrix.ncols}, expected {target.dim}x{source.dim}")
@@ -203,10 +181,9 @@ class FilteredMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.twist = twist
 
     def __repr__(self) -> str:
-        return f"FilteredMap({self.source!r} -> {self.target!r}, twist {self.twist})"
+        return f"FilteredMap({self.source!r} -> {self.target!r})"
 
 
 @dataclass(frozen=True)

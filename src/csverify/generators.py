@@ -39,7 +39,7 @@ from .linalg import (
     transpose,
     vstack,
 )
-from .monodromy import NilpotentOp, centered_filtration
+from .monodromy import NilpotentOp, monodromy_filtration
 from .verifier import (
     BREAKABLE_HYPOTHESES,
     CSInstance,
@@ -204,7 +204,7 @@ def gen_centered_mhs(seed, dim: int, k: int,
         sizes.append(s)
         remaining -= s
     space, op = _jordan_pair(rng, sizes, dim, k)
-    if centered_filtration(op.matrix, dim, k) != space:
+    if monodromy_filtration(op, k).filtration != space:
         raise GeneratorError("generated filtration is not the centered filtration of the operator")
     return space, op
 

@@ -138,17 +138,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
-    def power(self, e: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise DimensionMismatchError("power of a non-square matrix")
-        result = Matrix.identity(self.nrows)
-        for _ in range(e):
-            result = result @ self
-        return result
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
             return f"Matrix({self.nrows}x{self.ncols})"
@@ -234,15 +223,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
-    def basis_rows(self) -> tuple:
-        return self.basis.rows
 
     @cached_property
     def _int_basis(self) -> tuple:

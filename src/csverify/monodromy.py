@@ -2,12 +2,16 @@
 
 For a nilpotent endomorphism N of Q^d and a center k there is a unique
 finite increasing filtration M with N.M_i contained in M_{i-2} such that
-the i-th power of N induces an isomorphism Gr_{k+i} -> Gr_{k-i}.  Two
+the i-th power of N induces an isomorphism Gr_{k+i} -> Gr_{k-i}.  It is
+determined by the kernel flag ker N < ker N^2 < ... < ker N^p = Q^d,
+which ``kernel_flag`` builds from reduced row spaces without forming a
+power of N.  A ``NilpotentOp`` computes its flag once; the chain
+construction and the weight-bound check read it from there.  Two
 independent constructions are implemented:
 
-* ``monodromy_filtration`` builds Jordan chains of N by the kernel-flag
-  procedure (the only eigenvalue is 0, so no eigenvalue machinery is
-  needed) and assigns a chain of length m the weights k+m-1, k+m-3, ...,
+* ``monodromy_filtration`` builds Jordan chains of N from the kernel
+  flag (the only eigenvalue is 0, so no eigenvalue machinery is needed)
+  and assigns a chain of length m the weights k+m-1, k+m-3, ...,
   k-m+1 from head to tail;
 
 * ``monodromy_filtration_recursive`` uses the classical recursion: with
@@ -15,8 +19,9 @@ independent constructions are implemented:
   ker N^m, im N^m, zero) and the middle ones are lifted from the centered
   filtration of the operator induced on ker(N^m)/im(N^m).
 
-Uniqueness makes agreement of the two a sharp cross-check, exercised at
-scale by the test suite.
+The two share the flag but no chain or recursion logic.  Uniqueness
+makes their agreement a sharp cross-check, exercised at scale by the
+test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .filtration import FilteredSpace, tate_twist
+from .filtration import FilteredSpace
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -38,6 +43,7 @@ from .linalg import (
     section_of_quotient,
     span_of_vectors,
     transpose,
+    zero_subspace,
 )
 
 
@@ -45,16 +51,31 @@ class NilpotencyError(ValueError):
     """The matrix is not nilpotent."""
 
 
+def kernel_flag(matrix: Matrix) -> tuple:
+    """(ker N^0, ker N^1, ..., ker N^p) for N = matrix, where N^p = 0.
+
+    No power of N is formed: if R_j is the reduced basis of the row space
+    of N^j, the row space of N^{j+1} is that of R_j.N, and ker N^j is
+    ker R_j.  Raises NilpotencyError when the rank stops falling while
+    still above zero.
+    """
+    if matrix.nrows != matrix.ncols:
+        raise DimensionMismatchError("kernel flag of a non-square matrix")
+    flag = [zero_subspace(matrix.ncols)]
+    rank, rows = matrix.nrows, canonicalize(matrix)
+    while rank:
+        if rows.dim == rank:
+            raise NilpotencyError("matrix is not nilpotent")
+        flag.append(kernel(rows.basis))
+        rank = rows.dim
+        if rank:
+            rows = canonicalize(rows.basis @ matrix)
+    return tuple(flag)
+
+
 def nilpotency_index(m: Matrix) -> int:
-    """Least p with m^p = 0; raises if no power up to the dimension vanishes."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatchError("nilpotency index of a non-square matrix")
-    power = Matrix.identity(m.nrows)
-    for p in range(m.nrows + 1):
-        if power.is_zero():
-            return p
-        power = power @ m
-    raise NilpotencyError("matrix is not nilpotent")
+    """Least p with m^p = 0; raises NilpotencyError if m is not nilpotent."""
+    return len(kernel_flag(m)) - 1
 
 
 class NilpotentOp:
@@ -65,13 +86,13 @@ class NilpotentOp:
     weights by at most two: N.W_i must land in W_{i+2}.
     """
 
-    __slots__ = ("space", "matrix", "index")
+    __slots__ = ("space", "matrix", "flag")
 
     def __init__(self, space: FilteredSpace, matrix: Matrix):
         if matrix.nrows != space.dim or matrix.ncols != space.dim:
             raise DimensionMismatchError(
                 f"operator is {matrix.nrows}x{matrix.ncols} on a space of dimension {space.dim}")
-        self.index = nilpotency_index(matrix)
+        self.flag = kernel_flag(matrix)
         for w in space.jumps:
             if not space.step(w + 2).contains(image(matrix, space.step(w))):
                 raise NilpotencyError(f"operator raises weight {w} by more than two")
@@ -79,8 +100,9 @@ class NilpotentOp:
         self.matrix = matrix
 
     @property
-    def twisted_space(self) -> FilteredSpace:
-        return tate_twist(self.space, -1)
+    def index(self) -> int:
+        """Nilpotency index: the least p with N^p = 0."""
+        return len(self.flag) - 1
 
     def __repr__(self) -> str:
         return f"NilpotentOp(dim {self.space.dim}, index {self.index})"
@@ -94,30 +116,25 @@ class CenteredFiltration:
     filtration: FilteredSpace
 
 
-def _jordan_chains(matrix: Matrix, d: int):
-    """Jordan chains of a nilpotent matrix via the kernel flag.
+def _jordan_chains(matrix: Matrix, flag: tuple):
+    """Jordan chains of a nilpotent matrix from its kernel flag.
 
     Returns a list of chains, each a list of vectors head-first, so a
     chain of length m is (v, Nv, ..., N^{m-1}v) with N^m v = 0.
     """
-    p = nilpotency_index(matrix)
-    kernels = []
-    power = Matrix.identity(d)
-    for _ in range(p + 1):
-        kernels.append(kernel(power))
-        power = power @ matrix
+    d = matrix.nrows
     chains = []
     alive = []  # chains whose most recent vector sits at the current level
-    for level in range(p, 0, -1):
+    for level in range(len(flag) - 1, 0, -1):
         pushed = []
         for chain in alive:
             nxt = matrix.apply(chain[-1])
             chain.append(nxt)
             pushed.append(nxt)
-        have = kernels[level - 1]
+        have = flag[level - 1]
         if pushed:
             have = have.sum(span_of_vectors(pushed, d))
-        for row in kernels[level].basis.rows:
+        for row in flag[level].basis.rows:
             if not have.contains_vector(row):
                 chain = [row]
                 chains.append(chain)
@@ -129,12 +146,11 @@ def _jordan_chains(matrix: Matrix, d: int):
     return chains
 
 
-def centered_filtration(matrix: Matrix, dim: int, k: int) -> FilteredSpace:
-    """Centered weight filtration of a nilpotent matrix, by Jordan chains."""
-    if dim == 0:
-        return FilteredSpace.zero()
+def _chain_filtration(matrix: Matrix, flag: tuple, k: int) -> FilteredSpace:
+    """Centered weight filtration at k, by Jordan chains built from the flag."""
+    dim = matrix.nrows
     weighted = []  # (weight, vector)
-    for chain in _jordan_chains(matrix, dim):
+    for chain in _jordan_chains(matrix, flag):
         m = len(chain)
         for pos, vec in enumerate(chain):
             weighted.append((k + m - 1 - 2 * pos, vec))
@@ -146,12 +162,19 @@ def centered_filtration(matrix: Matrix, dim: int, k: int) -> FilteredSpace:
     return FilteredSpace(dim, steps)
 
 
+def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
+    """Centered weight filtration of a nilpotent matrix, by Jordan chains."""
+    if matrix.nrows == 0:
+        return FilteredSpace.zero()
+    return _chain_filtration(matrix, kernel_flag(matrix), k)
+
+
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:
     """The unique filtration centered at k attached to the nilpotent n."""
-    return CenteredFiltration(k, centered_filtration(n.matrix, n.space.dim, k))
+    return CenteredFiltration(k, _chain_filtration(n.matrix, n.flag, k))
 
 
-def centered_filtration_recursive(matrix: Matrix, dim: int, k: int,
+def centered_filtration_recursive(matrix: Matrix, k: int,
                                   section_rng: Optional[random.Random] = None) -> FilteredSpace:
     """Centered filtration by the classical recursion on ker(N^m)/im(N^m).
 
@@ -160,15 +183,17 @@ def centered_filtration_recursive(matrix: Matrix, dim: int, k: int,
     induced matrix, and ``section_rng`` perturbs the canonical choice by
     an arbitrary correction into im(N^m) to let tests exercise that.
     """
+    dim = matrix.nrows
     if dim == 0:
         return FilteredSpace.zero()
-    p = nilpotency_index(matrix)
-    if p <= 1:
+    flag = kernel_flag(matrix)
+    m = len(flag) - 2
+    if m <= 0:
         return FilteredSpace.pure(dim, k)
-    m = p - 1
-    npow = matrix.power(m)
-    ker_nm = kernel(npow)
-    im_nm = image(npow)
+    ker_nm = flag[m]
+    im_nm = image(matrix)
+    for _ in range(m - 1):
+        im_nm = image(matrix, im_nm)
     k_basis = ker_nm.basis          # kappa x dim
     k_coords = coords_map(ker_nm)   # kappa x dim
     n_on_ker = k_coords @ matrix @ transpose(k_basis)
@@ -181,7 +206,7 @@ def centered_filtration_recursive(matrix: Matrix, dim: int, k: int,
             ncols=q2.nrows)
         sigma = sigma + (transpose(im_in_k.basis) @ correction)
     induced = q2 @ n_on_ker @ sigma
-    inner = centered_filtration_recursive(induced, q2.nrows, k, section_rng)
+    inner = centered_filtration_recursive(induced, k, section_rng)
 
     steps = {k + m: canonicalize(Matrix.identity(dim)), k + m - 1: ker_nm, k - m: im_nm}
     lift = transpose(k_basis) @ sigma  # quotient coords -> ambient
@@ -198,7 +223,7 @@ def centered_filtration_recursive(matrix: Matrix, dim: int, k: int,
 def monodromy_filtration_recursive(n: NilpotentOp, k: int,
                                    section_rng: Optional[random.Random] = None) -> CenteredFiltration:
     """Same object as monodromy_filtration, by the independent recursion."""
-    return CenteredFiltration(k, centered_filtration_recursive(n.matrix, n.space.dim, k, section_rng))
+    return CenteredFiltration(k, centered_filtration_recursive(n.matrix, k, section_rng))
 
 
 @dataclass(frozen=True)
@@ -289,11 +314,10 @@ def ker_coker_weight_bounds(n: NilpotentOp, k: int) -> BoundsVerdict:
     filtration of n at k.  The cokernel bound is checked in quotient
     form: W_{k+1} of the cokernel vanishes iff W_{k-1}(V) lies in im N.
     """
-    expected = centered_filtration(n.matrix, n.space.dim, k)
-    if expected != n.space:
+    if _chain_filtration(n.matrix, n.flag, k) != n.space:
         return BoundsVerdict("hypothesis_not_satisfied",
                              "weight filtration differs from the centered filtration")
-    ker_n = kernel(n.matrix)
+    ker_n = n.flag[min(n.index, 1)]  # the zero space has index 0 and ker N = ker N^0
     if not n.space.step(k).contains(ker_n):
         return BoundsVerdict("ker_bound_failed", f"ker N not contained in W_{k}")
     im_n = image(n.matrix)

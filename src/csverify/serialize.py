@@ -72,7 +72,7 @@ def matrix_from_json(data, nrows: int, ncols: int) -> Matrix:
     rows = []
     for row in data:
         if not isinstance(row, list) or len(row) != ncols:
-            raise SerializationError(f"matrix row of length {len(row)}, expected {ncols}")
+            raise SerializationError(f"matrix row must be an array of {ncols} entries")
         rows.append([q_from_str(x) for x in row])
     return Matrix.from_rows(rows, ncols=ncols)
 
@@ -101,7 +101,7 @@ def filtered_space_from_json(data) -> FilteredSpace:
     try:
         dim = int(data["dim"])
         steps = {int(w): _subspace_from_json(rows, dim) for w, rows in data.get("steps", {}).items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SerializationError(f"bad filtered space: {exc}") from exc
     return FilteredSpace(dim, steps)
 
@@ -142,7 +142,7 @@ def graph_to_json(g: DualGraph) -> dict:
 def graph_from_json(data) -> DualGraph:
     try:
         return DualGraph.make(int(data["vertices"]), data.get("edges", []), data.get("self"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"bad dual graph: {exc}") from exc
@@ -161,7 +161,7 @@ def profile_from_json(data) -> GenProfile:
                           degree_range=tuple(int(x) for x in data.get("range", (0, 4))),
                           weight_spread=int(data.get("weight_spread", 3)),
                           broken_hypothesis=data.get("break"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"bad generation profile: {exc}") from exc
 
 
@@ -196,7 +196,7 @@ def instance_from_json(data) -> CSInstance:
         raise SerializationError("instance must be a JSON object")
     try:
         k_min, k_max = (int(x) for x in data["range"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError("instance needs an integer pair under 'range'") from exc
 
     def family(key) -> Dict[int, FilteredSpace]:
@@ -225,6 +225,8 @@ def instance_from_json(data) -> CSInstance:
 
     col = data.get("col", {})
     row = data.get("row", {})
+    if not isinstance(col, dict) or not isinstance(row, dict):
+        raise SerializationError("'col' and 'row' must be objects")
     try:
         n_maps = maps(data.get("N", {}), lambda k: (zdim(fam_p, k), zdim(fam_p, k)))
         b_maps = maps(col.get("b", {}), lambda k: (zdim(fam_a, k), zdim(fam_b, k)))
@@ -240,9 +242,13 @@ def instance_from_json(data) -> CSInstance:
     profile = data.get("profile", "abstract")
     if not isinstance(profile, str):
         raise SerializationError("profile must be a string")
+    try:
+        purity = int(data.get("purity", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SerializationError("'purity' must be an integer") from exc
     return CSInstance((k_min, k_max), fam_a, fam_b, fam_c, fam_p, n_maps,
                       b_maps, a_maps, c_maps, r_maps, s_maps,
-                      purity_weight=int(data.get("purity", 0)), profile=profile)
+                      purity_weight=purity, profile=profile)
 
 
 def _witness_json(witness: Optional[tuple]):

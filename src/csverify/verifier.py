@@ -262,13 +262,13 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
         report.bounds_a[k] = weights_leq(inst.space_a(k), k)
         report.bounds_b[k] = weights_geq(inst.space_b(k), k)
         pk = inst.space_p(k)
-        report.centering_p[k] = centered_filtration(inst.map_n(k), pk.dim, k) == pk
+        report.centering_p[k] = centered_filtration(inst.map_n(k), k) == pk
     for k in inst.degrees():
-        for label, mat, src, tgt, twist in _instance_maps(inst, k):
+        for label, mat, src, tgt in _instance_maps(inst, k):
             if mat.nrows == 0 or mat.ncols == 0:
                 continue
             try:
-                fm = FilteredMap(src, tgt, mat, twist=twist)
+                fm = FilteredMap(src, tgt, mat)
             except WeightCompatibilityError:
                 report.strictness[(label, k)] = StrictnessVerdict(False, reason="not weight-compatible")
                 continue
@@ -278,12 +278,12 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
 
 def _instance_maps(inst: CSInstance, k: int):
     return (
-        ("b", inst.map_b(k), inst.space_b(k), inst.space_a(k), 0),
-        ("a", inst.map_a(k), inst.space_a(k), inst.space_c(k), 0),
-        ("c", inst.map_c(k), inst.space_c(k), inst.space_b(k + 1), 0),
-        ("r", inst.map_r(k), tate_twist(inst.space_p(k - 1), -1), inst.space_c(k), 0),
-        ("s", inst.map_s(k), inst.space_c(k), inst.space_p(k), 0),
-        ("N", inst.map_n(k), inst.space_p(k), tate_twist(inst.space_p(k), -1), -1),
+        ("b", inst.map_b(k), inst.space_b(k), inst.space_a(k)),
+        ("a", inst.map_a(k), inst.space_a(k), inst.space_c(k)),
+        ("c", inst.map_c(k), inst.space_c(k), inst.space_b(k + 1)),
+        ("r", inst.map_r(k), tate_twist(inst.space_p(k - 1), -1), inst.space_c(k)),
+        ("s", inst.map_s(k), inst.space_c(k), inst.space_p(k)),
+        ("N", inst.map_n(k), inst.space_p(k), tate_twist(inst.space_p(k), -1)),
     )
 
 

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph
 from csverify.generators import GenProfile, gen_cs_instance
@@ -193,3 +195,27 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "csverify", "verify", "-", "--prop", "all"],
         input=gen.stdout, capture_output=True, text=True)
     assert ver.returncode == 0
+
+
+_ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
+
+
+@pytest.mark.parametrize("args, stdin_text", [
+    (["verify", "-"], '{' + _ONE_NODE + ', "N": {"0": [5]}}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "purity": "x"}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "purity": [1]}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "col": []}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "row": 5}'),
+    (["verify", "-"], '{"range": [0, 1e400]}'),
+    (["generate", "--seed", "1", "--max-dim", "-1"], None),
+    (["generate", "--seed", "1", "--range", "5:1"], None),
+    (["generate", "--seed", "1", "--weight-spread", "0"], None),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0]]}'),
+], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
+        "range-overflow", "max-dim-negative", "range-reversed", "weight-spread-zero",
+        "edge-one-vertex"])
+def test_malformed_input_exit_four_without_traceback(args, stdin_text):
+    proc = subprocess.run([sys.executable, "-m", "csverify", *args],
+                          input=stdin_text, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -8,7 +8,6 @@ from csverify.filtration import (
     FilteredMap,
     FilteredSpace,
     NotStrictError,
-    PurityCertificate,
     WeightCompatibilityError,
     check_exact_at,
     direct_sum,
@@ -62,13 +61,6 @@ def test_zero_space():
     z = FilteredSpace.zero()
     assert z.dim == 0 and z.jumps == ()
     assert weights_leq(z, -100) and weights_geq(z, 100)
-
-
-def test_purity_certificate():
-    PurityCertificate(FilteredSpace.pure(3, 5), 5)
-    PurityCertificate(FilteredSpace.zero(), 17)
-    with pytest.raises(FiltrationError):
-        PurityCertificate(two_step(), 0)
 
 
 # -- graded pieces --------------------------------------------------------

@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csverify.filtration import FilteredSpace, full_subspace, tate_twist
 from csverify.generators import gen_centered_mhs, random_invertible, split_seed
-from csverify.linalg import Matrix, image, inverse, span_of_vectors
+from csverify.linalg import Matrix, hstack, image, inverse, kernel, span_of_vectors, vstack
 from csverify.monodromy import (
     CenteredFiltration,
     NilpotencyError,
     NilpotentOp,
     centered_filtration,
     ker_coker_weight_bounds,
+    kernel_flag,
     monodromy_filtration,
     monodromy_filtration_recursive,
     nilpotency_index,
@@ -121,8 +124,8 @@ def test_conjugation_equivariance():
         _, op = gen_centered_mhs(split_seed(54, i), dim, 1)
         t = random_invertible(rng, dim)
         conj = t @ op.matrix @ inverse(t)
-        f1 = centered_filtration(op.matrix, dim, 1)
-        f2 = centered_filtration(conj, dim, 1)
+        f1 = centered_filtration(op.matrix, 1)
+        f2 = centered_filtration(conj, 1)
         moved = FilteredSpace(dim, {w: image(t, sub) for w, sub in f1.steps})
         assert f2 == moved
 
@@ -142,7 +145,7 @@ def test_bounds_zero_operator_pure():
 
 def test_bounds_jordan_two():
     for k in (-1, 0, 2):
-        fs = centered_filtration(jordan_block(2), 2, k)
+        fs = centered_filtration(jordan_block(2), k)
         op = NilpotentOp(fs, jordan_block(2))
         verdict = ker_coker_weight_bounds(op, k)
         assert verdict.ok
@@ -165,3 +168,44 @@ def test_bounds_sweep():
         k = rng.randint(-3, 3)
         _, op = gen_centered_mhs(split_seed(55, i), dim, k)
         assert ker_coker_weight_bounds(op, k).ok
+
+
+# -- kernel flag against dense powers ------------------------------------
+
+def ref_kernel_flag(m):
+    """kernel(N^j) for j = 0, 1, ... from dense powers of N."""
+    flag, power = [], Matrix.identity(m.nrows)
+    for _ in range(m.nrows + 1):
+        flag.append(kernel(power))
+        if power.is_zero():
+            return tuple(flag)
+        power = power @ m
+    raise NilpotencyError("no power up to the dimension vanishes")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10), st.integers(-3, 3))
+@example(0, 0, 0)  # the 0x0 operator
+def test_kernel_flag_matches_dense_powers(seed, dim, k):
+    _, op = gen_centered_mhs(seed, dim, k)
+    want = ref_kernel_flag(op.matrix)
+    assert kernel_flag(op.matrix) == want
+    assert op.flag == want and op.index == nilpotency_index(op.matrix) == len(want) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 6), st.integers(1, 4))
+def test_kernel_flag_rejects_non_nilpotent(seed, nil_dim, unit_dim):
+    """T (J + U) T^-1 with J nilpotent and U invertible: the rank stops
+    falling at dim U, after up to nil_dim steps."""
+    rng = random.Random(seed)
+    j = gen_centered_mhs(rng, nil_dim, 0)[1].matrix
+    u = random_invertible(rng, unit_dim)
+    block = vstack(hstack(j, Matrix.zero(nil_dim, unit_dim)),
+                   hstack(Matrix.zero(unit_dim, nil_dim), u))
+    t = random_invertible(rng, nil_dim + unit_dim)
+    m = t @ block @ inverse(t)
+    with pytest.raises(NilpotencyError):
+        ref_kernel_flag(m)
+    with pytest.raises(NilpotencyError):
+        kernel_flag(m)
