@@ -21,7 +21,6 @@ from .filtration import (
     direct_sum,
     graded_piece,
     induced_on_sub_quotient,
-    is_strict,
     tate_twist,
     weights_geq,
     weights_leq,
@@ -65,7 +64,7 @@ __all__ = [
     "Matrix", "Q", "Subspace", "canonicalize", "image", "kernel", "preimage",
     "ExactnessVerdict", "FilteredMap", "FilteredSpace",
     "check_exact_at", "direct_sum", "graded_piece", "induced_on_sub_quotient",
-    "is_strict", "tate_twist", "weights_geq", "weights_leq",
+    "tate_twist", "weights_geq", "weights_leq",
     "CenteredFiltration", "NilpotentOp", "ker_coker_weight_bounds",
     "monodromy_filtration", "monodromy_filtration_recursive", "verify_centered_axioms",
     "CSInstance", "HypothesisReport", "VerdictReport", "assemble_and_verify_les",

@@ -16,7 +16,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .degenerations import DisconnectedGraphError, FixtureError
+from .degenerations import DisconnectedGraphError, DualGraph, FixtureError
 from .filtration import FiltrationError, WeightCompatibilityError
 from .generators import GenProfile, gen_adversarial, gen_cs_instance
 from .linalg import DimensionMismatchError
@@ -247,6 +247,10 @@ def _cmd_generate(args) -> int:
 def _cmd_fixture(args) -> int:
     raw = _read_input(args.graph)
     graph = graph_from_json(json.loads(raw))
+    # the fibre meets every component with intersection number 0, which
+    # holds exactly when each self-intersection is -degree
+    if graph.self_intersections != DualGraph.make(graph.vertices, graph.edges).self_intersections:
+        raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
     try:
         inst = curve_cs_instance(graph)
     except FixtureError as exc:

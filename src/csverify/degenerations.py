@@ -182,8 +182,9 @@ def curve_cs_instance(g: DualGraph) -> CSInstance:
         3: Matrix.identity(1),
     }
 
-    inst = CSInstance((0, 4), a_family, b_family, c_family, p_family,
-                      n_family, b_maps, a_maps, c_maps, r_family, s_family,
+    inst = CSInstance((0, 4), {"A": a_family, "B": b_family, "C": c_family, "P": p_family},
+                      {"b": b_maps, "a": a_maps, "c": c_maps, "r": r_family, "s": s_family,
+                       "N": n_family},
                       profile="geometric")
     report = check_instance_hypotheses(inst)
     if not report.clean:

@@ -4,7 +4,9 @@ A FilteredSpace is Q^d together with a finite increasing, exhaustive and
 bounded filtration W recorded sparsely at its jump weights.  Maps between
 filtered spaces must not raise weights; the strict ones are exactly those
 whose kernel/image/cokernel inherit well-behaved filtrations, which is what
-every exactness argument downstream leans on.
+every exactness argument downstream leans on.  Strictness is decided by
+counting dimensions: a FilteredMap keeps dim f(W_i) from its
+compatibility check, and no intersection of subspaces is formed.
 
 Tate twist convention: ``tate_twist(v, n)`` models v(n) and shifts every
 weight by -2n, so twisting by -1 raises all weights by 2.
@@ -79,12 +81,13 @@ class FilteredSpace:
     @staticmethod
     def pure(dim: int, weight: int) -> "FilteredSpace":
         if dim == 0:
-            return FilteredSpace(0, {})
+            return _ZERO_SPACE
         return FilteredSpace(dim, {weight: full_subspace(dim)})
 
     @staticmethod
     def zero() -> "FilteredSpace":
-        return FilteredSpace(0, {})
+        """The zero space, one shared instance (a FilteredSpace is never mutated)."""
+        return _ZERO_SPACE
 
     @property
     def jumps(self) -> Tuple[int, ...]:
@@ -121,6 +124,9 @@ class FilteredSpace:
     def __repr__(self) -> str:
         parts = ", ".join(f"{w}:{sub.dim}" for w, sub in self.steps)
         return f"FilteredSpace(dim {self.dim}; W {parts})"
+
+
+_ZERO_SPACE = FilteredSpace(0, {})
 
 
 def tate_twist(v: FilteredSpace, n: int) -> FilteredSpace:
@@ -167,20 +173,28 @@ def graded_piece(v: FilteredSpace, i: int) -> GradedPiece:
 
 
 class FilteredMap:
-    """A weight-compatible linear map between filtered spaces."""
+    """A weight-compatible linear map between filtered spaces.
 
-    __slots__ = ("source", "target", "matrix")
+    ``image_dims`` maps each jump weight w of the source to dim f(W_w),
+    kept from the compatibility check for the strictness test.
+    """
+
+    __slots__ = ("source", "target", "matrix", "image_dims")
 
     def __init__(self, source: FilteredSpace, target: FilteredSpace, matrix: Matrix):
         if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise DimensionMismatchError(
                 f"map matrix is {matrix.nrows}x{matrix.ncols}, expected {target.dim}x{source.dim}")
-        for w in source.jumps:
-            if not target.step(w).contains(image(matrix, source.step(w))):
+        image_dims = {}
+        for w, sub in source.steps:
+            mapped = image(matrix, sub)
+            if not target.step(w).contains(mapped):
                 raise WeightCompatibilityError(f"W_{w} of the source is not carried into W_{w} of the target")
+            image_dims[w] = mapped.dim
         self.source = source
         self.target = target
         self.matrix = matrix
+        self.image_dims = image_dims
 
     def __repr__(self) -> str:
         return f"FilteredMap({self.source!r} -> {self.target!r})"
@@ -196,17 +210,20 @@ class StrictnessVerdict:
         return self.strict
 
 
-def is_strict(f: FilteredMap) -> bool:
-    return strictness(f).strict
-
-
 def strictness(f: FilteredMap) -> StrictnessVerdict:
-    """Check im(f) . W_i(target) = f(W_i(source)) at every jump weight."""
+    """Check im(f) . W_i(target) = f(W_i(source)) at every jump weight.
+
+    A weight-compatible f has f(W_i(source)) inside im(f) . W_i(target),
+    the fact behind strictness of morphisms (Deligne, Theorie de Hodge
+    II, 1971), so the two are equal iff their dimensions are:
+    dim f(W_i) = dim im + dim W_i(target) - dim(im + W_i(target)).
+    """
     im = image(f.matrix)
+    mapped = 0  # dim f(W_i(source)), constant between source jumps
     for w in sorted(set(f.source.jumps) | set(f.target.jumps)):
-        lhs = im.intersect(f.target.step(w))
-        rhs = image(f.matrix, f.source.step(w))
-        if lhs != rhs:
+        mapped = f.image_dims.get(w, mapped)
+        step = f.target.step(w)
+        if mapped != im.dim + step.dim - im.sum(step).dim:
             return StrictnessVerdict(False, failing_weight=w)
     return StrictnessVerdict(True)
 

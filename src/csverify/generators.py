@@ -41,7 +41,9 @@ from .linalg import (
 )
 from .monodromy import NilpotentOp, monodromy_filtration
 from .verifier import (
+    ARROWS,
     BREAKABLE_HYPOTHESES,
+    NODES,
     CSInstance,
     check_instance_hypotheses,
     conclusion_exactness,
@@ -376,8 +378,8 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
                       a_family, b_family, a_maps, b_maps, c_maps, s_family, rng)
 
     inst = CSInstance(
-        (a, b), a_family, b_family, c_family, p_family, n_family,
-        b_maps, a_maps, c_maps, r_family, s_family)
+        (a, b), {"A": a_family, "B": b_family, "C": c_family, "P": p_family},
+        {"b": b_maps, "a": a_maps, "c": c_maps, "r": r_family, "s": s_family, "N": n_family})
     return _conjugate(inst, rng)
 
 
@@ -442,38 +444,27 @@ def _apply_tamper(broken, variant, t, data, fillers,
 
 
 def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:
+    """Conjugate every stored map by random filtered automorphisms of its ends.
+
+    The automorphisms of one degree are drawn in the order A_k, B_k,
+    B_{k+1}, C_k, P_k, P_{k-1} (the ends of ARROWS sorted by node and
+    |offset|); that order fixes the random stream, and so the bytes of
+    every generated instance.
+    """
     autos: Dict[Tuple[str, int], Tuple[Matrix, Matrix]] = {}
-
-    def pair(label: str, k: int, fs: FilteredSpace) -> Tuple[Matrix, Matrix]:
-        key = (label, k)
-        if key not in autos:
-            t = random_filtered_automorphism(rng, fs)
-            autos[key] = (t, inverse(t))
-        return autos[key]
-
-    new = {"N": {}, "b": {}, "a": {}, "c": {}, "r": {}, "s": {}}
-    for k in sorted(set(inst.N) | set(inst.col_b) | set(inst.col_a) | set(inst.col_c)
-                    | set(inst.row_r) | set(inst.row_s)):
-        ta, ta_i = pair("A", k, inst.space_a(k))
-        _, tb_i = pair("B", k, inst.space_b(k))
-        tb1, _ = pair("B", k + 1, inst.space_b(k + 1))
-        tc, tc_i = pair("C", k, inst.space_c(k))
-        tp, tp_i = pair("P", k, inst.space_p(k))
-        _, tpm_i = pair("P", k - 1, inst.space_p(k - 1))
-        if k in inst.N:
-            new["N"][k] = tp @ inst.N[k] @ tp_i
-        if k in inst.col_b:
-            new["b"][k] = ta @ inst.col_b[k] @ tb_i
-        if k in inst.col_a:
-            new["a"][k] = tc @ inst.col_a[k] @ ta_i
-        if k in inst.col_c:
-            new["c"][k] = tb1 @ inst.col_c[k] @ tc_i
-        if k in inst.row_r:
-            new["r"][k] = tc @ inst.row_r[k] @ tpm_i
-        if k in inst.row_s:
-            new["s"][k] = tp @ inst.row_s[k] @ tc_i
-    return CSInstance((inst.k_min, inst.k_max), inst.A, inst.B, inst.C, inst.P,
-                      new["N"], new["b"], new["a"], new["c"], new["r"], new["s"],
+    ends = sorted({end for src, ds, tgt, dt in ARROWS.values() for end in ((src, ds), (tgt, dt))},
+                  key=lambda end: (end[0], abs(end[1])))
+    for k in sorted(set().union(*inst.maps.values())):
+        for node, d in ends:
+            if (node, k + d) not in autos:
+                t = random_filtered_automorphism(rng, inst.space(node, k + d))
+                autos[(node, k + d)] = (t, inverse(t))
+    new = {}
+    for label, family in inst.maps.items():
+        source, ds, target, dt = ARROWS[label]
+        new[label] = {k: autos[(target, k + dt)][0] @ m @ autos[(source, k + ds)][1]
+                      for k, m in family.items()}
+    return CSInstance((inst.k_min, inst.k_max), {node: getattr(inst, node) for node in NODES}, new,
                       purity_weight=inst.purity_weight, profile=inst.profile)
 
 

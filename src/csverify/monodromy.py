@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .filtration import FilteredSpace
+from .filtration import FilteredSpace, graded_piece
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -255,7 +255,7 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
     power = n.matrix
     for i in range(1, spread + 1):
         up = _graded_complement(space, k + i)
-        down_proj = _graded_projection(space, k - i)
+        down_proj = graded_piece(space, k - i).projection
         dim_up = up.nrows
         dim_down = down_proj.nrows
         if dim_up != dim_down:
@@ -266,12 +266,6 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
                 return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
         power = power @ n.matrix
     return AxiomVerdict(True)
-
-
-def _graded_projection(space: FilteredSpace, w: int) -> Matrix:
-    from .filtration import graded_piece
-
-    return graded_piece(space, w).projection
 
 
 def _graded_complement(space: FilteredSpace, w: int) -> Matrix:

@@ -35,7 +35,7 @@ from .filtration import (
 from .generators import GenProfile
 from .linalg import Matrix, Q, Subspace, canonicalize, qstr
 from .monodromy import CenteredFiltration, NilpotentOp
-from .verifier import CSInstance, HypothesisReport, VerdictReport
+from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
 
 
 class SerializationError(ValueError):
@@ -173,19 +173,16 @@ def _maps_to_json(maps: Dict[int, Matrix]) -> dict:
     return {str(k): matrix_to_json(m) for k, m in maps.items()}
 
 
+# the object that holds each arrow's family in the instance JSON (None: the top level)
+_MAP_GROUP = {"b": "col", "a": "col", "c": "col", "r": "row", "s": "row", "N": None}
+
+
 def instance_to_json(inst: CSInstance) -> dict:
-    out = {
-        "range": [inst.k_min, inst.k_max],
-        "A": _family_to_json(inst.A),
-        "B": _family_to_json(inst.B),
-        "C": _family_to_json(inst.C),
-        "P": _family_to_json(inst.P),
-        "N": _maps_to_json(inst.N),
-        "col": {"b": _maps_to_json(inst.col_b), "a": _maps_to_json(inst.col_a),
-                "c": _maps_to_json(inst.col_c)},
-        "row": {"r": _maps_to_json(inst.row_r), "s": _maps_to_json(inst.row_s)},
-        "purity": inst.purity_weight,
-    }
+    out = {"range": [inst.k_min, inst.k_max], "col": {}, "row": {}, "purity": inst.purity_weight}
+    for node in NODES:
+        out[node] = _family_to_json(getattr(inst, node))
+    for label, group in _MAP_GROUP.items():
+        (out[group] if group else out)[label] = _maps_to_json(inst.maps[label])
     if inst.profile != "abstract":
         out["profile"] = inst.profile
     return out
@@ -206,34 +203,22 @@ def instance_from_json(data) -> CSInstance:
         return {int(k): filtered_space_from_json(v) for k, v in raw.items()}
 
     try:
-        fam_a, fam_b, fam_c, fam_p = family("A"), family("B"), family("C"), family("P")
+        spaces = {node: family(node) for node in NODES}
     except ValueError as exc:
         raise SerializationError(f"bad family key: {exc}") from exc
 
-    def zdim(fam, k):
-        return fam[k].dim if k in fam else 0
-
-    def maps(raw, shape) -> Dict[int, Matrix]:
-        if not isinstance(raw, dict):
-            raise SerializationError("map family must be an object")
-        out = {}
-        for key, val in raw.items():
-            k = int(key)
-            nrows, ncols = shape(k)
-            out[k] = matrix_from_json(val, nrows, ncols)
-        return out
-
-    col = data.get("col", {})
-    row = data.get("row", {})
-    if not isinstance(col, dict) or not isinstance(row, dict):
+    groups = {None: data, "col": data.get("col", {}), "row": data.get("row", {})}
+    if not isinstance(groups["col"], dict) or not isinstance(groups["row"], dict):
         raise SerializationError("'col' and 'row' must be objects")
+    skeleton = CSInstance((k_min, k_max), spaces, {})
+    maps = {}
     try:
-        n_maps = maps(data.get("N", {}), lambda k: (zdim(fam_p, k), zdim(fam_p, k)))
-        b_maps = maps(col.get("b", {}), lambda k: (zdim(fam_a, k), zdim(fam_b, k)))
-        a_maps = maps(col.get("a", {}), lambda k: (zdim(fam_c, k), zdim(fam_a, k)))
-        c_maps = maps(col.get("c", {}), lambda k: (zdim(fam_b, k + 1), zdim(fam_c, k)))
-        r_maps = maps(row.get("r", {}), lambda k: (zdim(fam_c, k), zdim(fam_p, k - 1)))
-        s_maps = maps(row.get("s", {}), lambda k: (zdim(fam_p, k), zdim(fam_c, k)))
+        for label, group in _MAP_GROUP.items():
+            raw = groups[group].get(label, {})
+            if not isinstance(raw, dict):
+                raise SerializationError("map family must be an object")
+            maps[label] = {int(k): matrix_from_json(m, *skeleton.shape(label, int(k)))
+                           for k, m in raw.items()}
     except ValueError as exc:
         if isinstance(exc, SerializationError):
             raise
@@ -246,9 +231,7 @@ def instance_from_json(data) -> CSInstance:
         purity = int(data.get("purity", 0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SerializationError("'purity' must be an integer") from exc
-    return CSInstance((k_min, k_max), fam_a, fam_b, fam_c, fam_p, n_maps,
-                      b_maps, a_maps, c_maps, r_maps, s_maps,
-                      purity_weight=purity, profile=profile)
+    return CSInstance((k_min, k_max), spaces, maps, purity_weight=purity, profile=profile)
 
 
 def _witness_json(witness: Optional[tuple]):

@@ -13,6 +13,11 @@ reading (special fibre cohomology at A, cohomology supported on the
 special fibre at B, nearby-cycle/limit cohomology at P) never enters the
 computations; only the filtered-linear-algebra skeleton does.
 
+ARROWS is the one table of which node each of the six maps leaves and
+enters, and at which degree offset.  Map shapes, their validation, the
+strictness checks, serialization and the generators' conjugation all
+read it.
+
 The verdict engines check the four exactness conclusions these
 hypotheses force:
 
@@ -68,128 +73,103 @@ class ProfileError(ValueError):
 BREAKABLE_HYPOTHESES = ("column_exact", "row_exact", "A_bound", "B_bound", "P_centering", "strictness")
 
 
+NODES = ("A", "B", "C", "P")
+
+# label -> (source node, degree offset, target node, degree offset): the map
+# label_k leaves source_{k + offset} and enters target_{k + offset}.  Two ends
+# carry a Tate twist, which changes no shape: r leaves P_{k-1}(-1) and N
+# lands in P_k(-1).
+ARROWS = {
+    "b": ("B", 0, "A", 0),
+    "a": ("A", 0, "C", 0),
+    "c": ("C", 0, "B", 1),
+    "r": ("P", -1, "C", 0),
+    "s": ("C", 0, "P", 0),
+    "N": ("P", 0, "P", 0),
+}
+
+
 class CSInstance:
     """Weight-filtered skeleton of a one-parameter degeneration situation.
 
-    Families are stored sparsely (only nonzero spaces/maps); accessors
-    return zero spaces and zero matrices of the right shape elsewhere.
-    ``purity_weight`` records the normalization of the coefficient
-    object's weight (0 throughout; a nonzero value is a uniform offset
-    for reporting).  ``profile`` is "geometric" for instances whose A/B/P
-    nodes are meant as actual cohomology of a degeneration, "abstract"
-    otherwise.
+    ``spaces`` maps a node of NODES to its family {k: FilteredSpace} and
+    ``maps`` an arrow label of ARROWS to its family {k: Matrix}; a missing
+    key is an all-zero family.  Families are stored sparsely (only nonzero
+    spaces/maps); ``space`` and ``map`` return zero spaces and zero
+    matrices of the right shape elsewhere.  ``purity_weight`` records the
+    normalization of the coefficient object's weight (0 throughout; a
+    nonzero value is a uniform offset for reporting).  ``profile`` is
+    "geometric" for instances whose A/B/P nodes are meant as actual
+    cohomology of a degeneration, "abstract" otherwise.
     """
 
-    __slots__ = ("k_min", "k_max", "A", "B", "C", "P", "N",
-                 "col_b", "col_a", "col_c", "row_r", "row_s",
-                 "purity_weight", "profile")
+    __slots__ = ("k_min", "k_max", "A", "B", "C", "P", "maps", "purity_weight", "profile")
 
     def __init__(self, degree_range: Tuple[int, int],
-                 A: Dict[int, FilteredSpace], B: Dict[int, FilteredSpace],
-                 C: Dict[int, FilteredSpace], P: Dict[int, FilteredSpace],
-                 N: Dict[int, Matrix],
-                 col_b: Dict[int, Matrix], col_a: Dict[int, Matrix], col_c: Dict[int, Matrix],
-                 row_r: Dict[int, Matrix], row_s: Dict[int, Matrix],
+                 spaces: Dict[str, Dict[int, FilteredSpace]],
+                 maps: Dict[str, Dict[int, Matrix]],
                  purity_weight: int = 0, profile: str = "abstract"):
         self.k_min, self.k_max = degree_range
         if self.k_min > self.k_max:
             raise MalformedInstanceError("empty degree range")
-        def live(maps):
-            return {k: m for k, m in maps.items() if m.nrows * m.ncols > 0 and not m.is_zero()}
-
-        self.A = {k: v for k, v in A.items() if v.dim > 0}
-        self.B = {k: v for k, v in B.items() if v.dim > 0}
-        self.C = {k: v for k, v in C.items() if v.dim > 0}
-        self.P = {k: v for k, v in P.items() if v.dim > 0}
-        self.N = live(N)
-        self.col_b = live(col_b)
-        self.col_a = live(col_a)
-        self.col_c = live(col_c)
-        self.row_r = live(row_r)
-        self.row_s = live(row_s)
+        unknown = sorted(set(spaces) - set(NODES)) + sorted(set(maps) - set(ARROWS))
+        if unknown:
+            raise MalformedInstanceError(f"unknown node or arrow {unknown[0]!r}")
+        for node in NODES:
+            setattr(self, node, {k: v for k, v in spaces.get(node, {}).items() if v.dim > 0})
+        self._validate(maps)
+        self.maps = {label: {k: m for k, m in maps.get(label, {}).items() if not m.is_zero()}
+                     for label in ARROWS}
         self.purity_weight = purity_weight
         self.profile = profile
-        self._validate()
 
-    def _validate(self):
-        for name, family in (("A", self.A), ("B", self.B), ("C", self.C), ("P", self.P)):
-            for k in family:
+    def _validate(self, maps):
+        """Stored spaces lie in the degree range; every given map, zero or not, has its arrow's shape."""
+        for node in NODES:
+            for k in getattr(self, node):
                 if k < self.k_min or k > self.k_max:
-                    raise MalformedInstanceError(f"{name}_{k} is nonzero outside the degree range")
-        shape_specs = [
-            ("N", self.N, lambda k: (self.space_p(k).dim, self.space_p(k).dim)),
-            ("b", self.col_b, lambda k: (self.space_a(k).dim, self.space_b(k).dim)),
-            ("a", self.col_a, lambda k: (self.space_c(k).dim, self.space_a(k).dim)),
-            ("c", self.col_c, lambda k: (self.space_b(k + 1).dim, self.space_c(k).dim)),
-            ("r", self.row_r, lambda k: (self.space_c(k).dim, self.space_p(k - 1).dim)),
-            ("s", self.row_s, lambda k: (self.space_p(k).dim, self.space_c(k).dim)),
-        ]
-        for name, family, shape in shape_specs:
+                    raise MalformedInstanceError(f"{node}_{k} is nonzero outside the degree range")
+        for label, family in maps.items():
             for k, m in family.items():
-                expected = shape(k)
+                expected = self.shape(label, k)
                 if (m.nrows, m.ncols) != expected:
                     raise MalformedInstanceError(
-                        f"map {name}_{k} has shape {m.nrows}x{m.ncols}, expected {expected[0]}x{expected[1]}")
+                        f"map {label}_{k} has shape {m.nrows}x{m.ncols}, expected {expected[0]}x{expected[1]}")
 
-    # -- node accessors (zero defaults outside the stored support) --
+    def space(self, node: str, k: int) -> FilteredSpace:
+        """Node ``node`` at degree k; the zero space outside the stored support."""
+        return getattr(self, node).get(k, FilteredSpace.zero())
 
-    def space_a(self, k: int) -> FilteredSpace:
-        return self.A.get(k, FilteredSpace.zero())
+    def shape(self, label: str, k: int) -> Tuple[int, int]:
+        """(rows, columns) of the map label_k: the dimensions of its target and source."""
+        source, ds, target, dt = ARROWS[label]
+        return self.space(target, k + dt).dim, self.space(source, k + ds).dim
 
-    def space_b(self, k: int) -> FilteredSpace:
-        return self.B.get(k, FilteredSpace.zero())
-
-    def space_c(self, k: int) -> FilteredSpace:
-        return self.C.get(k, FilteredSpace.zero())
-
-    def space_p(self, k: int) -> FilteredSpace:
-        return self.P.get(k, FilteredSpace.zero())
-
-    def map_n(self, k: int) -> Matrix:
-        d = self.space_p(k).dim
-        return self.N.get(k, Matrix.zero(d, d))
-
-    def map_b(self, k: int) -> Matrix:
-        return self.col_b.get(k, Matrix.zero(self.space_a(k).dim, self.space_b(k).dim))
-
-    def map_a(self, k: int) -> Matrix:
-        return self.col_a.get(k, Matrix.zero(self.space_c(k).dim, self.space_a(k).dim))
-
-    def map_c(self, k: int) -> Matrix:
-        return self.col_c.get(k, Matrix.zero(self.space_b(k + 1).dim, self.space_c(k).dim))
-
-    def map_r(self, k: int) -> Matrix:
-        return self.row_r.get(k, Matrix.zero(self.space_c(k).dim, self.space_p(k - 1).dim))
-
-    def map_s(self, k: int) -> Matrix:
-        return self.row_s.get(k, Matrix.zero(self.space_p(k).dim, self.space_c(k).dim))
+    def map(self, label: str, k: int) -> Matrix:
+        """The map label_k; the zero matrix of its shape outside the stored support."""
+        m = self.maps[label].get(k)
+        return Matrix.zero(*self.shape(label, k)) if m is None else m
 
     # -- derived composite maps --
 
     def map_a_to_p(self, k: int) -> Matrix:
         """A_k -> P_k, by definition the composite s_k . a_k."""
-        return self.map_s(k) @ self.map_a(k)
+        return self.map("s", k) @ self.map("a", k)
 
     def map_ptw_to_b(self, k: int) -> Matrix:
         """P_k(-1) -> B_{k+2}, by definition the composite c_{k+1} . r_{k+1}."""
-        return self.map_c(k + 1) @ self.map_r(k + 1)
+        return self.map("c", k + 1) @ self.map("r", k + 1)
 
     def degrees(self, pad: int = 1) -> range:
         return range(self.k_min - pad, self.k_max + pad + 1)
 
     def node_dims(self) -> Dict[str, Dict[int, int]]:
-        return {name: {k: fs.dim for k, fs in family.items()}
-                for name, family in (("A", self.A), ("B", self.B), ("C", self.C), ("P", self.P))}
+        return {node: {k: fs.dim for k, fs in getattr(self, node).items()} for node in NODES}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CSInstance):
             return NotImplemented
-        return ((self.k_min, self.k_max, self.A, self.B, self.C, self.P,
-                 self.N, self.col_b, self.col_a, self.col_c, self.row_r, self.row_s,
-                 self.purity_weight, self.profile)
-                == (other.k_min, other.k_max, other.A, other.B, other.C, other.P,
-                    other.N, other.col_b, other.col_a, other.col_c, other.row_r, other.row_s,
-                    other.purity_weight, other.profile))
+        return all(getattr(self, attr) == getattr(other, attr) for attr in self.__slots__)
 
     def __repr__(self) -> str:
         return f"CSInstance(degrees {self.k_min}..{self.k_max}, dims {self.node_dims()})"
@@ -252,17 +232,17 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
     """
     report = HypothesisReport()
     for k in inst.degrees():
-        report.column[(k, "A")] = exactness_at(inst.map_b(k), inst.map_a(k))
-        report.column[(k, "C")] = exactness_at(inst.map_a(k), inst.map_c(k))
-        report.column[(k, "B")] = exactness_at(inst.map_c(k - 1), inst.map_b(k))
-        report.row[(k, "C")] = exactness_at(inst.map_r(k), inst.map_s(k))
-        report.row[(k, "P")] = exactness_at(inst.map_s(k), inst.map_n(k))
-        report.row[(k, "P(-1)")] = exactness_at(inst.map_n(k), inst.map_r(k + 1))
+        b, a, c, r, s, n = (inst.map(label, k) for label in ("b", "a", "c", "r", "s", "N"))
+        report.column[(k, "A")] = exactness_at(b, a)
+        report.column[(k, "C")] = exactness_at(a, c)
+        report.column[(k, "B")] = exactness_at(inst.map("c", k - 1), b)
+        report.row[(k, "C")] = exactness_at(r, s)
+        report.row[(k, "P")] = exactness_at(s, n)
+        report.row[(k, "P(-1)")] = exactness_at(n, inst.map("r", k + 1))
     for k in range(inst.k_min, inst.k_max + 1):
-        report.bounds_a[k] = weights_leq(inst.space_a(k), k)
-        report.bounds_b[k] = weights_geq(inst.space_b(k), k)
-        pk = inst.space_p(k)
-        report.centering_p[k] = centered_filtration(inst.map_n(k), k) == pk
+        report.bounds_a[k] = weights_leq(inst.space("A", k), k)
+        report.bounds_b[k] = weights_geq(inst.space("B", k), k)
+        report.centering_p[k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
     for k in inst.degrees():
         for label, mat, src, tgt in _instance_maps(inst, k):
             if mat.nrows == 0 or mat.ncols == 0:
@@ -277,14 +257,14 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
 
 
 def _instance_maps(inst: CSInstance, k: int):
-    return (
-        ("b", inst.map_b(k), inst.space_b(k), inst.space_a(k)),
-        ("a", inst.map_a(k), inst.space_a(k), inst.space_c(k)),
-        ("c", inst.map_c(k), inst.space_c(k), inst.space_b(k + 1)),
-        ("r", inst.map_r(k), tate_twist(inst.space_p(k - 1), -1), inst.space_c(k)),
-        ("s", inst.map_s(k), inst.space_c(k), inst.space_p(k)),
-        ("N", inst.map_n(k), inst.space_p(k), tate_twist(inst.space_p(k), -1)),
-    )
+    """(label, matrix, source, target) of every arrow at degree k, twists applied."""
+    for label, (source, ds, target, dt) in ARROWS.items():
+        src, tgt = inst.space(source, k + ds), inst.space(target, k + dt)
+        if label == "r":
+            src = tate_twist(src, -1)
+        elif label == "N":
+            tgt = tate_twist(tgt, -1)
+        yield label, inst.map(label, k), src, tgt
 
 
 _PROPOSITION_BOUNDS = {
@@ -307,13 +287,13 @@ def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdi
     verification should go through verify_proposition.
     """
     if which == "P1":
-        return exactness_at(inst.map_a_to_p(k), inst.map_n(k))
+        return exactness_at(inst.map_a_to_p(k), inst.map("N", k))
     if which == "P2":
-        return exactness_at(inst.map_n(k), inst.map_ptw_to_b(k))
+        return exactness_at(inst.map("N", k), inst.map_ptw_to_b(k))
     if which == "P3":
-        return exactness_at(inst.map_ptw_to_b(k), inst.map_b(k + 2))
+        return exactness_at(inst.map_ptw_to_b(k), inst.map("b", k + 2))
     if which == "P4":
-        return exactness_at(inst.map_b(k), inst.map_a_to_p(k))
+        return exactness_at(inst.map("b", k), inst.map_a_to_p(k))
     raise ValueError(f"unknown proposition id {which!r}")
 
 
@@ -381,7 +361,7 @@ def verify_invariant_cycles(inst: CSInstance, k: int,
         return VerdictReport("THM2", k, False, witness=at_a.witness, weights_used=_weights_used("P4", k))
     a_to_p = inst.map_a_to_p(k)
     im = image(a_to_p)
-    ker_n = kernel(inst.map_n(k))
+    ker_n = kernel(inst.map("N", k))
     if im != ker_n:
         witness = next((row for row in ker_n.basis.rows if not im.contains_vector(row)), None)
         if witness is None:

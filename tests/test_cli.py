@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph
 from csverify.generators import GenProfile, gen_cs_instance
+from csverify.linalg import Matrix, hstack
 from csverify.serialize import dumps, graph_to_json, instance_to_json
+from csverify.verifier import ARROWS, NODES, CSInstance, MalformedInstanceError
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -163,6 +166,46 @@ def test_generate_deterministic_output(capsys):
     assert out1 != out3
 
 
+# SHA-256 of `generate --seed 11 ...` as recorded from an earlier version:
+# the random stream and the JSON layout are part of the output contract,
+# so every version must reproduce these bytes
+_GENERATE_SHA256 = {
+    "--max-dim=6": "7aa00e852d62a39a2adf550336f21435d6081052a60aebcc77000e3a54712905",
+    "--max-dim=10": "e739343781550941404e5c40246234ec6cbb37bbf65e8c1708f3a2186562189b",
+    "--break=column_exact": "8417a6c3eb4cb4bca1f3d580ec7e018140425af8c6e3215415b37efd7be94d93",
+    "--break=row_exact": "83ae1b82b2411021ad30be5950511d01da0273156ddbc6c62c410838de2e62ab",
+    "--break=A_bound": "a53a257af35b8329faa0716f37484285dcd579458729154cf7f927cbbd52d2f2",
+    "--break=B_bound": "a4fd1c17772d73686e28723c06f5304e28469d56d2c25d5ce66c64f671e73bb4",
+    "--break=P_centering": "4d52d8687ed66789db66483f477ab12c6a6a9b3fd94d7b5ff34767371286fbc7",
+    "--break=strictness": "b919fba70368ec25a1a6ec52420ae086ef033b3fbbe4a784caf123b5608d5a2a",
+    "--range=-2:3": "c6ed00e9d33fdef8fdb04508ceb231aef61a49a2229598fea6281ee3d9756c2f",
+}
+
+
+@pytest.mark.parametrize("option", sorted(_GENERATE_SHA256))
+def test_generate_bytes_pinned(option, capsys):
+    code, out, _ = run_cli(["generate", "--seed", "11", option], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GENERATE_SHA256[option]
+
+
+@pytest.mark.parametrize("label", list(ARROWS))
+def test_map_one_column_too_wide_rejected(label, monkeypatch, capsys):
+    inst = gen_cs_instance(GenProfile(seed=1))  # stores a nonzero map under every label
+    k, m = next(iter(inst.maps[label].items()))
+    wide = hstack(m, Matrix.from_rows([[1]] * m.nrows))
+    for bad in (wide, Matrix.zero(wide.nrows, wide.ncols)):
+        with pytest.raises(MalformedInstanceError):
+            CSInstance((inst.k_min, inst.k_max), {n: getattr(inst, n) for n in NODES},
+                       {**inst.maps, label: {**inst.maps[label], k: bad}})
+    data = instance_to_json(inst)
+    family = next(group[label] for group in (data, data["col"], data["row"]) if label in group)
+    family[str(k)] = [row + ["1"] for row in family[str(k)]]
+    code, _, err = run_cli(["verify", "-"], stdin_text=dumps(data),
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 4, err
+
+
 def test_generate_bad_range(capsys):
     code, _, err = run_cli(["generate", "--seed", "1", "--range", "whoops"], capsys=capsys)
     assert code == 4
@@ -211,9 +254,11 @@ _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
     (["generate", "--seed", "1", "--range", "5:1"], None),
     (["generate", "--seed", "1", "--weight-spread", "0"], None),
     (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0]]}'),
+    (["fixture", "curve", "--graph", "-"],
+     '{"vertices": 2, "edges": [[0, 1], [0, 1]], "self": [0, -2]}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "range-reversed", "weight-spread-zero",
-        "edge-one-vertex"])
+        "edge-one-vertex", "self-intersection-not-minus-degree"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True)

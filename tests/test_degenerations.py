@@ -83,9 +83,9 @@ def test_i1_node_dimensions():
     assert dims["A"] == {0: 1, 1: 1, 2: 1}
     assert dims["P"] == {0: 1, 1: 2, 2: 1}
     assert dims["B"] == {2: 1, 3: 1, 4: 1}
-    n1 = inst.map_n(1)
+    n1 = inst.map("N", 1)
     assert image(n1).dim == 1
-    assert ints(inst.map_b(2)) == [[0]]
+    assert ints(inst.map("b", 2)) == [[0]]
 
 
 def test_fixture_families_pass_everything():
@@ -103,13 +103,13 @@ def test_invariant_cycles_dimension_is_b1():
         _, b1 = betti(g)
         inst = curve_cs_instance(g)
         assert image(inst.map_a_to_p(1)).dim == b1
-        assert kernel(inst.map_n(1)).dim == b1
+        assert kernel(inst.map("N", 1)).dim == b1
 
 
 def test_tree_has_trivial_monodromy():
     tree = DualGraph.make(3, [(0, 1), (1, 2)])
     inst = curve_cs_instance(tree)
-    assert inst.space_p(1).dim == 0
+    assert inst.space("P", 1).dim == 0
     report = check_instance_hypotheses(inst)
     assert report.clean
     assert verify_invariant_cycles(inst, 1, report=report).exact
@@ -120,7 +120,7 @@ def test_euler_characteristic_bookkeeping():
         v = g.vertices
         _, b1 = betti(g)
         inst = curve_cs_instance(g)
-        a_dims = [inst.space_a(k).dim for k in (0, 1, 2)]
+        a_dims = [inst.space("A", k).dim for k in (0, 1, 2)]
         assert a_dims[0] - a_dims[1] + a_dims[2] == 1 - b1 + v
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csverify.filtration import (
     ComposabilityError,
@@ -8,27 +10,29 @@ from csverify.filtration import (
     FilteredMap,
     FilteredSpace,
     NotStrictError,
+    StrictnessVerdict,
     WeightCompatibilityError,
     check_exact_at,
     direct_sum,
     exactness_at,
     graded_piece,
     induced_on_sub_quotient,
-    is_strict,
     strictness,
     tate_twist,
     weights_geq,
     weights_leq,
 )
-from csverify.generators import GenProfile, gen_cs_instance
+from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, random_invertible
 from csverify.linalg import (
     Matrix,
     full_subspace,
     image,
+    inverse,
     kernel,
     solve,
     span_of_vectors,
 )
+from csverify.verifier import _instance_maps
 
 
 def two_step():
@@ -131,8 +135,8 @@ def test_weight_predicates():
 
 def test_identity_and_zero_strict():
     v = two_step()
-    assert is_strict(FilteredMap(v, v, Matrix.identity(2)))
-    assert is_strict(FilteredMap(v, FilteredSpace.pure(1, 2), Matrix.zero(1, 2)))
+    assert strictness(FilteredMap(v, v, Matrix.identity(2))).strict
+    assert strictness(FilteredMap(v, FilteredSpace.pure(1, 2), Matrix.zero(1, 2))).strict
 
 
 def test_weight_dropping_identity_not_strict():
@@ -154,14 +158,14 @@ def test_strict_graded_additivity_on_generated_maps():
     checked = 0
     for k in inst.degrees():
         for src, tgt, mat in [
-            (inst.space_b(k), inst.space_a(k), inst.map_b(k)),
-            (inst.space_a(k), inst.space_c(k), inst.map_a(k)),
-            (inst.space_c(k), inst.space_p(k), inst.map_s(k)),
+            (inst.space("B", k), inst.space("A", k), inst.map("b", k)),
+            (inst.space("A", k), inst.space("C", k), inst.map("a", k)),
+            (inst.space("C", k), inst.space("P", k), inst.map("s", k)),
         ]:
             if src.dim == 0 or tgt.dim == 0:
                 continue
             f = FilteredMap(src, tgt, mat)
-            assert is_strict(f)
+            assert strictness(f).strict
             ker_fs, im_fs, _ = induced_on_sub_quotient(f)
             for i in set(src.jumps) | set(tgt.jumps):
                 assert (graded_piece(src, i).dim
@@ -173,9 +177,65 @@ def test_strict_graded_additivity_on_generated_maps():
 def test_composites_of_generated_strict_maps_are_compatible():
     inst = gen_cs_instance(GenProfile(seed=203, max_dim_per_node=6))
     for k in inst.degrees():
-        if inst.space_a(k).dim and inst.space_p(k).dim:
+        if inst.space("A", k).dim and inst.space("P", k).dim:
             # A_k -> C_k -> P_k composes to a weight-compatible map
-            FilteredMap(inst.space_a(k), inst.space_p(k), inst.map_a_to_p(k))
+            FilteredMap(inst.space("A", k), inst.space("P", k), inst.map_a_to_p(k))
+
+
+# -- strictness against the intersection reference --------------------------
+
+def ref_strictness(f):
+    """Compare im(f) . W_w(target) with f(W_w(source)) as subspaces at every jump."""
+    im = image(f.matrix)
+    for w in sorted(set(f.source.jumps) | set(f.target.jumps)):
+        if im.intersect(f.target.step(w)) != image(f.matrix, f.source.step(w)):
+            return StrictnessVerdict(False, failing_weight=w)
+    return StrictnessVerdict(True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from([None, "strictness", "A_bound", "B_bound"]))
+def test_strictness_matches_reference_on_instance_maps(seed, broken):
+    profile = GenProfile(seed=seed, max_dim_per_node=8, broken_hypothesis=broken)
+    inst = gen_cs_instance(profile) if broken is None else gen_adversarial(profile)
+    verdicts = []
+    for k in inst.degrees():
+        for _, mat, src, tgt in _instance_maps(inst, k):
+            try:
+                f = FilteredMap(src, tgt, mat)
+            except WeightCompatibilityError:
+                continue
+            verdicts.append(strictness(f))
+            assert verdicts[-1] == ref_strictness(f)
+    if broken == "strictness":
+        assert not all(verdicts)
+
+
+def _adapted_space(rng, dim):
+    """A random filtration on Q^dim with its adapted basis (columns of t) and weights."""
+    weights = [rng.randint(-2, 2) for _ in range(dim)]
+    t = random_invertible(rng, dim)
+    steps = {w: image(t, span_of_vectors([[int(i == j) for j in range(dim)]
+                                          for i in range(dim) if weights[i] <= w], dim))
+             for w in set(weights)}
+    return FilteredSpace(dim, steps), t, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_strictness_matches_reference_on_compatible_maps(seed, m, n, zero_frac):
+    # u_i of weight a_i goes to a combination of the v_j with b_j <= a_i,
+    # so the map is weight-compatible by construction; zeroed coefficients
+    # make it non-strict often
+    rng = random.Random(seed)
+    src, u, a = _adapted_space(rng, n)
+    tgt, v, b = _adapted_space(rng, m)
+    coeffs = Matrix.from_rows(
+        [[rng.randint(-3, 3) if b[j] <= a[i] and rng.random() >= zero_frac else 0
+          for i in range(n)] for j in range(m)], ncols=n)
+    f = FilteredMap(src, tgt, v @ coeffs @ inverse(u))
+    assert strictness(f) == ref_strictness(f)
 
 
 # -- exactness -------------------------------------------------------------

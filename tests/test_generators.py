@@ -80,7 +80,7 @@ def test_clean_instances_validate():
         inst = gen_cs_instance(prof, verify=False)
         report = check_instance_hypotheses(inst)
         assert report.clean, (i, report.failures()[:3])
-        assert all(inst.space_a(k).dim <= 10 for k in inst.degrees())
+        assert all(inst.space("A", k).dim <= 10 for k in inst.degrees())
 
 
 def test_node_dims_respect_cap():

@@ -21,7 +21,7 @@ from csverify.verifier import (
 
 
 def zero_instance():
-    return CSInstance((0, 0), {}, {}, {}, {}, {}, {}, {}, {}, {}, {})
+    return CSInstance((0, 0), {}, {})
 
 
 def test_all_zero_instance_clean_and_exact():
@@ -47,7 +47,7 @@ def test_i1_proposition_one_at_degree_one():
     report = check_instance_hypotheses(inst)
     assert verify_proposition(inst, "P1", 1, report=report).exact
     a_to_p = inst.map_a_to_p(1)
-    assert image(a_to_p) == kernel(inst.map_n(1))
+    assert image(a_to_p) == kernel(inst.map("N", 1))
     assert image(a_to_p).dim == 1
 
 
@@ -60,7 +60,7 @@ def test_i1_les_and_twisted_boundary_iso():
     ptw_to_b = inst.map_ptw_to_b(2)
     assert ptw_to_b.nrows == ptw_to_b.ncols == 1
     assert kernel(ptw_to_b).dim == 0
-    assert inst.space_b(4).graded_dims() == {4: 1}
+    assert inst.space("B", 4).graded_dims() == {4: 1}
 
 
 def test_i1_invariant_cycles():
@@ -76,13 +76,12 @@ def test_invariant_cycles_with_trivial_monodromy():
     p = FilteredSpace.pure(2, 0)
     inst = CSInstance(
         (0, 2),
-        A={0: FilteredSpace.pure(2, 0)},
-        B={2: FilteredSpace.pure(2, 2)},
-        C={0: p, 1: FilteredSpace.pure(2, 2)},
-        P={0: p},
-        N={},
-        col_b={}, col_a={0: Matrix.identity(2)}, col_c={1: Matrix.identity(2)},
-        row_r={1: Matrix.identity(2)}, row_s={0: Matrix.identity(2)},
+        spaces={"A": {0: FilteredSpace.pure(2, 0)},
+                "B": {2: FilteredSpace.pure(2, 2)},
+                "C": {0: p, 1: FilteredSpace.pure(2, 2)},
+                "P": {0: p}},
+        maps={"a": {0: Matrix.identity(2)}, "c": {1: Matrix.identity(2)},
+              "r": {1: Matrix.identity(2)}, "s": {0: Matrix.identity(2)}},
     )
     report = check_instance_hypotheses(inst)
     assert report.clean
@@ -115,13 +114,11 @@ def test_unknown_proposition():
 
 def test_malformed_shapes_rejected():
     with pytest.raises(MalformedInstanceError):
-        CSInstance((0, 1), {0: FilteredSpace.pure(1, 0)}, {}, {}, {}, {},
-                   {}, {0: Matrix.identity(2)}, {}, {}, {})
+        CSInstance((0, 1), {"A": {0: FilteredSpace.pure(1, 0)}}, {"a": {0: Matrix.identity(2)}})
     with pytest.raises(MalformedInstanceError):
-        CSInstance((0, 1), {5: FilteredSpace.pure(1, 0)}, {}, {}, {}, {},
-                   {}, {}, {}, {}, {})
+        CSInstance((0, 1), {"A": {5: FilteredSpace.pure(1, 0)}}, {})
     with pytest.raises(MalformedInstanceError):
-        CSInstance((1, 0), {}, {}, {}, {}, {}, {}, {}, {}, {}, {})
+        CSInstance((1, 0), {}, {})
 
 
 def test_profile_gate_for_unipotent_entry_point():
@@ -148,16 +145,16 @@ def test_weight_mechanics_of_the_proofs():
         inst = gen_cs_instance(GenProfile(seed=split_seed(88, i), max_dim_per_node=8))
         assert check_instance_hypotheses(inst).clean
         for k in inst.degrees():
-            c_k = inst.space_c(k)
+            c_k = inst.space("C", k)
             if c_k.dim == 0:
                 continue
             w_k = c_k.step(k)
-            assert image(inst.map_a(k)) == w_k
-            assert w_k.contains(kernel(inst.map_c(k)))
-            p_k = inst.space_p(k)
+            assert image(inst.map("a", k)) == w_k
+            assert w_k.contains(kernel(inst.map("c", k)))
+            p_k = inst.space("P", k)
             if p_k.dim:
-                assert p_k.step(k).contains(image(inst.map_s(k)))
-            assert w_k.sum(image(inst.map_r(k))) == span_of_vectors(
+                assert p_k.step(k).contains(image(inst.map("s", k)))
+            assert w_k.sum(image(inst.map("r", k))) == span_of_vectors(
                 [tuple(1 if i == j else 0 for j in range(c_k.dim)) for i in range(c_k.dim)],
                 c_k.dim)
 
@@ -188,9 +185,9 @@ def test_foreign_incompatible_map_reported_not_raised():
 
 def test_boundary_degrees_treated_as_zero():
     inst = curve_cs_instance(cycle_graph(3))
-    assert inst.space_a(5).dim == 0
-    assert inst.space_b(-1).dim == 0
-    assert inst.map_b(7).nrows == 0
+    assert inst.space("A", 5).dim == 0
+    assert inst.space("B", -1).dim == 0
+    assert inst.map("b", 7).nrows == 0
     report = check_instance_hypotheses(inst)
     # exactness entries exist at the boundary degrees
     assert (inst.k_min - 1, "A") in report.column
