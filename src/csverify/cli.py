@@ -9,6 +9,7 @@ non-exact; 4 malformed or unreadable input; 64 bad command line.  `-` names stan
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -71,6 +72,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="csverify",
                      description="Exact verification of weight-filtration exact sequences.")

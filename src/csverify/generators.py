@@ -30,6 +30,7 @@ from .filtration import FilteredSpace, direct_sum, tate_twist
 from .linalg import (
     Matrix,
     coords_map,
+    extend_basis,
     hstack,
     image,
     inverse,
@@ -116,8 +117,6 @@ def _rand_unit_triangular(rng: random.Random, n: int, lower: bool) -> Matrix:
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:
     """Random invertible rational matrix with small entries (unit L.U)."""
-    if n == 0:
-        return Matrix.identity(0)
     return _rand_unit_triangular(rng, n, lower=True) @ _rand_unit_triangular(rng, n, lower=False)
 
 
@@ -132,12 +131,8 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Matri
         return Matrix.identity(0)
     adapted: List[tuple] = []
     boundaries = []
-    current = span_of_vectors([], d)
-    for _, sub in fs.steps:
-        for row in sub.basis.rows:
-            if not current.contains_vector(row):
-                adapted.append(row)
-                current = current.sum(span_of_vectors([row], d))
+    for w, sub in fs.steps:
+        adapted += extend_basis(fs.step(w - 1), sub.basis.rows)
         boundaries.append(len(adapted))
     block_of = []
     for idx in range(d):
@@ -242,7 +237,7 @@ def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix]
     data = {}
     for k in degrees:
         p = p_family.get(k, FilteredSpace.zero())
-        n = n_family.get(k, Matrix.identity(0) if p.dim == 0 else Matrix.zero(p.dim, p.dim))
+        n = n_family.get(k, Matrix.zero(p.dim, p.dim))
         data[k] = _RowData(p, n)
     c_family, r_family, s_family = {}, {}, {}
     for k in degrees:
@@ -260,11 +255,6 @@ def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix]
         if p_dim > 0:
             s_family[k] = hstack(Matrix.zero(p_dim, coker_dim), transpose(cur.ker_sub.basis))
     return data, c_family, r_family, s_family
-
-
-def _inclusion_of_coker_block(row: _RowData, prev: Optional[_RowData]) -> Matrix:
-    coker_dim = prev.cdim if prev else 0
-    return vstack(Matrix.identity(coker_dim), Matrix.zero(row.kdim, coker_dim))
 
 
 def _partition_min_two(rng: random.Random, total: int, cap: int):
@@ -433,7 +423,7 @@ def _apply_tamper(broken, variant, t, data, fillers,
         prev = data.get(t - 1)
         row = data[t]
         a_family[t] = direct_sum(a_family[t], prev.coker_fs)
-        a_maps[t] = hstack(a_maps[t], _inclusion_of_coker_block(row, prev))
+        a_maps[t] = hstack(a_maps[t], vstack(Matrix.identity(prev.cdim), Matrix.zero(row.kdim, prev.cdim)))
         b_maps[t] = vstack(b_maps[t], Matrix.zero(prev.cdim, b_maps[t].ncols))
         f_next = fillers.get(t + 1, 0)
         b_family[t + 1] = FilteredSpace.pure(f_next, t + 1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -95,8 +95,19 @@ class Matrix:
         return Matrix(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(m: int, n: int) -> "Matrix":
-        return Matrix(m, n, tuple(tuple(_ZERO for _ in range(n)) for _ in range(m)))
+        """The zero matrix, one shared instance per shape (a Matrix is never mutated)."""
+        return Matrix(m, n, ((_ZERO,) * n,) * m)
+
+    # read through image/kernel; kept outside the fields, so eq/hash/repr are unchanged
+    @cached_property
+    def _image(self) -> "Subspace":
+        return canonicalize(transpose(self))
+
+    @cached_property
+    def _kernel(self) -> "Subspace":
+        return canonicalize(self).annihilator()
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -252,6 +263,24 @@ class Subspace:
             return False
         return all(self.contains_vector(r) for r in other.basis.rows)
 
+    def annihilator(self) -> "Subspace":
+        """The kernel of the basis matrix, read off the reduced rows.
+
+        Each free column j gives the vector with 1 at j and -row_i[j] at the
+        pivot of row i; the basis is not eliminated again.
+        """
+        n = self.ambient_dim
+        pivot_set = set(self.pivots)
+        rows = []
+        for j in range(n):
+            if j not in pivot_set:
+                v = [_ZERO] * n
+                v[j] = _ONE
+                for r, p in zip(self.basis.rows, self.pivots):
+                    v[p] = -r[j]
+                rows.append(tuple(v))
+        return canonicalize(Matrix(len(rows), n, tuple(rows)))
+
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")
@@ -296,31 +325,29 @@ def span_of_vectors(vectors: Sequence[Sequence[QLike]], ambient_dim: int) -> Sub
 
 
 def image(f: Matrix, s: Optional[Subspace] = None) -> Subspace:
-    """Image f(s), defaulting to the full column space of f."""
-    if s is None:
-        return canonicalize(transpose(f))
-    if s.ambient_dim != f.ncols:
+    """Image f(s), defaulting to the full column space of f (kept on f)."""
+    if s is not None and s.ambient_dim != f.ncols:
         raise DimensionMismatchError("subspace not in the domain of f")
+    if s is None or s.dim == f.ncols:
+        return f._image
     if s.dim == 0:
         return zero_subspace(f.nrows)
-    mapped = s.basis @ transpose(f)
-    return canonicalize(mapped)
+    return canonicalize(s.basis @ transpose(f))
 
 
 def kernel(f: Matrix) -> Subspace:
-    """Kernel of f as a canonical subspace of the domain."""
-    reduced, pivots = rref(f)
-    n = f.ncols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    for fc in free_cols:
-        v = [_ZERO] * n
-        v[fc] = _ONE
-        for r, p in zip(reduced, pivots):
-            v[p] = -r[fc]
-        rows.append(tuple(v))
-    return canonicalize(Matrix.from_rows(rows, ncols=n))
+    """Kernel of f as a canonical subspace of the domain (kept on f)."""
+    return f._kernel
+
+
+def extend_basis(base: Subspace, rows: Iterable[Sequence[QLike]]) -> list:
+    """The rows, in order, that lie outside the span of base and of the rows kept before them."""
+    kept = []
+    for row in rows:
+        if not base.contains_vector(row):
+            kept.append(row)
+            base = canonicalize(vstack(base.basis, Matrix.from_rows([row], ncols=base.ambient_dim)))
+    return kept
 
 
 def preimage(f: Matrix, s: Subspace) -> Subspace:

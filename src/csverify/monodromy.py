@@ -5,9 +5,9 @@ finite increasing filtration M with N.M_i contained in M_{i-2} such that
 the i-th power of N induces an isomorphism Gr_{k+i} -> Gr_{k-i}.  It is
 determined by the kernel flag ker N < ker N^2 < ... < ker N^p = Q^d,
 which ``kernel_flag`` builds from reduced row spaces without forming a
-power of N.  A ``NilpotentOp`` computes its flag once; the chain
-construction and the weight-bound check read it from there.  Two
-independent constructions are implemented:
+power of N.  A ``NilpotentOp`` computes its flag and its Jordan chains
+once; the chain construction and the weight-bound check read them from
+there.  Two independent constructions are implemented:
 
 * ``monodromy_filtration`` builds Jordan chains of N from the kernel
   flag (the only eigenvalue is 0, so no eigenvalue machinery is needed)
@@ -36,8 +36,8 @@ from .linalg import (
     Matrix,
     canonicalize,
     coords_map,
+    extend_basis,
     image,
-    kernel,
     quotient_map,
     rank,
     section_of_quotient,
@@ -56,8 +56,8 @@ def kernel_flag(matrix: Matrix) -> tuple:
 
     No power of N is formed: if R_j is the reduced basis of the row space
     of N^j, the row space of N^{j+1} is that of R_j.N, and ker N^j is
-    ker R_j.  Raises NilpotencyError when the rank stops falling while
-    still above zero.
+    ker R_j, read off R_j's pivots.  Raises NilpotencyError when the
+    rank stops falling while still above zero.
     """
     if matrix.nrows != matrix.ncols:
         raise DimensionMismatchError("kernel flag of a non-square matrix")
@@ -66,7 +66,7 @@ def kernel_flag(matrix: Matrix) -> tuple:
     while rank:
         if rows.dim == rank:
             raise NilpotencyError("matrix is not nilpotent")
-        flag.append(kernel(rows.basis))
+        flag.append(rows.annihilator())
         rank = rows.dim
         if rank:
             rows = canonicalize(rows.basis @ matrix)
@@ -86,7 +86,7 @@ class NilpotentOp:
     weights by at most two: N.W_i must land in W_{i+2}.
     """
 
-    __slots__ = ("space", "matrix", "flag")
+    __slots__ = ("space", "matrix", "flag", "chains")
 
     def __init__(self, space: FilteredSpace, matrix: Matrix):
         if matrix.nrows != space.dim or matrix.ncols != space.dim:
@@ -96,6 +96,7 @@ class NilpotentOp:
         for w in space.jumps:
             if not space.step(w + 2).contains(image(matrix, space.step(w))):
                 raise NilpotencyError(f"operator raises weight {w} by more than two")
+        self.chains = _jordan_chains(matrix, self.flag)  # independent of the center
         self.space = space
         self.matrix = matrix
 
@@ -116,41 +117,31 @@ class CenteredFiltration:
     filtration: FilteredSpace
 
 
-def _jordan_chains(matrix: Matrix, flag: tuple):
+def _jordan_chains(matrix: Matrix, flag: tuple) -> tuple:
     """Jordan chains of a nilpotent matrix from its kernel flag.
 
-    Returns a list of chains, each a list of vectors head-first, so a
-    chain of length m is (v, Nv, ..., N^{m-1}v) with N^m v = 0.
+    Returns the chains, each a tuple of vectors head-first, so a chain of
+    length m is (v, Nv, ..., N^{m-1}v) with N^m v = 0.
     """
     d = matrix.nrows
-    chains = []
-    alive = []  # chains whose most recent vector sits at the current level
+    chains = []  # every chain started so far gets one more vector per lower level
     for level in range(len(flag) - 1, 0, -1):
-        pushed = []
-        for chain in alive:
-            nxt = matrix.apply(chain[-1])
-            chain.append(nxt)
-            pushed.append(nxt)
+        for chain in chains:
+            chain.append(matrix.apply(chain[-1]))
         have = flag[level - 1]
-        if pushed:
-            have = have.sum(span_of_vectors(pushed, d))
-        for row in flag[level].basis.rows:
-            if not have.contains_vector(row):
-                chain = [row]
-                chains.append(chain)
-                alive.append(chain)
-                have = have.sum(span_of_vectors([row], d))
+        if chains:
+            have = span_of_vectors(have.basis.rows + tuple(c[-1] for c in chains), d)
+        chains += [[row] for row in extend_basis(have, flag[level].basis.rows)]
     total = sum(len(c) for c in chains)
     if total != d:
         raise AssertionError(f"Jordan chain vectors span dimension {total}, expected {d}")
-    return chains
+    return tuple(map(tuple, chains))
 
 
-def _chain_filtration(matrix: Matrix, flag: tuple, k: int) -> FilteredSpace:
-    """Centered weight filtration at k, by Jordan chains built from the flag."""
-    dim = matrix.nrows
+def _chain_filtration(chains: tuple, dim: int, k: int) -> FilteredSpace:
+    """Centered weight filtration at k on Q^dim, from Jordan chains."""
     weighted = []  # (weight, vector)
-    for chain in _jordan_chains(matrix, flag):
+    for chain in chains:
         m = len(chain)
         for pos, vec in enumerate(chain):
             weighted.append((k + m - 1 - 2 * pos, vec))
@@ -166,12 +157,12 @@ def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
     """Centered weight filtration of a nilpotent matrix, by Jordan chains."""
     if matrix.nrows == 0:
         return FilteredSpace.zero()
-    return _chain_filtration(matrix, kernel_flag(matrix), k)
+    return _chain_filtration(_jordan_chains(matrix, kernel_flag(matrix)), matrix.nrows, k)
 
 
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:
     """The unique filtration centered at k attached to the nilpotent n."""
-    return CenteredFiltration(k, _chain_filtration(n.matrix, n.flag, k))
+    return CenteredFiltration(k, _chain_filtration(n.chains, n.space.dim, k))
 
 
 def centered_filtration_recursive(matrix: Matrix, k: int,
@@ -270,14 +261,7 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
 
 def _graded_complement(space: FilteredSpace, w: int) -> Matrix:
     """Rows spanning W_w modulo W_{w-1} (representatives of Gr_w)."""
-    lower = space.step(w - 1)
-    rows = []
-    current = lower
-    for row in space.step(w).basis.rows:
-        if not current.contains_vector(row):
-            rows.append(row)
-            current = current.sum(span_of_vectors([row], space.dim))
-    return Matrix.from_rows(rows, ncols=space.dim)
+    return Matrix.from_rows(extend_basis(space.step(w - 1), space.step(w).basis.rows), ncols=space.dim)
 
 
 @dataclass(frozen=True)
@@ -308,7 +292,7 @@ def ker_coker_weight_bounds(n: NilpotentOp, k: int) -> BoundsVerdict:
     filtration of n at k.  The cokernel bound is checked in quotient
     form: W_{k+1} of the cokernel vanishes iff W_{k-1}(V) lies in im N.
     """
-    if _chain_filtration(n.matrix, n.flag, k) != n.space:
+    if monodromy_filtration(n, k).filtration != n.space:
         return BoundsVerdict("hypothesis_not_satisfied",
                              "weight filtration differs from the centered filtration")
     ker_n = n.flag[min(n.index, 1)]  # the zero space has index 0 and ker N = ker N^0

@@ -50,7 +50,7 @@ from .filtration import (
     weights_geq,
     weights_leq,
 )
-from .linalg import Matrix, image, kernel
+from .linalg import Matrix, kernel  # noqa: F401  (bench/tests patch and check verifier.kernel)
 from .monodromy import centered_filtration
 
 
@@ -297,6 +297,12 @@ def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdi
     raise ValueError(f"unknown proposition id {which!r}")
 
 
+def _verdict_report(inst: CSInstance, which: str, k: int, label: str) -> VerdictReport:
+    """The conclusion ``which`` at degree k, reported under ``label``."""
+    verdict = conclusion_exactness(inst, which, k)
+    return VerdictReport(label, k, verdict.exact, witness=verdict.witness, weights_used=_weights_used(which, k))
+
+
 def _gate(inst: CSInstance, report: Optional[HypothesisReport]) -> HypothesisReport:
     if report is None:
         report = check_instance_hypotheses(inst)
@@ -321,9 +327,7 @@ def verify_proposition(inst: CSInstance, which: str, k: int,
     """
     _check_degree(inst, k)
     _gate(inst, report)
-    verdict = conclusion_exactness(inst, which, k)
-    return VerdictReport(which, k, verdict.exact, witness=verdict.witness,
-                         weights_used=_weights_used(which, k))
+    return _verdict_report(inst, which, k, which)
 
 
 def assemble_and_verify_les(inst: CSInstance,
@@ -337,36 +341,25 @@ def assemble_and_verify_les(inst: CSInstance,
     nodes included.
     """
     _gate(inst, report)
-    out = []
-    for k in inst.degrees(pad=2):
-        for which in ("P1", "P2", "P3", "P4"):
-            verdict = conclusion_exactness(inst, which, k)
-            out.append(VerdictReport(proposition_prefix + which, k, verdict.exact,
-                                     witness=verdict.witness, weights_used=_weights_used(which, k)))
-    return out
+    return [_verdict_report(inst, which, k, proposition_prefix + which)
+            for k in inst.degrees(pad=2) for which in ("P1", "P2", "P3", "P4")]
 
 
 def verify_invariant_cycles(inst: CSInstance, k: int,
                             report: Optional[HypothesisReport] = None) -> VerdictReport:
     """Exactness of B_k -> A_k -> ker(N_k) -> 0 at degree k.
 
-    Monodromy invariants are computed as ker N.  The check is exactness
-    at A_k plus surjectivity of A_k onto ker N_k; the B-node degree is
+    Monodromy invariants are computed as ker N.  The check is P4
+    (exactness at A_k), then P1: row exactness at P_k puts im(s.a) inside
+    ker N_k, so A_k maps onto ker N_k iff P1 holds.  The B-node degree is
     the one appearing in the spliced long exact sequence.
     """
     _check_degree(inst, k)
     _gate(inst, report)
-    at_a = conclusion_exactness(inst, "P4", k)
-    if not at_a.exact:
-        return VerdictReport("THM2", k, False, witness=at_a.witness, weights_used=_weights_used("P4", k))
-    a_to_p = inst.map_a_to_p(k)
-    im = image(a_to_p)
-    ker_n = kernel(inst.map("N", k))
-    if im != ker_n:
-        witness = next((row for row in ker_n.basis.rows if not im.contains_vector(row)), None)
-        if witness is None:
-            witness = next(row for row in im.basis.rows if not ker_n.contains_vector(row))
-        return VerdictReport("THM2", k, False, witness=witness, weights_used=_weights_used("P1", k))
+    for which in ("P4", "P1"):
+        verdict = _verdict_report(inst, which, k, "THM2")
+        if not verdict.exact:
+            return verdict
     used = tuple(sorted(set(_weights_used("P4", k)) | set(_weights_used("P1", k))))
     return VerdictReport("THM2", k, True, weights_used=used)
 

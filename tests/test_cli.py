@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from csverify.cli import EXIT_INTERNAL, main
-from csverify.degenerations import cycle_graph
+from csverify.degenerations import cycle_graph, theta_graph
 from csverify.generators import GenProfile, gen_cs_instance
 from csverify.linalg import Matrix, hstack
 from csverify.serialize import dumps, graph_to_json, instance_to_json
@@ -187,6 +187,55 @@ def test_generate_bytes_pinned(option, capsys):
     code, out, _ = run_cli(["generate", "--seed", "11", option], capsys=capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _GENERATE_SHA256[option]
+
+
+# SHA-256 of `verify --format json` reports with timing_ms removed, as
+# recorded from an earlier version: (source, verify option) -> digest, the
+# source being `generate --seed 11 <option>` or `fixture curve` of a graph
+_REPORT_SHA256 = {
+    ("--max-dim=6", "--thm=1"): "69abe4e036bade01501369c6bdb3fd9fdfa2e057f1fcb0807ffbff39c72ee552",
+    ("--max-dim=6", "--thm=2"): "d347441d22f0c3adefe4a9121a9f318558bfc43d83c8913a0fcb862389bb1374",
+    ("--max-dim=6", "--prop=all"): "6f244c5b9da3d9be7e697e95bf1765aff7bdfae2031deb1bd7fa31df30db72ea",
+    ("--max-dim=10", "--thm=1"): "ff5d0619b37e64267adee60b2c21b04fc9dcb79ce8ebc87b5f06b3b148edf6f2",
+    ("--max-dim=10", "--thm=2"): "9fa8970730e7c605b8ab2200c9c8e46a274e7575b32ec4b9580bb8f7dae243bc",
+    ("--max-dim=10", "--prop=all"): "40a4a541e81a02bed51377c284c204f802c26cc978bd29dac48ad0cf50272dfe",
+    ("--break=column_exact", "--thm=1"): "6496bc4d3b937935f89646268b29c261ac623c00a8edf885751d98fce249d979",
+    ("--break=column_exact", "--thm=2"): "6496bc4d3b937935f89646268b29c261ac623c00a8edf885751d98fce249d979",
+    ("--break=column_exact", "--prop=all"): "6496bc4d3b937935f89646268b29c261ac623c00a8edf885751d98fce249d979",
+    ("--break=row_exact", "--thm=1"): "37c6622812aba780d788e188aa8e9a82646e1092de22ffce58983c793d08e5f6",
+    ("--break=row_exact", "--thm=2"): "37c6622812aba780d788e188aa8e9a82646e1092de22ffce58983c793d08e5f6",
+    ("--break=row_exact", "--prop=all"): "37c6622812aba780d788e188aa8e9a82646e1092de22ffce58983c793d08e5f6",
+    ("--break=A_bound", "--thm=1"): "539f8200abc19a7c7c009696199b0b91e9fdf0f65ce0636df0ef5fc537291665",
+    ("--break=A_bound", "--thm=2"): "539f8200abc19a7c7c009696199b0b91e9fdf0f65ce0636df0ef5fc537291665",
+    ("--break=A_bound", "--prop=all"): "539f8200abc19a7c7c009696199b0b91e9fdf0f65ce0636df0ef5fc537291665",
+    ("--break=B_bound", "--thm=1"): "1e072567941241523526f255733696022e9b617eb657129a8db72840a98ef377",
+    ("--break=B_bound", "--thm=2"): "1e072567941241523526f255733696022e9b617eb657129a8db72840a98ef377",
+    ("--break=B_bound", "--prop=all"): "1e072567941241523526f255733696022e9b617eb657129a8db72840a98ef377",
+    ("--break=P_centering", "--thm=1"): "e82b9d82e05875e9f290b6b14882ec46a2cbbc62d4dc8571bc9f48441964da6b",
+    ("--break=P_centering", "--thm=2"): "e82b9d82e05875e9f290b6b14882ec46a2cbbc62d4dc8571bc9f48441964da6b",
+    ("--break=P_centering", "--prop=all"): "e82b9d82e05875e9f290b6b14882ec46a2cbbc62d4dc8571bc9f48441964da6b",
+    ("--break=strictness", "--thm=1"): "a6cd2ca630cb5a2dae9a82ccf5ae43ff8dc0f65dbd711aefb1c82291fae5c647",
+    ("--break=strictness", "--thm=2"): "a6cd2ca630cb5a2dae9a82ccf5ae43ff8dc0f65dbd711aefb1c82291fae5c647",
+    ("--break=strictness", "--prop=all"): "a6cd2ca630cb5a2dae9a82ccf5ae43ff8dc0f65dbd711aefb1c82291fae5c647",
+    ("I_3", "--thm=3"): "eb13d8707a6c26cc3e4fa75a66dd0765a010fadd74d07a85f283599d3b75030c",
+    ("theta", "--thm=3"): "842901261ddebab8a92b34c77ec4253af71a382571e24e6475183cefd233779c",
+}
+
+
+@pytest.mark.parametrize("source,option", sorted(_REPORT_SHA256))
+def test_report_bytes_pinned(source, option, monkeypatch, capsys):
+    if source in ("I_3", "theta"):
+        graph = cycle_graph(3) if source == "I_3" else theta_graph()
+        code, text, _ = run_cli(["fixture", "curve", "--graph", "-"],
+                                stdin_text=dumps(graph_to_json(graph)), monkeypatch=monkeypatch, capsys=capsys)
+    else:
+        code, text, _ = run_cli(["generate", "--seed", "11", source], capsys=capsys)
+    assert code == 0
+    code, out, _ = run_cli(["verify", "-", "--format", "json", option], stdin_text=text,
+                           monkeypatch=monkeypatch, capsys=capsys)
+    payload = json.loads(out)
+    del payload["timing_ms"]
+    assert hashlib.sha256(dumps(payload).encode()).hexdigest() == _REPORT_SHA256[(source, option)]
 
 
 @pytest.mark.parametrize("label", list(ARROWS))

@@ -5,6 +5,10 @@ The reference functions below are the straightforward Fraction loops
 (every multiply-add on a Fraction).  The kernels in linalg scale rows to
 integers and eliminate fraction-free; both must give the same pivots,
 the same entries, Fraction-typed, with the same printed form.
+
+The image and kernel kept on each Matrix, the kernel read off a reduced
+basis and the greedy basis extension are compared with the direct
+computations they replace.
 """
 
 from fractions import Fraction
@@ -12,7 +16,17 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csverify.linalg import Matrix, canonicalize, rref
+from csverify.linalg import (
+    Matrix,
+    canonicalize,
+    extend_basis,
+    full_subspace,
+    image,
+    kernel,
+    rref,
+    span_of_vectors,
+    transpose,
+)
 
 _ZERO = Fraction(0)
 
@@ -125,3 +139,87 @@ def test_contains_vector_matches_reference(data):
     else:
         vec = [data.draw(rationals) for _ in range(n)]
     assert sub.contains_vector(vec) == ref_contains_vector(sub, vec)
+
+
+def ref_kernel(f):
+    """Kernel by eliminating f and canonicalizing one vector per free column."""
+    reduced, pivots = rref(f)
+    rows = []
+    for fc in (c for c in range(f.ncols) if c not in pivots):
+        v = [_ZERO] * f.ncols
+        v[fc] = Fraction(1)
+        for r, p in zip(reduced, pivots):
+            v[p] = -r[fc]
+        rows.append(v)
+    return canonicalize(Matrix.from_rows(rows, ncols=f.ncols))
+
+
+def ref_image(f, s=None):
+    return canonicalize(transpose(f) if s is None else s.basis @ transpose(f))
+
+
+def ref_extend_basis(base, rows):
+    """The greedy loop: keep a row outside the span so far, add its line."""
+    kept = []
+    for row in rows:
+        if not base.contains_vector(row):
+            kept.append(row)
+            base = base.sum(span_of_vectors([row], base.ambient_dim))
+    return kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example(Matrix(0, 4, ()))
+@example(Matrix(3, 0, ((),) * 3))
+@example(Matrix.zero(2, 3))
+def test_kept_image_and_kernel_match_reference(f):
+    fresh = Matrix(f.nrows, f.ncols, f.rows)
+    ker, im = kernel(f), image(f)
+    assert ker == ref_kernel(fresh)
+    assert im == ref_image(fresh)
+    assert kernel(f) is ker and image(f) is im
+    # image of the whole domain reads the same memo
+    assert image(f, full_subspace(f.ncols)) is im
+    same_entries(ker.basis.rows, ref_kernel(fresh).basis.rows)
+    same_entries(im.basis.rows, ref_image(fresh).basis.rows)
+    # a filled memo changes neither equality, hash nor repr
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_image_of_subspace_matches_reference(data):
+    f = data.draw(matrices())
+    s = canonicalize(data.draw(matrices(ncols=st.just(f.ncols))))
+    assert image(f, s) == ref_image(f, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_annihilator_matches_reference_kernel(m):
+    sub = canonicalize(m)
+    got = sub.annihilator()
+    want = ref_kernel(sub.basis)
+    assert got == want
+    same_entries(got.basis.rows, want.basis.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_extend_basis_matches_greedy_loop(data):
+    base = canonicalize(data.draw(matrices()))
+    n = base.ambient_dim
+    rows = list(data.draw(matrices(ncols=st.just(n))).rows)
+    rows += [data.draw(st.sampled_from(base.basis.rows))] if base.dim else []
+    rows = data.draw(st.permutations(rows))
+    got = extend_basis(base, rows)
+    assert got == ref_extend_basis(base, rows)
+    total = canonicalize(Matrix.from_rows(list(base.basis.rows) + rows, ncols=n))
+    assert len(got) == total.dim - base.dim
+
+
+def test_zero_matrix_shared_per_shape():
+    assert Matrix.zero(2, 3) is Matrix.zero(2, 3)
+    assert Matrix.zero(2, 3) == Matrix.from_rows([[0, 0, 0], [0, 0, 0]])
+    assert Matrix.zero(0, 4) is not Matrix.zero(4, 0)

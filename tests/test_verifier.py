@@ -1,13 +1,15 @@
 import pytest
 
-from csverify.degenerations import curve_cs_instance, cycle_graph
+from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
 from csverify.filtration import FilteredSpace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, image, kernel, span_of_vectors
 from csverify.verifier import (
+    BREAKABLE_HYPOTHESES,
     CSInstance,
     DegreeRangeError,
     HypothesesNotSatisfiedError,
+    HypothesisReport,
     MalformedInstanceError,
     ProfileError,
     VerdictReport,
@@ -18,6 +20,7 @@ from csverify.verifier import (
     verify_proposition,
     verify_unipotent_cs,
 )
+from csverify.verifier import _weights_used
 
 
 def zero_instance():
@@ -192,3 +195,65 @@ def test_boundary_degrees_treated_as_zero():
     # exactness entries exist at the boundary degrees
     assert (inst.k_min - 1, "A") in report.column
     assert (inst.k_max + 1, "B") in report.column
+
+
+def ref_invariant_cycles(inst, k):
+    """THM2 with its own search: P4, then im(s.a) against ker N directly."""
+    at_a = conclusion_exactness(inst, "P4", k)
+    if not at_a.exact:
+        return VerdictReport("THM2", k, False, witness=at_a.witness, weights_used=_weights_used("P4", k))
+    im = image(inst.map_a_to_p(k))
+    ker_n = kernel(inst.map("N", k))
+    if im != ker_n:
+        witness = next((row for row in ker_n.basis.rows if not im.contains_vector(row)), None)
+        if witness is None:
+            witness = next(row for row in im.basis.rows if not ker_n.contains_vector(row))
+        return VerdictReport("THM2", k, False, witness=witness, weights_used=_weights_used("P1", k))
+    used = tuple(sorted(set(_weights_used("P4", k)) | set(_weights_used("P1", k))))
+    return VerdictReport("THM2", k, True, weights_used=used)
+
+
+def _partial_invariants_instance():
+    # A_0 meets only a line of ker N_0 = P_0, while B_0 -> A_0 -> P_0 is
+    # exact: P4 holds and P1 fails with a ker N witness
+    return CSInstance(
+        (0, 0),
+        spaces={"A": {0: FilteredSpace.pure(1, 0)}, "C": {0: FilteredSpace.pure(2, 0)},
+                "P": {0: FilteredSpace.pure(2, 0)}},
+        maps={"a": {0: Matrix.from_rows([[1], [0]])}, "s": {0: Matrix.identity(2)}},
+    )
+
+
+_THM2_CASES = (
+    [("clean", i) for i in range(6)]
+    + [("curve", n) for n in range(1, 8)] + [("curve", "theta")]
+    + [(tag, i) for tag in BREAKABLE_HYPOTHESES for i in range(3)]
+    + [("partial", 0)]
+)
+
+
+@pytest.mark.parametrize("kind,index", _THM2_CASES)
+def test_invariant_cycles_match_reference(kind, index):
+    if kind == "clean":
+        inst = gen_cs_instance(GenProfile(seed=split_seed(21, index), max_dim_per_node=(6, 10)[index % 2]))
+        report = check_instance_hypotheses(inst)
+    elif kind == "curve":
+        inst = curve_cs_instance(theta_graph() if index == "theta" else cycle_graph(index))
+        report = check_instance_hypotheses(inst)
+    else:
+        # a stand-in clean report lets non-exact verdicts through the gate
+        inst = (_partial_invariants_instance() if kind == "partial" else
+                gen_adversarial(GenProfile(seed=split_seed(21, index), broken_hypothesis=kind)))
+        report = HypothesisReport()
+    assert report.clean
+    verdicts = []
+    for k in inst.degrees(pad=2):
+        # both computations agree wherever N.s = 0, which every profile keeps
+        assert (inst.map("N", k) @ inst.map("s", k)).is_zero()
+        got, want = verify_invariant_cycles(inst, k, report=report), ref_invariant_cycles(inst, k)
+        assert (got.exact, got.witness, got.weights_used) == (want.exact, want.witness, want.weights_used)
+        verdicts.append(got)
+    if kind in ("column_exact", "row_exact", "partial"):
+        assert any(not v.exact and v.witness is not None for v in verdicts)
+    if kind == "partial":
+        assert verdicts[2].weights_used == _weights_used("P1", 0) and verdicts[2].witness == (0, 1)
