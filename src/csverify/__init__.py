@@ -11,13 +11,11 @@ from .linalg import (
     canonicalize,
     image,
     kernel,
-    preimage,
 )
 from .filtration import (
     ExactnessVerdict,
     FilteredMap,
     FilteredSpace,
-    check_exact_at,
     direct_sum,
     graded_piece,
     induced_on_sub_quotient,
@@ -61,9 +59,9 @@ from .degenerations import (
 )
 
 __all__ = [
-    "Matrix", "Q", "Subspace", "canonicalize", "image", "kernel", "preimage",
+    "Matrix", "Q", "Subspace", "canonicalize", "image", "kernel",
     "ExactnessVerdict", "FilteredMap", "FilteredSpace",
-    "check_exact_at", "direct_sum", "graded_piece", "induced_on_sub_quotient",
+    "direct_sum", "graded_piece", "induced_on_sub_quotient",
     "tate_twist", "weights_geq", "weights_leq",
     "CenteredFiltration", "NilpotentOp", "ker_coker_weight_bounds",
     "monodromy_filtration", "monodromy_filtration_recursive", "verify_centered_axioms",

@@ -39,6 +39,7 @@ from .serialize import (
 )
 from .verifier import (
     BREAKABLE_HYPOTHESES,
+    CONCLUSIONS,
     DegreeRangeError,
     MalformedInstanceError,
     ProfileError,
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="check an instance JSON file ('-' for stdin)")
     p_verify.add_argument("instance")
-    p_verify.add_argument("--prop", choices=["P1", "P2", "P3", "P4", "all"])
+    p_verify.add_argument("--prop", choices=[*CONCLUSIONS, "all"])
     p_verify.add_argument("--thm", choices=["1", "2", "3"])
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
@@ -156,7 +157,7 @@ def _cmd_verify(args) -> int:
     verdicts = []
     if report.clean:
         if args.prop:
-            which = ["P1", "P2", "P3", "P4"] if args.prop == "all" else [args.prop]
+            which = list(CONCLUSIONS) if args.prop == "all" else [args.prop]
             degrees = [args.k] if args.k is not None else list(inst.degrees(pad=2))
             for prop in which:
                 for k in degrees:

@@ -263,13 +263,6 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     raise AssertionError("unreachable: im != ker without a witness")
 
 
-def check_exact_at(f: FilteredMap, g: FilteredMap) -> ExactnessVerdict:
-    """Exactness at the shared middle space of two filtered maps."""
-    if f.target != g.source:
-        raise ComposabilityError("target of f and source of g differ as filtered spaces")
-    return exactness_at(f.matrix, g.matrix)
-
-
 class SubQuotient(NamedTuple):
     kernel: FilteredSpace
     image: FilteredSpace

@@ -2,7 +2,7 @@
 
 Everything downstream (filtrations, monodromy, the sequence verifiers)
 reduces to the subspace lattice implemented here: canonical reduced
-row-echelon bases, sums, intersections, images, kernels and preimages.
+row-echelon bases, sums, intersections, images, kernels and quotients.
 No floating point is used anywhere: entries are fractions.Fraction.
 The inner loops (elimination, products, membership) run on Python ints:
 each row or column is scaled to integer numerators over a common
@@ -133,9 +133,6 @@ class Matrix:
             out.append(_frac(sum(map(mul, a, b)), da * db))
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        return transpose(self)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatchError("shape mismatch in matrix sum")
@@ -264,26 +261,17 @@ class Subspace:
         return all(self.contains_vector(r) for r in other.basis.rows)
 
     def annihilator(self) -> "Subspace":
-        """The kernel of the basis matrix, read off the reduced rows.
-
-        Each free column j gives the vector with 1 at j and -row_i[j] at the
-        pivot of row i; the basis is not eliminated again.
-        """
-        n = self.ambient_dim
-        pivot_set = set(self.pivots)
-        rows = []
-        for j in range(n):
-            if j not in pivot_set:
-                v = [_ZERO] * n
-                v[j] = _ONE
-                for r, p in zip(self.basis.rows, self.pivots):
-                    v[p] = -r[j]
-                rows.append(tuple(v))
-        return canonicalize(Matrix(len(rows), n, tuple(rows)))
+        """The kernel of the basis matrix: the rows of quotient_map(self), reduced."""
+        return canonicalize(quotient_map(self))
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """The span of both; an operand is returned as is when the other is zero or the whole space."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")
+        if other.dim == 0 or self.dim == self.ambient_dim:
+            return self
+        if self.dim == 0 or other.dim == other.ambient_dim:
+            return other
         return canonicalize(vstack(self.basis, other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -350,21 +338,6 @@ def extend_basis(base: Subspace, rows: Iterable[Sequence[QLike]]) -> list:
     return kept
 
 
-def preimage(f: Matrix, s: Subspace) -> Subspace:
-    """{v : f(v) in s}, computed as the kernel of (membership of s) . f."""
-    if s.ambient_dim != f.nrows:
-        raise DimensionMismatchError("subspace not in the codomain of f")
-    return kernel(membership_matrix(s) @ f)
-
-
-def membership_matrix(s: Subspace) -> Matrix:
-    """A square matrix E with kernel exactly s (residual after reduction)."""
-    n = s.ambient_dim
-    bt = transpose(s.basis)
-    sel = coords_map(s)
-    return Matrix.identity(n) + (bt @ sel).scale(-1)
-
-
 def coords_map(s: Subspace) -> Matrix:
     """Selector P with P.v = coordinates of v in the basis of s (valid on s)."""
     rows = []
@@ -374,12 +347,22 @@ def coords_map(s: Subspace) -> Matrix:
 
 
 def quotient_map(s: Subspace) -> Matrix:
-    """Surjection Q^n -> Q^(n-dim s) with kernel exactly s."""
+    """Surjection Q^n -> Q^(n-dim s) with kernel exactly s, read off the reduced basis.
+
+    Free column j gives the row with 1 at j and -row_i[j] at the pivot of
+    row i; it reads entry j of v's residual after reduction against s.
+    """
     n = s.ambient_dim
-    e = membership_matrix(s)
     pivot_set = set(s.pivots)
-    rows = tuple(e.rows[j] for j in range(n) if j not in pivot_set)
-    return Matrix(n - s.dim, n, rows)
+    rows = []
+    for j in range(n):
+        if j not in pivot_set:
+            v = [_ZERO] * n
+            v[j] = _ONE
+            for r, p in zip(s.basis.rows, s.pivots):
+                v[p] = -r[j]
+            rows.append(tuple(v))
+    return Matrix(n - s.dim, n, tuple(rows))
 
 
 def section_of_quotient(s: Subspace) -> Matrix:

@@ -4,7 +4,10 @@ Rationals serialize as strings "p/q" ("p" when integral) to avoid lossy
 numeric JSON.  Matrices are arrays of row arrays of such strings; shape
 context always comes from the surrounding object, so empty matrices are
 unambiguous.  Serialization is deterministic: keys are sorted and the
-formatting is fixed, so equal values produce identical bytes.
+formatting is fixed, so equal values produce identical bytes.  Integer
+fields (dimensions, degrees, weights, the range, purity, graph data) must
+be JSON integers, and integer object keys plain decimal strings; any
+other value is a SerializationError, never truncated.
 
 Schemas:
 
@@ -12,8 +15,6 @@ Schemas:
   nilpotent op     {"space": <filtered space>, "matrix": [[...]]}
   centered filt.   {"center": k, "dim": d, "steps": {...}}
   dual graph       {"vertices": v, "edges": [[i, j], ...], "self": [s_0...]}
-  gen profile      {"seed": u64, "max_dim": n, "range": [a, b],
-                    "weight_spread": w, "break": <tag or null>}
   CS instance      {"range": [kmin, kmax], "A": {"<k>": <fs>, ...}, "B": ...,
                     "C": ..., "P": ..., "N": {"<k>": [[...]]},
                     "col": {"b": ..., "a": ..., "c": ...},
@@ -24,6 +25,7 @@ Schemas:
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, Optional
 
 from .degenerations import DualGraph
@@ -32,7 +34,6 @@ from .filtration import (
     FilteredSpace,
     StrictnessVerdict,
 )
-from .generators import GenProfile
 from .linalg import Matrix, Q, Subspace, canonicalize, qstr
 from .monodromy import CenteredFiltration, NilpotentOp
 from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
@@ -46,18 +47,30 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value, what: str, key: bool) -> int:
+    """An integer field: a JSON integer that is not a boolean, or for an object key a plain decimal string.
+
+    ``int`` alone would read 2.9 as 2, true as 1 and the key "1_0" as 10.
+    """
+    if key and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    if key or type(value) is not int:
+        raise SerializationError(f"{what} must be an integer, got {json.dumps(value, default=str)[:40]}")
+    return value
+
+
 def q_from_str(s) -> object:
-    if isinstance(s, int):
+    if type(s) is int:
         return Q(s)
     if not isinstance(s, str):
         raise SerializationError(f"rational entries must be strings, got {type(s).__name__}")
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Q(int(num), int(den))
-        return Q(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SerializationError(f"cannot parse rational {s!r}") from exc
+    num, _, den = s.partition("/")
+    if not _DECIMAL.fullmatch(num) or not _DECIMAL.fullmatch(den or "1") or int(den or 1) == 0:
+        raise SerializationError(f"cannot parse rational {s!r}")
+    return Q(int(num), int(den or 1))
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -99,8 +112,9 @@ def filtered_space_to_json(v: FilteredSpace) -> dict:
 
 def filtered_space_from_json(data) -> FilteredSpace:
     try:
-        dim = int(data["dim"])
-        steps = {int(w): _subspace_from_json(rows, dim) for w, rows in data.get("steps", {}).items()}
+        dim = _json_int(data["dim"], "dim", key=False)
+        steps = {_json_int(w, "weight", key=True): _subspace_from_json(rows, dim)
+                 for w, rows in data.get("steps", {}).items()}
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SerializationError(f"bad filtered space: {exc}") from exc
     return FilteredSpace(dim, steps)
@@ -125,14 +139,6 @@ def centered_filtration_to_json(cf: CenteredFiltration) -> dict:
     return out
 
 
-def centered_filtration_from_json(data) -> CenteredFiltration:
-    try:
-        center = int(data["center"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("centered filtration needs an integer center") from exc
-    return CenteredFiltration(center, filtered_space_from_json(data))
-
-
 def graph_to_json(g: DualGraph) -> dict:
     return {"vertices": g.vertices,
             "edges": [[i, j] for i, j in g.edges],
@@ -141,28 +147,15 @@ def graph_to_json(g: DualGraph) -> dict:
 
 def graph_from_json(data) -> DualGraph:
     try:
-        return DualGraph.make(int(data["vertices"]), data.get("edges", []), data.get("self"))
+        edges = [[_json_int(x, "edge end", key=False) for x in e] for e in data.get("edges", [])]
+        selfs = data.get("self")
+        if selfs is not None:
+            selfs = [_json_int(x, "self-intersection", key=False) for x in selfs]
+        return DualGraph.make(_json_int(data["vertices"], "vertices", key=False), edges, selfs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"bad dual graph: {exc}") from exc
-
-
-def profile_to_json(p: GenProfile) -> dict:
-    return {"seed": p.seed, "max_dim": p.max_dim_per_node,
-            "range": list(p.degree_range), "weight_spread": p.weight_spread,
-            "break": p.broken_hypothesis}
-
-
-def profile_from_json(data) -> GenProfile:
-    try:
-        return GenProfile(seed=int(data["seed"]),
-                          max_dim_per_node=int(data.get("max_dim", 6)),
-                          degree_range=tuple(int(x) for x in data.get("range", (0, 4))),
-                          weight_spread=int(data.get("weight_spread", 3)),
-                          broken_hypothesis=data.get("break"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError(f"bad generation profile: {exc}") from exc
 
 
 def _family_to_json(family: Dict[int, FilteredSpace]) -> dict:
@@ -192,7 +185,7 @@ def instance_from_json(data) -> CSInstance:
     if not isinstance(data, dict):
         raise SerializationError("instance must be a JSON object")
     try:
-        k_min, k_max = (int(x) for x in data["range"])
+        k_min, k_max = (_json_int(x, "range bound", key=False) for x in data["range"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError("instance needs an integer pair under 'range'") from exc
 
@@ -200,7 +193,7 @@ def instance_from_json(data) -> CSInstance:
         raw = data.get(key, {})
         if not isinstance(raw, dict):
             raise SerializationError(f"family {key!r} must be an object")
-        return {int(k): filtered_space_from_json(v) for k, v in raw.items()}
+        return {_json_int(k, "degree", key=True): filtered_space_from_json(v) for k, v in raw.items()}
 
     try:
         spaces = {node: family(node) for node in NODES}
@@ -212,25 +205,17 @@ def instance_from_json(data) -> CSInstance:
         raise SerializationError("'col' and 'row' must be objects")
     skeleton = CSInstance((k_min, k_max), spaces, {})
     maps = {}
-    try:
-        for label, group in _MAP_GROUP.items():
-            raw = groups[group].get(label, {})
-            if not isinstance(raw, dict):
-                raise SerializationError("map family must be an object")
-            maps[label] = {int(k): matrix_from_json(m, *skeleton.shape(label, int(k)))
-                           for k, m in raw.items()}
-    except ValueError as exc:
-        if isinstance(exc, SerializationError):
-            raise
-        raise SerializationError(f"bad map key: {exc}") from exc
+    for label, group in _MAP_GROUP.items():
+        raw = groups[group].get(label, {})
+        if not isinstance(raw, dict):
+            raise SerializationError("map family must be an object")
+        raw = {_json_int(k, "degree", key=True): m for k, m in raw.items()}
+        maps[label] = {k: matrix_from_json(m, *skeleton.shape(label, k)) for k, m in raw.items()}
 
     profile = data.get("profile", "abstract")
     if not isinstance(profile, str):
         raise SerializationError("profile must be a string")
-    try:
-        purity = int(data.get("purity", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError("'purity' must be an integer") from exc
+    purity = _json_int(data.get("purity", 0), "'purity'", key=False)
     return CSInstance((k_min, k_max), spaces, maps, purity_weight=purity, profile=profile)
 
 

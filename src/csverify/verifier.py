@@ -14,12 +14,12 @@ special fibre at B, nearby-cycle/limit cohomology at P) never enters the
 computations; only the filtered-linear-algebra skeleton does.
 
 ARROWS is the one table of which node each of the six maps leaves and
-enters, and at which degree offset.  Map shapes, their validation, the
-strictness checks, serialization and the generators' conjugation all
-read it.
+enters, and at which degree offset; map shapes, their validation, the
+strictness checks, serialization and the generators' conjugation read
+it.  COMPOSITES adds the unstored maps s.a and c.r through C.
 
 The verdict engines check the four exactness conclusions these
-hypotheses force:
+hypotheses force, one row of CONCLUSIONS each:
 
   P1  A_k -> P_k -> P_k(-1)        (local invariant cycles)
   P2  P_k -> P_k(-1) -> B_{k+2}
@@ -28,9 +28,7 @@ hypotheses force:
 
 their splice into one long exact sequence per parity class, the
 monodromy-invariants sequence B_k -> A_k -> ker(N_k) -> 0, and the
-unipotent geometric form of the spliced sequence.  The maps A_k -> P_k
-and P_k(-1) -> B_{k+2} are not stored: they are the composites s.a and
-c.r through C by definition.
+unipotent geometric form of the spliced sequence.
 """
 
 from __future__ import annotations
@@ -88,6 +86,20 @@ ARROWS = {
     "N": ("P", 0, "P", 0),
 }
 
+# label -> (f, g): the composite label_k = f_k . g_k through C_k.  sa_k
+# leaves A_k and enters P_k; cr_k leaves P_{k-1}(-1) and enters B_{k+1}.
+COMPOSITES = {"sa": ("s", "a"), "cr": ("c", "r")}
+
+# conclusion -> ((f, df), (g, dg), ((hypothesis, d), ...)): at degree k the
+# conclusion is exactness of -f_{k+df}-> . -g_{k+dg}-> at the middle node, and
+# the weight hypotheses its proof uses hold at degrees k + d.
+CONCLUSIONS = {
+    "P1": (("sa", 0), ("N", 0), (("P_centering", 0), ("B_bound", 1))),
+    "P2": (("N", 0), ("cr", 1), (("P_centering", 0), ("A_bound", 1))),
+    "P3": (("cr", 1), ("b", 2), (("B_bound", 2), ("P_centering", 1))),
+    "P4": (("b", 0), ("sa", 0), (("A_bound", 0), ("P_centering", -1))),
+}
+
 
 class CSInstance:
     """Weight-filtered skeleton of a one-parameter degeneration situation.
@@ -95,15 +107,16 @@ class CSInstance:
     ``spaces`` maps a node of NODES to its family {k: FilteredSpace} and
     ``maps`` an arrow label of ARROWS to its family {k: Matrix}; a missing
     key is an all-zero family.  Families are stored sparsely (only nonzero
-    spaces/maps); ``space`` and ``map`` return zero spaces and zero
-    matrices of the right shape elsewhere.  ``purity_weight`` records the
-    normalization of the coefficient object's weight (0 throughout; a
+    spaces/maps); ``space`` and ``map`` (which also serves COMPOSITES) return
+    zero spaces and matrices of the right shape elsewhere.  ``purity_weight``
+    records the normalization of the coefficient object's weight (0 throughout; a
     nonzero value is a uniform offset for reporting).  ``profile`` is
     "geometric" for instances whose A/B/P nodes are meant as actual
     cohomology of a degeneration, "abstract" otherwise.
     """
 
-    __slots__ = ("k_min", "k_max", "A", "B", "C", "P", "maps", "purity_weight", "profile")
+    _FIELDS = ("k_min", "k_max", "A", "B", "C", "P", "maps", "purity_weight", "profile")
+    __slots__ = _FIELDS + ("_products",)
 
     def __init__(self, degree_range: Tuple[int, int],
                  spaces: Dict[str, Dict[int, FilteredSpace]],
@@ -122,6 +135,7 @@ class CSInstance:
                      for label in ARROWS}
         self.purity_weight = purity_weight
         self.profile = profile
+        self._products: Dict[Tuple[str, int], Matrix] = {}
 
     def _validate(self, maps):
         """Stored spaces lie in the degree range; every given map, zero or not, has its arrow's shape."""
@@ -146,19 +160,20 @@ class CSInstance:
         return self.space(target, k + dt).dim, self.space(source, k + ds).dim
 
     def map(self, label: str, k: int) -> Matrix:
-        """The map label_k; the zero matrix of its shape outside the stored support."""
-        m = self.maps[label].get(k)
-        return Matrix.zero(*self.shape(label, k)) if m is None else m
+        """The map label_k, stored or composite; a zero matrix of its shape where a factor is unstored.
 
-    # -- derived composite maps --
-
-    def map_a_to_p(self, k: int) -> Matrix:
-        """A_k -> P_k, by definition the composite s_k . a_k."""
-        return self.map("s", k) @ self.map("a", k)
-
-    def map_ptw_to_b(self, k: int) -> Matrix:
-        """P_k(-1) -> B_{k+2}, by definition the composite c_{k+1} . r_{k+1}."""
-        return self.map("c", k + 1) @ self.map("r", k + 1)
+        A product is built once, into ``_products``, which equality and JSON never read.
+        """
+        if label not in COMPOSITES:
+            m = self.maps[label].get(k)
+            return Matrix.zero(*self.shape(label, k)) if m is None else m
+        product = self._products.get((label, k))
+        if product is None:
+            f, g = COMPOSITES[label]
+            if k not in self.maps[f] or k not in self.maps[g]:
+                return Matrix.zero(self.shape(f, k)[0], self.shape(g, k)[1])
+            product = self._products[(label, k)] = self.maps[f][k] @ self.maps[g][k]
+        return product
 
     def degrees(self, pad: int = 1) -> range:
         return range(self.k_min - pad, self.k_max + pad + 1)
@@ -169,7 +184,7 @@ class CSInstance:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CSInstance):
             return NotImplemented
-        return all(getattr(self, attr) == getattr(other, attr) for attr in self.__slots__)
+        return all(getattr(self, attr) == getattr(other, attr) for attr in self._FIELDS)
 
     def __repr__(self) -> str:
         return f"CSInstance(degrees {self.k_min}..{self.k_max}, dims {self.node_dims()})"
@@ -267,16 +282,8 @@ def _instance_maps(inst: CSInstance, k: int):
         yield label, inst.map(label, k), src, tgt
 
 
-_PROPOSITION_BOUNDS = {
-    "P1": ("P_centering@{k}", "B_bound@{k1}"),
-    "P2": ("P_centering@{k}", "A_bound@{k1}"),
-    "P3": ("B_bound@{k2}", "P_centering@{k1}"),
-    "P4": ("A_bound@{k}", "P_centering@{km1}"),
-}
-
-
 def _weights_used(which: str, k: int) -> Tuple[str, ...]:
-    return tuple(t.format(k=k, k1=k + 1, k2=k + 2, km1=k - 1) for t in _PROPOSITION_BOUNDS[which])
+    return tuple(f"{hyp}@{k + d}" for hyp, d in CONCLUSIONS[which][2])
 
 
 def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdict:
@@ -286,15 +293,10 @@ def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdi
     on instances that deliberately violate a hypothesis; ordinary
     verification should go through verify_proposition.
     """
-    if which == "P1":
-        return exactness_at(inst.map_a_to_p(k), inst.map("N", k))
-    if which == "P2":
-        return exactness_at(inst.map("N", k), inst.map_ptw_to_b(k))
-    if which == "P3":
-        return exactness_at(inst.map_ptw_to_b(k), inst.map("b", k + 2))
-    if which == "P4":
-        return exactness_at(inst.map("b", k), inst.map_a_to_p(k))
-    raise ValueError(f"unknown proposition id {which!r}")
+    if which not in CONCLUSIONS:
+        raise ValueError(f"unknown proposition id {which!r}")
+    (f, df), (g, dg), _ = CONCLUSIONS[which]
+    return exactness_at(inst.map(f, k + df), inst.map(g, k + dg))
 
 
 def _verdict_report(inst: CSInstance, which: str, k: int, label: str) -> VerdictReport:
@@ -342,7 +344,7 @@ def assemble_and_verify_les(inst: CSInstance,
     """
     _gate(inst, report)
     return [_verdict_report(inst, which, k, proposition_prefix + which)
-            for k in inst.degrees(pad=2) for which in ("P1", "P2", "P3", "P4")]
+            for k in inst.degrees(pad=2) for which in CONCLUSIONS]
 
 
 def verify_invariant_cycles(inst: CSInstance, k: int,

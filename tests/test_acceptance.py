@@ -138,7 +138,7 @@ def test_criterion_5_geometry_fixtures():
             problems.append((name, "dirty"))
             continue
         t2 = verify_invariant_cycles(inst, 1, report=rep)
-        if not t2.exact or image(inst.map_a_to_p(1)).dim != b1:
+        if not t2.exact or image(inst.map("sa", 1)).dim != b1:
             problems.append((name, "invariant cycles"))
         if not all(v.exact for v in verify_unipotent_cs(inst, report=rep)):
             problems.append((name, "unipotent sequence"))

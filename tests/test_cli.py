@@ -305,9 +305,20 @@ _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
     (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0]]}'),
     (["fixture", "curve", "--graph", "-"],
      '{"vertices": 2, "edges": [[0, 1], [0, 1]], "self": [0, -2]}'),
+    # integer fields take JSON integers only, never truncated or read from booleans
+    (["verify", "-"], '{"range": [0, 2.9]}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "purity": 2.5}'),
+    (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1.5, "steps": {"0": [["1"]]}}}}'),
+    (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [[true]]}}}}'),
+    (["verify", "-"], '{"range": [0, true]}'),
+    (["verify", "-"], '{"range": [0, 10], "P": {"1_0": {"dim": 1, "steps": {"0": [["1"]]}}}}'),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 3.7, "edges": [[0, 1], [1, 2], [2, 0]]}'),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0, 1.2]]}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "range-reversed", "weight-spread-zero",
-        "edge-one-vertex", "self-intersection-not-minus-degree"])
+        "edge-one-vertex", "self-intersection-not-minus-degree",
+        "range-float", "purity-float", "dim-float", "entry-true", "range-true",
+        "degree-key-underscore", "vertices-float", "edge-end-float"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True)

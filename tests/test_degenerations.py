@@ -102,7 +102,7 @@ def test_invariant_cycles_dimension_is_b1():
     for g in (cycle_graph(1), cycle_graph(4), theta_graph()):
         _, b1 = betti(g)
         inst = curve_cs_instance(g)
-        assert image(inst.map_a_to_p(1)).dim == b1
+        assert image(inst.map("sa", 1)).dim == b1
         assert kernel(inst.map("N", 1)).dim == b1
 
 

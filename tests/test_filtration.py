@@ -12,7 +12,6 @@ from csverify.filtration import (
     NotStrictError,
     StrictnessVerdict,
     WeightCompatibilityError,
-    check_exact_at,
     direct_sum,
     exactness_at,
     graded_piece,
@@ -31,6 +30,7 @@ from csverify.linalg import (
     kernel,
     solve,
     span_of_vectors,
+    transpose,
 )
 from csverify.verifier import _instance_maps
 
@@ -179,7 +179,7 @@ def test_composites_of_generated_strict_maps_are_compatible():
     for k in inst.degrees():
         if inst.space("A", k).dim and inst.space("P", k).dim:
             # A_k -> C_k -> P_k composes to a weight-compatible map
-            FilteredMap(inst.space("A", k), inst.space("P", k), inst.map_a_to_p(k))
+            FilteredMap(inst.space("A", k), inst.space("P", k), inst.map("sa", k))
 
 
 # -- strictness against the intersection reference --------------------------
@@ -244,13 +244,13 @@ def test_exact_identity_and_split():
     v = two_step()
     f = FilteredMap(FilteredSpace.zero(), v, Matrix.zero(2, 0))
     g = FilteredMap(v, v, Matrix.identity(2))
-    assert check_exact_at(f, g).exact
+    assert exactness_at(f.matrix, g.matrix).exact
 
     q = FilteredSpace.pure(1, 0)
     q2 = FilteredSpace.pure(2, 0)
     inj = FilteredMap(q, q2, Matrix.from_rows([[1], [0]]))
     proj_second = FilteredMap(q2, q, Matrix.from_rows([[0, 1]]))
-    assert check_exact_at(inj, proj_second).exact
+    assert exactness_at(inj.matrix, proj_second.matrix).exact
 
 
 def test_not_exact_composite_nonzero():
@@ -258,7 +258,7 @@ def test_not_exact_composite_nonzero():
     q2 = FilteredSpace.pure(2, 0)
     inj = FilteredMap(q, q2, Matrix.from_rows([[1], [0]]))
     proj_first = FilteredMap(q2, q, Matrix.from_rows([[1, 0]]))
-    verdict = check_exact_at(inj, proj_first)
+    verdict = exactness_at(inj.matrix, proj_first.matrix)
     assert not verdict.exact
     assert verdict.reason == "composite_nonzero"
     assert verdict.witness is not None
@@ -268,7 +268,7 @@ def test_not_exact_kernel_exceeds_image():
     q2 = FilteredSpace.pure(2, 0)
     f = FilteredMap(FilteredSpace.zero(), q2, Matrix.zero(2, 0))
     g = FilteredMap(q2, FilteredSpace.zero(), Matrix.zero(0, 2))
-    verdict = check_exact_at(f, g)
+    verdict = exactness_at(f.matrix, g.matrix)
     assert not verdict.exact
     assert verdict.reason == "kernel_exceeds_image"
     assert verdict.witness in ((1, 0), (0, 1))
@@ -279,7 +279,7 @@ def test_composability_checked():
     f = FilteredMap(v, v, Matrix.identity(2))
     g = FilteredMap(FilteredSpace.pure(1, 2), FilteredSpace.pure(1, 2), Matrix.identity(1))
     with pytest.raises(ComposabilityError):
-        check_exact_at(f, g)
+        exactness_at(f.matrix, g.matrix)
 
 
 def brute_force_exact(f, g):
@@ -292,7 +292,7 @@ def brute_force_exact(f, g):
         if im.dim == 0:
             if any(x != 0 for x in row):
                 return False
-        elif solve(im.basis.transpose(), row) is None:
+        elif solve(transpose(im.basis), row) is None:
             return False
     return True
 

@@ -7,8 +7,9 @@ integers and eliminate fraction-free; both must give the same pivots,
 the same entries, Fraction-typed, with the same printed form.
 
 The image and kernel kept on each Matrix, the kernel read off a reduced
-basis and the greedy basis extension are compared with the direct
-computations they replace.
+basis, the greedy basis extension and the sum that skips elimination
+beside a zero or whole operand are compared with the direct computations
+they replace.
 """
 
 from fractions import Fraction
@@ -26,6 +27,8 @@ from csverify.linalg import (
     rref,
     span_of_vectors,
     transpose,
+    vstack,
+    zero_subspace,
 )
 
 _ZERO = Fraction(0)
@@ -223,3 +226,17 @@ def test_zero_matrix_shared_per_shape():
     assert Matrix.zero(2, 3) is Matrix.zero(2, 3)
     assert Matrix.zero(2, 3) == Matrix.from_rows([[0, 0, 0], [0, 0, 0]])
     assert Matrix.zero(0, 4) is not Matrix.zero(4, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_matches_reference(data):
+    n = data.draw(dims)
+    def operand():
+        return data.draw(st.one_of(st.just(zero_subspace(n)), st.just(full_subspace(n)),
+                                   matrices(ncols=st.just(n)).map(canonicalize)))
+    a, b = operand(), operand()
+    got = a.sum(b)
+    assert got == canonicalize(vstack(a.basis, b.basis))
+    if b.dim == 0 or a.dim == n:
+        assert got is a

@@ -1,11 +1,13 @@
 import pytest
 
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
-from csverify.filtration import FilteredSpace
+from csverify.filtration import FilteredSpace, exactness_at
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, image, kernel, span_of_vectors
+from csverify.serialize import instance_from_json, instance_to_json
 from csverify.verifier import (
     BREAKABLE_HYPOTHESES,
+    CONCLUSIONS,
     CSInstance,
     DegreeRangeError,
     HypothesesNotSatisfiedError,
@@ -49,7 +51,7 @@ def test_i1_proposition_one_at_degree_one():
     inst = curve_cs_instance(cycle_graph(1))
     report = check_instance_hypotheses(inst)
     assert verify_proposition(inst, "P1", 1, report=report).exact
-    a_to_p = inst.map_a_to_p(1)
+    a_to_p = inst.map("sa", 1)
     assert image(a_to_p) == kernel(inst.map("N", 1))
     assert image(a_to_p).dim == 1
 
@@ -60,7 +62,7 @@ def test_i1_les_and_twisted_boundary_iso():
     verdicts = assemble_and_verify_les(inst, report=report)
     assert all(v.exact for v in verdicts)
     # P_2(-1) -> B_4 is an isomorphism of one-dimensional weight-4 spaces
-    ptw_to_b = inst.map_ptw_to_b(2)
+    ptw_to_b = inst.map("cr", 3)
     assert ptw_to_b.nrows == ptw_to_b.ncols == 1
     assert kernel(ptw_to_b).dim == 0
     assert inst.space("B", 4).graded_dims() == {4: 1}
@@ -202,7 +204,7 @@ def ref_invariant_cycles(inst, k):
     at_a = conclusion_exactness(inst, "P4", k)
     if not at_a.exact:
         return VerdictReport("THM2", k, False, witness=at_a.witness, weights_used=_weights_used("P4", k))
-    im = image(inst.map_a_to_p(k))
+    im = image(inst.map("sa", k))
     ker_n = kernel(inst.map("N", k))
     if im != ker_n:
         witness = next((row for row in ker_n.basis.rows if not im.contains_vector(row)), None)
@@ -257,3 +259,75 @@ def test_invariant_cycles_match_reference(kind, index):
         assert any(not v.exact and v.witness is not None for v in verdicts)
     if kind == "partial":
         assert verdicts[2].weights_used == _weights_used("P1", 0) and verdicts[2].witness == (0, 1)
+
+
+# -- the conclusion table against the four hand-written branches ------------
+
+_REF_BOUNDS = {
+    "P1": ("P_centering@{k}", "B_bound@{k1}"),
+    "P2": ("P_centering@{k}", "A_bound@{k1}"),
+    "P3": ("B_bound@{k2}", "P_centering@{k1}"),
+    "P4": ("A_bound@{k}", "P_centering@{km1}"),
+}
+
+
+def ref_conclusion_exactness(inst, which, k):
+    """Each conclusion spelled out, with fresh composite products."""
+    a_to_p = inst.map("s", k) @ inst.map("a", k)
+    ptw_to_b = inst.map("c", k + 1) @ inst.map("r", k + 1)
+    if which == "P1":
+        return exactness_at(a_to_p, inst.map("N", k))
+    if which == "P2":
+        return exactness_at(inst.map("N", k), ptw_to_b)
+    if which == "P3":
+        return exactness_at(ptw_to_b, inst.map("b", k + 2))
+    return exactness_at(inst.map("b", k), a_to_p)
+
+
+def _conclusions_match_reference(inst):
+    """Compare every conclusion at every degree; the non-exact ones, per proposition."""
+    failing = {which: 0 for which in CONCLUSIONS}
+    for k in inst.degrees(pad=2):
+        for which in CONCLUSIONS:
+            got, want = conclusion_exactness(inst, which, k), ref_conclusion_exactness(inst, which, k)
+            assert (got.exact, got.reason, got.witness) == (want.exact, want.reason, want.witness)
+            used = tuple(t.format(k=k, k1=k + 1, k2=k + 2, km1=k - 1) for t in _REF_BOUNDS[which])
+            assert _weights_used(which, k) == used
+            failing[which] += not got.exact
+    return failing
+
+
+def test_conclusions_match_reference_on_clean_and_curve_instances():
+    instances = [gen_cs_instance(GenProfile(seed=split_seed(61, i), max_dim_per_node=(6, 10)[i % 2]))
+                 for i in range(8)]
+    instances += [curve_cs_instance(cycle_graph(n)) for n in range(1, 8)] + [curve_cs_instance(theta_graph())]
+    for inst in instances:
+        assert sum(_conclusions_match_reference(inst).values()) == 0
+
+
+def test_conclusions_match_reference_on_adversarial_instances():
+    failing = {which: 0 for which in CONCLUSIONS}
+    for tag in BREAKABLE_HYPOTHESES:
+        for seed in range(1, 31):
+            inst = gen_adversarial(GenProfile(seed=seed, broken_hypothesis=tag))
+            for which, n in _conclusions_match_reference(inst).items():
+                failing[which] += n
+    # the comparison covers non-exact verdicts, witnesses included, of every conclusion
+    assert all(failing.values()) and sum(failing.values()) == 146
+
+
+def test_composites_built_once_and_invisible():
+    inst = gen_cs_instance(GenProfile(seed=7, max_dim_per_node=8))
+    stored = [k for k in inst.degrees() if k in inst.maps["s"] and k in inst.maps["a"]]
+    assert stored
+    for k in stored:
+        assert inst.map("sa", k) is inst.map("sa", k)
+        assert inst.map("sa", k) == inst.map("s", k) @ inst.map("a", k)
+    k = inst.k_max + 1
+    assert k not in inst.maps["r"]
+    assert inst.map("cr", k) is Matrix.zero(inst.space("B", k + 1).dim, inst.space("P", k - 1).dim)
+    for k in inst.degrees(pad=2):
+        for which in CONCLUSIONS:
+            conclusion_exactness(inst, which, k)
+    assert inst._products
+    assert instance_from_json(instance_to_json(inst)) == inst
