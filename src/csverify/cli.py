@@ -28,6 +28,7 @@ from .monodromy import (
 )
 from .serialize import (
     SerializationError,
+    _json_int,
     centered_filtration_to_json,
     dumps,
     graph_from_json,
@@ -73,6 +74,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _decimal(text: str) -> int:
+    """An integer flag, read as plain decimal like a JSON object key: ``int`` would also take "1_0" and " +10"."""
+    try:
+        return _json_int(text, "value", key=True)
+    except SerializationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 @functools.lru_cache(maxsize=None)  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="csverify",
@@ -83,19 +92,19 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("instance")
     p_verify.add_argument("--prop", choices=[*CONCLUSIONS, "all"])
     p_verify.add_argument("--thm", choices=["1", "2", "3"])
-    p_verify.add_argument("--k", type=int)
+    p_verify.add_argument("--k", type=_decimal)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
 
     p_mono = sub.add_parser("monodromy", help="centered filtration of a nilpotent operator")
     p_mono.add_argument("nilpotent")
-    p_mono.add_argument("--center", type=int, required=True)
+    p_mono.add_argument("--center", type=_decimal, required=True)
     p_mono.add_argument("--cross-check", action="store_true")
 
     p_gen = sub.add_parser("generate", help="emit a seeded instance as JSON")
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--max-dim", type=int, default=6)
+    p_gen.add_argument("--seed", type=_decimal, required=True)
+    p_gen.add_argument("--max-dim", type=_decimal, default=6)
     p_gen.add_argument("--range", default="0:4")
-    p_gen.add_argument("--weight-spread", type=int, default=3)
+    p_gen.add_argument("--weight-spread", type=_decimal, default=3)
     p_gen.add_argument("--break", dest="broken", choices=list(BREAKABLE_HYPOTHESES))
 
     p_fix = sub.add_parser("fixture", help="ground-truth instances")
@@ -226,7 +235,7 @@ def _cmd_monodromy(args) -> int:
 def _parse_range(text: str):
     try:
         lo, hi = text.split(":")
-        return int(lo), int(hi)
+        return _json_int(lo, "range bound", key=True), _json_int(hi, "range bound", key=True)
     except ValueError as exc:
         raise SerializationError(f"bad range {text!r}, expected 'a:b'") from exc
 

@@ -139,10 +139,6 @@ class Matrix:
         return Matrix(self.nrows, self.ncols,
                       tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
-    def scale(self, c: QLike) -> "Matrix":
-        c = Q(c)
-        return Matrix(self.nrows, self.ncols, tuple(tuple(c * x for x in r) for r in self.rows))
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
@@ -275,20 +271,12 @@ class Subspace:
         return canonicalize(vstack(self.basis, other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked-coefficient system.
-
-        A combination x.A = y.B of the two bases lies in both spaces; the
-        pairs (x, y) form the kernel of [A^T | -B^T].
-        """
+        """Intersection as the combinations y.B of other's basis B that the quotient map of self kills."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
+        if self.dim == 0 or other.dim == 0:
             return zero_subspace(self.ambient_dim)
-        stacked = hstack(transpose(self.basis), transpose(other.basis).scale(-1))
-        combos = kernel(stacked)
-        x = Matrix(combos.dim, p, tuple(comb[:p] for comb in combos.basis.rows))
-        return canonicalize(x @ self.basis)
+        return canonicalize(kernel(quotient_map(self) @ transpose(other.basis)).basis @ other.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -79,11 +79,12 @@ def nilpotency_index(m: Matrix) -> int:
 
 
 class NilpotentOp:
-    """A nilpotent endomorphism N of a filtered space, viewed as landing
-    in the space twisted by -1.
+    """A nilpotent endomorphism N of a filtered space that raises weights
+    by at most two: N.W_i must land in W_{i+2}.
 
-    Weight compatibility in that twisted sense means N may raise stored
-    weights by at most two: N.W_i must land in W_{i+2}.
+    This is weaker than N being a filtered map into the twist by -1,
+    which under ``tate_twist`` asks N.W_i to land in W_{i-2}; the
+    verifier's strictness check of N applies that condition.
     """
 
     __slots__ = ("space", "matrix", "flag", "chains")

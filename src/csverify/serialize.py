@@ -97,12 +97,7 @@ def _subspace_to_json(s: Subspace) -> list:
 def _subspace_from_json(data, ambient_dim: int) -> Subspace:
     if not isinstance(data, list):
         raise SerializationError("subspace must be an array of basis rows")
-    rows = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != ambient_dim:
-            raise SerializationError("subspace basis row has wrong length")
-        rows.append([q_from_str(x) for x in row])
-    return canonicalize(Matrix.from_rows(rows, ncols=ambient_dim))
+    return canonicalize(matrix_from_json(data, len(data), ambient_dim))
 
 
 def filtered_space_to_json(v: FilteredSpace) -> dict:
@@ -115,9 +110,9 @@ def filtered_space_from_json(data) -> FilteredSpace:
         dim = _json_int(data["dim"], "dim", key=False)
         steps = {_json_int(w, "weight", key=True): _subspace_from_json(rows, dim)
                  for w, rows in data.get("steps", {}).items()}
+        return FilteredSpace(dim, steps)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SerializationError(f"bad filtered space: {exc}") from exc
-    return FilteredSpace(dim, steps)
 
 
 def nilpotent_to_json(op: NilpotentOp) -> dict:
@@ -195,10 +190,7 @@ def instance_from_json(data) -> CSInstance:
             raise SerializationError(f"family {key!r} must be an object")
         return {_json_int(k, "degree", key=True): filtered_space_from_json(v) for k, v in raw.items()}
 
-    try:
-        spaces = {node: family(node) for node in NODES}
-    except ValueError as exc:
-        raise SerializationError(f"bad family key: {exc}") from exc
+    spaces = {node: family(node) for node in NODES}
 
     groups = {None: data, "col": data.get("col", {}), "row": data.get("row", {})}
     if not isinstance(groups["col"], dict) or not isinstance(groups["row"], dict):
@@ -249,17 +241,18 @@ def hypothesis_report_to_json(report: HypothesisReport) -> dict:
             out.setdefault(str(k), {})[node] = render(verdict)
         return out
 
+    verdicts = report.verdicts
     strict = {}
-    for (label, k), verdict in sorted(report.strictness.items()):
+    for (label, k), verdict in sorted(verdicts["strictness"].items()):
         strict.setdefault(label, {})[str(k)] = strictness_verdict_to_json(verdict)
     return {
         "clean": report.clean,
-        "column": keyed(report.column, exactness_verdict_to_json),
-        "row": keyed(report.row, exactness_verdict_to_json),
+        "column": keyed(verdicts["column_exact"], exactness_verdict_to_json),
+        "row": keyed(verdicts["row_exact"], exactness_verdict_to_json),
         "bounds": {
-            "A": {str(k): ok for k, ok in sorted(report.bounds_a.items())},
-            "B": {str(k): ok for k, ok in sorted(report.bounds_b.items())},
-            "P_centering": {str(k): ok for k, ok in sorted(report.centering_p.items())},
+            "A": {str(k): ok for k, ok in sorted(verdicts["A_bound"].items())},
+            "B": {str(k): ok for k, ok in sorted(verdicts["B_bound"].items())},
+            "P_centering": {str(k): ok for k, ok in sorted(verdicts["P_centering"].items())},
         },
         "strictness": strict,
     }

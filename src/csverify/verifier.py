@@ -16,7 +16,8 @@ computations; only the filtered-linear-algebra skeleton does.
 ARROWS is the one table of which node each of the six maps leaves and
 enters, and at which degree offset; map shapes, their validation, the
 strictness checks, serialization and the generators' conjugation read
-it.  COMPOSITES adds the unstored maps s.a and c.r through C.
+it.  COMPOSITES adds the unstored maps s.a and c.r through C, and
+SEQUENCES the six exactness hypotheses on the column and the row.
 
 The verdict engines check the four exactness conclusions these
 hypotheses force, one row of CONCLUSIONS each:
@@ -33,7 +34,8 @@ unipotent geometric form of the spliced sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .filtration import (
@@ -89,6 +91,13 @@ ARROWS = {
 # label -> (f, g): the composite label_k = f_k . g_k through C_k.  sa_k
 # leaves A_k and enters P_k; cr_k leaves P_{k-1}(-1) and enters B_{k+1}.
 COMPOSITES = {"sa": ("s", "a"), "cr": ("c", "r")}
+
+# category -> {node: ((f, df), (g, dg))}: at degree k the sequence is exact at
+# node when -f_{k+df}-> node -g_{k+dg}-> is.
+SEQUENCES = {
+    "column_exact": {"A": (("b", 0), ("a", 0)), "C": (("a", 0), ("c", 0)), "B": (("c", -1), ("b", 0))},
+    "row_exact": {"C": (("r", 0), ("s", 0)), "P": (("s", 0), ("N", 0)), "P(-1)": (("N", 0), ("r", 1))},
+}
 
 # conclusion -> ((f, df), (g, dg), ((hypothesis, d), ...)): at degree k the
 # conclusion is exactness of -f_{k+df}-> . -g_{k+dg}-> at the middle node, and
@@ -190,38 +199,32 @@ class CSInstance:
         return f"CSInstance(degrees {self.k_min}..{self.k_max}, dims {self.node_dims()})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisReport:
     """Per-degree verdicts for the hypotheses of a CSInstance.
 
-    ``column`` and ``row`` are keyed by (degree, node label); bounds by
-    degree; strictness by (map label, degree).  The report is clean iff
-    every verdict passes.
+    ``verdicts`` maps each category of BREAKABLE_HYPOTHESES to its
+    verdicts: exactness keyed by (degree, node), bounds and centering by
+    degree (a bool each), strictness by (map label, degree).  A verdict
+    passes iff it is true, and the report is clean iff every verdict passes.
     """
 
-    column: Dict[Tuple[int, str], ExactnessVerdict] = field(default_factory=dict)
-    row: Dict[Tuple[int, str], ExactnessVerdict] = field(default_factory=dict)
-    bounds_a: Dict[int, bool] = field(default_factory=dict)
-    bounds_b: Dict[int, bool] = field(default_factory=dict)
-    centering_p: Dict[int, bool] = field(default_factory=dict)
-    strictness: Dict[Tuple[str, int], StrictnessVerdict] = field(default_factory=dict)
+    verdicts: Dict[str, dict]
+
+    @cached_property
+    def _failures(self) -> Tuple[Tuple[str, object], ...]:
+        return tuple((category, key) for category in BREAKABLE_HYPOTHESES
+                     for key in sorted(key for key, verdict in self.verdicts[category].items() if not verdict))
 
     @property
     def clean(self) -> bool:
-        return not self.failures()
+        return not self._failures
 
     def failures(self) -> List[Tuple[str, object]]:
-        out = []
-        out += [("column_exact", key) for key, v in sorted(self.column.items()) if not v.exact]
-        out += [("row_exact", key) for key, v in sorted(self.row.items()) if not v.exact]
-        out += [("A_bound", k) for k, ok in sorted(self.bounds_a.items()) if not ok]
-        out += [("B_bound", k) for k, ok in sorted(self.bounds_b.items()) if not ok]
-        out += [("P_centering", k) for k, ok in sorted(self.centering_p.items()) if not ok]
-        out += [("strictness", key) for key, v in sorted(self.strictness.items()) if not v.strict]
-        return out
+        return list(self._failures)
 
     def failed_categories(self) -> Tuple[str, ...]:
-        return tuple(sorted({cat for cat, _ in self.failures()}))
+        return tuple(sorted({category for category, _ in self._failures}))
 
 
 @dataclass(frozen=True)
@@ -245,30 +248,29 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
     Structural defects raise MalformedInstanceError (at instance
     construction); everything here is reported as a verdict instead.
     """
-    report = HypothesisReport()
+    verdicts = {category: {} for category in BREAKABLE_HYPOTHESES}
     for k in inst.degrees():
-        b, a, c, r, s, n = (inst.map(label, k) for label in ("b", "a", "c", "r", "s", "N"))
-        report.column[(k, "A")] = exactness_at(b, a)
-        report.column[(k, "C")] = exactness_at(a, c)
-        report.column[(k, "B")] = exactness_at(inst.map("c", k - 1), b)
-        report.row[(k, "C")] = exactness_at(r, s)
-        report.row[(k, "P")] = exactness_at(s, n)
-        report.row[(k, "P(-1)")] = exactness_at(n, inst.map("r", k + 1))
-    for k in range(inst.k_min, inst.k_max + 1):
-        report.bounds_a[k] = weights_leq(inst.space("A", k), k)
-        report.bounds_b[k] = weights_geq(inst.space("B", k), k)
-        report.centering_p[k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
-    for k in inst.degrees():
+        for category, nodes in SEQUENCES.items():
+            for node, arrows in nodes.items():
+                verdicts[category][(k, node)] = _exactness(inst, k, *arrows)
+        if inst.k_min <= k <= inst.k_max:
+            verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)
+            verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)
+            verdicts["P_centering"][k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
         for label, mat, src, tgt in _instance_maps(inst, k):
             if mat.nrows == 0 or mat.ncols == 0:
                 continue
             try:
-                fm = FilteredMap(src, tgt, mat)
+                verdict = strictness(FilteredMap(src, tgt, mat))
             except WeightCompatibilityError:
-                report.strictness[(label, k)] = StrictnessVerdict(False, reason="not weight-compatible")
-                continue
-            report.strictness[(label, k)] = strictness(fm)
-    return report
+                verdict = StrictnessVerdict(False, reason="not weight-compatible")
+            verdicts["strictness"][(label, k)] = verdict
+    return HypothesisReport(verdicts)
+
+
+def _exactness(inst: CSInstance, k: int, f: Tuple[str, int], g: Tuple[str, int]) -> ExactnessVerdict:
+    """Exactness at degree k of -f-> . -g->, each arrow a (label, degree offset) pair."""
+    return exactness_at(inst.map(f[0], k + f[1]), inst.map(g[0], k + g[1]))
 
 
 def _instance_maps(inst: CSInstance, k: int):
@@ -295,8 +297,8 @@ def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdi
     """
     if which not in CONCLUSIONS:
         raise ValueError(f"unknown proposition id {which!r}")
-    (f, df), (g, dg), _ = CONCLUSIONS[which]
-    return exactness_at(inst.map(f, k + df), inst.map(g, k + dg))
+    f, g, _ = CONCLUSIONS[which]
+    return _exactness(inst, k, f, g)
 
 
 def _verdict_report(inst: CSInstance, which: str, k: int, label: str) -> VerdictReport:

@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,12 @@ from csverify.generators import GenProfile, gen_cs_instance
 from csverify.linalg import Matrix, hstack
 from csverify.serialize import dumps, graph_to_json, instance_to_json
 from csverify.verifier import ARROWS, NODES, CSInstance, MalformedInstanceError
+
+
+# `python -m csverify` subprocesses import the package from this checkout, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_SUBPROCESS_ENV = {**os.environ,
+                   "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -281,11 +289,11 @@ def test_monodromy_zero_dimensional_operator(tmp_path, capsys):
 def test_console_entry_point_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "csverify", "generate", "--seed", "12"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_SUBPROCESS_ENV)
     assert gen.returncode == 0
     ver = subprocess.run(
         [sys.executable, "-m", "csverify", "verify", "-", "--prop", "all"],
-        input=gen.stdout, capture_output=True, text=True)
+        input=gen.stdout, capture_output=True, text=True, env=_SUBPROCESS_ENV)
     assert ver.returncode == 0
 
 
@@ -314,13 +322,54 @@ _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
     (["verify", "-"], '{"range": [0, 10], "P": {"1_0": {"dim": 1, "steps": {"0": [["1"]]}}}}'),
     (["fixture", "curve", "--graph", "-"], '{"vertices": 3.7, "edges": [[0, 1], [1, 2], [2, 0]]}'),
     (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0, 1.2]]}'),
+    # so are both ends of generate --range
+    (["generate", "--seed", "10", "--range", "0:1_0"], None),
+    (["generate", "--seed", "10", "--range", "1_0:20"], None),
+    (["generate", "--seed", "10", "--range", "0: 10"], None),
+    (["generate", "--seed", "10", "--range", "0:+10"], None),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "range-reversed", "weight-spread-zero",
         "edge-one-vertex", "self-intersection-not-minus-degree",
         "range-float", "purity-float", "dim-float", "entry-true", "range-true",
-        "degree-key-underscore", "vertices-float", "edge-end-float"])
+        "degree-key-underscore", "vertices-float", "edge-end-float",
+        "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
-                          input=stdin_text, capture_output=True, text=True)
+                          input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)
     assert proc.returncode == 4, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_error_inside_node_family_keeps_its_own_message(monkeypatch, capsys):
+    bad_dim = '{"range": [0, 0], "P": {"0": {"dim": 1.5, "steps": {"0": [["1"]]}}}}'
+    code, out, err = run_cli(["verify", "-"], stdin_text=bad_dim, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == "csverify: bad filtered space: dim must be an integer, got 1.5\n"
+    not_increasing = '{"range": [0, 0], "A": {"0": {"dim": 2, "steps": {"0": [["1", "0"]], "1": [["0", "1"]]}}}}'
+    code, _, err = run_cli(["verify", "-"], stdin_text=not_increasing, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 4
+    assert err == "csverify: bad filtered space: filtration not increasing at weight 1\n"
+
+
+# integer flags are plain decimal, like integer keys in JSON; `int` would read "1_0" and " +10" as 10
+@pytest.mark.parametrize("args", [
+    ["generate", "--seed", "1_0"],
+    ["generate", "--seed", " +10"],
+    ["generate", "--seed", "+10"],
+    ["generate", "--seed", "10", "--max-dim", "0_6"],
+    ["generate", "--seed", "10", "--weight-spread", "3.0"],
+    ["monodromy", "op.json", "--center", "1_0"],
+    ["verify", "inst.json", "--k", " 1"],
+])
+def test_integer_flag_not_plain_decimal_exit_64(args, capsys):
+    code, out, err = run_cli(args, capsys=capsys)
+    assert (code, out) == (64, "")
+    assert "must be an integer" in err
+
+
+def test_negative_range_and_degree_flags_still_parse(monkeypatch, capsys):
+    code, text, _ = run_cli(["generate", "--seed", "3", "--range=-2:3", "--max-dim", "4"], capsys=capsys)
+    assert code == 0 and json.loads(text)["range"] == [-2, 3]
+    code, out, _ = run_cli(["verify", "-", "--thm", "2", "--k", "-1"], stdin_text=text,
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "THM2 k=-1: exact" in out

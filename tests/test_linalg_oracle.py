@@ -7,9 +7,9 @@ integers and eliminate fraction-free; both must give the same pivots,
 the same entries, Fraction-typed, with the same printed form.
 
 The image and kernel kept on each Matrix, the kernel read off a reduced
-basis, the greedy basis extension and the sum that skips elimination
-beside a zero or whole operand are compared with the direct computations
-they replace.
+basis, the greedy basis extension, the sum that skips elimination
+beside a zero or whole operand and the intersection through a quotient
+map are compared with the direct computations they replace.
 """
 
 from fractions import Fraction
@@ -22,6 +22,7 @@ from csverify.linalg import (
     canonicalize,
     extend_basis,
     full_subspace,
+    hstack,
     image,
     kernel,
     rref,
@@ -240,3 +241,30 @@ def test_sum_matches_reference(data):
     assert got == canonicalize(vstack(a.basis, b.basis))
     if b.dim == 0 or a.dim == n:
         assert got is a
+
+
+def ref_intersect(a, b):
+    """The stacked-coefficient construction: pairs (x, y) with x.A = y.B form the kernel of [A^T | -B^T]."""
+    if a.dim == 0 or b.dim == 0:
+        return zero_subspace(a.ambient_dim)
+    minus_bt = Matrix.from_rows([[-x for x in r] for r in transpose(b.basis).rows], ncols=b.dim)
+    combos = kernel(hstack(transpose(a.basis), minus_bt))
+    x = Matrix.from_rows([comb[:a.dim] for comb in combos.basis.rows], ncols=a.dim)
+    return canonicalize(x @ a.basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_intersect_matches_reference(data):
+    n = data.draw(dims)
+    def operand():
+        return data.draw(st.one_of(st.just(zero_subspace(n)), st.just(full_subspace(n)),
+                                   matrices(ncols=st.just(n)).map(canonicalize)))
+    a = operand()
+    # b often shares rows with a, so that the intersection is not only zero
+    shared = list(a.basis.rows[:data.draw(st.integers(0, a.dim))])
+    b = canonicalize(Matrix.from_rows(shared + list(operand().basis.rows), ncols=n))
+    got, want = a.intersect(b), ref_intersect(a, b)
+    assert got == want
+    same_entries(got.basis.rows, want.basis.rows)
+    assert got.dim == a.dim + b.dim - a.sum(b).dim

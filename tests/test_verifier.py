@@ -1,13 +1,24 @@
 import pytest
 
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
-from csverify.filtration import FilteredSpace, exactness_at
+from csverify.filtration import (
+    FilteredMap,
+    FilteredSpace,
+    StrictnessVerdict,
+    WeightCompatibilityError,
+    exactness_at,
+    strictness,
+    weights_geq,
+    weights_leq,
+)
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, image, kernel, span_of_vectors
+from csverify.monodromy import centered_filtration
 from csverify.serialize import instance_from_json, instance_to_json
 from csverify.verifier import (
     BREAKABLE_HYPOTHESES,
     CONCLUSIONS,
+    NODES,
     CSInstance,
     DegreeRangeError,
     HypothesesNotSatisfiedError,
@@ -22,7 +33,7 @@ from csverify.verifier import (
     verify_proposition,
     verify_unipotent_cs,
 )
-from csverify.verifier import _weights_used
+from csverify.verifier import _instance_maps, _weights_used
 
 
 def zero_instance():
@@ -182,7 +193,7 @@ def test_foreign_incompatible_map_reported_not_raised():
     data["col"]["a"]["1"] = [["1"], ["0"]]  # weight-0 line into the weight-2 slot
     inst = instance_from_json(data)
     report = check_instance_hypotheses(inst)
-    verdict = report.strictness[("a", 1)]
+    verdict = report.verdicts["strictness"][("a", 1)]
     assert not verdict.strict
     assert verdict.reason == "not weight-compatible"
     assert "strictness" in report.failed_categories()
@@ -195,8 +206,8 @@ def test_boundary_degrees_treated_as_zero():
     assert inst.map("b", 7).nrows == 0
     report = check_instance_hypotheses(inst)
     # exactness entries exist at the boundary degrees
-    assert (inst.k_min - 1, "A") in report.column
-    assert (inst.k_max + 1, "B") in report.column
+    assert (inst.k_min - 1, "A") in report.verdicts["column_exact"]
+    assert (inst.k_max + 1, "B") in report.verdicts["column_exact"]
 
 
 def ref_invariant_cycles(inst, k):
@@ -246,7 +257,7 @@ def test_invariant_cycles_match_reference(kind, index):
         # a stand-in clean report lets non-exact verdicts through the gate
         inst = (_partial_invariants_instance() if kind == "partial" else
                 gen_adversarial(GenProfile(seed=split_seed(21, index), broken_hypothesis=kind)))
-        report = HypothesisReport()
+        report = HypothesisReport({category: {} for category in BREAKABLE_HYPOTHESES})
     assert report.clean
     verdicts = []
     for k in inst.degrees(pad=2):
@@ -331,3 +342,81 @@ def test_composites_built_once_and_invisible():
             conclusion_exactness(inst, which, k)
     assert inst._products
     assert instance_from_json(instance_to_json(inst)) == inst
+
+
+# -- the category-keyed report against the six-field one --------------------
+
+def ref_failures(inst):
+    """Failures as the six-field report listed them: one field per category, each in sorted key order."""
+    column, row, bounds_a, bounds_b, centering_p, strict = {}, {}, {}, {}, {}, {}
+    for k in inst.degrees():
+        b, a, c, r, s, n = (inst.map(label, k) for label in ("b", "a", "c", "r", "s", "N"))
+        column[(k, "A")] = exactness_at(b, a)
+        column[(k, "C")] = exactness_at(a, c)
+        column[(k, "B")] = exactness_at(inst.map("c", k - 1), b)
+        row[(k, "C")] = exactness_at(r, s)
+        row[(k, "P")] = exactness_at(s, n)
+        row[(k, "P(-1)")] = exactness_at(n, inst.map("r", k + 1))
+    for k in range(inst.k_min, inst.k_max + 1):
+        bounds_a[k] = weights_leq(inst.space("A", k), k)
+        bounds_b[k] = weights_geq(inst.space("B", k), k)
+        centering_p[k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
+    for k in inst.degrees():
+        for label, mat, src, tgt in _instance_maps(inst, k):
+            if mat.nrows == 0 or mat.ncols == 0:
+                continue
+            try:
+                strict[(label, k)] = strictness(FilteredMap(src, tgt, mat))
+            except WeightCompatibilityError:
+                strict[(label, k)] = StrictnessVerdict(False, reason="not weight-compatible")
+    out = []
+    out += [("column_exact", key) for key, v in sorted(column.items()) if not v.exact]
+    out += [("row_exact", key) for key, v in sorted(row.items()) if not v.exact]
+    out += [("A_bound", k) for k, ok in sorted(bounds_a.items()) if not ok]
+    out += [("B_bound", k) for k, ok in sorted(bounds_b.items()) if not ok]
+    out += [("P_centering", k) for k, ok in sorted(centering_p.items()) if not ok]
+    out += [("strictness", key) for key, v in sorted(strict.items()) if not v.strict]
+    return out
+
+
+def test_failures_match_six_field_report_on_clean_instances():
+    instances = [gen_cs_instance(GenProfile(seed=split_seed(61, i), max_dim_per_node=(6, 10)[i % 2]))
+                 for i in range(8)]
+    instances += [curve_cs_instance(cycle_graph(n)) for n in range(1, 8)] + [curve_cs_instance(theta_graph())]
+    for inst in instances:
+        report = check_instance_hypotheses(inst)
+        assert report.failures() == ref_failures(inst) == []
+        assert report.clean
+
+
+def test_failures_match_six_field_report_on_adversarial_instances():
+    for tag in BREAKABLE_HYPOTHESES:
+        for seed in range(1, 31):
+            inst = gen_adversarial(GenProfile(seed=seed, broken_hypothesis=tag))
+            report = check_instance_hypotheses(inst)
+            want = ref_failures(inst)
+            assert report.failures() == want and want
+            assert not report.clean and report.failed_categories() == (tag,)
+
+
+def test_failures_match_six_field_report_across_categories():
+    # every stored map but N becomes all ones and every A_k pure of weight k + 1:
+    # many failures in four categories per instance
+    for i in range(1, 6):
+        inst = gen_cs_instance(GenProfile(seed=split_seed(62, i), max_dim_per_node=6))
+        spaces = {node: getattr(inst, node) for node in NODES}
+        spaces["A"] = {k: FilteredSpace.pure(a.dim, k + 1) for k, a in inst.A.items()}
+        maps = {label: {k: m if label == "N" else Matrix.from_rows([[1] * m.ncols] * m.nrows)
+                        for k, m in family.items()} for label, family in inst.maps.items()}
+        inst = CSInstance((inst.k_min, inst.k_max), spaces, maps)
+        report = check_instance_hypotheses(inst)
+        assert report.failures() == ref_failures(inst)
+        assert report.failed_categories() == ("A_bound", "column_exact", "row_exact", "strictness")
+
+
+def test_report_is_frozen_with_one_field():
+    report = check_instance_hypotheses(zero_instance())
+    assert list(report.__dataclass_fields__) == ["verdicts"]
+    assert list(report.verdicts) == list(BREAKABLE_HYPOTHESES)
+    with pytest.raises(AttributeError):
+        report.verdicts = {}
