@@ -4,6 +4,13 @@ Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
 two monodromy constructions disagree, or a curve fixture fails its own
 hypothesis check); 2 instance hypotheses dirty; 3 a conclusion is
 non-exact; 4 malformed or unreadable input; 64 bad command line.  `-` names standard input/output for piping.
+
+`verify` reports (schema 2) hold verdicts only for the degree window,
+the declared degrees within 2 of a stored space; `trivial_degrees` lists
+the rest of [k_min - 2, k_max + 2] as closed intervals [a, b], degrees
+where every middle space is zero, so every verdict there is exact with
+no witness.  An explicit `--k` anywhere in [k_min - 2, k_max + 2] is
+still verified.
 """
 
 from __future__ import annotations
@@ -188,12 +195,13 @@ def _cmd_verify(args) -> int:
     else:
         status = EXIT_OK
     payload = {
-        "schema": 1,
+        "schema": 2,
         "tool": {"name": "csverify", "version": __version__},
         "input_digest": _digest(raw),
         "purity_weight": inst.purity_weight,
         "hypotheses": hypothesis_report_to_json(report),
         "verdicts": [verdict_report_to_json(v) for v in verdicts],
+        "trivial_degrees": [list(interval) for interval in inst.trivial_degrees()],
         "timing_ms": elapsed_ms,
         "exit_status": status,
     }
@@ -209,6 +217,7 @@ def _render_text(payload, report, verdicts) -> str:
     lines.append("hypotheses: " + ("clean" if report.clean else "DIRTY"))
     for category, key in report.failures():
         lines.append(f"  FAIL {category} at {key}")
+    lines.append("trivial degrees: " + (", ".join(f"{a}..{b}" for a, b in payload["trivial_degrees"]) or "none"))
     for v in verdicts:
         mark = "exact" if v.exact else "NOT EXACT"
         lines.append(f"{v.proposition} k={v.degree}: {mark}")

@@ -83,6 +83,8 @@ class GenProfile:
     broken_hypothesis: Optional[str] = None
 
     def __post_init__(self):
+        if self.seed < 0:  # random.Random would seed with abs(seed)
+            raise ValueError("seed must be >= 0")
         if self.max_dim_per_node < 0:
             raise ValueError("max_dim_per_node must be >= 0")
         if self.degree_range[0] > self.degree_range[1]:

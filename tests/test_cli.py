@@ -50,7 +50,8 @@ def test_verify_json_format_and_digest(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["verify", str(path), "--thm", "1", "--format", "json"], capsys=capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
+    assert payload["trivial_degrees"] == []
     assert payload["exit_status"] == 0
     assert payload["input_digest"].startswith("sha256:")
     assert payload["hypotheses"]["clean"] is True
@@ -198,35 +199,35 @@ def test_generate_bytes_pinned(option, capsys):
 
 
 # SHA-256 of `verify --format json` reports with timing_ms removed, as
-# recorded from an earlier version: (source, verify option) -> digest, the
+# recorded at report schema 2: (source, verify option) -> digest, the
 # source being `generate --seed 11 <option>` or `fixture curve` of a graph
 _REPORT_SHA256 = {
-    ("--max-dim=6", "--thm=1"): "69abe4e036bade01501369c6bdb3fd9fdfa2e057f1fcb0807ffbff39c72ee552",
-    ("--max-dim=6", "--thm=2"): "d347441d22f0c3adefe4a9121a9f318558bfc43d83c8913a0fcb862389bb1374",
-    ("--max-dim=6", "--prop=all"): "6f244c5b9da3d9be7e697e95bf1765aff7bdfae2031deb1bd7fa31df30db72ea",
-    ("--max-dim=10", "--thm=1"): "ff5d0619b37e64267adee60b2c21b04fc9dcb79ce8ebc87b5f06b3b148edf6f2",
-    ("--max-dim=10", "--thm=2"): "9fa8970730e7c605b8ab2200c9c8e46a274e7575b32ec4b9580bb8f7dae243bc",
-    ("--max-dim=10", "--prop=all"): "40a4a541e81a02bed51377c284c204f802c26cc978bd29dac48ad0cf50272dfe",
-    ("--break=column_exact", "--thm=1"): "6496bc4d3b937935f89646268b29c261ac623c00a8edf885751d98fce249d979",
-    ("--break=column_exact", "--thm=2"): "6496bc4d3b937935f89646268b29c261ac623c00a8edf885751d98fce249d979",
-    ("--break=column_exact", "--prop=all"): "6496bc4d3b937935f89646268b29c261ac623c00a8edf885751d98fce249d979",
-    ("--break=row_exact", "--thm=1"): "37c6622812aba780d788e188aa8e9a82646e1092de22ffce58983c793d08e5f6",
-    ("--break=row_exact", "--thm=2"): "37c6622812aba780d788e188aa8e9a82646e1092de22ffce58983c793d08e5f6",
-    ("--break=row_exact", "--prop=all"): "37c6622812aba780d788e188aa8e9a82646e1092de22ffce58983c793d08e5f6",
-    ("--break=A_bound", "--thm=1"): "539f8200abc19a7c7c009696199b0b91e9fdf0f65ce0636df0ef5fc537291665",
-    ("--break=A_bound", "--thm=2"): "539f8200abc19a7c7c009696199b0b91e9fdf0f65ce0636df0ef5fc537291665",
-    ("--break=A_bound", "--prop=all"): "539f8200abc19a7c7c009696199b0b91e9fdf0f65ce0636df0ef5fc537291665",
-    ("--break=B_bound", "--thm=1"): "1e072567941241523526f255733696022e9b617eb657129a8db72840a98ef377",
-    ("--break=B_bound", "--thm=2"): "1e072567941241523526f255733696022e9b617eb657129a8db72840a98ef377",
-    ("--break=B_bound", "--prop=all"): "1e072567941241523526f255733696022e9b617eb657129a8db72840a98ef377",
-    ("--break=P_centering", "--thm=1"): "e82b9d82e05875e9f290b6b14882ec46a2cbbc62d4dc8571bc9f48441964da6b",
-    ("--break=P_centering", "--thm=2"): "e82b9d82e05875e9f290b6b14882ec46a2cbbc62d4dc8571bc9f48441964da6b",
-    ("--break=P_centering", "--prop=all"): "e82b9d82e05875e9f290b6b14882ec46a2cbbc62d4dc8571bc9f48441964da6b",
-    ("--break=strictness", "--thm=1"): "a6cd2ca630cb5a2dae9a82ccf5ae43ff8dc0f65dbd711aefb1c82291fae5c647",
-    ("--break=strictness", "--thm=2"): "a6cd2ca630cb5a2dae9a82ccf5ae43ff8dc0f65dbd711aefb1c82291fae5c647",
-    ("--break=strictness", "--prop=all"): "a6cd2ca630cb5a2dae9a82ccf5ae43ff8dc0f65dbd711aefb1c82291fae5c647",
-    ("I_3", "--thm=3"): "eb13d8707a6c26cc3e4fa75a66dd0765a010fadd74d07a85f283599d3b75030c",
-    ("theta", "--thm=3"): "842901261ddebab8a92b34c77ec4253af71a382571e24e6475183cefd233779c",
+    ("--max-dim=6", "--thm=1"): "89ca5926031b5d65f0c26b3842d3763e2b5e25fb5f66549cf3fdd71842cc0107",
+    ("--max-dim=6", "--thm=2"): "e15296877113661f8527473103d6bf4bd03776e8c191e4f051645a21e2fad8ef",
+    ("--max-dim=6", "--prop=all"): "aa6bc437ad9f2cf22d965a51add2017d51252ff2f826231365206e7c82687588",
+    ("--max-dim=10", "--thm=1"): "0732fec1eead0fe216b6e175a5a4b29ec906017b1f19a6e2a6e0d98ce8cf9e61",
+    ("--max-dim=10", "--thm=2"): "e6e9def5ba357f2fa8357743fc6b808457d557228bc745b6659128c3ee66b6e5",
+    ("--max-dim=10", "--prop=all"): "cabafb07a0bbf48d26ce3618aa264930ec70ee4b6dea5c8a9f183d52afc1ec69",
+    ("--break=column_exact", "--thm=1"): "20be5f734c2dd30fb5653a95470bdfc59672b7011e2cf4b9eed940a6a202048f",
+    ("--break=column_exact", "--thm=2"): "20be5f734c2dd30fb5653a95470bdfc59672b7011e2cf4b9eed940a6a202048f",
+    ("--break=column_exact", "--prop=all"): "20be5f734c2dd30fb5653a95470bdfc59672b7011e2cf4b9eed940a6a202048f",
+    ("--break=row_exact", "--thm=1"): "42ebddd1aa8ee2280a7b0d507e10a4e41f83568b8bc81dea2bd6fc3f924c3c89",
+    ("--break=row_exact", "--thm=2"): "42ebddd1aa8ee2280a7b0d507e10a4e41f83568b8bc81dea2bd6fc3f924c3c89",
+    ("--break=row_exact", "--prop=all"): "42ebddd1aa8ee2280a7b0d507e10a4e41f83568b8bc81dea2bd6fc3f924c3c89",
+    ("--break=A_bound", "--thm=1"): "af17a42d39c3e0bef504561e827c38d5e572b489825c08ea6af3bc3e99ef4f2d",
+    ("--break=A_bound", "--thm=2"): "af17a42d39c3e0bef504561e827c38d5e572b489825c08ea6af3bc3e99ef4f2d",
+    ("--break=A_bound", "--prop=all"): "af17a42d39c3e0bef504561e827c38d5e572b489825c08ea6af3bc3e99ef4f2d",
+    ("--break=B_bound", "--thm=1"): "2b0e5558b1a72628a35b0c24ebc3a4de4dd5d3ae4aebb535aaa7ef552ae175cd",
+    ("--break=B_bound", "--thm=2"): "2b0e5558b1a72628a35b0c24ebc3a4de4dd5d3ae4aebb535aaa7ef552ae175cd",
+    ("--break=B_bound", "--prop=all"): "2b0e5558b1a72628a35b0c24ebc3a4de4dd5d3ae4aebb535aaa7ef552ae175cd",
+    ("--break=P_centering", "--thm=1"): "8cbc671d9d961392f71e107decf09734703f830b9cb09c379f570c399bc04e5d",
+    ("--break=P_centering", "--thm=2"): "8cbc671d9d961392f71e107decf09734703f830b9cb09c379f570c399bc04e5d",
+    ("--break=P_centering", "--prop=all"): "8cbc671d9d961392f71e107decf09734703f830b9cb09c379f570c399bc04e5d",
+    ("--break=strictness", "--thm=1"): "94480be7f110a14dbdba64401c82d717e40f187d1471e59d6f9c6f685877e55e",
+    ("--break=strictness", "--thm=2"): "94480be7f110a14dbdba64401c82d717e40f187d1471e59d6f9c6f685877e55e",
+    ("--break=strictness", "--prop=all"): "94480be7f110a14dbdba64401c82d717e40f187d1471e59d6f9c6f685877e55e",
+    ("I_3", "--thm=3"): "e7b9605c203e0cd56fbb2d2908a29a19937ac75f7c9116e218364e27212a9c1e",
+    ("theta", "--thm=3"): "16e79bbf0dd1bf093309c551b7de10b07cef48af236e67bdad860c12628640ba",
 }
 
 
@@ -266,6 +267,36 @@ def test_map_one_column_too_wide_rejected(label, monkeypatch, capsys):
 def test_generate_bad_range(capsys):
     code, _, err = run_cli(["generate", "--seed", "1", "--range", "whoops"], capsys=capsys)
     assert code == 4
+
+
+def test_non_nilpotent_monodromy_is_a_centering_verdict(monkeypatch, capsys):
+    code, text, _ = run_cli(["generate", "--seed", "11"], capsys=capsys)
+    data = json.loads(text)
+    assert data["P"]["0"]["dim"] == 3
+    data["N"]["0"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    code, out, err = run_cli(["verify", "-", "--format", "json"], stdin_text=dumps(data),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert payload["exit_status"] == 2
+    assert payload["hypotheses"]["bounds"]["P_centering"] == {"0": False, "1": True, "2": True, "3": True, "4": True}
+
+
+def test_data_free_range_reports_one_trivial_interval(monkeypatch, capsys):
+    probe = '{"range": [0, 100000]}'
+    code, out, _ = run_cli(["verify", "-", "--thm", "1", "--format", "json"], stdin_text=probe,
+                           monkeypatch=monkeypatch, capsys=capsys)
+    payload = json.loads(out)
+    assert code == 0 and len(out) < 2048
+    assert payload["trivial_degrees"] == [[-2, 100002]] and payload["verdicts"] == []
+    assert payload["hypotheses"] == {"clean": True, "column": {}, "row": {},
+                                     "bounds": {"A": {}, "B": {}, "P_centering": {}}, "strictness": {}}
+    code, out, _ = run_cli(["verify", "-", "--thm", "1"], stdin_text=probe, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "trivial degrees: -2..100002\n" in out
+    # an explicit degree outside the window still gets its (exact) verdict
+    code, out, _ = run_cli(["verify", "-", "--prop", "P3", "--k", "50000"], stdin_text=probe,
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "P3 k=50000: exact" in out
 
 
 def test_verify_degree_out_of_range_exit_four(monkeypatch, capsys):
@@ -308,6 +339,7 @@ _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
     (["verify", "-"], '{' + _ONE_NODE + ', "row": 5}'),
     (["verify", "-"], '{"range": [0, 1e400]}'),
     (["generate", "--seed", "1", "--max-dim", "-1"], None),
+    (["generate", "--seed", "-3"], None),
     (["generate", "--seed", "1", "--range", "5:1"], None),
     (["generate", "--seed", "1", "--weight-spread", "0"], None),
     (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0]]}'),
@@ -328,7 +360,7 @@ _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
     (["generate", "--seed", "10", "--range", "0: 10"], None),
     (["generate", "--seed", "10", "--range", "0:+10"], None),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
-        "range-overflow", "max-dim-negative", "range-reversed", "weight-spread-zero",
+        "range-overflow", "max-dim-negative", "seed-negative", "range-reversed", "weight-spread-zero",
         "edge-one-vertex", "self-intersection-not-minus-degree",
         "range-float", "purity-float", "dim-float", "entry-true", "range-true",
         "degree-key-underscore", "vertices-float", "edge-end-float",

@@ -33,6 +33,7 @@ from csverify.verifier import (
     verify_proposition,
     verify_unipotent_cs,
 )
+from csverify import verifier
 from csverify.verifier import _instance_maps, _weights_used
 
 
@@ -346,10 +347,14 @@ def test_composites_built_once_and_invisible():
 
 # -- the category-keyed report against the six-field one --------------------
 
+def every_degree(inst, pad):
+    return range(inst.k_min - pad, inst.k_max + pad + 1)
+
+
 def ref_failures(inst):
     """Failures as the six-field report listed them: one field per category, each in sorted key order."""
     column, row, bounds_a, bounds_b, centering_p, strict = {}, {}, {}, {}, {}, {}
-    for k in inst.degrees():
+    for k in every_degree(inst, 1):
         b, a, c, r, s, n = (inst.map(label, k) for label in ("b", "a", "c", "r", "s", "N"))
         column[(k, "A")] = exactness_at(b, a)
         column[(k, "C")] = exactness_at(a, c)
@@ -361,7 +366,7 @@ def ref_failures(inst):
         bounds_a[k] = weights_leq(inst.space("A", k), k)
         bounds_b[k] = weights_geq(inst.space("B", k), k)
         centering_p[k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
-    for k in inst.degrees():
+    for k in every_degree(inst, 1):
         for label, mat, src, tgt in _instance_maps(inst, k):
             if mat.nrows == 0 or mat.ncols == 0:
                 continue
@@ -420,3 +425,117 @@ def test_report_is_frozen_with_one_field():
     assert list(report.verdicts) == list(BREAKABLE_HYPOTHESES)
     with pytest.raises(AttributeError):
         report.verdicts = {}
+
+
+# -- the degree window against every declared degree -----------------------
+
+def ref_hypotheses(inst):
+    """The hypothesis verdicts at every declared degree, as the full-range loop computed them."""
+    verdicts = {category: {} for category in BREAKABLE_HYPOTHESES}
+    for k in every_degree(inst, 1):
+        for category, nodes in verifier.SEQUENCES.items():
+            for node, (f, g) in nodes.items():
+                verdicts[category][(k, node)] = exactness_at(inst.map(f[0], k + f[1]), inst.map(g[0], k + g[1]))
+        if inst.k_min <= k <= inst.k_max:
+            verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)
+            verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)
+            verdicts["P_centering"][k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
+        for label, mat, src, tgt in _instance_maps(inst, k):
+            if mat.nrows == 0 or mat.ncols == 0:
+                continue
+            try:
+                verdict = strictness(FilteredMap(src, tgt, mat))
+            except WeightCompatibilityError:
+                verdict = StrictnessVerdict(False, reason="not weight-compatible")
+            verdicts["strictness"][(label, k)] = verdict
+    return verdicts
+
+
+def ref_les(inst):
+    """Every conclusion at every degree of [k_min - 2, k_max + 2], ungated."""
+    out = []
+    for k in every_degree(inst, 2):
+        for which in CONCLUSIONS:
+            verdict = conclusion_exactness(inst, which, k)
+            out.append(VerdictReport(which, k, verdict.exact, witness=verdict.witness,
+                                     weights_used=_weights_used(which, k)))
+    return out
+
+
+def _widened(inst, width):
+    return CSInstance((inst.k_min - width, inst.k_max + width), {node: getattr(inst, node) for node in NODES},
+                      inst.maps, purity_weight=inst.purity_weight, profile=inst.profile)
+
+
+def _gapped_instance():
+    # stored data at degrees 0 and 10 only: the window is two blocks with a trivial gap between
+    spaces = {node: dict(getattr(_partial_invariants_instance(), node)) for node in NODES}
+    spaces["P"][10] = FilteredSpace.pure(2, 10)
+    return CSInstance((0, 10), spaces, {"a": {0: Matrix.from_rows([[1], [0]])}, "s": {0: Matrix.identity(2)}})
+
+
+def _window_case(kind, index):
+    if kind == "clean":
+        return gen_cs_instance(GenProfile(seed=split_seed(71, index), max_dim_per_node=(6, 10)[index % 2]))
+    if kind == "curve":
+        return curve_cs_instance(theta_graph() if index == "theta" else cycle_graph(index))
+    if kind == "gapped":
+        return _gapped_instance()
+    return gen_adversarial(GenProfile(seed=split_seed(71, index), broken_hypothesis=kind))
+
+
+def _key_degree(category, key):
+    """The degree of a verdict key: k, (k, node) or (label, k)."""
+    if isinstance(key, int):
+        return key
+    return key[1] if category == "strictness" else key[0]
+
+
+_WINDOW_CASES = (
+    [("clean", i) for i in range(3)]
+    + [(tag, i) for tag in BREAKABLE_HYPOTHESES for i in range(2)]
+    + [("curve", n) for n in range(1, 8)] + [("curve", "theta"), ("gapped", 0)]
+)
+
+
+@pytest.mark.parametrize("width", [0, 3, 50])
+@pytest.mark.parametrize("kind,index", _WINDOW_CASES)
+def test_window_matches_every_degree_reference(kind, index, width):
+    inst = _widened(_window_case(kind, index), width)
+    window = inst.degrees(pad=2)
+    trivial = [k for a, b in inst.trivial_degrees() for k in range(a, b + 1)]
+    assert sorted(window + trivial) == list(every_degree(inst, 2))
+    got, want = check_instance_hypotheses(inst).verdicts, ref_hypotheses(inst)
+    for category in BREAKABLE_HYPOTHESES:
+        for key, verdict in want[category].items():
+            if _key_degree(category, key) in window:
+                assert got[category].pop(key) == verdict
+            else:
+                assert _key_degree(category, key) in trivial and verdict
+        assert not got[category]
+    # a stand-in clean report lets every conclusion through the gate
+    stand_in = HypothesisReport({category: {} for category in BREAKABLE_HYPOTHESES})
+    les = {(v.proposition, v.degree): v for v in assemble_and_verify_les(inst, report=stand_in)}
+    for verdict in ref_les(inst):
+        if verdict.degree in window:
+            assert les.pop((verdict.proposition, verdict.degree)) == verdict
+        else:
+            assert verdict.degree in trivial and verdict.exact and verdict.witness is None
+    assert not les
+
+
+def test_window_work_independent_of_declared_width(monkeypatch):
+    # a sparse_range-style instance: data in degrees 0..4, declared over [0, width]
+    base = instance_to_json(gen_cs_instance(GenProfile(seed=split_seed(1, 0), max_dim_per_node=6)))
+    real = verifier.exactness_at
+    calls = []
+    monkeypatch.setattr(verifier, "exactness_at", lambda f, g: calls.append(None) or real(f, g))
+    counts, windows = [], []
+    for width in (8, 100000):
+        inst = instance_from_json(dict(base, range=[0, width]))
+        calls.clear()
+        assert all(v.exact for v in assemble_and_verify_les(inst, report=check_instance_hypotheses(inst)))
+        counts.append(len(calls))
+        windows.append(inst.degrees(pad=2))
+        assert inst.trivial_degrees() == [(windows[-1][-1] + 1, width + 2)]
+    assert counts[0] == counts[1] > 0 and windows[0] == windows[1]
