@@ -9,8 +9,9 @@ non-exact; 4 malformed or unreadable input; 64 bad command line.  `-` names stan
 the declared degrees within 2 of a stored space; `trivial_degrees` lists
 the rest of [k_min - 2, k_max + 2] as closed intervals [a, b], degrees
 where every middle space is zero, so every verdict there is exact with
-no witness.  An explicit `--k` anywhere in [k_min - 2, k_max + 2] is
-still verified.
+no witness.  `--k` picks the one degree of `--prop` or `--thm 2` and is
+a usage error without them; any degree in [k_min - 2, k_max + 2] is
+verified.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from .monodromy import (
 )
 from .serialize import (
     SerializationError,
-    _json_int,
     centered_filtration_to_json,
     dumps,
     graph_from_json,
     hypothesis_report_to_json,
     instance_from_json,
     instance_to_json,
+    json_int,
     nilpotent_from_json,
     verdict_report_to_json,
 )
@@ -84,7 +85,7 @@ class _Parser(argparse.ArgumentParser):
 def _decimal(text: str) -> int:
     """An integer flag, read as plain decimal like a JSON object key: ``int`` would also take "1_0" and " +10"."""
     try:
-        return _json_int(text, "value", key=True)
+        return json_int(text, "value", key=True)
     except SerializationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -141,6 +142,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.k is not None and not (args.prop or args.thm == "2"):
+            parser.error("--k needs --prop or --thm 2")
     except _UsageError as exc:
         print(f"csverify: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -244,7 +247,7 @@ def _cmd_monodromy(args) -> int:
 def _parse_range(text: str):
     try:
         lo, hi = text.split(":")
-        return _json_int(lo, "range bound", key=True), _json_int(hi, "range bound", key=True)
+        return json_int(lo, "range bound", key=True), json_int(hi, "range bound", key=True)
     except ValueError as exc:
         raise SerializationError(f"bad range {text!r}, expected 'a:b'") from exc
 

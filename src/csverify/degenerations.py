@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .filtration import FilteredSpace, full_subspace
+from .filtration import FilteredSpace
 from .generators import assemble_row
-from .linalg import Matrix, hstack, span_of_vectors, vstack
+from .linalg import Matrix, full_subspace, hstack, span_of_vectors, vstack
 from .verifier import CSInstance, check_instance_hypotheses
 
 
@@ -164,7 +164,7 @@ def curve_cs_instance(g: DualGraph) -> CSInstance:
             n_rows[i][b1 + i] = 1
         n_family[1] = Matrix.from_rows(n_rows, ncols=2 * b1)
 
-    _, c_family, r_family, s_family = assemble_row(p_family, n_family, range(0, 5))
+    _, c_family, r_family, s_family = assemble_row(p_family, n_family, range(-1, 5))
 
     a_family = {0: FilteredSpace.pure(1, 0), 1: FilteredSpace.pure(b1, 0), 2: FilteredSpace.pure(v, 2)}
     b_family = {2: FilteredSpace.pure(v, 2), 3: FilteredSpace.pure(b1, 4), 4: FilteredSpace.pure(1, 4)}

@@ -8,6 +8,12 @@ every exactness argument downstream leans on.  Strictness is decided by
 counting dimensions: a FilteredMap keeps dim f(W_i) from its
 compatibility check, and no intersection of subspaces is formed.
 
+Three constructions live here and nowhere else: the filtration a
+subspace inherits (``induced_on_subspace``), the one a surjection pushes
+forward (``induced_on_quotient``), and representatives of a graded piece
+(``graded_complement``).  ``induced_on_sub_quotient``, the monodromy
+axiom check and the generators all build on them.
+
 Tate twist convention: ``tate_twist(v, n)`` models v(n) and shifts every
 weight by -2n, so twisting by -1 raises all weights by 2.
 """
@@ -23,6 +29,7 @@ from .linalg import (
     Subspace,
     canonicalize,
     coords_map,
+    extend_basis,
     full_subspace,
     image,
     kernel,
@@ -157,6 +164,22 @@ def weights_geq(v: FilteredSpace, k: int) -> bool:
     return v.step(k - 1).dim == 0
 
 
+def graded_complement(v: FilteredSpace, i: int) -> list:
+    """Rows of W_i, in order, that span it modulo W_{i-1} (representatives of Gr_i)."""
+    return extend_basis(v.step(i - 1), v.step(i).basis.rows)
+
+
+def induced_on_subspace(v: FilteredSpace, sub: Subspace) -> FilteredSpace:
+    """sub with the steps sub . W_i(v), in the coordinates of sub's basis."""
+    coords = coords_map(sub)
+    return FilteredSpace(sub.dim, {w: image(coords, sub.intersect(step)) for w, step in v.steps})
+
+
+def induced_on_quotient(v: FilteredSpace, q: Matrix) -> FilteredSpace:
+    """The target of the surjection q with the steps q(W_i(v))."""
+    return FilteredSpace(q.nrows, {w: image(q, step) for w, step in v.steps})
+
+
 class GradedPiece(NamedTuple):
     dim: int
     projection: Matrix  # ambient -> Q^dim; kernel meets W_i exactly in W_{i-1}
@@ -279,17 +302,7 @@ def induced_on_sub_quotient(f: FilteredMap) -> SubQuotient:
     verdict = strictness(f)
     if not verdict.strict:
         raise NotStrictError(f"map is not strict (fails at weight {verdict.failing_weight})")
-    ker = kernel(f.matrix)
-    ker_coords = coords_map(ker)
-    ker_steps = {w: image(ker_coords, ker.intersect(f.source.step(w))) for w in f.source.jumps}
-    ker_fs = FilteredSpace(ker.dim, ker_steps)
-
     im = image(f.matrix)
-    im_coords = coords_map(im)
-    im_steps = {w: image(im_coords, im.intersect(f.target.step(w))) for w in f.target.jumps}
-    im_fs = FilteredSpace(im.dim, im_steps)
-
-    q = quotient_map(im)
-    coker_steps = {w: image(q, f.target.step(w)) for w in f.target.jumps}
-    coker_fs = FilteredSpace(f.target.dim - im.dim, coker_steps)
-    return SubQuotient(ker_fs, im_fs, coker_fs)
+    return SubQuotient(induced_on_subspace(f.source, kernel(f.matrix)),
+                       induced_on_subspace(f.target, im),
+                       induced_on_quotient(f.target, quotient_map(im)))

@@ -15,6 +15,10 @@ The clean recipe builds the graded skeleton and then conjugates:
 
 Exact sequences of filtered spaces with strict maps are graded-split, so
 building split and conjugating loses no generality for testing purposes.
+The weights come from the library's own constructions: the Jordan chains
+go through ``monodromy.chain_filtration``, the kernel and cokernel weights
+through ``filtration.induced_on_subspace``/``induced_on_quotient``, and the
+adapted bases of the automorphisms through ``filtration.graded_complement``.
 Adversarial variants tamper with exactly one named hypothesis before the
 conjugation step.  All randomness is drawn from a single stream seeded by
 the profile, so a profile determines its instance byte for byte.
@@ -26,21 +30,16 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .filtration import FilteredSpace, direct_sum, tate_twist
-from .linalg import (
-    Matrix,
-    coords_map,
-    extend_basis,
-    hstack,
-    image,
-    inverse,
-    kernel,
-    quotient_map,
-    span_of_vectors,
-    transpose,
-    vstack,
+from .filtration import (
+    FilteredSpace,
+    direct_sum,
+    graded_complement,
+    induced_on_quotient,
+    induced_on_subspace,
+    tate_twist,
 )
-from .monodromy import NilpotentOp, monodromy_filtration
+from .linalg import Q, Matrix, hstack, image, inverse, kernel, quotient_map, transpose, vstack
+from .monodromy import NilpotentOp, chain_filtration, monodromy_filtration
 from .verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -97,8 +96,6 @@ class GenProfile:
 
 def _rand_q(rng: random.Random):
     """Small random rational: |numerator|, denominator <= 7."""
-    from .linalg import Q
-
     return Q(rng.randint(-7, 7), rng.randint(1, 7))
 
 
@@ -132,21 +129,15 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Matri
     if d == 0:
         return Matrix.identity(0)
     adapted: List[tuple] = []
-    boundaries = []
-    for w, sub in fs.steps:
-        adapted += extend_basis(fs.step(w - 1), sub.basis.rows)
-        boundaries.append(len(adapted))
-    block_of = []
-    for idx in range(d):
-        block_of.append(next(bi for bi, bound in enumerate(boundaries) if idx < bound))
+    block_of = []  # the graded piece of each adapted vector
     upper = [[0] * d for _ in range(d)]
-    for bi, bound in enumerate(boundaries):
-        start = boundaries[bi - 1] if bi else 0
-        size = bound - start
-        diag = random_invertible(rng, size)
-        for i in range(size):
-            for j in range(size):
-                upper[start + i][start + j] = diag.rows[i][j]
+    for bi, w in enumerate(fs.jumps):
+        start = len(adapted)
+        adapted += graded_complement(fs, w)
+        size = len(adapted) - start
+        block_of += [bi] * size
+        for i, row in enumerate(random_invertible(rng, size).rows):
+            upper[start + i][start:start + size] = row
     for i in range(d):
         for j in range(d):
             if block_of[j] > block_of[i] and rng.random() < 0.5:
@@ -159,26 +150,17 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Matri
 def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[FilteredSpace, NilpotentOp]:
     """Nilpotent of the given Jordan type with the filtration centered at
     ``center``, conjugated by a random invertible matrix."""
-    entries = [[0] * dim for _ in range(dim)]
-    weights = [0] * dim
-    offset = 0
-    for s in sizes:
-        for j in range(s):
-            weights[offset + j] = center - s + 1 + 2 * j
-            if j:
-                entries[offset + j - 1][offset + j] = 1
-        offset += s
-    n_jordan = Matrix.from_rows(entries, ncols=dim)
     t = random_invertible(rng, dim)
-    t_inv = inverse(t)
-    n_mat = t @ n_jordan @ t_inv
-    steps = {}
-    for w in sorted(set(weights)):
-        rows = [tuple(1 if i == idx else 0 for i in range(dim))
-                for idx, wt in enumerate(weights) if wt <= w]
-        steps[w] = image(t, span_of_vectors(rows, dim))
-    space = FilteredSpace(dim, steps)
-    return space, NilpotentOp(space, n_mat)
+    columns = transpose(t).rows
+    entries = [[0] * dim for _ in range(dim)]
+    chains, start = [], 0
+    for s in sizes:
+        for j in range(start + 1, start + s):
+            entries[j - 1][j] = 1  # N e_j = e_{j-1}, so t e_j, last first, is a chain of t N t^-1
+        chains.append(columns[start:start + s][::-1])
+        start += s
+    space = chain_filtration(chains, dim, center)
+    return space, NilpotentOp(space, t @ Matrix.from_rows(entries, ncols=dim) @ inverse(t))
 
 
 def gen_centered_mhs(seed, dim: int, k: int,
@@ -211,21 +193,13 @@ def gen_centered_mhs(seed, dim: int, k: int,
 class _RowData:
     """Per-degree kernel/cokernel bookkeeping for the row assembly."""
 
-    __slots__ = ("ker_sub", "ker_fs", "coker_fs", "coker_map", "kdim", "cdim")
+    __slots__ = ("ker_sub", "ker_fs", "coker_fs", "coker_map")
 
     def __init__(self, p: FilteredSpace, n: Matrix):
-        ker = kernel(n)
-        kc = coords_map(ker)
-        self.ker_sub = ker
-        self.ker_fs = FilteredSpace(
-            ker.dim, {w: image(kc, ker.intersect(p.step(w))) for w in p.jumps})
-        twisted = tate_twist(p, -1)
-        q = quotient_map(image(n))
-        self.coker_map = q
-        self.coker_fs = FilteredSpace(
-            q.nrows, {w: image(q, twisted.step(w)) for w in twisted.jumps})
-        self.kdim = ker.dim
-        self.cdim = q.nrows
+        self.ker_sub = kernel(n)
+        self.ker_fs = induced_on_subspace(p, self.ker_sub)
+        self.coker_map = quotient_map(image(n))
+        self.coker_fs = induced_on_quotient(tate_twist(p, -1), self.coker_map)
 
 
 def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix],
@@ -233,8 +207,9 @@ def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix]
                                    Dict[int, Matrix], Dict[int, Matrix]]:
     """Build C_k = coker(N_{k-1}) (+) ker(N_k) with its canonical row maps.
 
-    Returns (per-degree data, C family, r family, s family); the row long
-    exact sequence holds by construction.
+    ``degrees`` is a range; the data covers all of it, and C, r and s every
+    degree after the first.  Returns (per-degree data, C family, r family,
+    s family); the row long exact sequence holds by construction.
     """
     data = {}
     for k in degrees:
@@ -242,20 +217,17 @@ def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix]
         n = n_family.get(k, Matrix.zero(p.dim, p.dim))
         data[k] = _RowData(p, n)
     c_family, r_family, s_family = {}, {}, {}
-    for k in degrees:
-        prev = data.get(k - 1)
-        cur = data[k]
-        coker_fs = prev.coker_fs if prev else FilteredSpace.zero()
-        coker_dim = coker_fs.dim
-        c_fs = direct_sum(coker_fs, cur.ker_fs)
+    for k in degrees[1:]:
+        prev, cur = data[k - 1], data[k]
+        c_fs = direct_sum(prev.coker_fs, cur.ker_fs)
         if c_fs.dim == 0:
             continue
         c_family[k] = c_fs
-        if prev is not None and prev.coker_map.ncols > 0:
-            r_family[k] = vstack(prev.coker_map, Matrix.zero(cur.kdim, prev.coker_map.ncols))
+        if prev.coker_map.ncols > 0:
+            r_family[k] = vstack(prev.coker_map, Matrix.zero(cur.ker_fs.dim, prev.coker_map.ncols))
         p_dim = cur.ker_sub.ambient_dim
         if p_dim > 0:
-            s_family[k] = hstack(Matrix.zero(p_dim, coker_dim), transpose(cur.ker_sub.basis))
+            s_family[k] = hstack(Matrix.zero(p_dim, prev.coker_fs.dim), transpose(cur.ker_sub.basis))
     return data, c_family, r_family, s_family
 
 
@@ -333,13 +305,11 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
             p_family[k] = space
             n_family[k] = op.matrix
 
-    data, c_family, r_family, s_family = assemble_row(p_family, n_family, range(a, b + 1))
+    data, c_family, r_family, s_family = assemble_row(p_family, n_family, range(a - 2, b + 1))
 
     fillers = {}
     for k in range(a, b + 1):
-        kdim = data[k].kdim if k in data else 0
-        cdim = data[k - 2].cdim if k - 2 in data else 0
-        cap = min(3, max_dim - max(kdim, cdim))
+        cap = min(3, max_dim - max(data[k].ker_fs.dim, data[k - 2].coker_fs.dim))
         fillers[k] = rng.randint(0, max(0, cap))
     if broken == "column_exact":
         fillers[tamper_degree] = max(1, fillers[tamper_degree])
@@ -347,27 +317,22 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
     a_family, b_family = {}, {}
     b_maps, a_maps, c_maps = {}, {}, {}
     for k in range(a, b + 1):
-        row = data[k]
-        prev = data.get(k - 1)
-        prev2 = data.get(k - 2)
-        f = fillers[k]
-        a_family[k] = direct_sum(row.ker_fs, FilteredSpace.pure(f, k))
-        b_family[k] = direct_sum(prev2.coker_fs if prev2 else FilteredSpace.zero(),
-                                 FilteredSpace.pure(f, k))
-        coker2 = prev2.cdim if prev2 else 0
-        b_maps[k] = vstack(Matrix.zero(row.kdim, coker2 + f),
+        f, kdim = fillers[k], data[k].ker_fs.dim
+        coker1, coker2 = data[k - 1].coker_fs.dim, data[k - 2].coker_fs.dim
+        a_family[k] = direct_sum(data[k].ker_fs, FilteredSpace.pure(f, k))
+        b_family[k] = direct_sum(data[k - 2].coker_fs, FilteredSpace.pure(f, k))
+        b_maps[k] = vstack(Matrix.zero(kdim, coker2 + f),
                            hstack(Matrix.zero(f, coker2), Matrix.identity(f)))
-        coker1 = prev.cdim if prev else 0
-        a_maps[k] = vstack(Matrix.zero(coker1, row.kdim + f),
-                           hstack(Matrix.identity(row.kdim), Matrix.zero(row.kdim, f)))
+        a_maps[k] = vstack(Matrix.zero(coker1, kdim + f),
+                           hstack(Matrix.identity(kdim), Matrix.zero(kdim, f)))
         # c_k : C_k -> B_{k+1} = coker(N_{k-1})-block (+) filler block
         f_next = fillers.get(k + 1, 0)
-        c_maps[k] = vstack(hstack(Matrix.identity(coker1), Matrix.zero(coker1, row.kdim)),
-                           Matrix.zero(f_next, coker1 + row.kdim))
+        c_maps[k] = vstack(hstack(Matrix.identity(coker1), Matrix.zero(coker1, kdim)),
+                           Matrix.zero(f_next, coker1 + kdim))
 
     if broken is not None:
         _apply_tamper(broken, variant, tamper_degree, data, fillers,
-                      a_family, b_family, a_maps, b_maps, c_maps, s_family, rng)
+                      a_family, b_family, a_maps, b_maps, c_maps, s_family)
 
     inst = CSInstance(
         (a, b), {"A": a_family, "B": b_family, "C": c_family, "P": p_family},
@@ -395,7 +360,7 @@ def _append_pure_line(fs: FilteredSpace, weight: int) -> FilteredSpace:
 
 
 def _apply_tamper(broken, variant, t, data, fillers,
-                  a_family, b_family, a_maps, b_maps, c_maps, s_family, rng):
+                  a_family, b_family, a_maps, b_maps, c_maps, s_family):
     if broken == "column_exact":
         b_maps[t] = Matrix.zero(b_maps[t].nrows, b_maps[t].ncols)
         return
@@ -422,15 +387,14 @@ def _apply_tamper(broken, variant, t, data, fillers,
             c_maps[t - 1] = vstack(c_maps[t - 1], Matrix.zero(1, c_maps[t - 1].ncols))
         return
     if broken == "A_bound" and variant == "absorbing":
-        prev = data.get(t - 1)
-        row = data[t]
-        a_family[t] = direct_sum(a_family[t], prev.coker_fs)
-        a_maps[t] = hstack(a_maps[t], vstack(Matrix.identity(prev.cdim), Matrix.zero(row.kdim, prev.cdim)))
-        b_maps[t] = vstack(b_maps[t], Matrix.zero(prev.cdim, b_maps[t].ncols))
-        f_next = fillers.get(t + 1, 0)
+        coker = data[t - 1].coker_fs
+        a_family[t] = direct_sum(a_family[t], coker)
+        a_maps[t] = hstack(a_maps[t], vstack(Matrix.identity(coker.dim), Matrix.zero(data[t].ker_fs.dim, coker.dim)))
+        b_maps[t] = vstack(b_maps[t], Matrix.zero(coker.dim, b_maps[t].ncols))
+        f_next = fillers[t + 1]
         b_family[t + 1] = FilteredSpace.pure(f_next, t + 1)
         c_maps[t] = Matrix.zero(f_next, c_maps[t].ncols)
-        b_maps[t + 1] = vstack(Matrix.zero(data[t + 1].kdim, f_next), Matrix.identity(f_next))
+        b_maps[t + 1] = vstack(Matrix.zero(data[t + 1].ker_fs.dim, f_next), Matrix.identity(f_next))
         return
     raise AssertionError(f"unhandled tamper {broken}/{variant}")
 

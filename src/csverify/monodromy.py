@@ -21,7 +21,9 @@ there.  Two independent constructions are implemented:
 
 The two share the flag but no chain or recursion logic.  Uniqueness
 makes their agreement a sharp cross-check, exercised at scale by the
-test suite.
+test suite.  ``chain_filtration`` is the one place that turns chains
+into weights; the generators call it on the chains of a Jordan form, and
+the axiom check takes graded pieces from ``filtration.graded_complement``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .filtration import FilteredSpace, graded_piece
+from .filtration import FilteredSpace, graded_complement, graded_piece
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -139,8 +141,12 @@ def _jordan_chains(matrix: Matrix, flag: tuple) -> tuple:
     return tuple(map(tuple, chains))
 
 
-def _chain_filtration(chains: tuple, dim: int, k: int) -> FilteredSpace:
-    """Centered weight filtration at k on Q^dim, from Jordan chains."""
+def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
+    """Centered weight filtration at k on Q^dim, from Jordan chains.
+
+    Each chain is given head first, (v, Nv, ..., N^{m-1}v), and its
+    vectors get the weights k+m-1, k+m-3, ..., k-m+1.
+    """
     weighted = []  # (weight, vector)
     for chain in chains:
         m = len(chain)
@@ -158,12 +164,12 @@ def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
     """Centered weight filtration of a nilpotent matrix, by Jordan chains."""
     if matrix.nrows == 0:
         return FilteredSpace.zero()
-    return _chain_filtration(_jordan_chains(matrix, kernel_flag(matrix)), matrix.nrows, k)
+    return chain_filtration(_jordan_chains(matrix, kernel_flag(matrix)), matrix.nrows, k)
 
 
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:
     """The unique filtration centered at k attached to the nilpotent n."""
-    return CenteredFiltration(k, _chain_filtration(n.chains, n.space.dim, k))
+    return CenteredFiltration(k, chain_filtration(n.chains, n.space.dim, k))
 
 
 def centered_filtration_recursive(matrix: Matrix, k: int,
@@ -246,7 +252,7 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
     spread = max((abs(w - k) for w in space.jumps), default=0)
     power = n.matrix
     for i in range(1, spread + 1):
-        up = _graded_complement(space, k + i)
+        up = Matrix.from_rows(graded_complement(space, k + i), ncols=space.dim)
         down_proj = graded_piece(space, k - i).projection
         dim_up = up.nrows
         dim_down = down_proj.nrows
@@ -258,11 +264,6 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
                 return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
         power = power @ n.matrix
     return AxiomVerdict(True)
-
-
-def _graded_complement(space: FilteredSpace, w: int) -> Matrix:
-    """Rows spanning W_w modulo W_{w-1} (representatives of Gr_w)."""
-    return Matrix.from_rows(extend_basis(space.step(w - 1), space.step(w).basis.rows), ncols=space.dim)
 
 
 @dataclass(frozen=True)

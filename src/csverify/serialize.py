@@ -50,7 +50,7 @@ def dumps(obj) -> str:
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _json_int(value, what: str, key: bool) -> int:
+def json_int(value, what: str, key: bool) -> int:
     """An integer field: a JSON integer that is not a boolean, or for an object key a plain decimal string.
 
     ``int`` alone would read 2.9 as 2, true as 1 and the key "1_0" as 10.
@@ -107,8 +107,8 @@ def filtered_space_to_json(v: FilteredSpace) -> dict:
 
 def filtered_space_from_json(data) -> FilteredSpace:
     try:
-        dim = _json_int(data["dim"], "dim", key=False)
-        steps = {_json_int(w, "weight", key=True): _subspace_from_json(rows, dim)
+        dim = json_int(data["dim"], "dim", key=False)
+        steps = {json_int(w, "weight", key=True): _subspace_from_json(rows, dim)
                  for w, rows in data.get("steps", {}).items()}
         return FilteredSpace(dim, steps)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -142,11 +142,11 @@ def graph_to_json(g: DualGraph) -> dict:
 
 def graph_from_json(data) -> DualGraph:
     try:
-        edges = [[_json_int(x, "edge end", key=False) for x in e] for e in data.get("edges", [])]
+        edges = [[json_int(x, "edge end", key=False) for x in e] for e in data.get("edges", [])]
         selfs = data.get("self")
         if selfs is not None:
-            selfs = [_json_int(x, "self-intersection", key=False) for x in selfs]
-        return DualGraph.make(_json_int(data["vertices"], "vertices", key=False), edges, selfs)
+            selfs = [json_int(x, "self-intersection", key=False) for x in selfs]
+        return DualGraph.make(json_int(data["vertices"], "vertices", key=False), edges, selfs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
@@ -180,7 +180,7 @@ def instance_from_json(data) -> CSInstance:
     if not isinstance(data, dict):
         raise SerializationError("instance must be a JSON object")
     try:
-        k_min, k_max = (_json_int(x, "range bound", key=False) for x in data["range"])
+        k_min, k_max = (json_int(x, "range bound", key=False) for x in data["range"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError("instance needs an integer pair under 'range'") from exc
 
@@ -188,7 +188,7 @@ def instance_from_json(data) -> CSInstance:
         raw = data.get(key, {})
         if not isinstance(raw, dict):
             raise SerializationError(f"family {key!r} must be an object")
-        return {_json_int(k, "degree", key=True): filtered_space_from_json(v) for k, v in raw.items()}
+        return {json_int(k, "degree", key=True): filtered_space_from_json(v) for k, v in raw.items()}
 
     spaces = {node: family(node) for node in NODES}
 
@@ -201,13 +201,13 @@ def instance_from_json(data) -> CSInstance:
         raw = groups[group].get(label, {})
         if not isinstance(raw, dict):
             raise SerializationError("map family must be an object")
-        raw = {_json_int(k, "degree", key=True): m for k, m in raw.items()}
+        raw = {json_int(k, "degree", key=True): m for k, m in raw.items()}
         maps[label] = {k: matrix_from_json(m, *skeleton.shape(label, k)) for k, m in raw.items()}
 
     profile = data.get("profile", "abstract")
     if not isinstance(profile, str):
         raise SerializationError("profile must be a string")
-    purity = _json_int(data.get("purity", 0), "'purity'", key=False)
+    purity = json_int(data.get("purity", 0), "'purity'", key=False)
     return CSInstance((k_min, k_max), spaces, maps, purity_weight=purity, profile=profile)
 
 

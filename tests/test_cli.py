@@ -13,7 +13,7 @@ from csverify.degenerations import cycle_graph, theta_graph
 from csverify.generators import GenProfile, gen_cs_instance
 from csverify.linalg import Matrix, hstack
 from csverify.serialize import dumps, graph_to_json, instance_to_json
-from csverify.verifier import ARROWS, NODES, CSInstance, MalformedInstanceError
+from csverify.verifier import ARROWS, BREAKABLE_HYPOTHESES, NODES, CSInstance, MalformedInstanceError
 
 
 # `python -m csverify` subprocesses import the package from this checkout, installed or not
@@ -198,6 +198,19 @@ def test_generate_bytes_pinned(option, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _GENERATE_SHA256[option]
 
 
+def test_generate_bytes_pinned_across_seeds(capsys):
+    """One SHA-256 over f"{exit}\n{stdout}" of `generate` for seeds 1-8, --max-dim 6 and 10,
+    clean and with each --break, recorded from an earlier version like the pins above."""
+    digest = hashlib.sha256()
+    for seed in range(1, 9):
+        for max_dim in (6, 10):
+            for broken in [[]] + [["--break", tag] for tag in BREAKABLE_HYPOTHESES]:
+                code, out, _ = run_cli(["generate", "--seed", str(seed), "--max-dim", str(max_dim), *broken],
+                                       capsys=capsys)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "b3f01c4d72899ee0d4269463277bbba9df7b8df157897cfdcdd86e7369c98c21"
+
+
 # SHA-256 of `verify --format json` reports with timing_ms removed, as
 # recorded at report schema 2: (source, verify option) -> digest, the
 # source being `generate --seed 11 <option>` or `fixture curve` of a graph
@@ -297,6 +310,16 @@ def test_data_free_range_reports_one_trivial_interval(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "-", "--prop", "P3", "--k", "50000"], stdin_text=probe,
                            monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0 and "P3 k=50000: exact" in out
+
+
+# --k picks the degree of --prop or --thm 2; elsewhere it would be silently ignored
+@pytest.mark.parametrize("extra", [["--thm", "1"], ["--thm", "3"], []])
+def test_k_without_prop_or_thm2_is_a_usage_error(extra, monkeypatch, capsys):
+    inst = dumps(instance_to_json(gen_cs_instance(GenProfile(seed=3))))
+    code, out, err = run_cli(["verify", "-", *extra, "--k", "99"],
+                             stdin_text=inst, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (64, "")
+    assert "--prop" in err and "--thm 2" in err
 
 
 def test_verify_degree_out_of_range_exit_four(monkeypatch, capsys):

@@ -1,13 +1,22 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from csverify.filtration import FilteredSpace, graded_complement
 from csverify.generators import (
     GenProfile,
+    _jordan_pair,
     gen_adversarial,
     gen_centered_mhs,
     gen_cs_instance,
+    random_filtered_automorphism,
+    random_invertible,
     search_load_bearing,
     split_seed,
 )
+from csverify.linalg import Matrix, image, inverse, span_of_vectors
 from csverify.monodromy import monodromy_filtration, verify_centered_axioms
 from csverify.serialize import dumps, instance_to_json
 from csverify.verifier import (
@@ -124,3 +133,61 @@ def test_search_reports_inconclusive_budget():
     assert not result.found
     assert result.tries == 4
     assert result.instance is None
+
+
+def ref_jordan_filtration(t, sizes, center):
+    """The Jordan-form weights written out: coordinate j of a block of size s
+    has weight center - s + 1 + 2j, and each step is t applied to the span
+    of the coordinates of weight at most w."""
+    dim = t.nrows
+    weights = [center - s + 1 + 2 * j for s in sizes for j in range(s)]
+    steps = {}
+    for w in sorted(set(weights)):
+        rows = [[1 if i == idx else 0 for i in range(dim)] for idx, wt in enumerate(weights) if wt <= w]
+        steps[w] = image(t, span_of_vectors(rows, dim))
+    return FilteredSpace(dim, steps)
+
+
+def jordan_types(n, largest=None):
+    """Partitions of n, largest block first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in jordan_types(n - first, first):
+            yield (first,) + rest
+
+
+def test_jordan_pair_matches_reference_weights():
+    """Every Jordan type of dim 1..7 at centers -2..2; _jordan_pair draws
+    its change of basis t first, so a twin stream reproduces t."""
+    seed = 0
+    for dim in range(1, 8):
+        for sizes in jordan_types(dim):
+            for center in range(-2, 3):
+                seed += 1
+                t = random_invertible(random.Random(seed), dim)
+                space, _ = _jordan_pair(random.Random(seed), sizes, dim, center)
+                assert space == ref_jordan_filtration(t, sizes, center), (sizes, center)
+
+
+@st.composite
+def filtered_spaces(draw):
+    """Q^d, d <= 6, with steps spanned by small integer vectors, each drawn with a weight."""
+    dim = draw(st.integers(0, 6))
+    vectors = draw(st.lists(st.tuples(st.integers(-2, 3), st.lists(st.integers(-2, 2), min_size=dim,
+                                                                    max_size=dim)), max_size=dim))
+    steps = {w: span_of_vectors([v for wt, v in vectors if wt <= w], dim) for w, _ in vectors}
+    steps[4] = span_of_vectors([[int(i == j) for j in range(dim)] for i in range(dim)], dim)
+    return FilteredSpace(dim, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(filtered_spaces(), st.integers(0, 2**32))
+def test_random_filtered_automorphism_preserves_every_step(fs, seed):
+    t = random_filtered_automorphism(random.Random(seed), fs)
+    assert (t.nrows, t.ncols) == (fs.dim, fs.dim)
+    for _, step in fs.steps:
+        assert image(t, step) == step
+    assert t @ inverse(t) == Matrix.identity(fs.dim)
+    for w, n in fs.graded_dims().items():
+        assert len(graded_complement(fs, w)) == n
