@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .filtration import FilteredSpace
-from .generators import assemble_row
-from .linalg import Matrix, full_subspace, hstack, span_of_vectors, vstack
+from .generators import assemble_row, into_summand, node_summands
+from .linalg import Matrix, full_subspace, span_of_vectors, transpose
 from .verifier import CSInstance, check_instance_hypotheses
 
 
@@ -164,23 +164,19 @@ def curve_cs_instance(g: DualGraph) -> CSInstance:
             n_rows[i][b1 + i] = 1
         n_family[1] = Matrix.from_rows(n_rows, ncols=2 * b1)
 
-    _, c_family, r_family, s_family = assemble_row(p_family, n_family, range(-1, 5))
+    parts, c_family, r_family, s_family = assemble_row(p_family, n_family, range(-1, 5))
+    c_summands = {k: node_summands("C", k, parts) for k in range(4)}
 
     a_family = {0: FilteredSpace.pure(1, 0), 1: FilteredSpace.pure(b1, 0), 2: FilteredSpace.pure(v, 2)}
     b_family = {2: FilteredSpace.pure(v, 2), 3: FilteredSpace.pure(b1, 4), 4: FilteredSpace.pure(1, 4)}
 
     ones_row = Matrix.from_rows([[1] * v], ncols=v)
-    a_maps = {
-        0: Matrix.identity(1),
-        1: vstack(Matrix.zero(1, b1), Matrix.identity(b1)),
-        2: vstack(Matrix.zero(b1, v), ones_row),
-    }
+    # a_k lands in the ker(N_k) summand of C_k, and c_k reads its coker(N_{k-1}) summand
+    a_maps = {k: into_summand(c_summands[k], ("ker", k), m)
+              for k, m in ((0, Matrix.identity(1)), (1, Matrix.identity(b1)), (2, ones_row))}
     b_maps = {2: intersection_matrix(g)}
-    c_maps = {
-        1: hstack(Matrix.from_rows([[1]] * v, ncols=1), Matrix.zero(v, b1)),
-        2: hstack(Matrix.identity(b1), Matrix.zero(b1, 1)),
-        3: Matrix.identity(1),
-    }
+    c_maps = {k: transpose(into_summand(c_summands[k], ("coker", k - 1), m))
+              for k, m in ((1, ones_row), (2, Matrix.identity(b1)), (3, Matrix.identity(1)))}
 
     inst = CSInstance((0, 4), {"A": a_family, "B": b_family, "C": c_family, "P": p_family},
                       {"b": b_maps, "a": a_maps, "c": c_maps, "r": r_family, "s": s_family,

@@ -25,9 +25,9 @@ from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .linalg import (
     DimensionMismatchError,
+    Q,
     Matrix,
     Subspace,
-    canonicalize,
     coords_map,
     extend_basis,
     full_subspace,
@@ -142,15 +142,17 @@ def tate_twist(v: FilteredSpace, n: int) -> FilteredSpace:
 
 
 def direct_sum(x: FilteredSpace, y: FilteredSpace) -> FilteredSpace:
-    """Block direct sum, x in the leading coordinates."""
+    """Block direct sum, x in the leading coordinates.
+
+    Each step stacks x's reduced basis over y's, shifted by x.dim; the stack is already
+    in reduced echelon form (pivots x's, then y's + x.dim), so it needs no elimination."""
     dim = x.dim + y.dim
-    weights = sorted(set(x.jumps) | set(y.jumps))
+    pad_x, pad_y = (Q(0),) * x.dim, (Q(0),) * y.dim
     steps = {}
-    for w in weights:
+    for w in sorted(set(x.jumps) | set(y.jumps)):
         xs, ys = x.step(w), y.step(w)
-        rows = [r + (0,) * y.dim for r in xs.basis.rows]
-        rows += [(0,) * x.dim + r for r in ys.basis.rows]
-        steps[w] = canonicalize(Matrix.from_rows(rows, ncols=dim))
+        rows = tuple(r + pad_y for r in xs.basis.rows) + tuple(pad_x + r for r in ys.basis.rows)
+        steps[w] = Subspace(dim, Matrix(len(rows), dim, rows), xs.pivots + tuple(p + x.dim for p in ys.pivots))
     return FilteredSpace(dim, steps)
 
 

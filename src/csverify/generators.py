@@ -8,9 +8,10 @@ The clean recipe builds the graded skeleton and then conjugates:
   2. define C_k = coker(N_{k-1}) (+) ker(N_k) with the induced weights;
      the row maps r_k, s_k are the canonical projection/inclusion, so the
      row sequence is exact by construction;
-  3. set A_k = ker(N_k)-part (+) F_k and B_k = coker(N_{k-2})-part (+) F_k
-     where F_k is a random pure weight-k filler carried from B_k onto the
-     kernel of A_k -> C_k, making the column exact with the right bounds;
+  3. set A_k = ker(N_k) (+) F_k and B_k = coker(N_{k-2}) (+) F_k, F_k a random
+     pure weight-k filler, as listed in SUMMANDS; b_k, a_k and c_k are the
+     identity between equally named summands and zero elsewhere, which
+     makes the column exact with the right bounds;
   4. conjugate every map by random filtered automorphisms of the nodes.
 
 Exact sequences of filtered spaces with strict maps are graded-split, so
@@ -19,15 +20,19 @@ The weights come from the library's own constructions: the Jordan chains
 go through ``monodromy.chain_filtration``, the kernel and cokernel weights
 through ``filtration.induced_on_subspace``/``induced_on_quotient``, and the
 adapted bases of the automorphisms through ``filtration.graded_complement``.
-Adversarial variants tamper with exactly one named hypothesis before the
-conjugation step.  All randomness is drawn from a single stream seeded by
-the profile, so a profile determines its instance byte for byte.
+Adversarial variants break exactly one named hypothesis by editing the
+summands before the conjugation step: a pure line added to A_t and B_t
+under one name breaks a weight bound or strictness, moving coker(N_{t-1})
+from B_{t+1} to A_t breaks A_bound too, and zeroing b_t or s_t breaks
+exactness.  All randomness is drawn from a single stream seeded by the
+profile, so a profile determines its instance byte for byte.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .filtration import (
@@ -38,7 +43,7 @@ from .filtration import (
     induced_on_subspace,
     tate_twist,
 )
-from .linalg import Q, Matrix, hstack, image, inverse, kernel, quotient_map, transpose, vstack
+from .linalg import Q, Matrix, image, inverse, kernel, quotient_map, transpose
 from .monodromy import NilpotentOp, chain_filtration, monodromy_filtration
 from .verifier import (
     ARROWS,
@@ -190,45 +195,72 @@ def gen_centered_mhs(seed, dim: int, k: int,
     return space, op
 
 
-class _RowData:
-    """Per-degree kernel/cokernel bookkeeping for the row assembly."""
+_ZERO, _ONE = Q(0), Q(1)
 
-    __slots__ = ("ker_sub", "ker_fs", "coker_fs", "coker_map")
+# node -> its summands in direct-sum order, each (part, offset).  At degree
+# k the summand named (part, j), j = k + offset, is ker(N_j) for "ker",
+# coker(N_j)(-1) for "coker" and the pure weight-j filler for "F".
+SUMMANDS = {
+    "A": (("ker", 0), ("F", 0)),
+    "B": (("coker", -2), ("F", 0)),
+    "C": (("coker", -1), ("ker", 0)),
+}
 
-    def __init__(self, p: FilteredSpace, n: Matrix):
-        self.ker_sub = kernel(n)
-        self.ker_fs = induced_on_subspace(p, self.ker_sub)
-        self.coker_map = quotient_map(image(n))
-        self.coker_fs = induced_on_quotient(tate_twist(p, -1), self.coker_map)
+# tampered hypothesis -> weights, as offsets from t, of the line b_t carries from B_t onto A_t
+_LINE_WEIGHTS = {"A_bound": (1, 1), "B_bound": (-1, -1), "strictness": (-1, 0)}
+# tampered hypothesis -> the map that is zero at t
+_ZEROED_MAP = {"column_exact": "b", "row_exact": "s"}
+
+
+def node_summands(node: str, k: int, parts: dict) -> dict:
+    """{name: space} over the summands of node at degree k, in direct-sum order; parts holds every space by name."""
+    return {(part, k + d): parts[(part, k + d)] for part, d in SUMMANDS[node]}
+
+
+def _coordinates(summands: dict) -> list:
+    """The coordinates of the direct sum, in order, each as (summand name, index in the summand)."""
+    return [(name, i) for name, fs in summands.items() for i in range(fs.dim)]
+
+
+def _identity_on_shared(source: dict, target: dict) -> Matrix:
+    """The map between direct sums that is the identity between equally named summands, zero elsewhere."""
+    cols = _coordinates(source)
+    rows = tuple(tuple(_ONE if c == r else _ZERO for c in cols) for r in _coordinates(target))
+    return Matrix(len(rows), len(cols), rows)
+
+
+def into_summand(summands: dict, name: Tuple[str, int], m: Matrix) -> Matrix:
+    """m, a map into the summand called name, as a map into the whole direct sum."""
+    zero = (_ZERO,) * m.ncols
+    rows = tuple(m.rows[i] if key == name else zero for key, i in _coordinates(summands))
+    return Matrix(len(rows), m.ncols, rows)
 
 
 def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix],
-                 degrees) -> Tuple[Dict[int, _RowData], Dict[int, FilteredSpace],
-                                   Dict[int, Matrix], Dict[int, Matrix]]:
+                 degrees) -> Tuple[dict, Dict[int, FilteredSpace], Dict[int, Matrix], Dict[int, Matrix]]:
     """Build C_k = coker(N_{k-1}) (+) ker(N_k) with its canonical row maps.
 
-    ``degrees`` is a range; the data covers all of it, and C, r and s every
-    degree after the first.  Returns (per-degree data, C family, r family,
-    s family); the row long exact sequence holds by construction.
+    ``degrees`` is a range; the kernels and cokernels cover all of it, and
+    C, r and s every degree after the first.  Returns (the parts "ker" and
+    "coker" by name, as in SUMMANDS, C family, r family, s family); the
+    row long exact sequence holds by construction.
     """
-    data = {}
+    parts, ker_basis, coker_map = {}, {}, {}
     for k in degrees:
         p = p_family.get(k, FilteredSpace.zero())
         n = n_family.get(k, Matrix.zero(p.dim, p.dim))
-        data[k] = _RowData(p, n)
+        ker = kernel(n)
+        ker_basis[k] = ker.basis
+        coker_map[k] = quotient_map(image(n))
+        parts[("ker", k)] = induced_on_subspace(p, ker)
+        parts[("coker", k)] = induced_on_quotient(tate_twist(p, -1), coker_map[k])
     c_family, r_family, s_family = {}, {}, {}
     for k in degrees[1:]:
-        prev, cur = data[k - 1], data[k]
-        c_fs = direct_sum(prev.coker_fs, cur.ker_fs)
-        if c_fs.dim == 0:
-            continue
-        c_family[k] = c_fs
-        if prev.coker_map.ncols > 0:
-            r_family[k] = vstack(prev.coker_map, Matrix.zero(cur.ker_fs.dim, prev.coker_map.ncols))
-        p_dim = cur.ker_sub.ambient_dim
-        if p_dim > 0:
-            s_family[k] = hstack(Matrix.zero(p_dim, prev.coker_fs.dim), transpose(cur.ker_sub.basis))
-    return data, c_family, r_family, s_family
+        summands = node_summands("C", k, parts)
+        c_family[k] = reduce(direct_sum, summands.values())
+        r_family[k] = into_summand(summands, ("coker", k - 1), coker_map[k - 1])
+        s_family[k] = transpose(into_summand(summands, ("ker", k), ker_basis[k]))
+    return parts, c_family, r_family, s_family
 
 
 def _partition_min_two(rng: random.Random, total: int, cap: int):
@@ -273,74 +305,66 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
     max_dim = profile.max_dim_per_node
     p_degrees = range(a, b - 1)  # P_k may be nonzero for a <= k <= b-2
 
-    tamper_degree = None
-    variant = None
-    if broken is not None:
-        tamper_degree, variant = _plan_tamper(rng, broken, a, b)
+    t, variant = _plan_tamper(rng, broken, a, b)  # the tampered degree and the A_bound variant
 
-    p_dims = {}
-    for k in p_degrees:
-        p_dims[k] = rng.randint(0, max(0, max_dim // 2))
+    p_dims = {k: rng.randint(0, max(0, max_dim // 2)) for k in p_degrees}
     if broken == "row_exact":
-        p_dims[tamper_degree] = max(1, p_dims.get(tamper_degree, 0))
+        p_dims[t] = max(1, p_dims[t])
     if broken == "P_centering":
-        p_dims[tamper_degree] = max(2, p_dims.get(tamper_degree, 0))
-    if broken == "A_bound" and variant == "absorbing":
-        p_dims[tamper_degree - 1] = max(1, p_dims.get(tamper_degree - 1, 0))
+        p_dims[t] = max(2, p_dims[t])
+    if variant == "absorbing":
+        p_dims[t - 1] = max(1, p_dims[t - 1])
 
     p_family, n_family = {}, {}
     for k in p_degrees:
-        if broken == "P_centering" and k == tamper_degree:
+        if broken == "P_centering" and k == t:
             # off-center node: all Jordan blocks of size >= 2 keep the kernel
             # and cokernel bounds valid for the filtration centered one higher,
             # so only the centering hypothesis fails
-            d = p_dims[k]
-            sizes = _partition_min_two(rng, d, max(2, profile.weight_spread))
-            space, op = _jordan_pair(rng, sizes, d, k + 1)
-            p_family[k] = space
-            n_family[k] = op.matrix
-            continue
-        space, op = gen_centered_mhs(rng, p_dims[k], k, max_block=profile.weight_spread)
+            sizes = _partition_min_two(rng, p_dims[k], max(2, profile.weight_spread))
+            space, op = _jordan_pair(rng, sizes, p_dims[k], k + 1)
+        else:
+            space, op = gen_centered_mhs(rng, p_dims[k], k, max_block=profile.weight_spread)
         if space.dim:
             p_family[k] = space
             n_family[k] = op.matrix
 
-    data, c_family, r_family, s_family = assemble_row(p_family, n_family, range(a - 2, b + 1))
+    parts, c_family, r_family, s_family = assemble_row(p_family, n_family, range(a - 2, b + 1))
 
     fillers = {}
     for k in range(a, b + 1):
-        cap = min(3, max_dim - max(data[k].ker_fs.dim, data[k - 2].coker_fs.dim))
+        cap = min(3, max_dim - max(parts[("ker", k)].dim, parts[("coker", k - 2)].dim))
         fillers[k] = rng.randint(0, max(0, cap))
     if broken == "column_exact":
-        fillers[tamper_degree] = max(1, fillers[tamper_degree])
+        fillers[t] = max(1, fillers[t])
+    parts.update({("F", k): FilteredSpace.pure(f, k) for k, f in fillers.items()})
 
-    a_family, b_family = {}, {}
-    b_maps, a_maps, c_maps = {}, {}, {}
-    for k in range(a, b + 1):
-        f, kdim = fillers[k], data[k].ker_fs.dim
-        coker1, coker2 = data[k - 1].coker_fs.dim, data[k - 2].coker_fs.dim
-        a_family[k] = direct_sum(data[k].ker_fs, FilteredSpace.pure(f, k))
-        b_family[k] = direct_sum(data[k - 2].coker_fs, FilteredSpace.pure(f, k))
-        b_maps[k] = vstack(Matrix.zero(kdim, coker2 + f),
-                           hstack(Matrix.zero(f, coker2), Matrix.identity(f)))
-        a_maps[k] = vstack(Matrix.zero(coker1, kdim + f),
-                           hstack(Matrix.identity(kdim), Matrix.zero(kdim, f)))
-        # c_k : C_k -> B_{k+1} = coker(N_{k-1})-block (+) filler block
-        f_next = fillers.get(k + 1, 0)
-        c_maps[k] = vstack(hstack(Matrix.identity(coker1), Matrix.zero(coker1, kdim)),
-                           Matrix.zero(f_next, coker1 + kdim))
+    table = {(node, k): node_summands(node, k, parts) for node in "ABC" for k in range(a, b + 1)}
+    if variant == "absorbing":
+        moved = ("coker", t - 1)
+        table[("A", t)][moved] = table[("B", t + 1)].pop(moved)
+    elif broken in _LINE_WEIGHTS:
+        wa, wb = _LINE_WEIGHTS[broken]
+        table[("A", t)][("line", t)] = FilteredSpace.pure(1, t + wa)
+        table[("B", t)][("line", t)] = FilteredSpace.pure(1, t + wb)
 
-    if broken is not None:
-        _apply_tamper(broken, variant, tamper_degree, data, fillers,
-                      a_family, b_family, a_maps, b_maps, c_maps, s_family)
+    maps = {"r": r_family, "s": s_family, "N": n_family}
+    for label in "bac":
+        source, ds, target, dt = ARROWS[label]
+        maps[label] = {k: _identity_on_shared(table[(source, k + ds)], table[(target, k + dt)])
+                       for k in range(a, b + 1) if (target, k + dt) in table}
+    if broken in _ZEROED_MAP:
+        del maps[_ZEROED_MAP[broken]][t]
 
-    inst = CSInstance(
-        (a, b), {"A": a_family, "B": b_family, "C": c_family, "P": p_family},
-        {"b": b_maps, "a": a_maps, "c": c_maps, "r": r_family, "s": s_family, "N": n_family})
+    spaces = {node: {k: reduce(direct_sum, table[(node, k)].values()) for k in range(a, b + 1)}
+              for node in "AB"}
+    inst = CSInstance((a, b), {**spaces, "C": c_family, "P": p_family}, maps)
     return _conjugate(inst, rng)
 
 
-def _plan_tamper(rng: random.Random, broken: str, a: int, b: int):
+def _plan_tamper(rng: random.Random, broken: Optional[str], a: int, b: int):
+    if broken is None:
+        return None, None
     needs_p = broken in ("row_exact", "P_centering")
     needs_prev_p = broken == "A_bound"
     if (needs_p or needs_prev_p) and b - a < 2:
@@ -353,50 +377,6 @@ def _plan_tamper(rng: random.Random, broken: str, a: int, b: int):
             return rng.randint(a + 1, b - 1), variant
         return rng.randint(a, b), variant
     return rng.randint(a, b), None
-
-
-def _append_pure_line(fs: FilteredSpace, weight: int) -> FilteredSpace:
-    return direct_sum(fs, FilteredSpace.pure(1, weight))
-
-
-def _apply_tamper(broken, variant, t, data, fillers,
-                  a_family, b_family, a_maps, b_maps, c_maps, s_family):
-    if broken == "column_exact":
-        b_maps[t] = Matrix.zero(b_maps[t].nrows, b_maps[t].ncols)
-        return
-    if broken == "row_exact":
-        if t in s_family:
-            s_family[t] = Matrix.zero(s_family[t].nrows, s_family[t].ncols)
-        return
-    if broken == "P_centering":
-        return  # handled when drawing the P family
-    if broken in ("A_bound", "B_bound", "strictness") and variant != "absorbing":
-        if broken == "A_bound":
-            wa = wb = t + 1
-        elif broken == "B_bound":
-            wa = wb = t - 1
-        else:
-            wa, wb = t - 1, t
-        a_family[t] = _append_pure_line(a_family[t], wa)
-        b_family[t] = _append_pure_line(b_family[t], wb)
-        old_b = b_maps[t]
-        b_maps[t] = vstack(hstack(old_b, Matrix.zero(old_b.nrows, 1)),
-                           hstack(Matrix.zero(1, old_b.ncols), Matrix.identity(1)))
-        a_maps[t] = hstack(a_maps[t], Matrix.zero(a_maps[t].nrows, 1))
-        if (t - 1) in c_maps:
-            c_maps[t - 1] = vstack(c_maps[t - 1], Matrix.zero(1, c_maps[t - 1].ncols))
-        return
-    if broken == "A_bound" and variant == "absorbing":
-        coker = data[t - 1].coker_fs
-        a_family[t] = direct_sum(a_family[t], coker)
-        a_maps[t] = hstack(a_maps[t], vstack(Matrix.identity(coker.dim), Matrix.zero(data[t].ker_fs.dim, coker.dim)))
-        b_maps[t] = vstack(b_maps[t], Matrix.zero(coker.dim, b_maps[t].ncols))
-        f_next = fillers[t + 1]
-        b_family[t + 1] = FilteredSpace.pure(f_next, t + 1)
-        c_maps[t] = Matrix.zero(f_next, c_maps[t].ncols)
-        b_maps[t + 1] = vstack(Matrix.zero(data[t + 1].ker_fs.dim, f_next), Matrix.identity(f_next))
-        return
-    raise AssertionError(f"unhandled tamper {broken}/{variant}")
 
 
 def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:

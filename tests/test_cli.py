@@ -211,6 +211,18 @@ def test_generate_bytes_pinned_across_seeds(capsys):
     assert digest.hexdigest() == "b3f01c4d72899ee0d4269463277bbba9df7b8df157897cfdcdd86e7369c98c21"
 
 
+def test_generate_bytes_pinned_at_negative_degrees(capsys):
+    """One SHA-256 over f"{exit}\n{stdout}" of `generate --range=-3:1` for seeds 1-4, --max-dim 6,
+    clean and with each --break, recorded from an earlier version like the pins above."""
+    digest = hashlib.sha256()
+    for seed in range(1, 5):
+        for broken in [[]] + [["--break", tag] for tag in BREAKABLE_HYPOTHESES]:
+            code, out, _ = run_cli(["generate", "--seed", str(seed), "--max-dim", "6", "--range=-3:1", *broken],
+                                   capsys=capsys)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "39bf3f73e6e0b02ebb98353aa732e130e836c5224db9ead742e5568f15d4e97d"
+
+
 # SHA-256 of `verify --format json` reports with timing_ms removed, as
 # recorded at report schema 2: (source, verify option) -> digest, the
 # source being `generate --seed 11 <option>` or `fixture curve` of a graph

@@ -24,6 +24,7 @@ from csverify.filtration import (
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, random_invertible
 from csverify.linalg import (
     Matrix,
+    canonicalize,
     full_subspace,
     image,
     inverse,
@@ -341,3 +342,32 @@ def test_direct_sum():
     v = direct_sum(FilteredSpace.pure(1, 0), FilteredSpace.pure(2, 2))
     assert v.dim == 3
     assert v.graded_dims() == {0: 1, 2: 2}
+
+
+def ref_direct_sum(x, y):
+    """The block direct sum by elimination: each step's block-diagonal bases, canonicalized."""
+    dim = x.dim + y.dim
+    steps = {}
+    for w in sorted(set(x.jumps) | set(y.jumps)):
+        xs, ys = x.step(w), y.step(w)
+        rows = [r + (0,) * y.dim for r in xs.basis.rows]
+        rows += [(0,) * x.dim + r for r in ys.basis.rows]
+        steps[w] = canonicalize(Matrix.from_rows(rows, ncols=dim))
+    return FilteredSpace(dim, steps)
+
+
+@st.composite
+def filtrations(draw):
+    """Q^d, d <= 5, with steps spanned by small integer vectors, each drawn with a weight."""
+    dim = draw(st.integers(0, 5))
+    vectors = draw(st.lists(st.tuples(st.integers(-2, 3), st.lists(st.integers(-2, 2), min_size=dim,
+                                                                    max_size=dim)), max_size=dim))
+    steps = {w: span_of_vectors([v for wt, v in vectors if wt <= w], dim) for w, _ in vectors}
+    steps[draw(st.integers(3, 5))] = full_subspace(dim)
+    return FilteredSpace(dim, steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtrations(), filtrations())
+def test_direct_sum_matches_reference(x, y):
+    assert direct_sum(x, y) == ref_direct_sum(x, y)

@@ -1,0 +1,101 @@
+"""Hostile input through the whole CLI.
+
+One leaf or one object key of a valid document is mutated: a leaf is
+replaced by a value of another type or an out-of-place number, a key is
+deleted or renamed.  Whatever the mutation, `main` returns a documented
+exit code (0, 2, 3 or 4) and no exception or traceback escapes it.  The
+documents are a generated instance (run through `verify` with each
+`--thm` and `--prop all`), a nilpotent operator (`monodromy
+--cross-check`) and a dual graph (`fixture curve`).
+"""
+
+import contextlib
+import copy
+import io
+import json
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from csverify.cli import main
+from csverify.degenerations import theta_graph
+from csverify.generators import GenProfile, gen_centered_mhs, gen_cs_instance
+from csverify.serialize import graph_to_json, instance_to_json, nilpotent_to_json
+
+INSTANCE = instance_to_json(gen_cs_instance(GenProfile(seed=3, max_dim_per_node=4)))
+NILPOTENT = nilpotent_to_json(gen_centered_mhs(5, 4, 1)[1])
+GRAPH = graph_to_json(theta_graph())
+
+DOCUMENTED_EXITS = (0, 2, 3, 4)
+
+LEAVES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from(["", "x", "1/0", "0/0", "-1", "1/2", "-7/3", "3.5", "1e3", " 2", "0x1", "NaN"]),
+    st.sampled_from([None, True, False, 0.5, float("nan"), float("inf"), [], {}, [[]], [["1"]], {"dim": 1}]),
+)
+# None deletes the key; a string renames it
+KEYS = st.one_of(st.none(), st.integers(-3, 12).map(str),
+                 st.sampled_from(["", "x", "1.5", " 0", "01", "-0", "dim", "steps", "b"]))
+
+
+def mutation_sites(value, path=()):
+    """("key", path) for every object key and ("leaf", path) for every scalar or empty container."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield "key", path + (key,)
+            yield from mutation_sites(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from mutation_sites(item, path + (i,))
+    else:
+        yield "leaf", path
+
+
+def mutated(doc, data) -> str:
+    kind, path = data.draw(st.sampled_from(list(mutation_sites(doc))))
+    doc = copy.deepcopy(doc)
+    holder = doc
+    for step in path[:-1]:
+        holder = holder[step]
+    if kind == "leaf":
+        holder[path[-1]] = data.draw(LEAVES)
+    else:
+        item = holder.pop(path[-1])
+        new_key = data.draw(KEYS)
+        if new_key is not None:
+            holder[new_key] = item
+    return json.dumps(doc)
+
+
+def run(args, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.stdin = saved
+    assert code in DOCUMENTED_EXITS, (args, stdin_text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mutated_instance(data):
+    text = mutated(INSTANCE, data)
+    for options in (["--thm", "1"], ["--thm", "2"], ["--thm", "3"], ["--prop", "all"]):
+        run(["verify", "-", *options], text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mutated_nilpotent(data):
+    run(["monodromy", "-", "--center", "1", "--cross-check"], mutated(NILPOTENT, data))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mutated_graph(data):
+    run(["fixture", "curve", "--graph", "-"], mutated(GRAPH, data))

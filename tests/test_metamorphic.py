@@ -6,14 +6,36 @@ with its degrees shifted back by -t, must equal the report of the
 original instance, exit status, witnesses and trivial degrees included.
 The degree window depends on where the stored data sit, so this also
 guards the window.
+
+Direct sum: the node-wise direct sum of two instances, with block-diagonal
+maps, is clean iff both parts are, fails exactly the hypothesis verdicts
+that fail in a part, and each conclusion is exact at k iff it is exact at
+k in both parts.
+
+Filtered conjugation: conjugating every map by random filtered
+automorphisms of its ends changes no hypothesis verdict and no
+conclusion's exactness; only witnesses may move.
 """
 
 import io
 import json
+import random
 
 import pytest
 
 from csverify.cli import main
+from csverify.filtration import direct_sum
+from csverify.generators import GenProfile, _conjugate, gen_adversarial, gen_cs_instance
+from csverify.linalg import Matrix, hstack, vstack
+from csverify.verifier import (
+    ARROWS,
+    BREAKABLE_HYPOTHESES,
+    CONCLUSIONS,
+    NODES,
+    CSInstance,
+    check_instance_hypotheses,
+    conclusion_exactness,
+)
 
 SHIFTS = (1, -3, 7)
 BREAKS = (None, "A_bound", "strictness", "row_exact", "P_centering")
@@ -82,3 +104,58 @@ def test_degree_and_weight_shift(broken, monkeypatch, capsys):
             code_t, out_t = run_cli(verify, json.dumps(shift_instance(data, t)), monkeypatch, capsys)
             assert code_t == code
             assert shift_report(json.loads(out_t), -t) == want, (seed, broken, t)
+
+
+CASES = (None,) + BREAKABLE_HYPOTHESES
+
+
+def generated(seed, broken):
+    profile = GenProfile(seed=seed, broken_hypothesis=broken)
+    return gen_cs_instance(profile) if broken is None else gen_adversarial(profile)
+
+
+def block_diagonal(x: Matrix, y: Matrix) -> Matrix:
+    return vstack(hstack(x, Matrix.zero(x.nrows, y.ncols)), hstack(Matrix.zero(y.nrows, x.ncols), y))
+
+
+def direct_sum_instance(x: CSInstance, y: CSInstance) -> CSInstance:
+    """Both instances over the same degree range, summed node by node and map by map."""
+    degrees = range(x.k_min, x.k_max + 1)
+    spaces = {node: {k: direct_sum(x.space(node, k), y.space(node, k)) for k in degrees} for node in NODES}
+    maps = {label: {k: block_diagonal(x.map(label, k), y.map(label, k))
+                    for k in set(x.maps[label]) | set(y.maps[label])} for label in ARROWS}
+    return CSInstance((x.k_min, x.k_max), spaces, maps)
+
+
+def exact_flags(inst):
+    """Whether each conclusion is exact at each degree of [k_min - 2, k_max + 2]."""
+    return {(which, k): conclusion_exactness(inst, which, k).exact
+            for which in CONCLUSIONS for k in range(inst.k_min - 2, inst.k_max + 3)}
+
+
+@pytest.mark.parametrize("first", CASES)
+def test_direct_sum(first):
+    i = CASES.index(first)
+    for second in (None, CASES[(i + 3) % len(CASES)]):
+        x, y = generated(i + 1, first), generated(i + 20, second)
+        total = direct_sum_instance(x, y)
+        rx, ry, rt = (check_instance_hypotheses(inst) for inst in (x, y, total))
+        assert rt.clean == (rx.clean and ry.clean)
+        assert set(rt.failures()) == set(rx.failures()) | set(ry.failures()), (first, second)
+        assert set(rt.failed_categories()) == set(rx.failed_categories()) | set(ry.failed_categories())
+        fx, fy = exact_flags(x), exact_flags(y)
+        assert exact_flags(total) == {key: fx[key] and fy[key] for key in fx}, (first, second)
+
+
+def truth_values(report):
+    return {category: {key: bool(v) for key, v in verdicts.items()} for category, verdicts in report.verdicts.items()}
+
+
+@pytest.mark.parametrize("broken", CASES)
+def test_filtered_conjugation(broken):
+    for seed in (1, 2, 3):
+        inst = generated(seed, broken)
+        conjugated = _conjugate(inst, random.Random(1000 + seed))
+        assert conjugated != inst
+        assert truth_values(check_instance_hypotheses(conjugated)) == truth_values(check_instance_hypotheses(inst))
+        assert exact_flags(conjugated) == exact_flags(inst), (seed, broken)
