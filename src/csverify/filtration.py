@@ -25,7 +25,6 @@ from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .linalg import (
     DimensionMismatchError,
-    Q,
     Matrix,
     Subspace,
     coords_map,
@@ -117,9 +116,6 @@ class FilteredSpace:
             prev = sub.dim
         return out
 
-    def max_weight(self) -> Optional[int]:
-        return self.steps[-1][0] if self.steps else None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredSpace):
             return NotImplemented
@@ -147,12 +143,13 @@ def direct_sum(x: FilteredSpace, y: FilteredSpace) -> FilteredSpace:
     Each step stacks x's reduced basis over y's, shifted by x.dim; the stack is already
     in reduced echelon form (pivots x's, then y's + x.dim), so it needs no elimination."""
     dim = x.dim + y.dim
-    pad_x, pad_y = (Q(0),) * x.dim, (Q(0),) * y.dim
+    pad_x, pad_y = (0,) * x.dim, (0,) * y.dim
     steps = {}
     for w in sorted(set(x.jumps) | set(y.jumps)):
         xs, ys = x.step(w), y.step(w)
-        rows = tuple(r + pad_y for r in xs.basis.rows) + tuple(pad_x + r for r in ys.basis.rows)
-        steps[w] = Subspace(dim, Matrix(len(rows), dim, rows), xs.pivots + tuple(p + x.dim for p in ys.pivots))
+        rows = (tuple((r + pad_y, d) for r, d in xs.basis.irows)
+                + tuple((pad_x + r, d) for r, d in ys.basis.irows))
+        steps[w] = Subspace(dim, Matrix.of(len(rows), dim, rows), xs.pivots + tuple(p + x.dim for p in ys.pivots))
     return FilteredSpace(dim, steps)
 
 
@@ -166,9 +163,9 @@ def weights_geq(v: FilteredSpace, k: int) -> bool:
     return v.step(k - 1).dim == 0
 
 
-def graded_complement(v: FilteredSpace, i: int) -> list:
-    """Rows of W_i, in order, that span it modulo W_{i-1} (representatives of Gr_i)."""
-    return extend_basis(v.step(i - 1), v.step(i).basis.rows)
+def graded_complement(v: FilteredSpace, i: int) -> Matrix:
+    """Rows of W_i's basis, in order, that span it modulo W_{i-1} (representatives of Gr_i)."""
+    return extend_basis(v.step(i - 1), v.step(i).basis)
 
 
 def induced_on_subspace(v: FilteredSpace, sub: Subspace) -> FilteredSpace:
@@ -280,7 +277,7 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     if im == ker:
         return ExactnessVerdict(True)
     for row in im.basis.rows:
-        if any(x != 0 for x in g.apply(row)):
+        if not ker.contains_vector(row):
             return ExactnessVerdict(False, reason="composite_nonzero", witness=row)
     for row in ker.basis.rows:
         if not im.contains_vector(row):

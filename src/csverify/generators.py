@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .filtration import (
     FilteredSpace,
@@ -43,7 +43,7 @@ from .filtration import (
     induced_on_subspace,
     tate_twist,
 )
-from .linalg import Q, Matrix, image, inverse, kernel, quotient_map, transpose
+from .linalg import Matrix, image, inverse, kernel, quotient_map, ratio_row, transpose, vstack
 from .monodromy import NilpotentOp, chain_filtration, monodromy_filtration
 from .verifier import (
     ARROWS,
@@ -99,9 +99,9 @@ class GenProfile:
             raise ValueError(f"unknown hypothesis tag {self.broken_hypothesis!r}")
 
 
-def _rand_q(rng: random.Random):
-    """Small random rational: |numerator|, denominator <= 7."""
-    return Q(rng.randint(-7, 7), rng.randint(1, 7))
+def _rand_q(rng: random.Random) -> Tuple[int, int]:
+    """Small random rational as a (numerator, denominator) pair: |numerator|, denominator <= 7."""
+    return rng.randint(-7, 7), rng.randint(1, 7)
 
 
 def _rand_unit_triangular(rng: random.Random, n: int, lower: bool) -> Matrix:
@@ -110,13 +110,13 @@ def _rand_unit_triangular(rng: random.Random, n: int, lower: bool) -> Matrix:
         row = []
         for j in range(n):
             if i == j:
-                row.append(1)
+                row.append((1, 1))
             elif (j < i) == lower and rng.random() < 0.6:
                 row.append(_rand_q(rng))
             else:
-                row.append(0)
-        rows.append(row)
-    return Matrix.from_rows(rows, ncols=n)
+                row.append((0, 1))
+        rows.append(ratio_row(row))
+    return Matrix.of(n, n, tuple(rows))
 
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:
@@ -124,39 +124,40 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
     return _rand_unit_triangular(rng, n, lower=True) @ _rand_unit_triangular(rng, n, lower=False)
 
 
-def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Matrix:
-    """Random automorphism preserving every step of the filtration.
+def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple[Matrix, Matrix]:
+    """Random automorphism t preserving every step of the filtration, with its inverse.
 
-    Built block-upper-triangular in a basis adapted to the flag of steps,
-    then conjugated back to standard coordinates.
+    t = s.b.s^-1: b is block upper triangular in a basis s adapted to
+    the flag of steps, with unit L.U diagonal blocks, so t^-1 = s.b^-1.s^-1.
     """
     d = fs.dim
     if d == 0:
-        return Matrix.identity(0)
-    adapted: List[tuple] = []
+        return Matrix.identity(0), Matrix.identity(0)
+    adapted = []
+    diagonal = []  # rows of the diagonal blocks of b
     block_of = []  # the graded piece of each adapted vector
-    upper = [[0] * d for _ in range(d)]
     for bi, w in enumerate(fs.jumps):
-        start = len(adapted)
-        adapted += graded_complement(fs, w)
-        size = len(adapted) - start
+        adapted.append(graded_complement(fs, w))
+        start, size = len(block_of), adapted[-1].nrows
         block_of += [bi] * size
-        for i, row in enumerate(random_invertible(rng, size).rows):
-            upper[start + i][start:start + size] = row
+        left, right = (0,) * start, (0,) * (d - start - size)
+        diagonal += [(left + r + right, den) for r, den in random_invertible(rng, size).irows]
+    upper = [[(0, 1)] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
             if block_of[j] > block_of[i] and rng.random() < 0.5:
                 upper[i][j] = _rand_q(rng)
-    b = Matrix.from_rows(upper, ncols=d)
-    s = transpose(Matrix.from_rows(adapted, ncols=d))
-    return s @ b @ inverse(s)
+    b = Matrix.of(d, d, tuple(diagonal)) + Matrix.of(d, d, tuple(map(ratio_row, upper)))
+    s = transpose(reduce(vstack, adapted))
+    s_inv = inverse(s)
+    return s @ b @ s_inv, s @ inverse(b) @ s_inv
 
 
 def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[FilteredSpace, NilpotentOp]:
     """Nilpotent of the given Jordan type with the filtration centered at
     ``center``, conjugated by a random invertible matrix."""
     t = random_invertible(rng, dim)
-    columns = transpose(t).rows
+    columns = transpose(t).irows
     entries = [[0] * dim for _ in range(dim)]
     chains, start = [], 0
     for s in sizes:
@@ -195,8 +196,6 @@ def gen_centered_mhs(seed, dim: int, k: int,
     return space, op
 
 
-_ZERO, _ONE = Q(0), Q(1)
-
 # node -> its summands in direct-sum order, each (part, offset).  At degree
 # k the summand named (part, j), j = k + offset, is ker(N_j) for "ker",
 # coker(N_j)(-1) for "coker" and the pure weight-j filler for "F".
@@ -225,15 +224,15 @@ def _coordinates(summands: dict) -> list:
 def _identity_on_shared(source: dict, target: dict) -> Matrix:
     """The map between direct sums that is the identity between equally named summands, zero elsewhere."""
     cols = _coordinates(source)
-    rows = tuple(tuple(_ONE if c == r else _ZERO for c in cols) for r in _coordinates(target))
-    return Matrix(len(rows), len(cols), rows)
+    rows = tuple((tuple(int(c == r) for c in cols), 1) for r in _coordinates(target))
+    return Matrix.of(len(rows), len(cols), rows)
 
 
 def into_summand(summands: dict, name: Tuple[str, int], m: Matrix) -> Matrix:
     """m, a map into the summand called name, as a map into the whole direct sum."""
-    zero = (_ZERO,) * m.ncols
-    rows = tuple(m.rows[i] if key == name else zero for key, i in _coordinates(summands))
-    return Matrix(len(rows), m.ncols, rows)
+    zero = ((0,) * m.ncols, 1)
+    rows = tuple(m.irows[i] if key == name else zero for key, i in _coordinates(summands))
+    return Matrix.of(len(rows), m.ncols, rows)
 
 
 def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix],
@@ -393,8 +392,7 @@ def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:
     for k in sorted(set().union(*inst.maps.values())):
         for node, d in ends:
             if (node, k + d) not in autos:
-                t = random_filtered_automorphism(rng, inst.space(node, k + d))
-                autos[(node, k + d)] = (t, inverse(t))
+                autos[(node, k + d)] = random_filtered_automorphism(rng, inst.space(node, k + d))
     new = {}
     for label, family in inst.maps.items():
         source, ds, target, dt = ARROWS[label]

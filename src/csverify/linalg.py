@@ -3,11 +3,19 @@
 Everything downstream (filtrations, monodromy, the sequence verifiers)
 reduces to the subspace lattice implemented here: canonical reduced
 row-echelon bases, sums, intersections, images, kernels and quotients.
-No floating point is used anywhere: entries are fractions.Fraction.
-The inner loops (elimination, products, membership) run on Python ints:
-each row or column is scaled to integer numerators over a common
-denominator, elimination is fraction-free, and a Fraction is built once
-per output entry.  Only this module knows the integer form.
+No floating point is used anywhere.
+
+A Matrix stores each row as integers over one denominator: ``irows``
+holds one (numerators, denominator) pair per row, the denominator
+positive and the pair in lowest terms (no prime divides the denominator
+and every numerator).  That form is unique, so equality and hashing
+stay structural.  Every operation reads and writes it directly:
+elimination is fraction-free, a product scales the right factor to one
+denominator and reduces each output row by one gcd.  Fractions are built
+only at the boundary: ``Matrix.rows`` builds them on each read,
+``Matrix.apply`` and ``solve`` return them, and ``serialize`` formats
+and parses the integers.  Callers that build matrices in bulk write the
+stored form through ``Matrix.of`` and ``ratio_row``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -23,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 def Q(value: Union[int, str, Fraction] = 0, den: Optional[int] = None) -> Fraction:
@@ -32,9 +40,6 @@ def Q(value: Union[int, str, Fraction] = 0, den: Optional[int] = None) -> Fracti
 
 
 QLike = Union[int, str, Fraction]
-
-_ZERO = Q(0)
-_ONE = Q(1)
 
 
 class DimensionMismatchError(ValueError):
@@ -46,39 +51,54 @@ def qstr(x) -> str:
     return str(x)
 
 
-def _row(values: Iterable[QLike]) -> tuple:
-    # a Fraction is immutable, so one already in hand is kept, not copied
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+def _lowest(nums, den: int) -> tuple:
+    """(nums, den) divided by their gcd, for den > 0; a zero row becomes (zeros, 1)."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([x // g for x in nums]), den // g
 
 
-def _int_row(values) -> tuple:
-    """(integer numerators, common denominator) of a row of rationals."""
-    dens = [x.denominator for x in values]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
+def ratio_row(pairs) -> tuple:
+    """The stored form of the row of rationals p/q, given as integer pairs (p, q) with q != 0."""
+    den = lcm(*[q for _, q in pairs])  # lcm is never negative
+    return _lowest([p * (den // q) for p, q in pairs], den)
 
 
-def _frac(num: int, den: int) -> Fraction:
-    if not num:
-        return _ZERO
-    if den == 1:
-        return Fraction(num)
-    return Fraction(num, den)
+def _irow(values) -> tuple:
+    """The stored form of a row of ints, Fractions or anything Fraction() reads."""
+    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
+    return ratio_row([(x.numerator, x.denominator) for x in values])
 
 
-@dataclass(frozen=True)
+def _scaled(irows) -> tuple:
+    """(D, rows scaled to integers over D), for D the lcm of the row denominators."""
+    den = lcm(*[d for _, d in irows])
+    return den, [r if d == den else [x * (den // d) for x in r] for r, d in irows]
+
+
 class Matrix:
-    """Immutable dense matrix with explicit shape (rows may be empty)."""
+    """Immutable dense matrix with explicit shape (rows may be empty).
 
-    nrows: int
-    ncols: int
-    rows: tuple
+    ``Matrix(nrows, ncols, rows)`` takes rational rows; ``irows`` is the
+    stored form described in the module docstring.
+    """
+
+    def __init__(self, nrows: int, ncols: int, rows: Sequence[Sequence[QLike]]):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.irows = tuple(_irow(r) for r in rows)
+
+    @staticmethod
+    def of(nrows: int, ncols: int, irows: tuple) -> "Matrix":
+        """The matrix whose rows are already in the stored form."""
+        m = object.__new__(Matrix)
+        m.nrows, m.ncols, m.irows = nrows, ncols, irows
+        return m
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[QLike]], ncols: Optional[int] = None) -> "Matrix":
-        rows = [_row(r) for r in rows]
+        rows = [list(r) for r in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -88,19 +108,32 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise DimensionMismatchError("column count required for a matrix with no rows")
-        return Matrix(len(rows), ncols, tuple(rows))
+        return Matrix(len(rows), ncols, rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        return Matrix.of(n, n, tuple((tuple(int(i == j) for j in range(n)), 1) for i in range(n)))
 
     @staticmethod
     @lru_cache(maxsize=None)
     def zero(m: int, n: int) -> "Matrix":
         """The zero matrix, one shared instance per shape (a Matrix is never mutated)."""
-        return Matrix(m, n, ((_ZERO,) * n,) * m)
+        return Matrix.of(m, n, (((0,) * n, 1),) * m)
 
-    # read through image/kernel; kept outside the fields, so eq/hash/repr are unchanged
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, built on each read."""
+        return tuple(tuple(Fraction(x, d) for x in r) for r, d in self.irows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.nrows == other.nrows and self.ncols == other.ncols and self.irows == other.irows
+
+    def __hash__(self):
+        return hash((self.nrows, self.ncols, self.irows))
+
+    # read through image/kernel; kept outside eq/hash/repr
     @cached_property
     def _image(self) -> "Subspace":
         return canonicalize(transpose(self))
@@ -113,34 +146,33 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        # integer dot products of rows by columns, one Fraction per entry
-        cols = [_int_row(c) for c in transpose(other).rows]
-        out = []
-        for r in self.rows:
-            a, da = _int_row(r)
-            out.append(tuple(_frac(sum(map(mul, a, b)), da * db) for b, db in cols))
-        return Matrix(self.nrows, other.ncols, tuple(out))
+        if not other.nrows:
+            return Matrix.zero(self.nrows, other.ncols)
+        # integer dot products with the columns of other over one denominator, one gcd per row
+        den, scaled = _scaled(other.irows)
+        cols = list(zip(*scaled))
+        return Matrix.of(self.nrows, other.ncols, tuple(
+            _lowest([sum(map(mul, a, c)) for c in cols], da * den) for a, da in self.irows))
 
     def apply(self, vec: Sequence[QLike]) -> tuple:
-        """Matrix times column vector."""
-        v = _row(vec)
-        if len(v) != self.ncols:
-            raise DimensionMismatchError(f"vector of length {len(v)} for {self.nrows}x{self.ncols}")
-        b, db = _int_row(v)
-        out = []
-        for r in self.rows:
-            a, da = _int_row(r)
-            out.append(_frac(sum(map(mul, a, b)), da * db))
-        return tuple(out)
+        """Matrix times column vector, as Fractions."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatchError(f"vector of length {len(vec)} for {self.nrows}x{self.ncols}")
+        b, db = _irow(vec)
+        return tuple(Fraction(sum(map(mul, a, b)), da * db) for a, da in self.irows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatchError("shape mismatch in matrix sum")
-        return Matrix(self.nrows, self.ncols,
-                      tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        out = []
+        for (a, da), (b, db) in zip(self.irows, other.irows):
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            out.append(_lowest([x * fa + y * fb for x, y in zip(a, b)], den))
+        return Matrix.of(self.nrows, self.ncols, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(any(r) for r, _ in self.irows)
 
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
@@ -151,36 +183,43 @@ class Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     if m.nrows == 0:
-        return Matrix(m.ncols, 0, tuple(() for _ in range(m.ncols)))
-    return Matrix(m.ncols, m.nrows, tuple(zip(*m.rows)))
+        return Matrix.zero(m.ncols, 0)
+    den, scaled = _scaled(m.irows)
+    return Matrix.of(m.ncols, m.nrows, tuple(_lowest(c, den) for c in zip(*scaled)))
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.ncols:
         raise DimensionMismatchError("vstack with differing column counts")
-    return Matrix(a.nrows + b.nrows, a.ncols, a.rows + b.rows)
+    return Matrix.of(a.nrows + b.nrows, a.ncols, a.irows + b.irows)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """Side by side; two rows in lowest terms over lcm(da, db) need no gcd."""
     if a.nrows != b.nrows:
         raise DimensionMismatchError("hstack with differing row counts")
-    return Matrix(a.nrows, a.ncols + b.ncols, tuple(r1 + r2 for r1, r2 in zip(a.rows, b.rows)))
+    rows = []
+    for (x, dx), (y, dy) in zip(a.irows, b.irows):
+        den = lcm(dx, dy)
+        fx, fy = den // dx, den // dy
+        rows.append((tuple([v * fx for v in x] + [v * fy for v in y]), den))
+    return Matrix.of(a.nrows, a.ncols + b.ncols, tuple(rows))
 
 
 def rref(m: Matrix) -> tuple:
     """Reduced row-echelon form.
 
-    Returns (rows, pivots) where rows are the nonzero reduced rows and
-    pivots the strictly increasing pivot column indices.
+    Returns (reduced, pivots): the nonzero reduced rows as a Matrix and
+    the strictly increasing pivot column indices.
 
-    Fraction-free Gauss-Jordan: each row is scaled to integers (scaling
-    a row leaves its span, and so the reduced form, unchanged), every
-    update p*row - f*pivot_row is divided by the row's content, and the
-    pivot rows are divided by their pivots once at the end.
+    Fraction-free Gauss-Jordan on the numerators (a row's denominator
+    does not change its span): every update p*row - f*pivot_row is
+    divided by the row's content, and at the end each pivot row, made
+    primitive with a positive pivot p, is stored over p.
     """
     if not m.nrows or not m.ncols:
-        return (), ()
-    rows = [_int_row(r)[0] for r in m.rows]
+        return Matrix.zero(0, m.ncols), ()
+    rows = [list(r) for r, _ in m.irows]
     nrows = m.nrows
     pivots = []
     pr = 0
@@ -207,9 +246,13 @@ def rref(m: Matrix) -> tuple:
             break
     reduced = []
     for row, c in zip(rows, pivots):
-        p = row[c]
-        reduced.append(tuple(_frac(x, p) for x in row))
-    return tuple(reduced), tuple(pivots)
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+        reduced.append((tuple(row), row[c]))
+    return Matrix.of(len(reduced), m.ncols, tuple(reduced)), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -229,32 +272,29 @@ class Subspace:
         return self.basis.nrows
 
     @cached_property
-    def _int_basis(self) -> tuple:
-        """(den, [(j, column j of den * basis)] over the non-pivot columns j)."""
-        den = lcm(*[x.denominator for r in self.basis.rows for x in r])
+    def _free_columns(self) -> tuple:
+        """(j, numerators, denominator) of each non-pivot column j of the basis."""
         pivot_set = set(self.pivots)
-        free = [(j, [x.numerator * (den // x.denominator) for x in col])
-                for j, col in enumerate(transpose(self.basis).rows) if j not in pivot_set]
-        return den, free
+        return tuple((j, c, d) for j, (c, d) in enumerate(transpose(self.basis).irows)
+                     if j not in pivot_set)
+
+    def _residual(self, v) -> list:
+        """v - sum_i v[p_i] * row_i, which is zero on the pivot columns, read on the free
+        columns; v is integer numerators, and column j is scaled by its denominator."""
+        coeffs = [v[p] for p in self.pivots]
+        return [v[j] * d - sum(map(mul, coeffs, c)) for j, c, d in self._free_columns]
 
     def contains_vector(self, vec: Sequence[QLike]) -> bool:
-        v = _row(vec)
-        if len(v) != self.ambient_dim:
+        if len(vec) != self.ambient_dim:
             raise DimensionMismatchError("vector/ambient dimension mismatch")
-        # Eliminating v against the reduced basis leaves v - sum_i v[p_i] * row_i,
-        # which is zero on the pivot columns; v is in the span iff it is zero
-        # on the free columns too.
-        v, _ = _int_row(v)
-        den, free = self._int_basis
-        coeffs = [v[p] for p in self.pivots]
-        return all(den * v[j] == sum(map(mul, coeffs, col)) for j, col in free)
+        return not any(self._residual(_irow(vec)[0]))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")
         if other.dim > self.dim:
             return False
-        return all(self.contains_vector(r) for r in other.basis.rows)
+        return not any(any(self._residual(r)) for r, _ in other.basis.irows)
 
     def annihilator(self) -> "Subspace":
         """The kernel of the basis matrix: the rows of quotient_map(self), reduced."""
@@ -285,11 +325,11 @@ class Subspace:
 def canonicalize(m: Matrix) -> Subspace:
     """Row space of m in canonical reduced-echelon form."""
     reduced, pivots = rref(m)
-    return Subspace(m.ncols, Matrix(len(reduced), m.ncols, reduced), pivots)
+    return Subspace(m.ncols, reduced, pivots)
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, Matrix(0, ambient_dim, ()), ())
+    return Subspace(ambient_dim, Matrix.zero(0, ambient_dim), ())
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
@@ -316,22 +356,25 @@ def kernel(f: Matrix) -> Subspace:
     return f._kernel
 
 
-def extend_basis(base: Subspace, rows: Iterable[Sequence[QLike]]) -> list:
-    """The rows, in order, that lie outside the span of base and of the rows kept before them."""
-    kept = []
-    for row in rows:
-        if not base.contains_vector(row):
-            kept.append(row)
-            base = canonicalize(vstack(base.basis, Matrix.from_rows([row], ncols=base.ambient_dim)))
-    return kept
+def extend_basis(base: Subspace, m: Matrix) -> Matrix:
+    """The rows of m, in order, that lie outside the span of base and of the rows kept before them.
+
+    Each row is reduced against base once; scaling a column keeps the
+    dependencies among the residuals, and a row is kept iff its residual
+    is a pivot column of the transposed residuals."""
+    if base.ambient_dim != m.ncols:
+        raise DimensionMismatchError("rows and base live in different spaces")
+    residuals = [base._residual(r) for r, _ in m.irows]
+    if not any(map(any, residuals)):
+        return Matrix.zero(0, m.ncols)
+    _, pivots = rref(Matrix.of(len(residuals[0]), m.nrows, tuple((c, 1) for c in zip(*residuals))))
+    return Matrix.of(len(pivots), m.ncols, tuple(m.irows[i] for i in pivots))
 
 
 def coords_map(s: Subspace) -> Matrix:
     """Selector P with P.v = coordinates of v in the basis of s (valid on s)."""
-    rows = []
-    for p in s.pivots:
-        rows.append(tuple(_ONE if j == p else _ZERO for j in range(s.ambient_dim)))
-    return Matrix(s.dim, s.ambient_dim, tuple(rows))
+    n = s.ambient_dim
+    return Matrix.of(s.dim, n, tuple((tuple(int(j == p) for j in range(n)), 1) for p in s.pivots))
 
 
 def quotient_map(s: Subspace) -> Matrix:
@@ -339,18 +382,18 @@ def quotient_map(s: Subspace) -> Matrix:
 
     Free column j gives the row with 1 at j and -row_i[j] at the pivot of
     row i; it reads entry j of v's residual after reduction against s.
+    Over the column's denominator d that row is d at j and minus the
+    column's numerators at the pivots, already in lowest terms.
     """
     n = s.ambient_dim
-    pivot_set = set(s.pivots)
     rows = []
-    for j in range(n):
-        if j not in pivot_set:
-            v = [_ZERO] * n
-            v[j] = _ONE
-            for r, p in zip(s.basis.rows, s.pivots):
-                v[p] = -r[j]
-            rows.append(tuple(v))
-    return Matrix(n - s.dim, n, tuple(rows))
+    for j, c, d in s._free_columns:
+        v = [0] * n
+        v[j] = d
+        for p, x in zip(s.pivots, c):
+            v[p] = -x
+        rows.append((tuple(v), d))
+    return Matrix.of(n - s.dim, n, tuple(rows))
 
 
 def section_of_quotient(s: Subspace) -> Matrix:
@@ -358,36 +401,31 @@ def section_of_quotient(s: Subspace) -> Matrix:
     n = s.ambient_dim
     pivot_set = set(s.pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    rows = []
-    for i in range(n):
-        rows.append(tuple(_ONE if i == free[c] else _ZERO for c in range(len(free))))
-    return Matrix(n, len(free), tuple(rows))
+    return Matrix.of(n, len(free), tuple((tuple(int(i == j) for j in free), 1) for i in range(n)))
 
 
 def solve(a: Matrix, b: Sequence[QLike]) -> Optional[tuple]:
     """One solution of a.x = b, or None when inconsistent (free vars 0)."""
-    bv = _row(b)
-    if len(bv) != a.nrows:
+    if len(b) != a.nrows:
         raise DimensionMismatchError("right-hand side has wrong length")
-    aug = Matrix(a.nrows, a.ncols + 1, tuple(r + (bv[i],) for i, r in enumerate(a.rows)))
-    reduced, pivots = rref(aug)
-    x = [_ZERO] * a.ncols
-    for row, p in zip(reduced, pivots):
+    reduced, pivots = rref(hstack(a, transpose(Matrix(1, a.nrows, [b]))))
+    x = [Fraction(0)] * a.ncols
+    for (row, den), p in zip(reduced.irows, pivots):
         if p == a.ncols:
             return None
-        x[p] = row[a.ncols]
+        x[p] = Fraction(row[a.ncols], den)
     return tuple(x)
 
 
 def inverse(a: Matrix) -> Matrix:
+    """The inverse, read off rref[a | I]; the right half of a row over its pivot is in lowest terms."""
     if a.nrows != a.ncols:
         raise DimensionMismatchError("inverse of a non-square matrix")
     n = a.nrows
-    aug = hstack(a, Matrix.identity(n))
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref(hstack(a, Matrix.identity(n)))
     if pivots != tuple(range(n)):
         raise DimensionMismatchError("matrix is singular")
-    return Matrix(n, n, tuple(r[n:] for r in reduced))
+    return Matrix.of(n, n, tuple((r[n:], d) for r, d in reduced.irows))
 
 
 def rank(a: Matrix) -> int:

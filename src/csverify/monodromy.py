@@ -43,8 +43,8 @@ from .linalg import (
     quotient_map,
     rank,
     section_of_quotient,
-    span_of_vectors,
     transpose,
+    vstack,
     zero_subspace,
 )
 
@@ -123,18 +123,21 @@ class CenteredFiltration:
 def _jordan_chains(matrix: Matrix, flag: tuple) -> tuple:
     """Jordan chains of a nilpotent matrix from its kernel flag.
 
-    Returns the chains, each a tuple of vectors head-first, so a chain of
-    length m is (v, Nv, ..., N^{m-1}v) with N^m v = 0.
+    Returns the chains, each a tuple of vectors head-first in the stored
+    row form of ``Matrix.irows``, so a chain of length m is
+    (v, Nv, ..., N^{m-1}v) with N^m v = 0.
     """
     d = matrix.nrows
+    step = transpose(matrix)  # the row v.N^T is the vector N v
     chains = []  # every chain started so far gets one more vector per lower level
     for level in range(len(flag) - 1, 0, -1):
-        for chain in chains:
-            chain.append(matrix.apply(chain[-1]))
         have = flag[level - 1]
         if chains:
-            have = span_of_vectors(have.basis.rows + tuple(c[-1] for c in chains), d)
-        chains += [[row] for row in extend_basis(have, flag[level].basis.rows)]
+            tails = Matrix.of(len(chains), d, tuple(c[-1] for c in chains)) @ step
+            for chain, row in zip(chains, tails.irows):
+                chain.append(row)
+            have = canonicalize(vstack(have.basis, tails))
+        chains += [[row] for row in extend_basis(have, flag[level].basis).irows]
     total = sum(len(c) for c in chains)
     if total != d:
         raise AssertionError(f"Jordan chain vectors span dimension {total}, expected {d}")
@@ -144,8 +147,9 @@ def _jordan_chains(matrix: Matrix, flag: tuple) -> tuple:
 def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
     """Centered weight filtration at k on Q^dim, from Jordan chains.
 
-    Each chain is given head first, (v, Nv, ..., N^{m-1}v), and its
-    vectors get the weights k+m-1, k+m-3, ..., k-m+1.
+    Each chain is given head first, (v, Nv, ..., N^{m-1}v), its vectors
+    in the stored row form of ``Matrix.irows``, and its vectors get the
+    weights k+m-1, k+m-3, ..., k-m+1.
     """
     weighted = []  # (weight, vector)
     for chain in chains:
@@ -155,8 +159,8 @@ def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
     weights = sorted({w for w, _ in weighted})
     steps = {}
     for w in weights:
-        rows = [vec for wt, vec in weighted if wt <= w]
-        steps[w] = span_of_vectors(rows, dim)
+        rows = tuple(vec for wt, vec in weighted if wt <= w)
+        steps[w] = canonicalize(Matrix.of(len(rows), dim, rows))
     return FilteredSpace(dim, steps)
 
 
@@ -207,14 +211,11 @@ def centered_filtration_recursive(matrix: Matrix, k: int,
     inner = centered_filtration_recursive(induced, k, section_rng)
 
     steps = {k + m: canonicalize(Matrix.identity(dim)), k + m - 1: ker_nm, k - m: im_nm}
-    lift = transpose(k_basis) @ sigma  # quotient coords -> ambient
+    lift = transpose(sigma) @ k_basis  # quotient coords -> ambient, acting on rows
     for w, sub in inner.steps:
         if w <= k - m or w > k + m - 2:
             continue
-        rows = list(im_nm.basis.rows)
-        for row in sub.basis.rows:
-            rows.append(lift.apply(row))
-        steps[w] = span_of_vectors(rows, dim)
+        steps[w] = canonicalize(vstack(im_nm.basis, sub.basis @ lift))
     return FilteredSpace(dim, steps)
 
 
@@ -252,7 +253,7 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
     spread = max((abs(w - k) for w in space.jumps), default=0)
     power = n.matrix
     for i in range(1, spread + 1):
-        up = Matrix.from_rows(graded_complement(space, k + i), ncols=space.dim)
+        up = graded_complement(space, k + i)
         down_proj = graded_piece(space, k - i).projection
         dim_up = up.nrows
         dim_down = down_proj.nrows

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, Optional
+from math import gcd
+from typing import Dict, Optional, Tuple
 
 from .degenerations import DualGraph
 from .filtration import (
@@ -34,7 +35,7 @@ from .filtration import (
     FilteredSpace,
     StrictnessVerdict,
 )
-from .linalg import Matrix, Q, Subspace, canonicalize, qstr
+from .linalg import Matrix, Q, Subspace, canonicalize, qstr, ratio_row
 from .monodromy import CenteredFiltration, NilpotentOp
 from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
 
@@ -62,19 +63,30 @@ def json_int(value, what: str, key: bool) -> int:
     return value
 
 
-def q_from_str(s) -> object:
+def _ratio(s) -> Tuple[int, int]:
+    """(p, q), q != 0, of a rational entry: a JSON integer, or text "p/q" or "p"."""
     if type(s) is int:
-        return Q(s)
+        return s, 1
     if not isinstance(s, str):
         raise SerializationError(f"rational entries must be strings, got {type(s).__name__}")
     num, _, den = s.partition("/")
     if not _DECIMAL.fullmatch(num) or not _DECIMAL.fullmatch(den or "1") or int(den or 1) == 0:
         raise SerializationError(f"cannot parse rational {s!r}")
-    return Q(int(num), int(den or 1))
+    return int(num), int(den or 1)
+
+
+def q_from_str(s) -> object:
+    return Q(*_ratio(s))
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """p/q in lowest terms, as str() prints the Fraction: "p/q", or "p" when integral."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[qstr(x) for x in row] for row in m.rows]
+    return [[_ratio_str(x, den) for x in row] for row, den in m.irows]
 
 
 def matrix_from_json(data, nrows: int, ncols: int) -> Matrix:
@@ -86,8 +98,8 @@ def matrix_from_json(data, nrows: int, ncols: int) -> Matrix:
     for row in data:
         if not isinstance(row, list) or len(row) != ncols:
             raise SerializationError(f"matrix row must be an array of {ncols} entries")
-        rows.append([q_from_str(x) for x in row])
-    return Matrix.from_rows(rows, ncols=ncols)
+        rows.append(ratio_row([_ratio(x) for x in row]))
+    return Matrix.of(nrows, ncols, tuple(rows))
 
 
 def _subspace_to_json(s: Subspace) -> list:

@@ -1,22 +1,30 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from csverify import linalg
 from csverify.linalg import (
     DimensionMismatchError,
     Matrix,
     Q,
     canonicalize,
+    coords_map,
+    extend_basis,
     full_subspace,
+    hstack,
     image,
     inverse,
     kernel,
     quotient_map,
     rank,
+    rref,
     section_of_quotient,
     solve,
     span_of_vectors,
     transpose,
+    vstack,
 )
 
 
@@ -169,3 +177,71 @@ def test_solve_and_inverse():
 def test_rank():
     assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
     assert rank(Matrix.zero(2, 5)) == 0
+
+
+def assert_canonical(m):
+    """Each row stored as int numerators over an int denominator > 0, in lowest terms."""
+    assert len(m.irows) == m.nrows
+    for nums, den in m.irows:
+        assert type(nums) is tuple and len(nums) == m.ncols
+        assert all(type(x) is int for x in nums) and type(den) is int and den > 0
+        assert gcd(den, *nums) == 1
+    assert all(type(x) is Fraction for r in m.rows for x in r)
+
+
+def random_rational_matrix(rng, m, n):
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+    return Matrix.from_rows([[entry() for _ in range(n)] for _ in range(m)], ncols=n)
+
+
+def test_every_operation_stores_the_canonical_form():
+    rng = random.Random(11)
+    for _ in range(60):
+        m, k, n = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a, b = random_rational_matrix(rng, m, k), random_rational_matrix(rng, k, n)
+        c = random_rational_matrix(rng, m, k)
+        s, t = canonicalize(a), canonicalize(c)
+        made = [a, Matrix(m, k, a.rows), Matrix.identity(k), Matrix.zero(m, k), a @ b, a + c,
+                transpose(a), hstack(a, c), vstack(a, c), rref(a)[0], s.basis, kernel(a).basis,
+                image(a).basis, image(a, canonicalize(transpose(b))).basis, s.sum(t).basis,
+                s.intersect(t).basis, quotient_map(s), coords_map(s), section_of_quotient(s),
+                extend_basis(s, c)]
+        if m == k and rank(a) == m:
+            made.append(inverse(a))
+        for product in made:
+            assert_canonical(product)
+
+
+def test_equal_values_compare_and_hash_equal_however_built():
+    ints = [[2, -4, 0], [0, 6, 3]]
+    by_ints = Matrix.from_rows(ints)
+    by_fractions = Matrix.from_rows([[Fraction(2 * x, 2) for x in r] for r in ints])
+    by_text = Matrix.from_rows([["4/2", "-4", "0/7"], ["0", "18/3", "3"]])
+    by_product = Matrix.from_rows([[Q(1, 3), Q(-2, 3), 0], [0, 1, Q(1, 2)]]) @ Matrix.from_rows(
+        [[6, 0, 0], [0, 6, 0], [0, 0, 6]])
+    by_transposes = transpose(transpose(by_ints))
+    for m in (by_fractions, by_text, by_product, by_transposes):
+        assert m == by_ints and hash(m) == hash(by_ints)
+        assert m.irows == by_ints.irows
+    rng = random.Random(4)
+    for _ in range(40):
+        m = random_rational_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+        for same in (transpose(transpose(m)), m @ Matrix.identity(m.ncols),
+                     Matrix.identity(m.nrows) @ m, m + Matrix.zero(m.nrows, m.ncols),
+                     Matrix(m.nrows, m.ncols, m.rows)):
+            assert same == m and hash(same) == hash(m)
+
+
+def test_eliminations_go_through_module_rref(monkeypatch):
+    """The benchmark's tracer counts eliminations by wrapping linalg.rref; each
+    entry point below must reach it through the module name."""
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    a = Matrix.from_rows([[1, 2], [3, 4]])
+    for run in (lambda: canonicalize(a), lambda: inverse(a), lambda: rank(a),
+                lambda: solve(a, (1, 1)), lambda: extend_basis(linalg.zero_subspace(2), a)):
+        calls.clear()
+        run()
+        assert calls

@@ -110,7 +110,8 @@ def matrices(nrows=dims, ncols=dims):
 @example(Matrix.from_rows([[-2, 4, 1], [6, -3, 0], [-4, 8, 2]]))
 @example(Matrix.from_rows([[0, -5, 10], [0, -5, 10]]))
 def test_rref_matches_reference(m):
-    rows, pivots = rref(m)
+    reduced, pivots = rref(m)
+    rows = reduced.rows
     want_rows, want_pivots = ref_rref(m)
     assert pivots == want_pivots
     same_entries(rows, want_rows)
@@ -148,6 +149,7 @@ def test_contains_vector_matches_reference(data):
 def ref_kernel(f):
     """Kernel by eliminating f and canonicalizing one vector per free column."""
     reduced, pivots = rref(f)
+    reduced = reduced.rows
     rows = []
     for fc in (c for c in range(f.ncols) if c not in pivots):
         v = [_ZERO] * f.ncols
@@ -217,7 +219,7 @@ def test_extend_basis_matches_greedy_loop(data):
     rows = list(data.draw(matrices(ncols=st.just(n))).rows)
     rows += [data.draw(st.sampled_from(base.basis.rows))] if base.dim else []
     rows = data.draw(st.permutations(rows))
-    got = extend_basis(base, rows)
+    got = list(extend_basis(base, Matrix.from_rows(rows, ncols=n)).rows)
     assert got == ref_extend_basis(base, rows)
     total = canonicalize(Matrix.from_rows(list(base.basis.rows) + rows, ncols=n))
     assert len(got) == total.dim - base.dim

@@ -150,7 +150,7 @@ def test_bounds_jordan_two():
         verdict = ker_coker_weight_bounds(op, k)
         assert verdict.ok
         # twisted target is pure k+3 above the image: bound >= k+2 holds strictly
-        coker_top = tate_twist(fs, -1).max_weight()
+        coker_top = tate_twist(fs, -1).jumps[-1]
         assert coker_top == k + 3
 
 

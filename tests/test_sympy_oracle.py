@@ -1,0 +1,118 @@
+"""Differential tests against a third-party oracle: sympy's DomainMatrix over QQ.
+
+The reference in ``test_linalg_oracle.py`` is Fraction code written on the
+same canonical-form ideas as ``csverify.linalg``; sympy shares nothing with
+it.  Each matrix is drawn once as Fractions and handed to both libraries
+separately.  Reduced rows, products and inverses are compared as whole
+Matrix values, so a row stored outside the canonical form (a negative
+denominator, or a common factor left in) fails even when its Fractions
+are right.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from csverify.linalg import DimensionMismatchError, Matrix, inverse, kernel, rank, rref, transpose
+from csverify.monodromy import kernel_flag
+
+rationals = st.one_of(
+    st.integers(-4, 4).map(Fraction),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 60)),
+)
+
+
+@st.composite
+def fraction_rows(draw, nrows=st.integers(0, 8), ncols=st.integers(0, 8)):
+    """Rows of Fractions with duplicated, scaled and zero rows mixed in."""
+    m, n = draw(nrows), draw(ncols)
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2)) if m else 0):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        scale = draw(st.sampled_from([0, 1, -1, 3, Fraction(-5, 7)]))
+        rows[i] = [scale * x for x in rows[j]]
+    return m, n, rows
+
+
+def to_sympy(m, n, rows) -> DomainMatrix:
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in rows], (m, n), QQ)
+
+
+def from_sympy(rows) -> list:
+    return [[Fraction(x.numerator, x.denominator) for x in r] for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_rows())
+@example((0, 3, []))
+@example((2, 0, [[], []]))
+@example((2, 3, [[0, -3, 6], [0, -1, 2]]))
+def test_rref_rank_and_kernel_match_sympy(case):
+    m, n, rows = case
+    ours, theirs = Matrix.from_rows(rows, ncols=n), to_sympy(m, n, rows)
+    want, want_pivots = theirs.rref()
+    reduced, pivots = rref(ours)
+    assert pivots == tuple(want_pivots)
+    want_rows = from_sympy(want.to_list()[:len(want_pivots)])
+    assert reduced == Matrix.from_rows(want_rows, ncols=n)
+    assert [list(r) for r in reduced.rows] == want_rows
+    assert rank(ours) == theirs.rank()
+    gram = from_sympy(theirs.matmul(theirs.transpose()).to_list())
+    assert ours @ transpose(ours) == Matrix.from_rows(gram, ncols=m)
+    ker = kernel(ours)
+    assert ker.dim == n - theirs.rank()
+    if ker.dim:
+        assert all(ker.contains_vector(v) for v in from_sympy(theirs.nullspace().to_list()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_rows(nrows=st.shared(st.integers(0, 8), key="n"),
+                     ncols=st.shared(st.integers(0, 8), key="n")))
+@example((2, 2, [[1, 2], [2, 4]]))
+def test_inverse_matches_sympy(case):
+    n, _, rows = case
+    ours, theirs = Matrix.from_rows(rows, ncols=n), to_sympy(n, n, rows)
+    if theirs.rank() < n:
+        with pytest.raises(DimensionMismatchError):
+            inverse(ours)
+        return
+    assert inverse(ours) == Matrix.from_rows(from_sympy(theirs.inv().to_list()), ncols=n)
+
+
+@st.composite
+def nilpotents(draw):
+    """P.N.P^-1 formed in sympy: N strictly upper triangular, P = L.U unit triangular."""
+    n = draw(st.integers(0, 8))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+    def unit_triangular(keep):
+        return [[draw(small) if keep(i, j) else Fraction(int(i == j)) for j in range(n)]
+                for i in range(n)]
+
+    # sparse strictly upper parts give a spread of Jordan types
+    upper = [[draw(st.sampled_from([0, 0, 1, Fraction(-2, 3)])) if j > i else Fraction(0)
+              for j in range(n)] for i in range(n)]
+    p = to_sympy(n, n, unit_triangular(lambda i, j: j < i)).matmul(
+        to_sympy(n, n, unit_triangular(lambda i, j: j > i)))
+    return n, p.matmul(to_sympy(n, n, upper)).matmul(p.inv())
+
+
+@settings(max_examples=50, deadline=None)
+@given(nilpotents())
+def test_kernel_flag_jordan_type_matches_sympy_ranks(case):
+    """Blocks of size >= j: dim ker N^j - dim ker N^(j-1) = rank N^(j-1) - rank N^j."""
+    n, theirs = case
+    flag = kernel_flag(Matrix.from_rows(from_sympy(theirs.to_list()), ncols=n))
+    ranks = [n]
+    power = DomainMatrix.eye(n, QQ).to_dense()
+    for _ in range(len(flag) - 1):
+        power = power.matmul(theirs)
+        ranks.append(power.rank())
+    assert ranks[-1] == 0
+    assert len(flag) == 1 or ranks[-2] > 0  # the flag stops at the nilpotency index
+    for j in range(1, len(flag)):
+        assert flag[j].dim - flag[j - 1].dim == ranks[j - 1] - ranks[j]
