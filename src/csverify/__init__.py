@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     Matrix,
-    Q,
     Subspace,
     canonicalize,
     image,
@@ -18,7 +17,6 @@ from .filtration import (
     FilteredSpace,
     direct_sum,
     graded_piece,
-    induced_on_sub_quotient,
     tate_twist,
     weights_geq,
     weights_leq,
@@ -59,10 +57,9 @@ from .degenerations import (
 )
 
 __all__ = [
-    "Matrix", "Q", "Subspace", "canonicalize", "image", "kernel",
+    "Matrix", "Subspace", "canonicalize", "image", "kernel",
     "ExactnessVerdict", "FilteredMap", "FilteredSpace",
-    "direct_sum", "graded_piece", "induced_on_sub_quotient",
-    "tate_twist", "weights_geq", "weights_leq",
+    "direct_sum", "graded_piece", "tate_twist", "weights_geq", "weights_leq",
     "CenteredFiltration", "NilpotentOp", "ker_coker_weight_bounds",
     "monodromy_filtration", "monodromy_filtration_recursive", "verify_centered_axioms",
     "CSInstance", "HypothesisReport", "VerdictReport", "assemble_and_verify_les",

@@ -11,8 +11,8 @@ compatibility check, and no intersection of subspaces is formed.
 Three constructions live here and nowhere else: the filtration a
 subspace inherits (``induced_on_subspace``), the one a surjection pushes
 forward (``induced_on_quotient``), and representatives of a graded piece
-(``graded_complement``).  ``induced_on_sub_quotient``, the monodromy
-axiom check and the generators all build on them.
+(``graded_complement``).  The monodromy constructions and the generators
+build on them.
 
 Tate twist convention: ``tate_twist(v, n)`` models v(n) and shifts every
 weight by -2n, so twisting by -1 raises all weights by 2.
@@ -21,7 +21,7 @@ weight by -2n, so twisting by -1 raises all weights by 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .linalg import (
     DimensionMismatchError,
@@ -47,10 +47,6 @@ class WeightCompatibilityError(ValueError):
 
 class ComposabilityError(ValueError):
     """Two maps do not share the middle filtered space."""
-
-
-class NotStrictError(ValueError):
-    """Operation requires a strict map."""
 
 
 class FilteredSpace:
@@ -107,14 +103,6 @@ class FilteredSpace:
                 break
             current = sub
         return current
-
-    def graded_dims(self) -> Dict[int, int]:
-        out = {}
-        prev = 0
-        for w, sub in self.steps:
-            out[w] = sub.dim - prev
-            prev = sub.dim
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredSpace):
@@ -284,24 +272,3 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
             return ExactnessVerdict(False, reason="kernel_exceeds_image", witness=row)
     raise AssertionError("unreachable: im != ker without a witness")
 
-
-class SubQuotient(NamedTuple):
-    kernel: FilteredSpace
-    image: FilteredSpace
-    cokernel: FilteredSpace
-
-
-def induced_on_sub_quotient(f: FilteredMap) -> SubQuotient:
-    """Kernel, image and cokernel of a strict map with induced filtrations.
-
-    The kernel carries ker . W_i(source), the image im . W_i(target),
-    the cokernel the quotient filtration.  Refuses non-strict input:
-    without strictness the induced graded pieces stop being additive.
-    """
-    verdict = strictness(f)
-    if not verdict.strict:
-        raise NotStrictError(f"map is not strict (fails at weight {verdict.failing_weight})")
-    im = image(f.matrix)
-    return SubQuotient(induced_on_subspace(f.source, kernel(f.matrix)),
-                       induced_on_subspace(f.target, im),
-                       induced_on_quotient(f.target, quotient_map(im)))

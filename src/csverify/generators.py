@@ -415,10 +415,14 @@ class LoadBearingResult:
     witness: Optional[tuple] = None
 
 
+# the size and degrees of the instances search_load_bearing draws, and the conclusions it tests
+SEARCH_MAX_DIM = 6
+SEARCH_DEGREE_RANGE = (0, 4)
+SEARCH_PROPOSITIONS = ("P4", "P1")
+
+
 def search_load_bearing(seed: int, budget: int = 10_000,
-                        max_dim: int = 6, degree_range: Tuple[int, int] = (0, 4),
-                        tags: Tuple[str, ...] = ("A_bound", "P_centering"),
-                        propositions: Tuple[str, ...] = ("P4", "P1")) -> LoadBearingResult:
+                        tags: Tuple[str, ...] = ("A_bound", "P_centering")) -> LoadBearingResult:
     """Search adversarial instances for a literally non-exact conclusion.
 
     Alternates over the given broken-hypothesis tags; on a hit the
@@ -428,11 +432,11 @@ def search_load_bearing(seed: int, budget: int = 10_000,
     """
     for i in range(budget):
         tag = tags[i % len(tags)]
-        profile = GenProfile(seed=split_seed(seed, i), max_dim_per_node=max_dim,
-                             degree_range=degree_range, broken_hypothesis=tag)
+        profile = GenProfile(seed=split_seed(seed, i), max_dim_per_node=SEARCH_MAX_DIM,
+                             degree_range=SEARCH_DEGREE_RANGE, broken_hypothesis=tag)
         inst = gen_adversarial(profile)
         for k in inst.degrees(pad=2):
-            for which in propositions:
+            for which in SEARCH_PROPOSITIONS:
                 verdict = conclusion_exactness(inst, which, k)
                 if verdict.exact:
                     continue

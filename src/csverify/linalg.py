@@ -12,10 +12,11 @@ and every numerator).  That form is unique, so equality and hashing
 stay structural.  Every operation reads and writes it directly:
 elimination is fraction-free, a product scales the right factor to one
 denominator and reduces each output row by one gcd.  Fractions are built
-only at the boundary: ``Matrix.rows`` builds them on each read,
-``Matrix.apply`` and ``solve`` return them, and ``serialize`` formats
-and parses the integers.  Callers that build matrices in bulk write the
-stored form through ``Matrix.of`` and ``ratio_row``.
+only at the boundary: ``Matrix.rows`` builds them on each read, and
+``serialize`` formats and parses the integers.  ``Matrix.from_rows`` is
+the one constructor that takes rows of ints and Fractions; callers that
+build matrices in bulk write the stored form through ``Matrix.of`` and
+``ratio_row``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -34,12 +35,10 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 
-def Q(value: Union[int, str, Fraction] = 0, den: Optional[int] = None) -> Fraction:
-    """Parse a rational: an int, a Fraction, "p/q" text, or value/den."""
-    return Fraction(value, den)
+# the rational type every boundary returns; bench/run.py reports it as the backend
+Q = Fraction
 
-
-QLike = Union[int, str, Fraction]
+QLike = Union[int, Fraction]
 
 
 class DimensionMismatchError(ValueError):
@@ -66,8 +65,9 @@ def ratio_row(pairs) -> tuple:
 
 
 def _irow(values) -> tuple:
-    """The stored form of a row of ints, Fractions or anything Fraction() reads."""
-    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
+    """The stored form of a row of ints and Fractions; text, floats and bools are a TypeError."""
+    if not all(type(x) is int or type(x) is Fraction for x in values):
+        raise TypeError("matrix entries must be int or Fraction")
     return ratio_row([(x.numerator, x.denominator) for x in values])
 
 
@@ -80,14 +80,10 @@ def _scaled(irows) -> tuple:
 class Matrix:
     """Immutable dense matrix with explicit shape (rows may be empty).
 
-    ``Matrix(nrows, ncols, rows)`` takes rational rows; ``irows`` is the
-    stored form described in the module docstring.
+    ``irows`` is the stored form described in the module docstring.  Build
+    one with ``from_rows`` (rows of ints and Fractions) or ``of`` (rows
+    already stored); ``Matrix(...)`` itself takes no arguments.
     """
-
-    def __init__(self, nrows: int, ncols: int, rows: Sequence[Sequence[QLike]]):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.irows = tuple(_irow(r) for r in rows)
 
     @staticmethod
     def of(nrows: int, ncols: int, irows: tuple) -> "Matrix":
@@ -98,6 +94,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[QLike]], ncols: Optional[int] = None) -> "Matrix":
+        """The matrix with these rows; ncols is required when there are none."""
         rows = [list(r) for r in rows]
         if rows:
             width = len(rows[0])
@@ -108,7 +105,7 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise DimensionMismatchError("column count required for a matrix with no rows")
-        return Matrix(len(rows), ncols, rows)
+        return Matrix.of(len(rows), ncols, tuple(map(_irow, rows)))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -153,13 +150,6 @@ class Matrix:
         cols = list(zip(*scaled))
         return Matrix.of(self.nrows, other.ncols, tuple(
             _lowest([sum(map(mul, a, c)) for c in cols], da * den) for a, da in self.irows))
-
-    def apply(self, vec: Sequence[QLike]) -> tuple:
-        """Matrix times column vector, as Fractions."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatchError(f"vector of length {len(vec)} for {self.nrows}x{self.ncols}")
-        b, db = _irow(vec)
-        return tuple(Fraction(sum(map(mul, a, b)), da * db) for a, da in self.irows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -402,19 +392,6 @@ def section_of_quotient(s: Subspace) -> Matrix:
     pivot_set = set(s.pivots)
     free = [j for j in range(n) if j not in pivot_set]
     return Matrix.of(n, len(free), tuple((tuple(int(i == j) for j in free), 1) for i in range(n)))
-
-
-def solve(a: Matrix, b: Sequence[QLike]) -> Optional[tuple]:
-    """One solution of a.x = b, or None when inconsistent (free vars 0)."""
-    if len(b) != a.nrows:
-        raise DimensionMismatchError("right-hand side has wrong length")
-    reduced, pivots = rref(hstack(a, transpose(Matrix(1, a.nrows, [b]))))
-    x = [Fraction(0)] * a.ncols
-    for (row, den), p in zip(reduced.irows, pivots):
-        if p == a.ncols:
-            return None
-        x[p] = Fraction(row[a.ncols], den)
-    return tuple(x)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -35,7 +35,7 @@ from .filtration import (
     FilteredSpace,
     StrictnessVerdict,
 )
-from .linalg import Matrix, Q, Subspace, canonicalize, qstr, ratio_row
+from .linalg import Matrix, Subspace, canonicalize, qstr, ratio_row
 from .monodromy import CenteredFiltration, NilpotentOp
 from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
 
@@ -73,10 +73,6 @@ def _ratio(s) -> Tuple[int, int]:
     if not _DECIMAL.fullmatch(num) or not _DECIMAL.fullmatch(den or "1") or int(den or 1) == 0:
         raise SerializationError(f"cannot parse rational {s!r}")
     return int(num), int(den or 1)
-
-
-def q_from_str(s) -> object:
-    return Q(*_ratio(s))
 
 
 def _ratio_str(p: int, q: int) -> str:

@@ -1,8 +1,11 @@
 """The package's public names: each one exported resolves, so a deleted
-function cannot leave a dangling entry in ``csverify.__all__``; and each
-module imports a name from the module that defines it."""
+function cannot leave a dangling entry in ``csverify.__all__``; each
+module imports a name from the module that defines it; and every public
+name has a caller outside the unit tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import csverify
@@ -52,3 +55,70 @@ def test_imports_between_modules_name_their_definitions():
                 if private or name not in defined[source]:
                     bad.append(f"{mod}: from .{node.module or ''} import {name}")
     assert not bad
+
+
+_ROOT = _SRC.parents[1]
+# the readers that count as callers besides the package itself: the benchmark,
+# which also names what it traces as "module.function" strings, and the
+# acceptance criteria
+_CLIENTS = sorted((_ROOT / "bench").rglob("*.py")) + [_ROOT / "tests" / "test_acceptance.py"]
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node) of each public module-level name and public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in sorted(_top_level_names(ast.Module(body=[node], type_ignores=[]))):
+                if not name.startswith("_"):
+                    yield name, name, node
+
+
+def _references(tree, strings=False) -> Counter:
+    """How often each identifier is read (not assigned) as a Name or an Attribute; with
+    strings, also each part of a dotted-identifier string constant such as "linalg.rref"."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _DOTTED.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def uncalled_public_names(src, clients):
+    """Public names defined under src that nothing reads: no Name or Attribute in src
+    outside the definition itself (imports and ``__all__`` strings are neither), and no
+    Name, Attribute or dotted string in the client files."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    inside = sum(map(_references, trees.values()), Counter())
+    outside = sum((_references(ast.parse(path.read_text()), strings=True) for path in clients), Counter())
+    return [f"{mod}.{qualname}"
+            for mod, tree in trees.items() for qualname, name, node in _public_definitions(tree)
+            if not outside[name] and inside[name] == _references(node)[name]]
+
+
+def test_every_public_name_has_a_caller():
+    """API that only its own unit tests call is dead weight: delete it, or give it a caller."""
+    assert uncalled_public_names(_SRC, _CLIENTS) == []
+
+
+def test_the_caller_scan_flags_a_new_uncalled_function(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "mod.py").write_text("def used():\n    return 1\n\n\n"
+                                "def unused():\n    return unused() + used()\n\n\n"
+                                "class Thing:\n    def method(self):\n        return used()\n")
+    client = tmp_path / "client.py"
+    client.write_text('import mod\nmod.Thing()\nTARGET = "mod.Thing.method"\n')
+    assert uncalled_public_names(src, [client]) == ["mod.unused"]
+    client.write_text("import mod\nmod.Thing()\n")
+    assert uncalled_public_names(src, [client]) == ["mod.unused", "mod.Thing.method"]

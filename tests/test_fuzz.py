@@ -2,11 +2,12 @@
 
 One leaf or one object key of a valid document is mutated: a leaf is
 replaced by a value of another type or an out-of-place number, a key is
-deleted or renamed.  Whatever the mutation, `main` returns a documented
-exit code (0, 2, 3 or 4) and no exception or traceback escapes it.  The
-documents are a generated instance (run through `verify` with each
-`--thm` and `--prop all`), a nilpotent operator (`monodromy
---cross-check`) and a dual graph (`fixture curve`).
+deleted or renamed.  Or one list changes length: an element is dropped,
+duplicated or appended, or the list is cleared.  Whatever the mutation,
+`main` returns a documented exit code (0, 2, 3 or 4) and no exception or
+traceback escapes it.  The documents are a generated instance (run
+through `verify` with each `--thm` and `--prop all`), a nilpotent
+operator (`monodromy --cross-check`) and a dual graph (`fixture curve`).
 """
 
 import contextlib
@@ -28,6 +29,7 @@ NILPOTENT = nilpotent_to_json(gen_centered_mhs(5, 4, 1)[1])
 GRAPH = graph_to_json(theta_graph())
 
 DOCUMENTED_EXITS = (0, 2, 3, 4)
+VERIFY_OPTIONS = (["--thm", "1"], ["--thm", "2"], ["--thm", "3"], ["--prop", "all"])
 
 LEAVES = st.one_of(
     st.integers(-3, 12),
@@ -68,6 +70,38 @@ def mutated(doc, data) -> str:
     return json.dumps(doc)
 
 
+def list_sites(value, path=()):
+    """The path of every list in the document, empty ones included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        yield path
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from list_sites(item, path + (key,))
+
+
+def list_mutated(doc, data) -> str:
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in data.draw(st.sampled_from(list(list_sites(doc)))):
+        target = target[step]
+    edit = data.draw(st.sampled_from(["drop", "duplicate", "append", "clear"] if target else ["append"]))
+    if edit == "append":
+        target.append(data.draw(LEAVES))
+    elif edit == "clear":
+        target.clear()
+    else:
+        i = data.draw(st.integers(0, len(target) - 1))
+        if edit == "drop":
+            del target[i]
+        else:
+            target.insert(i, copy.deepcopy(target[i]))
+    return json.dumps(doc)
+
+
 def run(args, stdin_text):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -85,7 +119,7 @@ def run(args, stdin_text):
 @given(st.data())
 def test_mutated_instance(data):
     text = mutated(INSTANCE, data)
-    for options in (["--thm", "1"], ["--thm", "2"], ["--thm", "3"], ["--prop", "all"]):
+    for options in VERIFY_OPTIONS:
         run(["verify", "-", *options], text)
 
 
@@ -99,3 +133,16 @@ def test_mutated_nilpotent(data):
 @given(st.data())
 def test_mutated_graph(data):
     run(["fixture", "curve", "--graph", "-"], mutated(GRAPH, data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_list_mutated_documents(data):
+    doc, commands = data.draw(st.sampled_from([
+        (INSTANCE, [["verify", "-", *options] for options in VERIFY_OPTIONS]),
+        (NILPOTENT, [["monodromy", "-", "--center", "1", "--cross-check"]]),
+        (GRAPH, [["fixture", "curve", "--graph", "-"]]),
+    ]))
+    text = list_mutated(doc, data)
+    for args in commands:
+        run(args, text)

@@ -8,7 +8,6 @@ from csverify import linalg
 from csverify.linalg import (
     DimensionMismatchError,
     Matrix,
-    Q,
     canonicalize,
     coords_map,
     extend_basis,
@@ -21,11 +20,11 @@ from csverify.linalg import (
     rank,
     rref,
     section_of_quotient,
-    solve,
     span_of_vectors,
     transpose,
     vstack,
 )
+from test_linalg_oracle import ref_rref
 
 
 def rows(m):
@@ -42,7 +41,7 @@ def test_canonicalize_dependent_rows():
     # hand row-reduction: (2,4) is twice (1,2)
     s = canonicalize(Matrix.from_rows([[1, 2], [2, 4]]))
     assert s.dim == 1
-    assert s.basis.rows == ((Q(1), Q(2)),)
+    assert s.basis.rows == ((Fraction(1), Fraction(2)),)
 
 
 def test_canonicalize_zero():
@@ -130,12 +129,12 @@ def test_modular_dimension_law_random():
         assert a.sum(b).intersect(c) == a.sum(b.intersect(c))
 
 
-def in_span_by_solve(sub, vec):
-    # membership oracle independent of the echelon representation: solve
-    # basis^T . x = vec
-    if sub.dim == 0:
-        return all(x == 0 for x in vec)
-    return solve(transpose(sub.basis), vec) is not None
+def in_span_by_elimination(sub, vec):
+    # membership oracle independent of the echelon representation: the plain
+    # Fraction elimination finds no new pivot when vec joins the basis rows
+    rows = list(sub.basis.rows)
+    return (len(ref_rref(Matrix.from_rows(rows + [vec], ncols=sub.ambient_dim))[1])
+            == len(ref_rref(Matrix.from_rows(rows, ncols=sub.ambient_dim))[1]))
 
 
 def test_canonical_equality_matches_membership_oracle():
@@ -145,8 +144,8 @@ def test_canonical_equality_matches_membership_oracle():
         mk = lambda: span_of_vectors(
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
         a, b = mk(), mk()
-        same_sets = (all(in_span_by_solve(b, r) for r in a.basis.rows)
-                     and all(in_span_by_solve(a, r) for r in b.basis.rows))
+        same_sets = (all(in_span_by_elimination(b, r) for r in a.basis.rows)
+                     and all(in_span_by_elimination(a, r) for r in b.basis.rows))
         assert (a == b) == same_sets
 
 
@@ -166,12 +165,13 @@ def test_membership_and_quotient_maps():
 
 def test_solve_and_inverse():
     a = Matrix.from_rows([[1, 2], [3, 4]])
-    x = solve(a, (1, 1))
-    assert a.apply(x) == (Q(1), Q(1))
+    b = Matrix.from_rows([[1], [1]])
+    assert a @ (inverse(a) @ b) == b
     assert a @ inverse(a) == Matrix.identity(2)
-    assert solve(Matrix.from_rows([[1, 1], [1, 1]]), (0, 1)) is None
+    singular = Matrix.from_rows([[1, 1], [1, 1]])
+    assert not image(singular).contains_vector((0, 1))  # singular.x = (0, 1) has no solution
     with pytest.raises(DimensionMismatchError):
-        inverse(Matrix.from_rows([[1, 1], [1, 1]]))
+        inverse(singular)
 
 
 def test_rank():
@@ -202,7 +202,7 @@ def test_every_operation_stores_the_canonical_form():
         a, b = random_rational_matrix(rng, m, k), random_rational_matrix(rng, k, n)
         c = random_rational_matrix(rng, m, k)
         s, t = canonicalize(a), canonicalize(c)
-        made = [a, Matrix(m, k, a.rows), Matrix.identity(k), Matrix.zero(m, k), a @ b, a + c,
+        made = [a, Matrix.from_rows(a.rows, ncols=k), Matrix.identity(k), Matrix.zero(m, k), a @ b, a + c,
                 transpose(a), hstack(a, c), vstack(a, c), rref(a)[0], s.basis, kernel(a).basis,
                 image(a).basis, image(a, canonicalize(transpose(b))).basis, s.sum(t).basis,
                 s.intersect(t).basis, quotient_map(s), coords_map(s), section_of_quotient(s),
@@ -217,11 +217,10 @@ def test_equal_values_compare_and_hash_equal_however_built():
     ints = [[2, -4, 0], [0, 6, 3]]
     by_ints = Matrix.from_rows(ints)
     by_fractions = Matrix.from_rows([[Fraction(2 * x, 2) for x in r] for r in ints])
-    by_text = Matrix.from_rows([["4/2", "-4", "0/7"], ["0", "18/3", "3"]])
-    by_product = Matrix.from_rows([[Q(1, 3), Q(-2, 3), 0], [0, 1, Q(1, 2)]]) @ Matrix.from_rows(
-        [[6, 0, 0], [0, 6, 0], [0, 0, 6]])
+    by_product = Matrix.from_rows([[Fraction(1, 3), Fraction(-2, 3), 0], [0, 1, Fraction(1, 2)]]) @ (
+        Matrix.from_rows([[6, 0, 0], [0, 6, 0], [0, 0, 6]]))
     by_transposes = transpose(transpose(by_ints))
-    for m in (by_fractions, by_text, by_product, by_transposes):
+    for m in (by_fractions, by_product, by_transposes):
         assert m == by_ints and hash(m) == hash(by_ints)
         assert m.irows == by_ints.irows
     rng = random.Random(4)
@@ -229,8 +228,19 @@ def test_equal_values_compare_and_hash_equal_however_built():
         m = random_rational_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
         for same in (transpose(transpose(m)), m @ Matrix.identity(m.ncols),
                      Matrix.identity(m.nrows) @ m, m + Matrix.zero(m.nrows, m.ncols),
-                     Matrix(m.nrows, m.ncols, m.rows)):
+                     Matrix.from_rows(m.rows, ncols=m.ncols)):
             assert same == m and hash(same) == hash(m)
+
+
+def test_from_rows_is_the_one_rational_constructor():
+    """Entries are ints and Fractions only: text, floats and bools are refused, not parsed."""
+    for bad in ("1/2", 0.5, True):
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[1, bad]])
+        with pytest.raises(TypeError):
+            span_of_vectors([[1, 0]], 2).contains_vector((1, bad))
+    with pytest.raises(TypeError):
+        Matrix(1, 2, [[1, 2]])
 
 
 def test_eliminations_go_through_module_rref(monkeypatch):
@@ -241,7 +251,7 @@ def test_eliminations_go_through_module_rref(monkeypatch):
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
     a = Matrix.from_rows([[1, 2], [3, 4]])
     for run in (lambda: canonicalize(a), lambda: inverse(a), lambda: rank(a),
-                lambda: solve(a, (1, 1)), lambda: extend_basis(linalg.zero_subspace(2), a)):
+                lambda: extend_basis(linalg.zero_subspace(2), a)):
         calls.clear()
         run()
         assert calls

@@ -105,8 +105,8 @@ def matrices(nrows=dims, ncols=dims):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-@example(Matrix(0, 4, ()))
-@example(Matrix(3, 0, ((),) * 3))
+@example(Matrix.from_rows([], ncols=4))
+@example(Matrix.from_rows([[]] * 3, ncols=0))
 @example(Matrix.from_rows([[-2, 4, 1], [6, -3, 0], [-4, 8, 2]]))
 @example(Matrix.from_rows([[0, -5, 10], [0, -5, 10]]))
 def test_rref_matches_reference(m):
@@ -127,7 +127,9 @@ def test_matmul_and_apply_match_reference(data):
     assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
     same_entries(product.rows, ref_matmul(a, b))
     vec = tuple(data.draw(rationals) for _ in range(inner))
-    same_entries((a.apply(vec),), (ref_apply(a, vec),))
+    # a matrix applied to a vector: the product with the vector as one column
+    column = Matrix.from_rows([[x] for x in vec], ncols=1)
+    same_entries(transpose(a @ column).rows, (ref_apply(a, vec),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,11 +178,11 @@ def ref_extend_basis(base, rows):
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
-@example(Matrix(0, 4, ()))
-@example(Matrix(3, 0, ((),) * 3))
+@example(Matrix.from_rows([], ncols=4))
+@example(Matrix.from_rows([[]] * 3, ncols=0))
 @example(Matrix.zero(2, 3))
 def test_kept_image_and_kernel_match_reference(f):
-    fresh = Matrix(f.nrows, f.ncols, f.rows)
+    fresh = Matrix.from_rows(f.rows, ncols=f.ncols)
     ker, im = kernel(f), image(f)
     assert ker == ref_kernel(fresh)
     assert im == ref_image(fresh)

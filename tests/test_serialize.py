@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
 from csverify.filtration import FilteredSpace, full_subspace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
-from csverify.linalg import Matrix, Q, span_of_vectors
+from csverify.linalg import Matrix, span_of_vectors
 from csverify.monodromy import NilpotentOp, monodromy_filtration
 from csverify.serialize import (
     SerializationError,
@@ -22,22 +23,25 @@ from csverify.serialize import (
     matrix_to_json,
     nilpotent_from_json,
     nilpotent_to_json,
-    q_from_str,
 )
 from csverify.verifier import MalformedInstanceError, check_instance_hypotheses
 
 
 def test_rational_parse_and_format():
-    assert q_from_str("3/4") == Q(3, 4)
-    assert q_from_str("-7") == Q(-7)
-    assert q_from_str(5) == Q(5)
+    def parse(entry):
+        return matrix_from_json([[entry]], 1, 1).rows[0][0]
+
+    assert parse("3/4") == Fraction(3, 4)
+    assert parse("-7") == Fraction(-7)
+    assert parse(5) == Fraction(5)
+    assert matrix_to_json(Matrix.from_rows([[Fraction(6, 8), -7, 0]])) == [["3/4", "-7", "0"]]
     for bad in ("x", "1/0", "1/2/3", None, 1.5, True, "1_0", "1/ 2", ""):
         with pytest.raises(SerializationError):
-            q_from_str(bad)
+            parse(bad)
 
 
 def test_matrix_round_trip_and_shape_check():
-    m = Matrix.from_rows([[Q(1, 2), 3], [0, Q(-5, 7)]])
+    m = Matrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]])
     assert matrix_from_json(matrix_to_json(m), 2, 2) == m
     with pytest.raises(SerializationError):
         matrix_from_json(matrix_to_json(m), 3, 2)

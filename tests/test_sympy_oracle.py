@@ -7,6 +7,9 @@ separately.  Reduced rows, products and inverses are compared as whole
 Matrix values, so a row stored outside the canonical form (a negative
 denominator, or a common factor left in) fails even when its Fractions
 are right.
+
+The exactness and strictness verdicts of generated instances, clean and
+with each hypothesis broken, are recomputed from ranks taken in sympy.
 """
 
 from fractions import Fraction
@@ -17,8 +20,17 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance
 from csverify.linalg import DimensionMismatchError, Matrix, inverse, kernel, rank, rref, transpose
 from csverify.monodromy import kernel_flag
+from csverify.verifier import (
+    BREAKABLE_HYPOTHESES,
+    CONCLUSIONS,
+    SEQUENCES,
+    _instance_maps,
+    check_instance_hypotheses,
+    conclusion_exactness,
+)
 
 rationals = st.one_of(
     st.integers(-4, 4).map(Fraction),
@@ -116,3 +128,50 @@ def test_kernel_flag_jordan_type_matches_sympy_ranks(case):
     assert len(flag) == 1 or ranks[-2] > 0  # the flag stops at the nilpotency index
     for j in range(1, len(flag)):
         assert flag[j].dim - flag[j - 1].dim == ranks[j - 1] - ranks[j]
+
+
+def sympy_of(m: Matrix) -> DomainMatrix:
+    return to_sympy(m.nrows, m.ncols, m.rows)
+
+
+def sympy_exact(f: Matrix, g: Matrix) -> bool:
+    """-f-> . -g-> is exact at the middle iff g.f = 0 and rank f + rank g = dim of the middle."""
+    sf, sg = sympy_of(f), sympy_of(g)
+    return sg.matmul(sf).is_zero_matrix and sf.rank() + sg.rank() == f.nrows
+
+
+def sympy_strict(f: Matrix, source, target) -> bool:
+    """At each jump w, with B_w the basis rows of a step: f.B_src,w^T lies in W_w(tgt)
+    (compatibility), and rank f.B_src,w^T = rank f + dim W_w(tgt) - rank [f | B_tgt,w^T]."""
+    sf = sympy_of(f)
+    for w in sorted(set(source.jumps) | set(target.jumps)):
+        mapped = sf.matmul(sympy_of(source.step(w).basis).transpose())
+        step = sympy_of(target.step(w).basis).transpose()
+        if step.hstack(mapped).rank() != step.rank():
+            return False
+        if mapped.rank() != sf.rank() + step.rank() - sf.hstack(step).rank():
+            return False
+    return True
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((None,) + BREAKABLE_HYPOTHESES), st.integers(2, 6))
+def test_instance_verdicts_match_sympy_ranks(seed, broken, max_dim):
+    profile = GenProfile(seed=seed, max_dim_per_node=max_dim, broken_hypothesis=broken)
+    inst = gen_cs_instance(profile, verify=False) if broken is None else gen_adversarial(profile)
+    verdicts = check_instance_hypotheses(inst).verdicts
+    for category, nodes in SEQUENCES.items():
+        assert {node for _, node in verdicts[category]} <= set(nodes)
+        for (k, node), verdict in verdicts[category].items():
+            (f, df), (g, dg) = nodes[node]
+            assert verdict.exact == sympy_exact(inst.map(f, k + df), inst.map(g, k + dg)), (category, k, node)
+    for which, ((f, df), (g, dg), _) in CONCLUSIONS.items():
+        for k in inst.degrees(pad=2):
+            want = sympy_exact(inst.map(f, k + df), inst.map(g, k + dg))
+            assert conclusion_exactness(inst, which, k).exact == want, (which, k)
+    strict = {(label, k): sympy_strict(mat, src, tgt)
+              for k in inst.degrees() for label, mat, src, tgt in _instance_maps(inst, k)
+              if mat.nrows and mat.ncols}
+    assert {key: bool(verdict) for key, verdict in verdicts["strictness"].items()} == strict
+    if broken is not None:
+        assert not all(map(bool, verdicts[broken].values()))

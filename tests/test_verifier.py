@@ -77,7 +77,7 @@ def test_i1_les_and_twisted_boundary_iso():
     ptw_to_b = inst.map("cr", 3)
     assert ptw_to_b.nrows == ptw_to_b.ncols == 1
     assert kernel(ptw_to_b).dim == 0
-    assert inst.space("B", 4).graded_dims() == {4: 1}
+    assert inst.space("B", 4) == FilteredSpace.pure(1, 4)
 
 
 def test_i1_invariant_cycles():
