@@ -16,7 +16,6 @@ from .filtration import (
     FilteredMap,
     FilteredSpace,
     direct_sum,
-    graded_piece,
     tate_twist,
     weights_geq,
     weights_leq,
@@ -59,7 +58,7 @@ from .degenerations import (
 __all__ = [
     "Matrix", "Subspace", "canonicalize", "image", "kernel",
     "ExactnessVerdict", "FilteredMap", "FilteredSpace",
-    "direct_sum", "graded_piece", "tate_twist", "weights_geq", "weights_leq",
+    "direct_sum", "tate_twist", "weights_geq", "weights_leq",
     "CenteredFiltration", "NilpotentOp", "ker_coker_weight_bounds",
     "monodromy_filtration", "monodromy_filtration_recursive", "verify_centered_axioms",
     "CSInstance", "HypothesisReport", "VerdictReport", "assemble_and_verify_les",

@@ -1,8 +1,9 @@
 """Command-line surface: verify, monodromy, generate, fixture.
 
 Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
-two monodromy constructions disagree, or a curve fixture fails its own
-hypothesis check); 2 instance hypotheses dirty; 3 a conclusion is
+two monodromy constructions disagree, or a generated instance or curve
+fixture fails its own hypothesis check: an InconsistencyError, mapped in
+``main`` alone); 2 instance hypotheses dirty; 3 a conclusion is
 non-exact; 4 malformed or unreadable input; 64 bad command line.  `-` names standard input/output for piping.
 
 `verify` reports (schema 2) hold verdicts only for the degree window,
@@ -25,7 +26,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .degenerations import DisconnectedGraphError, DualGraph, FixtureError
+from .degenerations import DisconnectedGraphError, DualGraph, curve_cs_instance
 from .filtration import FiltrationError, WeightCompatibilityError
 from .generators import GenProfile, gen_adversarial, gen_cs_instance
 from .linalg import DimensionMismatchError
@@ -50,6 +51,7 @@ from .verifier import (
     BREAKABLE_HYPOTHESES,
     CONCLUSIONS,
     DegreeRangeError,
+    InconsistencyError,
     MalformedInstanceError,
     ProfileError,
     assemble_and_verify_les,
@@ -58,7 +60,6 @@ from .verifier import (
     verify_proposition,
     verify_unipotent_cs,
 )
-from .degenerations import curve_cs_instance
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -161,6 +162,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"csverify: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except InconsistencyError as exc:
+        print(f"csverify: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     raise AssertionError("unreachable")
 
 
@@ -237,8 +241,7 @@ def _cmd_monodromy(args) -> int:
     if args.cross_check:
         other = monodromy_filtration_recursive(op, args.center)
         if other != cf:
-            print("csverify: internal error: the two constructions disagree", file=sys.stderr)
-            return EXIT_INTERNAL
+            raise InconsistencyError("the two constructions disagree")
         payload["cross_check"] = "agree"
     _emit(dumps(payload))
     return EXIT_OK
@@ -275,12 +278,7 @@ def _cmd_fixture(args) -> int:
     # holds exactly when each self-intersection is -degree
     if graph.self_intersections != DualGraph.make(graph.vertices, graph.edges).self_intersections:
         raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
-    try:
-        inst = curve_cs_instance(graph)
-    except FixtureError as exc:
-        print(f"csverify: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    _emit(dumps(instance_to_json(inst)))
+    _emit(dumps(instance_to_json(curve_cs_instance(graph))))
     return EXIT_OK
 
 

@@ -18,8 +18,10 @@ matrix of the components.  The loop convention adds 2 per loop to the
 diagonal so that a single irreducible fibre (one vertex, one loop) has
 self-intersection 0; with the default self-intersections (-degree) the
 matrix has row sums zero and one-dimensional kernel, which is exactly
-what exactness of the assembled sequences needs.  Every fixture is run
-through the full hypothesis checker before being returned.
+what exactness of the assembled sequences needs.  The row and the maps
+into and out of C come from the split construction in ``verifier``
+(``assemble_row``, ``into_summand``), and every fixture passes through
+``verifier.checked`` before being returned.
 """
 
 from __future__ import annotations
@@ -28,17 +30,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .filtration import FilteredSpace
-from .generators import assemble_row, into_summand, node_summands
 from .linalg import Matrix, full_subspace, span_of_vectors, transpose
-from .verifier import CSInstance, check_instance_hypotheses
+from .verifier import CSInstance, assemble_row, checked, into_summand, node_summands
 
 
 class DisconnectedGraphError(ValueError):
     """The dual graph of a fibre must be connected."""
-
-
-class FixtureError(RuntimeError):
-    """The assembled fixture failed its own hypothesis check."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +144,8 @@ def intersection_matrix(g: DualGraph) -> Matrix:
 def curve_cs_instance(g: DualGraph) -> CSInstance:
     """Full CS instance of a totally degenerate curve with dual graph g.
 
-    The instance is validated with the hypothesis checker; an
-    inconsistency raises FixtureError naming the first failing node.
+    The instance goes through ``verifier.checked``: an inconsistency
+    raises InconsistencyError naming the first failing verdict.
     """
     _, b1 = betti(g)
     v = g.vertices
@@ -182,8 +179,4 @@ def curve_cs_instance(g: DualGraph) -> CSInstance:
                       {"b": b_maps, "a": a_maps, "c": c_maps, "r": r_family, "s": s_family,
                        "N": n_family},
                       profile="geometric")
-    report = check_instance_hypotheses(inst)
-    if not report.clean:
-        category, key = report.failures()[0]
-        raise FixtureError(f"fixture construction inconsistency: {category} fails at {key}")
-    return inst
+    return checked(inst)

@@ -21,7 +21,7 @@ weight by -2n, so twisting by -1 raises all weights by 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .linalg import (
     DimensionMismatchError,
@@ -32,7 +32,6 @@ from .linalg import (
     full_subspace,
     image,
     kernel,
-    quotient_map,
     zero_subspace,
 )
 
@@ -165,21 +164,6 @@ def induced_on_subspace(v: FilteredSpace, sub: Subspace) -> FilteredSpace:
 def induced_on_quotient(v: FilteredSpace, q: Matrix) -> FilteredSpace:
     """The target of the surjection q with the steps q(W_i(v))."""
     return FilteredSpace(q.nrows, {w: image(q, step) for w, step in v.steps})
-
-
-class GradedPiece(NamedTuple):
-    dim: int
-    projection: Matrix  # ambient -> Q^dim; kernel meets W_i exactly in W_{i-1}
-
-
-def graded_piece(v: FilteredSpace, i: int) -> GradedPiece:
-    """Gr_i = W_i / W_{i-1} with an explicit projection matrix."""
-    wi = v.step(i)
-    wim1 = v.step(i - 1)
-    q = quotient_map(wim1)
-    graded_image = image(q, wi)
-    proj = coords_map(graded_image) @ q
-    return GradedPiece(graded_image.dim, proj)
 
 
 class FilteredMap:

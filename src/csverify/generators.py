@@ -14,12 +14,14 @@ The clean recipe builds the graded skeleton and then conjugates:
      makes the column exact with the right bounds;
   4. conjugate every map by random filtered automorphisms of the nodes.
 
-Exact sequences of filtered spaces with strict maps are graded-split, so
-building split and conjugating loses no generality for testing purposes.
-The weights come from the library's own constructions: the Jordan chains
-go through ``monodromy.chain_filtration``, the kernel and cokernel weights
-through ``filtration.induced_on_subspace``/``induced_on_quotient``, and the
-adapted bases of the automorphisms through ``filtration.graded_complement``.
+Steps 2 and 3 are the split construction in ``verifier``, shared with the
+curve fixtures; only the draws and the tampers live here.  Exact sequences
+of filtered spaces with strict maps are graded-split, so building split and
+conjugating loses no generality for testing purposes.  The weights come
+from the library's own constructions: the Jordan chains go through
+``monodromy.chain_filtration``, the kernel and cokernel weights through
+``filtration.induced_on_subspace``/``induced_on_quotient``, and the adapted
+bases of the automorphisms through ``filtration.graded_complement``.
 Adversarial variants break exactly one named hypothesis by editing the
 summands before the conjugation step: a pure line added to A_t and B_t
 under one name breaks a weight bound or strictness, moving coker(N_{t-1})
@@ -35,28 +37,22 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, Optional, Tuple
 
-from .filtration import (
-    FilteredSpace,
-    direct_sum,
-    graded_complement,
-    induced_on_quotient,
-    induced_on_subspace,
-    tate_twist,
-)
-from .linalg import Matrix, image, inverse, kernel, quotient_map, ratio_row, transpose, vstack
+from .filtration import FilteredSpace, direct_sum, graded_complement
+from .linalg import Matrix, inverse, ratio_row, transpose, vstack
 from .monodromy import NilpotentOp, chain_filtration, monodromy_filtration
 from .verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
     NODES,
     CSInstance,
+    InconsistencyError,
+    assemble_row,
     check_instance_hypotheses,
+    checked,
     conclusion_exactness,
+    identity_on_shared,
+    node_summands,
 )
-
-
-class GeneratorError(RuntimeError):
-    """Internal consistency failure while generating an instance."""
 
 
 _MASK64 = (1 << 64) - 1
@@ -169,6 +165,19 @@ def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[Filt
     return space, NilpotentOp(space, t @ Matrix.from_rows(entries, ncols=dim) @ inverse(t))
 
 
+def _partition(rng: random.Random, total: int, cap: int, least: int):
+    """Random parts drawn between least and cap summing to total; a remainder below least joins the last part."""
+    sizes = []
+    remaining = total
+    while remaining:
+        s = rng.randint(least, max(least, min(cap, remaining)))
+        if remaining - s < least:
+            s = remaining
+        sizes.append(s)
+        remaining -= s
+    return sizes
+
+
 def gen_centered_mhs(seed, dim: int, k: int,
                      max_block: Optional[int] = None) -> Tuple[FilteredSpace, NilpotentOp]:
     """A random nilpotent with weight filtration centered at k.
@@ -184,26 +193,11 @@ def gen_centered_mhs(seed, dim: int, k: int,
         space = FilteredSpace.zero()
         return space, NilpotentOp(space, Matrix.identity(0))
     cap = dim if max_block is None else min(dim, max(1, max_block))
-    sizes = []
-    remaining = dim
-    while remaining:
-        s = rng.randint(1, min(cap, remaining))
-        sizes.append(s)
-        remaining -= s
-    space, op = _jordan_pair(rng, sizes, dim, k)
+    space, op = _jordan_pair(rng, _partition(rng, dim, cap, 1), dim, k)
     if monodromy_filtration(op, k).filtration != space:
-        raise GeneratorError("generated filtration is not the centered filtration of the operator")
+        raise InconsistencyError("generated filtration is not the centered filtration of the operator")
     return space, op
 
-
-# node -> its summands in direct-sum order, each (part, offset).  At degree
-# k the summand named (part, j), j = k + offset, is ker(N_j) for "ker",
-# coker(N_j)(-1) for "coker" and the pure weight-j filler for "F".
-SUMMANDS = {
-    "A": (("ker", 0), ("F", 0)),
-    "B": (("coker", -2), ("F", 0)),
-    "C": (("coker", -1), ("ker", 0)),
-}
 
 # tampered hypothesis -> weights, as offsets from t, of the line b_t carries from B_t onto A_t
 _LINE_WEIGHTS = {"A_bound": (1, 1), "B_bound": (-1, -1), "strictness": (-1, 0)}
@@ -211,84 +205,16 @@ _LINE_WEIGHTS = {"A_bound": (1, 1), "B_bound": (-1, -1), "strictness": (-1, 0)}
 _ZEROED_MAP = {"column_exact": "b", "row_exact": "s"}
 
 
-def node_summands(node: str, k: int, parts: dict) -> dict:
-    """{name: space} over the summands of node at degree k, in direct-sum order; parts holds every space by name."""
-    return {(part, k + d): parts[(part, k + d)] for part, d in SUMMANDS[node]}
-
-
-def _coordinates(summands: dict) -> list:
-    """The coordinates of the direct sum, in order, each as (summand name, index in the summand)."""
-    return [(name, i) for name, fs in summands.items() for i in range(fs.dim)]
-
-
-def _identity_on_shared(source: dict, target: dict) -> Matrix:
-    """The map between direct sums that is the identity between equally named summands, zero elsewhere."""
-    cols = _coordinates(source)
-    rows = tuple((tuple(int(c == r) for c in cols), 1) for r in _coordinates(target))
-    return Matrix.of(len(rows), len(cols), rows)
-
-
-def into_summand(summands: dict, name: Tuple[str, int], m: Matrix) -> Matrix:
-    """m, a map into the summand called name, as a map into the whole direct sum."""
-    zero = ((0,) * m.ncols, 1)
-    rows = tuple(m.irows[i] if key == name else zero for key, i in _coordinates(summands))
-    return Matrix.of(len(rows), m.ncols, rows)
-
-
-def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix],
-                 degrees) -> Tuple[dict, Dict[int, FilteredSpace], Dict[int, Matrix], Dict[int, Matrix]]:
-    """Build C_k = coker(N_{k-1}) (+) ker(N_k) with its canonical row maps.
-
-    ``degrees`` is a range; the kernels and cokernels cover all of it, and
-    C, r and s every degree after the first.  Returns (the parts "ker" and
-    "coker" by name, as in SUMMANDS, C family, r family, s family); the
-    row long exact sequence holds by construction.
-    """
-    parts, ker_basis, coker_map = {}, {}, {}
-    for k in degrees:
-        p = p_family.get(k, FilteredSpace.zero())
-        n = n_family.get(k, Matrix.zero(p.dim, p.dim))
-        ker = kernel(n)
-        ker_basis[k] = ker.basis
-        coker_map[k] = quotient_map(image(n))
-        parts[("ker", k)] = induced_on_subspace(p, ker)
-        parts[("coker", k)] = induced_on_quotient(tate_twist(p, -1), coker_map[k])
-    c_family, r_family, s_family = {}, {}, {}
-    for k in degrees[1:]:
-        summands = node_summands("C", k, parts)
-        c_family[k] = reduce(direct_sum, summands.values())
-        r_family[k] = into_summand(summands, ("coker", k - 1), coker_map[k - 1])
-        s_family[k] = transpose(into_summand(summands, ("ker", k), ker_basis[k]))
-    return parts, c_family, r_family, s_family
-
-
-def _partition_min_two(rng: random.Random, total: int, cap: int):
-    """Partition of total >= 2 into parts between 2 and cap."""
-    sizes = []
-    remaining = total
-    while remaining:
-        s = rng.randint(2, max(2, min(cap, remaining)))
-        if remaining - s == 1:
-            s = s + 1 if s + 1 <= remaining else s - 1
-        sizes.append(s)
-        remaining -= s
-    return sizes
-
-
 def gen_cs_instance(profile: GenProfile, verify: bool = True) -> CSInstance:
     """A clean CS instance drawn deterministically from the profile.
 
-    With ``verify`` the instance's own hypothesis report is computed and
-    must come back clean; a failure is a generator bug and raises.
+    With ``verify`` it goes through ``verifier.checked``, so a generator
+    bug raises InconsistencyError.
     """
     if profile.broken_hypothesis is not None:
         raise ValueError("profile requests a broken hypothesis; use gen_adversarial")
     inst = _generate(profile, random.Random(profile.seed))
-    if verify:
-        report = check_instance_hypotheses(inst)
-        if not report.clean:
-            raise GeneratorError(f"generated instance is not clean: {report.failures()[:3]}")
-    return inst
+    return checked(inst) if verify else inst
 
 
 def gen_adversarial(profile: GenProfile) -> CSInstance:
@@ -320,7 +246,7 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
             # off-center node: all Jordan blocks of size >= 2 keep the kernel
             # and cokernel bounds valid for the filtration centered one higher,
             # so only the centering hypothesis fails
-            sizes = _partition_min_two(rng, p_dims[k], max(2, profile.weight_spread))
+            sizes = _partition(rng, p_dims[k], max(2, profile.weight_spread), 2)
             space, op = _jordan_pair(rng, sizes, p_dims[k], k + 1)
         else:
             space, op = gen_centered_mhs(rng, p_dims[k], k, max_block=profile.weight_spread)
@@ -350,7 +276,7 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
     maps = {"r": r_family, "s": s_family, "N": n_family}
     for label in "bac":
         source, ds, target, dt = ARROWS[label]
-        maps[label] = {k: _identity_on_shared(table[(source, k + ds)], table[(target, k + dt)])
+        maps[label] = {k: identity_on_shared(table[(source, k + ds)], table[(target, k + dt)])
                        for k in range(a, b + 1) if (target, k + dt) in table}
     if broken in _ZEROED_MAP:
         del maps[_ZEROED_MAP[broken]][t]
@@ -442,7 +368,7 @@ def search_load_bearing(seed: int, budget: int = 10_000,
                     continue
                 report = check_instance_hypotheses(inst)
                 if report.failed_categories() != (tag,):
-                    raise GeneratorError(
+                    raise InconsistencyError(
                         f"adversarial instance broke {report.failed_categories()}, wanted only {tag}")
                 return LoadBearingResult(True, i + 1, instance=inst, broken=tag,
                                          proposition=which, degree=k, witness=verdict.witness)

@@ -82,8 +82,11 @@ class Matrix:
 
     ``irows`` is the stored form described in the module docstring.  Build
     one with ``from_rows`` (rows of ints and Fractions) or ``of`` (rows
-    already stored); ``Matrix(...)`` itself takes no arguments.
+    already stored); ``Matrix(...)`` itself refuses.
     """
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Matrix with Matrix.from_rows (rational rows) or Matrix.of (stored rows)")
 
     @staticmethod
     def of(nrows: int, ncols: int, irows: tuple) -> "Matrix":

@@ -19,6 +19,12 @@ strictness checks, serialization and the generators' conjugation read
 it.  COMPOSITES adds the unstored maps s.a and c.r through C, and
 SEQUENCES the six exactness hypotheses on the column and the row.
 
+SUMMANDS and ``assemble_row`` are the split construction the generators
+and the curve fixtures share: sequences exact by construction, with
+``identity_on_shared``/``into_summand`` for maps between named summands.
+Both return through ``checked``, whose InconsistencyError is the one
+internal error.
+
 Every per-degree pass visits only the degree window of
 ``CSInstance.degrees``: the degrees within WINDOW_MARGIN of a stored
 space.  A hypothesis at k reads spaces at k-1..k+1, and a conclusion at k
@@ -42,7 +48,7 @@ unipotent geometric form of the spliced sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, List, Optional, Tuple
 
 from .filtration import (
@@ -51,13 +57,16 @@ from .filtration import (
     FilteredSpace,
     StrictnessVerdict,
     WeightCompatibilityError,
+    direct_sum,
     exactness_at,
+    induced_on_quotient,
+    induced_on_subspace,
     strictness,
     tate_twist,
     weights_geq,
     weights_leq,
 )
-from .linalg import Matrix, kernel  # noqa: F401  (bench/tests patch and check verifier.kernel)
+from .linalg import Matrix, image, kernel, quotient_map, transpose
 from .monodromy import NilpotencyError, centered_filtration
 
 
@@ -75,6 +84,10 @@ class DegreeRangeError(ValueError):
 
 class ProfileError(ValueError):
     """The instance is not flagged with the required cohomology profile."""
+
+
+class InconsistencyError(RuntimeError):
+    """A construction disagrees with its own check: a bug, never the input's fault."""
 
 
 # a verdict at degree k reads nodes at degrees k-1 .. k+2 only
@@ -118,6 +131,67 @@ CONCLUSIONS = {
     "P3": (("cr", 1), ("b", 2), (("B_bound", 2), ("P_centering", 1))),
     "P4": (("b", 0), ("sa", 0), (("A_bound", 0), ("P_centering", -1))),
 }
+
+
+# node -> its summands in direct-sum order, each (part, offset).  At degree
+# k the summand named (part, j), j = k + offset, is ker(N_j) for "ker",
+# coker(N_j)(-1) for "coker" and the pure weight-j filler for "F".
+SUMMANDS = {
+    "A": (("ker", 0), ("F", 0)),
+    "B": (("coker", -2), ("F", 0)),
+    "C": (("coker", -1), ("ker", 0)),
+}
+
+
+def node_summands(node: str, k: int, parts: dict) -> dict:
+    """{name: space} over the summands of node at degree k, in direct-sum order; parts holds every space by name."""
+    return {(part, k + d): parts[(part, k + d)] for part, d in SUMMANDS[node]}
+
+
+def _coordinates(summands: dict) -> list:
+    """The coordinates of the direct sum, in order, each as (summand name, index in the summand)."""
+    return [(name, i) for name, fs in summands.items() for i in range(fs.dim)]
+
+
+def identity_on_shared(source: dict, target: dict) -> Matrix:
+    """The map between direct sums that is the identity between equally named summands, zero elsewhere."""
+    cols = _coordinates(source)
+    rows = tuple((tuple(int(c == r) for c in cols), 1) for r in _coordinates(target))
+    return Matrix.of(len(rows), len(cols), rows)
+
+
+def into_summand(summands: dict, name: Tuple[str, int], m: Matrix) -> Matrix:
+    """m, a map into the summand called name, as a map into the whole direct sum."""
+    zero = ((0,) * m.ncols, 1)
+    rows = tuple(m.irows[i] if key == name else zero for key, i in _coordinates(summands))
+    return Matrix.of(len(rows), m.ncols, rows)
+
+
+def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix],
+                 degrees) -> Tuple[dict, Dict[int, FilteredSpace], Dict[int, Matrix], Dict[int, Matrix]]:
+    """Build C_k = coker(N_{k-1}) (+) ker(N_k) with its canonical row maps.
+
+    ``degrees`` is a range; the kernels and cokernels cover all of it, and
+    C, r and s every degree after the first.  Returns (the parts "ker" and
+    "coker" by name, as in SUMMANDS, C family, r family, s family); the
+    row long exact sequence holds by construction.
+    """
+    parts, ker_basis, coker_map = {}, {}, {}
+    for k in degrees:
+        p = p_family.get(k, FilteredSpace.zero())
+        n = n_family.get(k, Matrix.zero(p.dim, p.dim))
+        ker = kernel(n)
+        ker_basis[k] = ker.basis
+        coker_map[k] = quotient_map(image(n))
+        parts[("ker", k)] = induced_on_subspace(p, ker)
+        parts[("coker", k)] = induced_on_quotient(tate_twist(p, -1), coker_map[k])
+    c_family, r_family, s_family = {}, {}, {}
+    for k in degrees[1:]:
+        summands = node_summands("C", k, parts)
+        c_family[k] = reduce(direct_sum, summands.values())
+        r_family[k] = into_summand(summands, ("coker", k - 1), coker_map[k - 1])
+        s_family[k] = transpose(into_summand(summands, ("ker", k), ker_basis[k]))
+    return parts, c_family, r_family, s_family
 
 
 class CSInstance:
@@ -298,6 +372,15 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
                 verdict = StrictnessVerdict(False, reason="not weight-compatible")
             verdicts["strictness"][(label, k)] = verdict
     return HypothesisReport(verdicts)
+
+
+def checked(inst: CSInstance) -> CSInstance:
+    """inst, once its own hypothesis report is clean; else InconsistencyError names the first failing verdict."""
+    failures = check_instance_hypotheses(inst).failures()
+    if failures:
+        category, key = failures[0]
+        raise InconsistencyError(f"a built instance fails its own check: {category} at {key}")
+    return inst
 
 
 def _exactness(inst: CSInstance, k: int, f: Tuple[str, int], g: Tuple[str, int]) -> ExactnessVerdict:

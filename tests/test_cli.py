@@ -13,7 +13,14 @@ from csverify.degenerations import cycle_graph, theta_graph
 from csverify.generators import GenProfile, gen_cs_instance
 from csverify.linalg import Matrix, hstack
 from csverify.serialize import dumps, graph_to_json, instance_to_json
-from csverify.verifier import ARROWS, BREAKABLE_HYPOTHESES, NODES, CSInstance, MalformedInstanceError
+from csverify.verifier import (
+    ARROWS,
+    BREAKABLE_HYPOTHESES,
+    NODES,
+    CSInstance,
+    HypothesisReport,
+    MalformedInstanceError,
+)
 
 
 # `python -m csverify` subprocesses import the package from this checkout, installed or not
@@ -137,6 +144,22 @@ def test_monodromy_cross_check_disagreement_exit_one(tmp_path, monkeypatch, caps
     assert code == EXIT_INTERNAL == 1
     assert out == ""
     assert "disagree" in err
+
+
+def _dirty_report(inst):
+    return HypothesisReport({**{category: {} for category in BREAKABLE_HYPOTHESES}, "A_bound": {0: False}})
+
+
+@pytest.mark.parametrize("args, stdin_text", [
+    (["generate", "--seed", "1"], None),
+    (["fixture", "curve", "--graph", "-"], dumps(graph_to_json(cycle_graph(3)))),
+], ids=["generate", "fixture-curve"])
+def test_construction_failing_its_own_check_exit_one(args, stdin_text, monkeypatch, capsys):
+    monkeypatch.setattr("csverify.verifier.check_instance_hypotheses", _dirty_report)
+    code, out, err = run_cli(args, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_INTERNAL == 1
+    assert out == ""
+    assert "internal error" in err
 
 
 def test_monodromy_rejects_non_nilpotent(tmp_path, capsys):

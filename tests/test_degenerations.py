@@ -5,7 +5,6 @@ import pytest
 from csverify.degenerations import (
     DisconnectedGraphError,
     DualGraph,
-    FixtureError,
     betti,
     curve_cs_instance,
     cycle_graph,
@@ -14,6 +13,7 @@ from csverify.degenerations import (
 )
 from csverify.linalg import image, kernel
 from csverify.verifier import (
+    InconsistencyError,
     check_instance_hypotheses,
     verify_invariant_cycles,
     verify_unipotent_cs,
@@ -126,7 +126,7 @@ def test_euler_characteristic_bookkeeping():
 
 def test_nondefault_self_intersections_fail_consistency():
     g = DualGraph.make(2, [(0, 1), (0, 1)], self_intersections=[-1, -2])
-    with pytest.raises(FixtureError):
+    with pytest.raises(InconsistencyError):
         curve_cs_instance(g)
 
 

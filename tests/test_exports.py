@@ -1,7 +1,8 @@
 """The package's public names: each one exported resolves, so a deleted
 function cannot leave a dangling entry in ``csverify.__all__``; each
-module imports a name from the module that defines it; and every public
-name has a caller outside the unit tests."""
+module imports a name from the module that defines it; the random
+generator sits above everything but the CLI; and every public name has a
+caller outside the unit tests."""
 
 import ast
 import re
@@ -55,6 +56,14 @@ def test_imports_between_modules_name_their_definitions():
                 if private or name not in defined[source]:
                     bad.append(f"{mod}: from .{node.module or ''} import {name}")
     assert not bad
+
+
+def test_only_the_cli_and_the_package_import_the_generator():
+    """The split construction lives in verifier, so no library module depends on the random generator."""
+    importers = {path.name for path in _SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "generators"}
+    assert importers <= {"cli.py", "__init__.py"}
 
 
 _ROOT = _SRC.parents[1]

@@ -13,7 +13,7 @@ from csverify.filtration import (
     WeightCompatibilityError,
     direct_sum,
     exactness_at,
-    graded_piece,
+    graded_complement,
     induced_on_quotient,
     induced_on_subspace,
     strictness,
@@ -81,23 +81,12 @@ def test_zero_space():
 # -- graded pieces --------------------------------------------------------
 
 def test_graded_pure():
-    fs = FilteredSpace.pure(4, 3)
-    assert graded_piece(fs, 3).dim == 4
-    assert graded_piece(fs, 2).dim == 0
-    assert graded_piece(fs, 4).dim == 0
+    assert graded_dims(FilteredSpace.pure(4, 3)) == {3: 4}
 
 
 def test_graded_two_step():
     fs = two_step()
-    assert [graded_piece(fs, i).dim for i in (0, 1, 2)] == [1, 0, 1]
-
-
-def test_graded_projection_kernel():
-    fs = two_step()
-    gp = graded_piece(fs, 2)
-    # kernel of the projection inside W_2 is exactly W_0
-    assert (gp.projection @ column(1, 0)).is_zero()
-    assert not (gp.projection @ column(0, 1)).is_zero()
+    assert [graded_dims(fs).get(i, 0) for i in (0, 1, 2)] == [1, 0, 1]
 
 
 def test_graded_dims_sum_random():
@@ -111,8 +100,9 @@ def test_graded_dims_sum_random():
         fs = FilteredSpace(5, {-1: span_of_vectors(rows[:2], 5),
                                0: span_of_vectors(rows[:3], 5),
                                3: full_subspace(5)})
-        assert sum(graded_piece(fs, i).dim for i in range(-2, 5)) == 5
-        assert sum(graded_dims(fs).values()) == 5
+        assert graded_dims(fs) == {-1: 2, 0: 1, 3: 2}
+        assert {w: graded_complement(fs, w).nrows for w in range(-2, 5)} == {
+            w: graded_dims(fs).get(w, 0) for w in range(-2, 5)}
 
 
 # -- Tate twists -----------------------------------------------------------
@@ -179,9 +169,9 @@ def test_strict_graded_additivity_on_generated_maps():
             assert strictness(f).strict
             ker_fs = induced_on_subspace(src, kernel(mat))
             im_fs = induced_on_subspace(tgt, image(mat))
+            gr_src, gr_ker, gr_im = graded_dims(src), graded_dims(ker_fs), graded_dims(im_fs)
             for i in set(src.jumps) | set(tgt.jumps):
-                assert (graded_piece(src, i).dim
-                        == graded_piece(ker_fs, i).dim + graded_piece(im_fs, i).dim)
+                assert gr_src.get(i, 0) == gr_ker.get(i, 0) + gr_im.get(i, 0)
             checked += 1
     assert checked
 

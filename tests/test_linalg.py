@@ -239,8 +239,9 @@ def test_from_rows_is_the_one_rational_constructor():
             Matrix.from_rows([[1, bad]])
         with pytest.raises(TypeError):
             span_of_vectors([[1, 0]], 2).contains_vector((1, bad))
-    with pytest.raises(TypeError):
-        Matrix(1, 2, [[1, 2]])
+    for args in ((1, 2, [[1, 2]]), ()):
+        with pytest.raises(TypeError):
+            Matrix(*args)
 
 
 def test_eliminations_go_through_module_rref(monkeypatch):

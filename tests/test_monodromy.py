@@ -88,6 +88,22 @@ def test_axioms_fail_on_concentrated_with_nonzero_n():
     assert verdict.failed_axiom in ("shift", "graded_iso")
 
 
+def _weights_minus_one_and_one():
+    """Q^2 with W_{-1} = <e1> and W_1 everything."""
+    return FilteredSpace(2, {-1: span_of_vectors([[1, 0]], 2), 1: full_subspace(2)})
+
+
+@pytest.mark.parametrize("matrix, space, expected", [
+    (Matrix.zero(2, 2), _weights_minus_one_and_one(), (False, "graded_iso", 1)),  # Gr_1 -> Gr_-1 has rank 0
+    (Matrix.zero(1, 1), FilteredSpace.pure(1, 1), (False, "graded_iso", 1)),  # dim Gr_1 = 1, dim Gr_-1 = 0
+    (jordan_block(2), FilteredSpace.pure(2, 0), (False, "shift", 0)),  # N.W_0 is not inside W_-2 = 0
+    (jordan_block(2), _weights_minus_one_and_one(), (True, None, None)),
+], ids=["zero-map-rank", "graded-dims-differ", "shift", "jordan-two"])
+def test_axiom_verdicts_at_center_zero(matrix, space, expected):
+    verdict = verify_centered_axioms(CenteredFiltration(0, space), op_on_pure(matrix, space.dim))
+    assert (verdict.ok, verdict.failed_axiom, verdict.failed_index) == expected
+
+
 def test_axioms_pass_on_200_random_nilpotents():
     rng = random.Random(8)
     for i in range(200):
