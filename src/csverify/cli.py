@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 from typing import List, Optional
@@ -44,6 +43,7 @@ from .serialize import (
     instance_from_json,
     instance_to_json,
     json_int,
+    loads,
     nilpotent_from_json,
     verdict_report_to_json,
 )
@@ -70,8 +70,7 @@ EXIT_USAGE = 64
 
 _INPUT_ERRORS = (SerializationError, MalformedInstanceError, NilpotencyError,
                  FiltrationError, WeightCompatibilityError, DimensionMismatchError,
-                 DisconnectedGraphError, DegreeRangeError, ProfileError,
-                 json.JSONDecodeError, OSError, UnicodeDecodeError)
+                 DisconnectedGraphError, DegreeRangeError, ProfileError, OSError)
 
 
 class _UsageError(Exception):
@@ -174,7 +173,7 @@ def entry():  # console-script hook
 
 def _cmd_verify(args) -> int:
     raw = _read_input(args.instance)
-    inst = instance_from_json(json.loads(raw))
+    inst = instance_from_json(loads(raw))
     started = time.monotonic()
     report = check_instance_hypotheses(inst)
     verdicts = []
@@ -234,7 +233,7 @@ def _render_text(payload, report, verdicts) -> str:
 
 def _cmd_monodromy(args) -> int:
     raw = _read_input(args.nilpotent)
-    op = nilpotent_from_json(json.loads(raw))
+    op = nilpotent_from_json(loads(raw))
     cf = monodromy_filtration(op, args.center)
     payload = {"schema": 1, "input_digest": _digest(raw)}
     payload.update(centered_filtration_to_json(cf))
@@ -273,7 +272,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fixture(args) -> int:
     raw = _read_input(args.graph)
-    graph = graph_from_json(json.loads(raw))
+    graph = graph_from_json(loads(raw))
     # the fibre meets every component with intersection number 0, which
     # holds exactly when each self-intersection is -degree
     if graph.self_intersections != DualGraph.make(graph.vertices, graph.edges).self_intersections:

@@ -7,6 +7,9 @@ whose kernel/image/cokernel inherit well-behaved filtrations, which is what
 every exactness argument downstream leans on.  Strictness is decided by
 counting dimensions: a FilteredMap keeps dim f(W_i) from its
 compatibility check, and no intersection of subspaces is formed.
+Exactness passes on a count too: the ranks of the two maps, read from
+the images they keep, and one composite; a kernel is built only to find
+the witness of a failure.
 
 Three constructions live here and nowhere else: the filtration a
 subspace inherits (``induced_on_subspace``), the one a surjection pushes
@@ -240,14 +243,22 @@ class ExactnessVerdict:
 
 
 def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
-    """Exactness of the two-map matrix sequence . -f-> . -g-> . at the middle."""
+    """Exactness of the two-map matrix sequence . -f-> . -g-> . at the middle.
+
+    Like ``strictness``, a passing verdict is a dimension count: im(f) =
+    ker(g) iff rank f + rank g = dim of the middle and g.f = 0.  The ranks
+    are those of the images kept on f and g, and g.f is formed only when
+    the count holds and f is nonzero.  The canonical kernel of g is built
+    only for a failing verdict, to find its witness: the first basis row
+    of im(f) outside ker(g), else the first one of ker(g) outside im(f).
+    """
     if g.ncols != f.nrows:
         raise ComposabilityError(
             f"maps do not compose: f lands in Q^{f.nrows}, g starts from Q^{g.ncols}")
     im = image(f)
-    ker = kernel(g)
-    if im == ker:
+    if im.dim + image(g).dim == f.nrows and (im.dim == 0 or (g @ f).is_zero()):
         return ExactnessVerdict(True)
+    ker = kernel(g)
     for row in im.basis.rows:
         if not ker.contains_vector(row):
             return ExactnessVerdict(False, reason="composite_nonzero", witness=row)
@@ -255,4 +266,3 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
         if not im.contains_vector(row):
             return ExactnessVerdict(False, reason="kernel_exceeds_image", witness=row)
     raise AssertionError("unreachable: im != ker without a witness")
-

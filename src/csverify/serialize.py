@@ -7,7 +7,17 @@ unambiguous.  Serialization is deterministic: keys are sorted and the
 formatting is fixed, so equal values produce identical bytes.  Integer
 fields (dimensions, degrees, weights, the range, purity, graph data) must
 be JSON integers, and integer object keys plain decimal strings; any
-other value is a SerializationError, never truncated.
+other value is a SerializationError, never truncated.  So is an integer
+longer than the interpreter's limit on decimal digits
+(``sys.get_int_max_str_digits``), wherever it appears.
+
+``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=1)`` itself: with an indent, ``json.dumps`` never uses CPython's C
+encoder, and its pure-Python one dominated the cost of a report.  Only
+the escaping of strings is left to ``json``, whose C routine it is.
+``matrix_from_json`` reads a row of decimal integers, the common case, as
+one regex match over the joined row and one ``int`` per entry; that
+already is the stored form (integers over denominator 1).
 
 Schemas:
 
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from math import gcd
 from typing import Dict, Optional, Tuple
 
@@ -45,7 +56,61 @@ class SerializationError(ValueError):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, for JSON values whose object keys are strings."""
+    return _encode(obj, "\n") + "\n"
+
+
+_STR = json.encoder.encode_basestring_ascii  # the C routine where CPython has one
+
+
+def _encode(obj, pad: str) -> str:
+    """obj in the indent=1 layout; pad is a newline and the indent of obj's own line."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + " "
+        sep = "," + inner
+        try:  # a list of strings, such as a matrix row, in one join
+            body = sep.join(map(_STR, obj))
+        except TypeError:  # an entry is not a string
+            body = sep.join([_encode(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + " "
+        return "{" + inner + ("," + inner).join([_STR(k) + ": " + _encode(v, inner)
+                                                for k, v in sorted(obj.items())]) + pad + "}"
+    if isinstance(obj, str):
+        return _STR(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)  # any other leaf: a float, or a TypeError
+
+
+def loads(raw):
+    """json.loads, every failure a SerializationError.
+
+    An integer literal longer than the interpreter's digit limit raises a
+    plain ValueError, not a JSONDecodeError."""
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from exc
+
+
+def _int(text: str, what: str) -> int:
+    """int(text) for text already checked to be decimal; too many digits is a SerializationError."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise SerializationError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -57,10 +122,13 @@ def json_int(value, what: str, key: bool) -> int:
     ``int`` alone would read 2.9 as 2, true as 1 and the key "1_0" as 10.
     """
     if key and isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        return _int(value, what)
     if key or type(value) is not int:
         raise SerializationError(f"{what} must be an integer, got {json.dumps(value, default=str)[:40]}")
     return value
+
+
+_RATIO = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
 def _ratio(s) -> Tuple[int, int]:
@@ -69,10 +137,32 @@ def _ratio(s) -> Tuple[int, int]:
         return s, 1
     if not isinstance(s, str):
         raise SerializationError(f"rational entries must be strings, got {type(s).__name__}")
-    num, _, den = s.partition("/")
-    if not _DECIMAL.fullmatch(num) or not _DECIMAL.fullmatch(den or "1") or int(den or 1) == 0:
+    match = _RATIO.fullmatch(s)
+    if match is None:
         raise SerializationError(f"cannot parse rational {s!r}")
-    return int(num), int(den or 1)
+    num, den = match.groups()
+    q = 1 if den is None else _int(den, "rational entry")
+    if q == 0:
+        raise SerializationError(f"cannot parse rational {s!r}")
+    return _int(num, "rational entry"), q
+
+
+# a row of decimal integers joined by commas; an entry may itself hold a comma, so count them too
+_INT_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _row(row: list) -> tuple:
+    """The stored form of one JSON row of rational entries."""
+    try:
+        text = ",".join(row)
+    except TypeError:  # an entry is not a string
+        text = ""
+    if _INT_ROW.fullmatch(text) and text.count(",") == len(row) - 1:
+        try:
+            return tuple(map(int, row)), 1
+        except ValueError:  # an entry past the digit limit, which the per-entry parse reports
+            pass
+    return ratio_row([_ratio(x) for x in row])
 
 
 def _ratio_str(p: int, q: int) -> str:
@@ -94,7 +184,7 @@ def matrix_from_json(data, nrows: int, ncols: int) -> Matrix:
     for row in data:
         if not isinstance(row, list) or len(row) != ncols:
             raise SerializationError(f"matrix row must be an array of {ncols} entries")
-        rows.append(ratio_row([_ratio(x) for x in row]))
+        rows.append(_row(row))
     return Matrix.of(nrows, ncols, tuple(rows))
 
 

@@ -387,6 +387,7 @@ def test_console_entry_point_subprocess():
 
 
 _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
+_HUGE = "7" * 5000
 
 
 @pytest.mark.parametrize("args, stdin_text", [
@@ -417,12 +418,18 @@ _ONE_NODE = '"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}}'
     (["generate", "--seed", "10", "--range", "1_0:20"], None),
     (["generate", "--seed", "10", "--range", "0: 10"], None),
     (["generate", "--seed", "10", "--range", "0:+10"], None),
+    # integers longer than the interpreter's 4300-digit limit
+    (["verify", "-"], '{"range": [0, 0], "P": {"' + _HUGE + '": {"dim": 1, "steps": {"0": [["1"]]}}}}'),
+    (["verify", "-"], '{"range": [0, ' + _HUGE + ']}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "N": {"0": [["' + _HUGE + '"]]}}'),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": ' + _HUGE + ', "edges": []}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed", "weight-spread-zero",
         "edge-one-vertex", "self-intersection-not-minus-degree",
         "range-float", "purity-float", "dim-float", "entry-true", "range-true",
         "degree-key-underscore", "vertices-float", "edge-end-float",
-        "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus"])
+        "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus",
+        "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from csverify.filtration import (
     ComposabilityError,
+    ExactnessVerdict,
     FiltrationError,
     FilteredMap,
     FilteredSpace,
@@ -26,11 +28,13 @@ from csverify.linalg import (
     Matrix,
     canonicalize,
     full_subspace,
+    hstack,
     image,
     inverse,
     kernel,
     quotient_map,
     span_of_vectors,
+    transpose,
 )
 from csverify.verifier import _instance_maps
 from test_linalg_oracle import ref_contains_vector
@@ -284,13 +288,53 @@ def test_composability_checked():
         exactness_at(f.matrix, g.matrix)
 
 
-def brute_force_exact(f, g):
+def reference_exactness(f, g):
+    """The verdict as image(f) == kernel(g): on a failure, the first basis row of im(f)
+    that g does not kill, else the first basis row of ker(g) outside im(f)."""
     im = image(f)
     ker = kernel(g)
     for row in im.basis.rows:
         if not (g @ column(*row)).is_zero():
-            return False
-    return all(ref_contains_vector(im, row) for row in ker.basis.rows)
+            return ExactnessVerdict(False, reason="composite_nonzero", witness=row)
+    for row in ker.basis.rows:
+        if not ref_contains_vector(im, row):
+            return ExactnessVerdict(False, reason="kernel_exceeds_image", witness=row)
+    return ExactnessVerdict(True)
+
+
+def random_subspace(rng, b, r):
+    """A random r-dimensional subspace of Q^b."""
+    while True:
+        sub = canonicalize(Matrix.from_rows([[rng.randint(-2, 2) for _ in range(b)] for _ in range(r)], ncols=b))
+        if sub.dim == r:
+            return sub
+
+
+def map_onto(rng, sub):
+    """A map Q^(dim+1) -> Q^b with image sub: its basis, transposed, after a random surjection."""
+    onto = hstack(random_invertible(rng, sub.dim), Matrix.from_rows([[rng.randint(-2, 2)] for _ in range(sub.dim)]))
+    return transpose(sub.basis) @ onto
+
+
+def map_killing(rng, sub):
+    """A map out of Q^b with kernel sub: its quotient map, then a random isomorphism."""
+    return random_invertible(rng, sub.ambient_dim - sub.dim) @ quotient_map(sub)
+
+
+def constructed_pairs(rng):
+    """(f, g, expected reason) with f and g both nonzero, for each way a verdict can go."""
+    for _ in range(40):
+        b = rng.randint(3, 6)
+        r = rng.randint(2, b - 1)
+        ker = random_subspace(rng, b, r)
+        yield map_onto(rng, ker), map_killing(rng, ker), None
+        # g.f = 0, but im(f) is a hyperplane of ker(g): short of rank
+        short = canonicalize(Matrix.of(r - 1, b, ker.basis.irows[:r - 1]))
+        yield map_onto(rng, short), map_killing(rng, ker), "kernel_exceeds_image"
+        # rank f + rank g = b, yet im(f) is not ker(g): a count of ranks alone would pass it
+        other = random_subspace(rng, b, r)
+        if other != ker:
+            yield map_onto(rng, other), map_killing(rng, ker), "composite_nonzero"
 
 
 def test_exactness_matches_brute_force_oracle():
@@ -299,7 +343,17 @@ def test_exactness_matches_brute_force_oracle():
         a, b, c = (rng.randint(0, 6) for _ in range(3))
         f = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(a)] for _ in range(b)], ncols=a)
         g = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(b)] for _ in range(c)], ncols=b)
-        assert exactness_at(f, g).exact == brute_force_exact(f, g)
+        assert exactness_at(f, g) == reference_exactness(f, g)
+    reasons = Counter()
+    for f, g, reason in constructed_pairs(rng):
+        assert not f.is_zero() and not g.is_zero()
+        if reason == "composite_nonzero":
+            assert image(f).dim + image(g).dim == f.nrows and not (g @ f).is_zero()
+        verdict = exactness_at(f, g)
+        assert verdict == reference_exactness(f, g)
+        assert verdict.reason == reason
+        reasons[reason] += 1
+    assert min(reasons.values()) >= 20 and len(reasons) == 3
 
 
 # -- induced filtrations ---------------------------------------------------

@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
 from csverify.filtration import FilteredSpace, full_subspace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
-from csverify.linalg import Matrix, span_of_vectors
+from csverify.linalg import Matrix, ratio_row, span_of_vectors
 from csverify.monodromy import NilpotentOp, monodromy_filtration
 from csverify.serialize import (
     SerializationError,
@@ -35,9 +37,31 @@ def test_rational_parse_and_format():
     assert parse("-7") == Fraction(-7)
     assert parse(5) == Fraction(5)
     assert matrix_to_json(Matrix.from_rows([[Fraction(6, 8), -7, 0]])) == [["3/4", "-7", "0"]]
-    for bad in ("x", "1/0", "1/2/3", None, 1.5, True, "1_0", "1/ 2", ""):
+    assert parse("1/-2") == Fraction(-1, 2)
+    # int() alone would take "+1", " 1" and the Arabic-Indic digit one
+    huge = "7" * 5000  # beyond the interpreter's 4300-digit limit
+    for bad in ("x", "1/0", "1/2/3", None, 1.5, True, "1_0", "1/ 2", "", "1,2", "+1", " 1",
+                "\u0661", huge, "1/" + huge, "-" + huge):
         with pytest.raises(SerializationError):
             parse(bad)
+    for bad_row in (["1,2", "3"], ["1", "2,"], ["1", huge]):
+        with pytest.raises(SerializationError):
+            matrix_from_json([bad_row], 1, 2)
+    # an entry holding a comma is one bad entry, never read as two integers
+    for bad_row in (["1,2"], ["1,2", "3"]):
+        with pytest.raises(SerializationError, match="cannot parse rational '1,2'"):
+            matrix_from_json([bad_row], 1, len(bad_row))
+
+    # a row of decimal integers skips the per-entry parse; both store what ratio_row stores
+    def pair(entry):
+        p, _, q = str(entry).partition("/")
+        return int(p), int(q or 1)
+
+    rows = [["0", "-3", "12"], ["-0", "0", "0"], ["4", "1/2", "-6/4"], ["1/-3", "2", "0"],
+            ["10", 7, "-1"], ["2", "007", "-12"], ["6", "-4", "8"]]
+    stored = matrix_from_json(rows, len(rows), 3).irows
+    assert list(stored) == [ratio_row([pair(x) for x in row]) for row in rows]
+    assert matrix_from_json([[]], 1, 0).irows == (ratio_row([]),)
 
 
 def test_matrix_round_trip_and_shape_check():
@@ -108,6 +132,30 @@ def test_instance_round_trip_adversarial_and_fixture():
 def test_dumps_deterministic():
     inst = gen_cs_instance(GenProfile(seed=1, max_dim_per_node=5))
     assert dumps(instance_to_json(inst)) == dumps(instance_to_json(inst))
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "3/4", "-7"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _TEXT
+    | st.integers(-2**70, 2**70) | st.sampled_from([0, -1, 2**64, -2**64 - 1, 10**30]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dumps_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+def test_dumps_edge_values():
+    for value in ({}, [], [[]], {"a": {}}, [True, False, 1, 0, None], {"b": [1], "a": ["1", "x"]},
+                  ["\"\\\u00e9", "\x01"], -2**64 - 5, (1, "2"), [[], {}, ""], [1.5, float("inf")]):
+        assert dumps(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
+    assert dumps([True, False]) == "[\n true,\n false\n]\n"
+    with pytest.raises(TypeError):
+        dumps([object()])
 
 
 def test_report_json_round_trips_as_json():
