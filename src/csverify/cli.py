@@ -4,7 +4,9 @@ Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
 two monodromy constructions disagree, or a generated instance or curve
 fixture fails its own hypothesis check: an InconsistencyError, mapped in
 ``main`` alone); 2 instance hypotheses dirty; 3 a conclusion is
-non-exact; 4 malformed or unreadable input; 64 bad command line.  `-` names standard input/output for piping.
+non-exact; 4 malformed or unreadable input, or a rational to print past
+the interpreter's digit limit (a SerializationError from the one output
+formatter, with nothing on stdout); 64 bad command line.  `-` names standard input/output for piping.
 
 `verify` reports (schema 2) hold verdicts only for the degree window,
 the declared degrees within 2 of a stored space; `trivial_degrees` lists

@@ -90,22 +90,11 @@ class DualGraph:
             parent[find(i)] = find(j)
         return len({find(x) for x in range(self.vertices)}) == 1
 
-    def loops(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if a == b == i)
-
-    def multiplicity(self, i: int, j: int) -> int:
-        a, b = min(i, j), max(i, j)
-        return sum(1 for e in self.edges if e == (a, b))
-
 
 def cycle_graph(n: int) -> DualGraph:
     """The dual graph of an n-gon of rational curves (type I_n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return DualGraph.make(1, [(0, 0)])
-    if n == 2:
-        return DualGraph.make(2, [(0, 1), (0, 1)])
     return DualGraph.make(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -129,15 +118,12 @@ def intersection_matrix(g: DualGraph) -> Matrix:
     the rows sum to zero and the kernel is spanned by (1, ..., 1).
     """
     v = g.vertices
-    rows = []
-    for i in range(v):
-        row = []
-        for j in range(v):
-            if i == j:
-                row.append(g.self_intersections[i] + 2 * g.loops(i))
-            else:
-                row.append(g.multiplicity(i, j))
-        rows.append(row)
+    rows = [[0] * v for _ in range(v)]
+    for i, s in enumerate(g.self_intersections):
+        rows[i][i] = s
+    for i, j in g.edges:
+        rows[i][j] += 1
+        rows[j][i] += 1  # a loop adds 2 on the diagonal
     return Matrix.from_rows(rows, ncols=v)
 
 

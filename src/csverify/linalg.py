@@ -16,7 +16,11 @@ only at the boundary: ``Matrix.rows`` builds them on each read, and
 ``serialize`` formats and parses the integers.  ``Matrix.from_rows`` is
 the one constructor that takes rows of ints and Fractions; callers that
 build matrices in bulk write the stored form through ``Matrix.of`` and
-``ratio_row``.
+``ratio_row``.  Each derived object is computed once and kept on the
+matrix: its image, its kernel and, for a square matrix, its kernel flag
+(whose step ker f is the kernel memo) and the Jordan chains built from
+the flag; they are read only through ``image``, ``kernel``,
+``kernel_flag`` and ``jordan_chains``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -133,7 +137,7 @@ class Matrix:
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.irows))
 
-    # read through image/kernel; kept outside eq/hash/repr
+    # read through image, kernel, kernel_flag and jordan_chains; kept outside eq/hash/repr
     @cached_property
     def _image(self) -> "Subspace":
         return canonicalize(transpose(self))
@@ -141,6 +145,14 @@ class Matrix:
     @cached_property
     def _kernel(self) -> "Subspace":
         return canonicalize(self).annihilator()
+
+    @cached_property
+    def _kernel_flag(self) -> tuple:
+        return _flag(self)
+
+    @cached_property
+    def _jordan_chains(self) -> tuple:
+        return _chains(self)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -347,6 +359,46 @@ def image(f: Matrix, s: Optional[Subspace] = None) -> Subspace:
 def kernel(f: Matrix) -> Subspace:
     """Kernel of f as a canonical subspace of the domain (kept on f)."""
     return f._kernel
+
+
+def kernel_flag(f: Matrix) -> tuple:
+    """(ker f^0, ker f^1, ..., ker f^p) for a square f, up to the first power whose kernel stops
+    growing (kept on f).  It ends in the whole space iff f^p = 0; its step ker f^1 is kernel(f)."""
+    if f.nrows != f.ncols:
+        raise DimensionMismatchError("kernel flag of a non-square matrix")
+    return f._kernel_flag
+
+
+def _flag(f: Matrix) -> tuple:
+    """No power of f is formed: ker f^(j+1) is the kernel of f followed by the quotient map of ker f^j."""
+    flag = [zero_subspace(f.ncols), f._kernel]
+    while flag[-2].dim < flag[-1].dim < f.ncols:
+        flag.append(canonicalize(quotient_map(flag[-1]) @ f).annihilator())
+    return tuple(flag) if flag[-2].dim < flag[-1].dim else tuple(flag[:-1])
+
+
+def jordan_chains(f: Matrix) -> tuple:
+    """Jordan chains spanning the last step of f's kernel flag (kept on f), each head first in
+    the stored row form of ``Matrix.irows``: (v, fv, ..., f^(m-1)v) with f^m v = 0."""
+    return f._jordan_chains
+
+
+def _chains(f: Matrix) -> tuple:
+    """Top down: a new chain starts at each row of ker f^j outside ker f^(j-1) and the running chains."""
+    flag = kernel_flag(f)
+    step = transpose(f)  # the row v.f^T is the vector f v
+    chains = []  # every chain started so far gets one more vector per lower level
+    for level in range(len(flag) - 1, 0, -1):
+        have = flag[level - 1]
+        if chains:
+            tails = Matrix.of(len(chains), f.nrows, tuple(c[-1] for c in chains)) @ step
+            for chain, row in zip(chains, tails.irows):
+                chain.append(row)
+            have = canonicalize(vstack(have.basis, tails))
+        chains += [[row] for row in extend_basis(have, flag[level].basis).irows]
+    if sum(map(len, chains)) != flag[-1].dim:
+        raise AssertionError(f"Jordan chain vectors do not span ker f^{len(flag) - 1}")
+    return tuple(map(tuple, chains))
 
 
 def extend_basis(base: Subspace, m: Matrix) -> Matrix:

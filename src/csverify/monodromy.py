@@ -3,21 +3,22 @@
 For a nilpotent endomorphism N of Q^d and a center k there is a unique
 finite increasing filtration M with N.M_i contained in M_{i-2} such that
 the i-th power of N induces an isomorphism Gr_{k+i} -> Gr_{k-i}.  It is
-determined by the kernel flag ker N < ker N^2 < ... < ker N^p = Q^d,
-which ``kernel_flag`` builds from reduced row spaces without forming a
-power of N.  A ``NilpotentOp`` computes its flag and its Jordan chains
-once; the chain construction and the weight-bound check read them from
-there.  Two independent constructions are implemented:
+determined by the kernel flag ker N < ker N^2 < ... < ker N^p = Q^d.
+The flag and its Jordan chains are kept on the matrix (``linalg``'s
+``kernel_flag`` and ``jordan_chains``), so every caller reads one
+derivation; ``nilpotency_index`` is the one nilpotency check, and a
+``NilpotentOp`` keeps only its space and matrix.  Two independent
+constructions are implemented:
 
-* ``monodromy_filtration`` builds Jordan chains of N from the kernel
-  flag (the only eigenvalue is 0, so no eigenvalue machinery is needed)
-  and assigns a chain of length m the weights k+m-1, k+m-3, ...,
-  k-m+1 from head to tail;
+* ``centered_filtration`` (``monodromy_filtration`` on an operator)
+  gives a Jordan chain of length m the weights k+m-1, k+m-3, ...,
+  k-m+1 from head to tail (0 is the only eigenvalue);
 
-* ``monodromy_filtration_recursive`` uses the classical recursion: with
-  N^m nonzero and N^{m+1} = 0 the extreme steps are forced (full space,
-  ker N^m, im N^m, zero) and the middle ones are lifted from the centered
-  filtration of the operator induced on ker(N^m)/im(N^m).
+* ``centered_filtration_recursive`` (``monodromy_filtration_recursive``)
+  uses the classical recursion: with N^m nonzero and N^{m+1} = 0 the
+  extreme steps are forced (full space, ker N^m, im N^m, zero) and the
+  middle ones are lifted from the centered filtration of the operator
+  induced on ker(N^m)/im(N^m).
 
 The two share the flag but no chain or recursion logic.  Uniqueness
 makes their agreement a sharp cross-check, exercised at scale by the
@@ -38,14 +39,15 @@ from .linalg import (
     Matrix,
     canonicalize,
     coords_map,
-    extend_basis,
     image,
+    jordan_chains,
+    kernel,
+    kernel_flag,
     quotient_map,
     rank,
     section_of_quotient,
     transpose,
     vstack,
-    zero_subspace,
 )
 
 
@@ -53,31 +55,12 @@ class NilpotencyError(ValueError):
     """The matrix is not nilpotent."""
 
 
-def kernel_flag(matrix: Matrix) -> tuple:
-    """(ker N^0, ker N^1, ..., ker N^p) for N = matrix, where N^p = 0.
-
-    No power of N is formed: if R_j is the reduced basis of the row space
-    of N^j, the row space of N^{j+1} is that of R_j.N, and ker N^j is
-    ker R_j, read off R_j's pivots.  Raises NilpotencyError when the
-    rank stops falling while still above zero.
-    """
-    if matrix.nrows != matrix.ncols:
-        raise DimensionMismatchError("kernel flag of a non-square matrix")
-    flag = [zero_subspace(matrix.ncols)]
-    rank, rows = matrix.nrows, canonicalize(matrix)
-    while rank:
-        if rows.dim == rank:
-            raise NilpotencyError("matrix is not nilpotent")
-        flag.append(rows.annihilator())
-        rank = rows.dim
-        if rank:
-            rows = canonicalize(rows.basis @ matrix)
-    return tuple(flag)
-
-
 def nilpotency_index(m: Matrix) -> int:
-    """Least p with m^p = 0; raises NilpotencyError if m is not nilpotent."""
-    return len(kernel_flag(m)) - 1
+    """Least p with m^p = 0, where m's kernel flag ends; raises NilpotencyError if m is not nilpotent."""
+    flag = kernel_flag(m)
+    if flag[-1].dim != m.ncols:
+        raise NilpotencyError("matrix is not nilpotent")
+    return len(flag) - 1
 
 
 class NilpotentOp:
@@ -89,24 +72,23 @@ class NilpotentOp:
     verifier's strictness check of N applies that condition.
     """
 
-    __slots__ = ("space", "matrix", "flag", "chains")
+    __slots__ = ("space", "matrix")
 
     def __init__(self, space: FilteredSpace, matrix: Matrix):
         if matrix.nrows != space.dim or matrix.ncols != space.dim:
             raise DimensionMismatchError(
                 f"operator is {matrix.nrows}x{matrix.ncols} on a space of dimension {space.dim}")
-        self.flag = kernel_flag(matrix)
+        nilpotency_index(matrix)
         for w in space.jumps:
             if not space.step(w + 2).contains(image(matrix, space.step(w))):
                 raise NilpotencyError(f"operator raises weight {w} by more than two")
-        self.chains = _jordan_chains(matrix, self.flag)  # independent of the center
         self.space = space
         self.matrix = matrix
 
     @property
     def index(self) -> int:
         """Nilpotency index: the least p with N^p = 0."""
-        return len(self.flag) - 1
+        return nilpotency_index(self.matrix)
 
     def __repr__(self) -> str:
         return f"NilpotentOp(dim {self.space.dim}, index {self.index})"
@@ -118,30 +100,6 @@ class CenteredFiltration:
 
     center: int
     filtration: FilteredSpace
-
-
-def _jordan_chains(matrix: Matrix, flag: tuple) -> tuple:
-    """Jordan chains of a nilpotent matrix from its kernel flag.
-
-    Returns the chains, each a tuple of vectors head-first in the stored
-    row form of ``Matrix.irows``, so a chain of length m is
-    (v, Nv, ..., N^{m-1}v) with N^m v = 0.
-    """
-    d = matrix.nrows
-    step = transpose(matrix)  # the row v.N^T is the vector N v
-    chains = []  # every chain started so far gets one more vector per lower level
-    for level in range(len(flag) - 1, 0, -1):
-        have = flag[level - 1]
-        if chains:
-            tails = Matrix.of(len(chains), d, tuple(c[-1] for c in chains)) @ step
-            for chain, row in zip(chains, tails.irows):
-                chain.append(row)
-            have = canonicalize(vstack(have.basis, tails))
-        chains += [[row] for row in extend_basis(have, flag[level].basis).irows]
-    total = sum(len(c) for c in chains)
-    if total != d:
-        raise AssertionError(f"Jordan chain vectors span dimension {total}, expected {d}")
-    return tuple(map(tuple, chains))
 
 
 def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
@@ -165,15 +123,14 @@ def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
 
 
 def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
-    """Centered weight filtration of a nilpotent matrix, by Jordan chains."""
-    if matrix.nrows == 0:
-        return FilteredSpace.zero()
-    return chain_filtration(_jordan_chains(matrix, kernel_flag(matrix)), matrix.nrows, k)
+    """Centered weight filtration of a nilpotent matrix, from the Jordan chains kept on it."""
+    nilpotency_index(matrix)
+    return chain_filtration(jordan_chains(matrix), matrix.nrows, k)
 
 
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:
     """The unique filtration centered at k attached to the nilpotent n."""
-    return CenteredFiltration(k, chain_filtration(n.chains, n.space.dim, k))
+    return CenteredFiltration(k, centered_filtration(n.matrix, k))
 
 
 def centered_filtration_recursive(matrix: Matrix, k: int,
@@ -186,13 +143,10 @@ def centered_filtration_recursive(matrix: Matrix, k: int,
     an arbitrary correction into im(N^m) to let tests exercise that.
     """
     dim = matrix.nrows
-    if dim == 0:
-        return FilteredSpace.zero()
-    flag = kernel_flag(matrix)
-    m = len(flag) - 2
+    m = nilpotency_index(matrix) - 1
     if m <= 0:
         return FilteredSpace.pure(dim, k)
-    ker_nm = flag[m]
+    ker_nm = kernel_flag(matrix)[m]
     im_nm = image(matrix)
     for _ in range(m - 1):
         im_nm = image(matrix, im_nm)
@@ -295,8 +249,7 @@ def ker_coker_weight_bounds(n: NilpotentOp, k: int) -> BoundsVerdict:
     if monodromy_filtration(n, k).filtration != n.space:
         return BoundsVerdict("hypothesis_not_satisfied",
                              "weight filtration differs from the centered filtration")
-    ker_n = n.flag[min(n.index, 1)]  # the zero space has index 0 and ker N = ker N^0
-    if not n.space.step(k).contains(ker_n):
+    if not n.space.step(k).contains(kernel(n.matrix)):
         return BoundsVerdict("ker_bound_failed", f"ker N not contained in W_{k}")
     im_n = image(n.matrix)
     if not im_n.contains(n.space.step(k - 1)):

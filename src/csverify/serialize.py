@@ -9,7 +9,8 @@ fields (dimensions, degrees, weights, the range, purity, graph data) must
 be JSON integers, and integer object keys plain decimal strings; any
 other value is a SerializationError, never truncated.  So is an integer
 longer than the interpreter's limit on decimal digits
-(``sys.get_int_max_str_digits``), wherever it appears.
+(``sys.get_int_max_str_digits``), wherever it appears, on input and on
+output: every rational written goes through ``_ratio_str``.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=1)`` itself: with an indent, ``json.dumps`` never uses CPython's C
@@ -46,7 +47,7 @@ from .filtration import (
     FilteredSpace,
     StrictnessVerdict,
 )
-from .linalg import Matrix, Subspace, canonicalize, qstr, ratio_row
+from .linalg import Matrix, Subspace, canonicalize, ratio_row
 from .monodromy import CenteredFiltration, NilpotentOp
 from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
 
@@ -166,9 +167,14 @@ def _row(row: list) -> tuple:
 
 
 def _ratio_str(p: int, q: int) -> str:
-    """p/q in lowest terms, as str() prints the Fraction: "p/q", or "p" when integral."""
+    """p/q in lowest terms, as str() prints the Fraction: "p/q", or "p" when integral; every
+    rational written goes through here, so one past the digit limit is a SerializationError."""
     g = gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
+    try:
+        return str(p // g) if g == q else f"{p // g}/{q // g}"
+    except ValueError as exc:
+        raise SerializationError(
+            f"an output rational has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -310,7 +316,7 @@ def instance_from_json(data) -> CSInstance:
 
 
 def _witness_json(witness: Optional[tuple]):
-    return None if witness is None else [qstr(x) for x in witness]
+    return None if witness is None else [_ratio_str(x.numerator, x.denominator) for x in witness]
 
 
 def exactness_verdict_to_json(v: ExactnessVerdict) -> dict:

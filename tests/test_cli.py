@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,9 @@ import pytest
 
 from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph, theta_graph
-from csverify.generators import GenProfile, gen_cs_instance
+from csverify.generators import GenProfile, gen_centered_mhs, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, hstack
-from csverify.serialize import dumps, graph_to_json, instance_to_json
+from csverify.serialize import dumps, graph_to_json, instance_to_json, nilpotent_to_json
 from csverify.verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -375,6 +376,33 @@ def test_monodromy_zero_dimensional_operator(tmp_path, capsys):
     assert payload["dim"] == 0 and payload["steps"] == {}
 
 
+def test_monodromy_bytes_pinned(monkeypatch, capsys):
+    """One SHA-256 over f"{exit}\n{stdout}" of `monodromy - --center c --cross-check` on generated
+    nilpotents (seeds 1-3, dimensions 0-8, centers -1..2), then over f"{exit}\n{stderr}" of three
+    rejected operators, recorded from an earlier version like the pins above."""
+    digest = hashlib.sha256()
+    for seed in range(1, 4):
+        for dim in range(9):
+            _, op = gen_centered_mhs(split_seed(seed, dim), dim, seed - 2)
+            text = dumps(nilpotent_to_json(op))
+            for center in range(-1, 3):
+                code, out, _ = run_cli(["monodromy", "-", "--center", str(center), "--cross-check"],
+                                       stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+                digest.update(f"{code}\n{out}".encode())
+    raises_weight = {"dim": 2, "steps": {"0": [["1", "0"]], "5": [["1", "0"], ["0", "1"]]}}
+    for space, matrix in [
+        ({"dim": 2, "steps": {"0": [["1", "0"], ["0", "1"]]}}, [["1", "1"], ["0", "1"]]),  # not nilpotent
+        (raises_weight, [["0", "0"], ["1", "0"]]),  # nilpotent, raises weight 0 to 5
+        (raises_weight, [["0", "0"], ["1", "1"]]),  # both: nilpotency is checked first
+    ]:
+        code, out, err = run_cli(["monodromy", "-", "--center", "0"],
+                                 stdin_text=json.dumps({"space": space, "matrix": matrix}),
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert out == ""
+        digest.update(f"{code}\n{err}".encode())
+    assert digest.hexdigest() == "d06f264464061b759f81216655d923eb0d9c1bf250f57eb589ce3e0314b581cc"
+
+
 def test_console_entry_point_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "csverify", "generate", "--seed", "12"],
@@ -435,6 +463,19 @@ def test_malformed_input_exit_four_without_traceback(args, stdin_text):
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)
     assert proc.returncode == 4, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_rational_past_digit_limit_exit_four(fmt, monkeypatch, capsys):
+    """`generate --seed 3 --max-dim 12` with the 4x3 map b_0 replaced by 2000-digit entries parses,
+    but reduced bases and witnesses of its report carry integers past the 4300-digit limit."""
+    data = instance_to_json(gen_cs_instance(GenProfile(seed=3, max_dim_per_node=12)))
+    rng = random.Random(3)
+    data["col"]["b"]["0"] = [[str(rng.randrange(10**1999, 10**2000)) for _ in row] for row in data["col"]["b"]["0"]]
+    code, out, err = run_cli(["verify", "-", "--thm", "1", "--format", fmt], stdin_text=dumps(data),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == f"csverify: an output rational has more than {sys.get_int_max_str_digits()} digits\n"
 
 
 def test_error_inside_node_family_keeps_its_own_message(monkeypatch, capsys):

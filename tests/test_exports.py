@@ -1,6 +1,8 @@
 """The package's public names: each one exported resolves, so a deleted
 function cannot leave a dangling entry in ``csverify.__all__``; each
-module imports a name from the module that defines it; the random
+module imports a name from the module that defines it; no module reads a
+private attribute that another module defines, so memos such as
+``Matrix._kernel`` are read through ``linalg``'s accessors; the random
 generator sits above everything but the CLI; and every public name has a
 caller outside the unit tests."""
 
@@ -52,10 +54,51 @@ def test_imports_between_modules_name_their_definitions():
             source = node.module or "__init__"
             for alias in node.names:
                 name = alias.name
-                private = name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
-                if private or name not in defined[source]:
+                if _private(name) or name not in defined[source]:
                     bad.append(f"{mod}: from .{node.module or ''} import {name}")
     assert not bad
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_reads(src):
+    """`module: .attr` for each `_`-prefixed attribute a module under src reads without defining
+    it itself, as a function, class or assigned name or as an attribute it assigns."""
+    bad = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        bad += sorted({f"{path.stem}: .{node.attr}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                       and _private(node.attr) and node.attr not in defined})
+    return bad
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    """A memo kept on a Matrix is read through image, kernel, kernel_flag or jordan_chains."""
+    assert foreign_private_reads(_SRC) == []
+
+
+def test_the_private_read_scan_flags_a_foreign_memo(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "store.py").write_text("class Box:\n    _LIMIT = 3\n\n    def __init__(self):\n"
+                                  "        self._memo = {}\n\n    def _build(self):\n"
+                                  "        return self._memo, self._LIMIT, self.__dict__\n")
+    (src / "user.py").write_text("from .store import Box\n\n\ndef peek(box):\n"
+                                 "    return box._build(), box.__class__\n")
+    assert foreign_private_reads(src) == ["user: ._build"]
+    (src / "user.py").write_text("def peek(box):\n    return box._memo, box._LIMIT\n")
+    assert foreign_private_reads(src) == ["user: ._LIMIT", "user: ._memo"]
 
 
 def test_only_the_cli_and_the_package_import_the_generator():

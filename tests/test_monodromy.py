@@ -1,19 +1,32 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csverify import linalg
 from csverify.filtration import FilteredSpace, full_subspace, tate_twist
 from csverify.generators import gen_centered_mhs, random_invertible, split_seed
-from csverify.linalg import Matrix, hstack, image, inverse, kernel, span_of_vectors, vstack
+from csverify.linalg import (
+    Matrix,
+    hstack,
+    image,
+    inverse,
+    jordan_chains,
+    kernel,
+    kernel_flag,
+    span_of_vectors,
+    transpose,
+    vstack,
+)
 from csverify.monodromy import (
     CenteredFiltration,
     NilpotencyError,
     NilpotentOp,
     centered_filtration,
+    centered_filtration_recursive,
     ker_coker_weight_bounds,
-    kernel_flag,
     monodromy_filtration,
     monodromy_filtration_recursive,
     nilpotency_index,
@@ -212,7 +225,20 @@ def test_kernel_flag_matches_dense_powers(seed, dim, k):
     _, op = gen_centered_mhs(seed, dim, k)
     want = ref_kernel_flag(op.matrix)
     assert kernel_flag(op.matrix) == want
-    assert op.flag == want and op.index == nilpotency_index(op.matrix) == len(want) - 1
+    assert op.index == nilpotency_index(op.matrix) == len(want) - 1
+    # each chain (v, Nv, ..., N^(m-1)v) has N^m v = 0 and head in ker N^m outside ker N^(m-1);
+    # together the chains are a basis
+    step = transpose(op.matrix)
+    vectors = []
+    for chain in jordan_chains(op.matrix):
+        rows = Matrix.of(len(chain), dim, chain)
+        assert (Matrix.of(1, dim, chain[-1:]) @ step).is_zero()
+        if len(chain) > 1:
+            assert Matrix.of(len(chain) - 1, dim, chain[:-1]) @ step == Matrix.of(len(chain) - 1, dim, chain[1:])
+        head = Matrix.of(1, dim, chain[:1]).rows[0]
+        assert want[len(chain)].contains_vector(head) and not want[len(chain) - 1].contains_vector(head)
+        vectors += rows.rows
+    assert len(vectors) == dim and span_of_vectors(vectors, dim).dim == dim
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,5 +255,37 @@ def test_kernel_flag_rejects_non_nilpotent(seed, nil_dim, unit_dim):
     m = t @ block @ inverse(t)
     with pytest.raises(NilpotencyError):
         ref_kernel_flag(m)
-    with pytest.raises(NilpotencyError):
-        kernel_flag(m)
+    with pytest.raises(NilpotencyError, match="matrix is not nilpotent"):
+        nilpotency_index(m)
+    with pytest.raises(NilpotencyError, match="matrix is not nilpotent"):
+        NilpotentOp(FilteredSpace.pure(nil_dim + unit_dim, 0), m)
+    with pytest.raises(NilpotencyError, match="matrix is not nilpotent"):
+        centered_filtration(m, 0)
+    # the flag itself stops where the kernel stops growing, at the generalized kernel t(Q^nil_dim)
+    flag, power = kernel_flag(m), Matrix.identity(nil_dim + unit_dim)
+    for step in flag:
+        assert step == kernel(power)
+        power = power @ m
+    assert kernel(power) == flag[-1] == image(t, span_of_vectors(
+        Matrix.identity(nil_dim + unit_dim).rows[:nil_dim], nil_dim + unit_dim))
+
+
+def test_one_derivation_per_operator(monkeypatch):
+    """Every construction reads the kernel flag and the Jordan chains kept on the matrix:
+    across all of them, each is built once for N, and the flag's step ker N is kernel(N)."""
+    space, op = gen_centered_mhs(split_seed(57, 2), 8, 1)  # Jordan type 3, 2, 2, 1
+    n = Matrix.of(8, 8, op.matrix.irows)  # a copy with no memos yet
+    built = Counter()
+    for name in ("_flag", "_chains"):
+        def counting(f, build=getattr(linalg, name), name=name):
+            built[name] += f is n
+            return build(f)
+        monkeypatch.setattr(linalg, name, counting)
+    assert kernel_flag(n)[1] is kernel(n)
+    fresh = NilpotentOp(space, n)
+    assert fresh.index == 3
+    assert monodromy_filtration(fresh, 1).filtration == centered_filtration(n, 1) == space
+    assert monodromy_filtration(fresh, -2).filtration == centered_filtration_recursive(n, -2)
+    assert ker_coker_weight_bounds(fresh, 1).ok
+    assert centered_filtration_recursive(n, 1) == space
+    assert built == {"_flag": 1, "_chains": 1}

@@ -21,8 +21,17 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance
-from csverify.linalg import DimensionMismatchError, Matrix, inverse, kernel, rank, rref, transpose
-from csverify.monodromy import kernel_flag
+from csverify.linalg import (
+    DimensionMismatchError,
+    Matrix,
+    inverse,
+    jordan_chains,
+    kernel,
+    kernel_flag,
+    rank,
+    rref,
+    transpose,
+)
 from csverify.verifier import (
     BREAKABLE_HYPOTHESES,
     CONCLUSIONS,
@@ -116,9 +125,12 @@ def nilpotents(draw):
 @settings(max_examples=50, deadline=None)
 @given(nilpotents())
 def test_kernel_flag_jordan_type_matches_sympy_ranks(case):
-    """Blocks of size >= j: dim ker N^j - dim ker N^(j-1) = rank N^(j-1) - rank N^j."""
+    """Blocks of size >= j: dim ker N^j - dim ker N^(j-1) = rank N^(j-1) - rank N^j, and as
+    many Jordan chains have length >= j."""
     n, theirs = case
-    flag = kernel_flag(Matrix.from_rows(from_sympy(theirs.to_list()), ncols=n))
+    ours = Matrix.from_rows(from_sympy(theirs.to_list()), ncols=n)
+    flag = kernel_flag(ours)
+    lengths = [len(chain) for chain in jordan_chains(ours)]
     ranks = [n]
     power = DomainMatrix.eye(n, QQ).to_dense()
     for _ in range(len(flag) - 1):
@@ -128,6 +140,8 @@ def test_kernel_flag_jordan_type_matches_sympy_ranks(case):
     assert len(flag) == 1 or ranks[-2] > 0  # the flag stops at the nilpotency index
     for j in range(1, len(flag)):
         assert flag[j].dim - flag[j - 1].dim == ranks[j - 1] - ranks[j]
+        assert sum(length >= j for length in lengths) == ranks[j - 1] - ranks[j]
+    assert sum(lengths) == n
 
 
 def sympy_of(m: Matrix) -> DomainMatrix:
