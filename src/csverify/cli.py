@@ -4,11 +4,15 @@ Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
 two monodromy constructions disagree, or a generated instance or curve
 fixture fails its own hypothesis check: an InconsistencyError, mapped in
 ``main`` alone); 2 instance hypotheses dirty; 3 a conclusion is
-non-exact; 4 malformed or unreadable input, or a rational to print past
-the interpreter's digit limit (a SerializationError from the one output
-formatter, with nothing on stdout); 64 bad command line.  `-` names standard input/output for piping.
+non-exact; 4 malformed or unreadable input (a nonzero "purity", or an
+integer field as long as the interpreter's digit limit), or a rational to
+print past that limit (a SerializationError from the one output
+formatter, with nothing on stdout); 64 bad command line.  `-` names
+standard input/output for piping.  `generate` (without `--break`) and
+`fixture curve` pass what they emit through ``verifier.checked``, the one
+place that self-check runs.
 
-`verify` reports (schema 2) hold verdicts only for the degree window,
+`verify` reports (schema 3) hold verdicts only for the degree window,
 the declared degrees within 2 of a stored space; `trivial_degrees` lists
 the rest of [k_min - 2, k_max + 2] as closed intervals [a, b], degrees
 where every middle space is zero, so every verdict there is exact with
@@ -58,6 +62,7 @@ from .verifier import (
     ProfileError,
     assemble_and_verify_les,
     check_instance_hypotheses,
+    checked,
     verify_invariant_cycles,
     verify_proposition,
     verify_unipotent_cs,
@@ -203,10 +208,9 @@ def _cmd_verify(args) -> int:
     else:
         status = EXIT_OK
     payload = {
-        "schema": 2,
+        "schema": 3,
         "tool": {"name": "csverify", "version": __version__},
         "input_digest": _digest(raw),
-        "purity_weight": inst.purity_weight,
         "hypotheses": hypothesis_report_to_json(report),
         "verdicts": [verdict_report_to_json(v) for v in verdicts],
         "trivial_degrees": [list(interval) for interval in inst.trivial_degrees()],
@@ -263,7 +267,7 @@ def _cmd_generate(args) -> int:
                              weight_spread=args.weight_spread,
                              broken_hypothesis=args.broken)
         if profile.broken_hypothesis is None:
-            inst = gen_cs_instance(profile)
+            inst = checked(gen_cs_instance(profile))
         else:
             inst = gen_adversarial(profile)
     except ValueError as exc:
@@ -279,7 +283,7 @@ def _cmd_fixture(args) -> int:
     # holds exactly when each self-intersection is -degree
     if graph.self_intersections != DualGraph.make(graph.vertices, graph.edges).self_intersections:
         raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
-    _emit(dumps(instance_to_json(curve_cs_instance(graph))))
+    _emit(dumps(instance_to_json(checked(curve_cs_instance(graph)))))
     return EXIT_OK
 
 

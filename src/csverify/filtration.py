@@ -24,6 +24,7 @@ weight by -2n, so twisting by -1 raises all weights by 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from .linalg import (
@@ -35,6 +36,8 @@ from .linalg import (
     full_subspace,
     image,
     kernel,
+    quotient_map,
+    transpose,
     zero_subspace,
 )
 
@@ -248,9 +251,9 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     Like ``strictness``, a passing verdict is a dimension count: im(f) =
     ker(g) iff rank f + rank g = dim of the middle and g.f = 0.  The ranks
     are those of the images kept on f and g, and g.f is formed only when
-    the count holds and f is nonzero.  The canonical kernel of g is built
-    only for a failing verdict, to find its witness: the first basis row
-    of im(f) outside ker(g), else the first one of ker(g) outside im(f).
+    the count holds and f is nonzero.  A failing verdict's witness is the
+    first basis row of im(f) that g does not kill, read off one product,
+    else the first one of ker(g), built only then, outside im(f).
     """
     if g.ncols != f.nrows:
         raise ComposabilityError(
@@ -258,11 +261,10 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     im = image(f)
     if im.dim + image(g).dim == f.nrows and (im.dim == 0 or (g @ f).is_zero()):
         return ExactnessVerdict(True)
-    ker = kernel(g)
-    for row in im.basis.rows:
-        if not ker.contains_vector(row):
-            return ExactnessVerdict(False, reason="composite_nonzero", witness=row)
-    for row in ker.basis.rows:
-        if not im.contains_vector(row):
-            return ExactnessVerdict(False, reason="kernel_exceeds_image", witness=row)
-    raise AssertionError("unreachable: im != ker without a witness")
+    rows, reason = im.basis, "composite_nonzero"
+    hits = [any(r) for r, _ in (rows @ transpose(g)).irows]
+    if not any(hits):  # then im(f) lies in ker(g), and the quotient map of im(f) finds a row outside it
+        rows, reason = kernel(g).basis, "kernel_exceeds_image"
+        hits = [any(r) for r, _ in (rows @ transpose(quotient_map(im))).irows]
+    v, den = rows.irows[hits.index(True)]
+    return ExactnessVerdict(False, reason=reason, witness=tuple(Fraction(x, den) for x in v))

@@ -48,7 +48,6 @@ from .verifier import (
     InconsistencyError,
     assemble_row,
     check_instance_hypotheses,
-    checked,
     conclusion_exactness,
     identity_on_shared,
     node_summands,
@@ -205,16 +204,15 @@ _LINE_WEIGHTS = {"A_bound": (1, 1), "B_bound": (-1, -1), "strictness": (-1, 0)}
 _ZEROED_MAP = {"column_exact": "b", "row_exact": "s"}
 
 
-def gen_cs_instance(profile: GenProfile, verify: bool = True) -> CSInstance:
+def gen_cs_instance(profile: GenProfile) -> CSInstance:
     """A clean CS instance drawn deterministically from the profile.
 
-    With ``verify`` it goes through ``verifier.checked``, so a generator
-    bug raises InconsistencyError.
+    It is built, not checked: ``cli generate`` passes it through
+    ``verifier.checked``, so a generator bug is exit 1 there.
     """
     if profile.broken_hypothesis is not None:
         raise ValueError("profile requests a broken hypothesis; use gen_adversarial")
-    inst = _generate(profile, random.Random(profile.seed))
-    return checked(inst) if verify else inst
+    return _generate(profile, random.Random(profile.seed))
 
 
 def gen_adversarial(profile: GenProfile) -> CSInstance:
@@ -325,7 +323,7 @@ def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:
         new[label] = {k: autos[(target, k + dt)][0] @ m @ autos[(source, k + ds)][1]
                       for k, m in family.items()}
     return CSInstance((inst.k_min, inst.k_max), {node: getattr(inst, node) for node in NODES}, new,
-                      purity_weight=inst.purity_weight, profile=inst.profile)
+                      profile=inst.profile)
 
 
 @dataclass(frozen=True)
@@ -341,23 +339,24 @@ class LoadBearingResult:
     witness: Optional[tuple] = None
 
 
-# the size and degrees of the instances search_load_bearing draws, and the conclusions it tests
+# the size and degrees of the instances search_load_bearing draws, the hypotheses
+# it breaks in turn, and the conclusions it tests
 SEARCH_MAX_DIM = 6
 SEARCH_DEGREE_RANGE = (0, 4)
+SEARCH_TAGS = ("A_bound", "P_centering")
 SEARCH_PROPOSITIONS = ("P4", "P1")
 
 
-def search_load_bearing(seed: int, budget: int = 10_000,
-                        tags: Tuple[str, ...] = ("A_bound", "P_centering")) -> LoadBearingResult:
+def search_load_bearing(seed: int, budget: int = 10_000) -> LoadBearingResult:
     """Search adversarial instances for a literally non-exact conclusion.
 
-    Alternates over the given broken-hypothesis tags; on a hit the
+    Alternates over the broken-hypothesis tags of SEARCH_TAGS; on a hit the
     instance's hypothesis report is re-checked to confirm only the named
     hypothesis failed.  Exhausting the budget is reported as inconclusive,
     not as a failure.
     """
     for i in range(budget):
-        tag = tags[i % len(tags)]
+        tag = SEARCH_TAGS[i % len(SEARCH_TAGS)]
         profile = GenProfile(seed=split_seed(seed, i), max_dim_per_node=SEARCH_MAX_DIM,
                              degree_range=SEARCH_DEGREE_RANGE, broken_hypothesis=tag)
         inst = gen_adversarial(profile)

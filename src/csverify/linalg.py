@@ -289,11 +289,6 @@ class Subspace:
         coeffs = [v[p] for p in self.pivots]
         return [v[j] * d - sum(map(mul, coeffs, c)) for j, c, d in self._free_columns]
 
-    def contains_vector(self, vec: Sequence[QLike]) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatchError("vector/ambient dimension mismatch")
-        return not any(self._residual(_irow(vec)[0]))
-
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")

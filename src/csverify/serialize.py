@@ -10,7 +10,10 @@ be JSON integers, and integer object keys plain decimal strings; any
 other value is a SerializationError, never truncated.  So is an integer
 longer than the interpreter's limit on decimal digits
 (``sys.get_int_max_str_digits``), wherever it appears, on input and on
-output: every rational written goes through ``_ratio_str``.
+output: every rational written goes through ``_ratio_str``.  An integer
+field must be a digit shorter (``json_int``), so a degree derived from
+one within +-3 still prints.  "purity" must be 0, the one normalization
+of weights the verifier implements.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=1)`` itself: with an indent, ``json.dumps`` never uses CPython's C
@@ -121,11 +124,16 @@ def json_int(value, what: str, key: bool) -> int:
     """An integer field: a JSON integer that is not a boolean, or for an object key a plain decimal string.
 
     ``int`` alone would read 2.9 as 2, true as 1 and the key "1_0" as 10.
+    One with as many digits as the interpreter's limit is refused, so a
+    value derived within +-3 of it still prints.
     """
     if key and isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return _int(value, what)
-    if key or type(value) is not int:
+        value = _int(value, what)
+    elif key or type(value) is not int:
         raise SerializationError(f"{what} must be an integer, got {json.dumps(value, default=str)[:40]}")
+    limit = sys.get_int_max_str_digits()  # 0 for no limit
+    if limit and len(str(abs(value))) >= limit:
+        raise SerializationError(f"{what} has {limit} digits or more")
     return value
 
 
@@ -270,7 +278,7 @@ _MAP_GROUP = {"b": "col", "a": "col", "c": "col", "r": "row", "s": "row", "N": N
 
 
 def instance_to_json(inst: CSInstance) -> dict:
-    out = {"range": [inst.k_min, inst.k_max], "col": {}, "row": {}, "purity": inst.purity_weight}
+    out = {"range": [inst.k_min, inst.k_max], "col": {}, "row": {}, "purity": 0}
     for node in NODES:
         out[node] = _family_to_json(getattr(inst, node))
     for label, group in _MAP_GROUP.items():
@@ -283,10 +291,10 @@ def instance_to_json(inst: CSInstance) -> dict:
 def instance_from_json(data) -> CSInstance:
     if not isinstance(data, dict):
         raise SerializationError("instance must be a JSON object")
-    try:
-        k_min, k_max = (json_int(x, "range bound", key=False) for x in data["range"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError("instance needs an integer pair under 'range'") from exc
+    bounds = data.get("range")
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise SerializationError("instance needs an integer pair under 'range'")
+    k_min, k_max = (json_int(x, "range bound", key=False) for x in bounds)
 
     def family(key) -> Dict[int, FilteredSpace]:
         raw = data.get(key, {})
@@ -311,8 +319,9 @@ def instance_from_json(data) -> CSInstance:
     profile = data.get("profile", "abstract")
     if not isinstance(profile, str):
         raise SerializationError("profile must be a string")
-    purity = json_int(data.get("purity", 0), "'purity'", key=False)
-    return CSInstance((k_min, k_max), spaces, maps, purity_weight=purity, profile=profile)
+    if json_int(data.get("purity", 0), "'purity'", key=False) != 0:
+        raise SerializationError("'purity' must be 0")
+    return CSInstance((k_min, k_max), spaces, maps, profile=profile)
 
 
 def _witness_json(witness: Optional[tuple]):

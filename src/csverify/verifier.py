@@ -22,8 +22,9 @@ SEQUENCES the six exactness hypotheses on the column and the row.
 SUMMANDS and ``assemble_row`` are the split construction the generators
 and the curve fixtures share: sequences exact by construction, with
 ``identity_on_shared``/``into_summand`` for maps between named summands.
-Both return through ``checked``, whose InconsistencyError is the one
-internal error.
+The constructions do not check themselves: the CLI passes each clean
+instance it emits (``generate`` without ``--break``, ``fixture curve``)
+through ``checked``, whose InconsistencyError is the one internal error.
 
 Every per-degree pass visits only the degree window of
 ``CSInstance.degrees``: the degrees within WINDOW_MARGIN of a stored
@@ -201,20 +202,18 @@ class CSInstance:
     ``maps`` an arrow label of ARROWS to its family {k: Matrix}; a missing
     key is an all-zero family.  Families are stored sparsely (only nonzero
     spaces/maps); ``space`` and ``map`` (which also serves COMPOSITES) return
-    zero spaces and matrices of the right shape elsewhere.  ``purity_weight``
-    records the normalization of the coefficient object's weight (0 throughout; a
-    nonzero value is a uniform offset for reporting).  ``profile`` is
+    zero spaces and matrices of the right shape elsewhere.  The coefficient
+    object is pure of weight 0 throughout.  ``profile`` is
     "geometric" for instances whose A/B/P nodes are meant as actual
     cohomology of a degeneration, "abstract" otherwise.
     """
 
-    _FIELDS = ("k_min", "k_max", "A", "B", "C", "P", "maps", "purity_weight", "profile")
+    _FIELDS = ("k_min", "k_max", "A", "B", "C", "P", "maps", "profile")
     __slots__ = _FIELDS + ("_products",)
 
     def __init__(self, degree_range: Tuple[int, int],
                  spaces: Dict[str, Dict[int, FilteredSpace]],
-                 maps: Dict[str, Dict[int, Matrix]],
-                 purity_weight: int = 0, profile: str = "abstract"):
+                 maps: Dict[str, Dict[int, Matrix]], profile: str = "abstract"):
         self.k_min, self.k_max = degree_range
         if self.k_min > self.k_max:
             raise MalformedInstanceError("empty degree range")
@@ -226,7 +225,6 @@ class CSInstance:
         self._validate(maps)
         self.maps = {label: {k: m for k, m in maps.get(label, {}).items() if not m.is_zero()}
                      for label in ARROWS}
-        self.purity_weight = purity_weight
         self.profile = profile
         self._products: Dict[Tuple[str, int], Matrix] = {}
 
@@ -422,13 +420,10 @@ def _verdict_report(inst: CSInstance, which: str, k: int, label: str) -> Verdict
     return VerdictReport(label, k, verdict.exact, witness=verdict.witness, weights_used=_weights_used(which, k))
 
 
-def _gate(inst: CSInstance, report: Optional[HypothesisReport]) -> HypothesisReport:
-    if report is None:
-        report = check_instance_hypotheses(inst)
+def _gate(report: HypothesisReport):
     if not report.clean:
         raise HypothesesNotSatisfiedError(
             "hypotheses not satisfied: " + ", ".join(f"{c}@{key}" for c, key in report.failures()[:4]))
-    return report
 
 
 def _check_degree(inst: CSInstance, k: int):
@@ -436,21 +431,19 @@ def _check_degree(inst: CSInstance, k: int):
         raise DegreeRangeError(f"degree {k} outside [{inst.k_min - 2}, {inst.k_max + 2}]")
 
 
-def verify_proposition(inst: CSInstance, which: str, k: int,
-                       report: Optional[HypothesisReport] = None) -> VerdictReport:
+def verify_proposition(inst: CSInstance, which: str, k: int, report: HypothesisReport) -> VerdictReport:
     """Verdict for one three-term conclusion at degree k.
 
-    Refuses to report on a dirty instance: hypotheses are checked first
-    (or a precomputed clean report is passed in) and a failure raises
-    HypothesesNotSatisfiedError.
+    Refuses to report on a dirty instance: ``report``, the instance's
+    hypothesis report, must be clean, else HypothesesNotSatisfiedError.
+    The other three engines take and gate on it the same way.
     """
     _check_degree(inst, k)
-    _gate(inst, report)
+    _gate(report)
     return _verdict_report(inst, which, k, which)
 
 
-def assemble_and_verify_les(inst: CSInstance,
-                            report: Optional[HypothesisReport] = None,
+def assemble_and_verify_les(inst: CSInstance, report: HypothesisReport,
                             proposition_prefix: str = "") -> List[VerdictReport]:
     """Splice the row and column into the long exact sequence and verify it.
 
@@ -460,13 +453,12 @@ def assemble_and_verify_les(inst: CSInstance,
     nodes included; the degrees outside the window are exact with no
     witness and get no verdict.
     """
-    _gate(inst, report)
+    _gate(report)
     return [_verdict_report(inst, which, k, proposition_prefix + which)
             for k in inst.degrees(pad=2) for which in CONCLUSIONS]
 
 
-def verify_invariant_cycles(inst: CSInstance, k: int,
-                            report: Optional[HypothesisReport] = None) -> VerdictReport:
+def verify_invariant_cycles(inst: CSInstance, k: int, report: HypothesisReport) -> VerdictReport:
     """Exactness of B_k -> A_k -> ker(N_k) -> 0 at degree k.
 
     Monodromy invariants are computed as ker N.  The check is P4
@@ -475,7 +467,7 @@ def verify_invariant_cycles(inst: CSInstance, k: int,
     the one appearing in the spliced long exact sequence.
     """
     _check_degree(inst, k)
-    _gate(inst, report)
+    _gate(report)
     for which in ("P4", "P1"):
         verdict = _verdict_report(inst, which, k, "THM2")
         if not verdict.exact:
@@ -484,8 +476,7 @@ def verify_invariant_cycles(inst: CSInstance, k: int,
     return VerdictReport("THM2", k, True, weights_used=used)
 
 
-def verify_unipotent_cs(inst: CSInstance,
-                        report: Optional[HypothesisReport] = None) -> List[VerdictReport]:
+def verify_unipotent_cs(inst: CSInstance, report: HypothesisReport) -> List[VerdictReport]:
     """Spliced-sequence verification for geometric-cohomology instances.
 
     Identical computation to assemble_and_verify_les; the separate entry

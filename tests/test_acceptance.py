@@ -90,7 +90,7 @@ def test_criterion_3_theorem_backed_exactness():
     for i in range(500):
         profile = GenProfile(seed=split_seed(301, i), max_dim_per_node=12,
                              degree_range=(0, 4))
-        inst = gen_cs_instance(profile, verify=False)
+        inst = gen_cs_instance(profile)
         rep = check_instance_hypotheses(inst)
         if not rep.clean:
             failures += 1
@@ -216,8 +216,7 @@ def test_criterion_7_infrastructure():
         if instance_from_json(instance_to_json(inst)) != inst:
             roundtrip_bad += 1
     for i in range(100):
-        inst = gen_cs_instance(GenProfile(seed=split_seed(701, i), max_dim_per_node=8),
-                               verify=False)
+        inst = gen_cs_instance(GenProfile(seed=split_seed(701, i), max_dim_per_node=8))
         if instance_from_json(instance_to_json(inst)) != inst:
             roundtrip_bad += 1
     for i in range(10):

@@ -58,7 +58,8 @@ def test_verify_json_format_and_digest(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["verify", str(path), "--thm", "1", "--format", "json"], capsys=capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
+    assert "purity_weight" not in payload
     assert payload["trivial_degrees"] == []
     assert payload["exit_status"] == 0
     assert payload["input_digest"].startswith("sha256:")
@@ -248,35 +249,35 @@ def test_generate_bytes_pinned_at_negative_degrees(capsys):
 
 
 # SHA-256 of `verify --format json` reports with timing_ms removed, as
-# recorded at report schema 2: (source, verify option) -> digest, the
+# recorded at report schema 3: (source, verify option) -> digest, the
 # source being `generate --seed 11 <option>` or `fixture curve` of a graph
 _REPORT_SHA256 = {
-    ("--max-dim=6", "--thm=1"): "89ca5926031b5d65f0c26b3842d3763e2b5e25fb5f66549cf3fdd71842cc0107",
-    ("--max-dim=6", "--thm=2"): "e15296877113661f8527473103d6bf4bd03776e8c191e4f051645a21e2fad8ef",
-    ("--max-dim=6", "--prop=all"): "aa6bc437ad9f2cf22d965a51add2017d51252ff2f826231365206e7c82687588",
-    ("--max-dim=10", "--thm=1"): "0732fec1eead0fe216b6e175a5a4b29ec906017b1f19a6e2a6e0d98ce8cf9e61",
-    ("--max-dim=10", "--thm=2"): "e6e9def5ba357f2fa8357743fc6b808457d557228bc745b6659128c3ee66b6e5",
-    ("--max-dim=10", "--prop=all"): "cabafb07a0bbf48d26ce3618aa264930ec70ee4b6dea5c8a9f183d52afc1ec69",
-    ("--break=column_exact", "--thm=1"): "20be5f734c2dd30fb5653a95470bdfc59672b7011e2cf4b9eed940a6a202048f",
-    ("--break=column_exact", "--thm=2"): "20be5f734c2dd30fb5653a95470bdfc59672b7011e2cf4b9eed940a6a202048f",
-    ("--break=column_exact", "--prop=all"): "20be5f734c2dd30fb5653a95470bdfc59672b7011e2cf4b9eed940a6a202048f",
-    ("--break=row_exact", "--thm=1"): "42ebddd1aa8ee2280a7b0d507e10a4e41f83568b8bc81dea2bd6fc3f924c3c89",
-    ("--break=row_exact", "--thm=2"): "42ebddd1aa8ee2280a7b0d507e10a4e41f83568b8bc81dea2bd6fc3f924c3c89",
-    ("--break=row_exact", "--prop=all"): "42ebddd1aa8ee2280a7b0d507e10a4e41f83568b8bc81dea2bd6fc3f924c3c89",
-    ("--break=A_bound", "--thm=1"): "af17a42d39c3e0bef504561e827c38d5e572b489825c08ea6af3bc3e99ef4f2d",
-    ("--break=A_bound", "--thm=2"): "af17a42d39c3e0bef504561e827c38d5e572b489825c08ea6af3bc3e99ef4f2d",
-    ("--break=A_bound", "--prop=all"): "af17a42d39c3e0bef504561e827c38d5e572b489825c08ea6af3bc3e99ef4f2d",
-    ("--break=B_bound", "--thm=1"): "2b0e5558b1a72628a35b0c24ebc3a4de4dd5d3ae4aebb535aaa7ef552ae175cd",
-    ("--break=B_bound", "--thm=2"): "2b0e5558b1a72628a35b0c24ebc3a4de4dd5d3ae4aebb535aaa7ef552ae175cd",
-    ("--break=B_bound", "--prop=all"): "2b0e5558b1a72628a35b0c24ebc3a4de4dd5d3ae4aebb535aaa7ef552ae175cd",
-    ("--break=P_centering", "--thm=1"): "8cbc671d9d961392f71e107decf09734703f830b9cb09c379f570c399bc04e5d",
-    ("--break=P_centering", "--thm=2"): "8cbc671d9d961392f71e107decf09734703f830b9cb09c379f570c399bc04e5d",
-    ("--break=P_centering", "--prop=all"): "8cbc671d9d961392f71e107decf09734703f830b9cb09c379f570c399bc04e5d",
-    ("--break=strictness", "--thm=1"): "94480be7f110a14dbdba64401c82d717e40f187d1471e59d6f9c6f685877e55e",
-    ("--break=strictness", "--thm=2"): "94480be7f110a14dbdba64401c82d717e40f187d1471e59d6f9c6f685877e55e",
-    ("--break=strictness", "--prop=all"): "94480be7f110a14dbdba64401c82d717e40f187d1471e59d6f9c6f685877e55e",
-    ("I_3", "--thm=3"): "e7b9605c203e0cd56fbb2d2908a29a19937ac75f7c9116e218364e27212a9c1e",
-    ("theta", "--thm=3"): "16e79bbf0dd1bf093309c551b7de10b07cef48af236e67bdad860c12628640ba",
+    ("--max-dim=6", "--thm=1"): "2767098cb786045427bf71447e1fc11ab5f2d75fe634f3296558f752b20fddd6",
+    ("--max-dim=6", "--thm=2"): "a862ac3059bfa8aad4786ab3f5927e96fe069f63784ed78ff269cd646fba76f8",
+    ("--max-dim=6", "--prop=all"): "441fb5a4f169180f6f8542082a4ad637591b5ec6753fade47d3260f434a04984",
+    ("--max-dim=10", "--thm=1"): "ce4b6f19af4123d3a6f5db9856aa2b308bdd014afa8af4f58b1acf94722d21dc",
+    ("--max-dim=10", "--thm=2"): "1139d225c81431c1ad9fb3431140ea5370d26e1fcbff342bac0438b2bb5f28e4",
+    ("--max-dim=10", "--prop=all"): "758dd654f84dd8ea6a7f4df5cdbbbe97aef2a3e045b2030e92617f5bfafe719f",
+    ("--break=column_exact", "--thm=1"): "ce8c957e713952059f581c8a9543b05dc15d86a4df69daf10dabba360ad790ce",
+    ("--break=column_exact", "--thm=2"): "ce8c957e713952059f581c8a9543b05dc15d86a4df69daf10dabba360ad790ce",
+    ("--break=column_exact", "--prop=all"): "ce8c957e713952059f581c8a9543b05dc15d86a4df69daf10dabba360ad790ce",
+    ("--break=row_exact", "--thm=1"): "7f09c93d2d93bb98a933fec6f890023dbfc26b2728bbeaa74e5531684baadb65",
+    ("--break=row_exact", "--thm=2"): "7f09c93d2d93bb98a933fec6f890023dbfc26b2728bbeaa74e5531684baadb65",
+    ("--break=row_exact", "--prop=all"): "7f09c93d2d93bb98a933fec6f890023dbfc26b2728bbeaa74e5531684baadb65",
+    ("--break=A_bound", "--thm=1"): "3f0687e3694c1553cf8a027d867d7515df2414ce2542b7734b034b70267fc7ea",
+    ("--break=A_bound", "--thm=2"): "3f0687e3694c1553cf8a027d867d7515df2414ce2542b7734b034b70267fc7ea",
+    ("--break=A_bound", "--prop=all"): "3f0687e3694c1553cf8a027d867d7515df2414ce2542b7734b034b70267fc7ea",
+    ("--break=B_bound", "--thm=1"): "f1711159aed938c877bece081d0a56f2f33b70ba6f8584cebdad53a86ad389e3",
+    ("--break=B_bound", "--thm=2"): "f1711159aed938c877bece081d0a56f2f33b70ba6f8584cebdad53a86ad389e3",
+    ("--break=B_bound", "--prop=all"): "f1711159aed938c877bece081d0a56f2f33b70ba6f8584cebdad53a86ad389e3",
+    ("--break=P_centering", "--thm=1"): "7c2c20c6ad39782f72db05ec568747ca735c03d047f19452cd2db5ee288a03af",
+    ("--break=P_centering", "--thm=2"): "7c2c20c6ad39782f72db05ec568747ca735c03d047f19452cd2db5ee288a03af",
+    ("--break=P_centering", "--prop=all"): "7c2c20c6ad39782f72db05ec568747ca735c03d047f19452cd2db5ee288a03af",
+    ("--break=strictness", "--thm=1"): "afd4519f88269ddc03438a384316d0ec6ec88dfc0cf859e60fc410772ec0e520",
+    ("--break=strictness", "--thm=2"): "afd4519f88269ddc03438a384316d0ec6ec88dfc0cf859e60fc410772ec0e520",
+    ("--break=strictness", "--prop=all"): "afd4519f88269ddc03438a384316d0ec6ec88dfc0cf859e60fc410772ec0e520",
+    ("I_3", "--thm=3"): "e6e0d819b64d239c7641982fceef7dcc20f41b8699f6b9ae9ca0b9849f8cf913",
+    ("theta", "--thm=3"): "c0299d65c424f7fd167ba2b06e61acde80b90529696cc79c3d044e3d5c6d5b51",
 }
 
 
@@ -435,6 +436,8 @@ _HUGE = "7" * 5000
     # integer fields take JSON integers only, never truncated or read from booleans
     (["verify", "-"], '{"range": [0, 2.9]}'),
     (["verify", "-"], '{' + _ONE_NODE + ', "purity": 2.5}'),
+    # the verifier implements weight 0 alone, so no other purity is accepted
+    (["verify", "-"], '{' + _ONE_NODE + ', "purity": 1}'),
     (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1.5, "steps": {"0": [["1"]]}}}}'),
     (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [[true]]}}}}'),
     (["verify", "-"], '{"range": [0, true]}'),
@@ -454,7 +457,7 @@ _HUGE = "7" * 5000
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed", "weight-spread-zero",
         "edge-one-vertex", "self-intersection-not-minus-degree",
-        "range-float", "purity-float", "dim-float", "entry-true", "range-true",
+        "range-float", "purity-float", "purity-nonzero", "dim-float", "entry-true", "range-true",
         "degree-key-underscore", "vertices-float", "edge-end-float",
         "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus",
         "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge"])
@@ -476,6 +479,36 @@ def test_output_rational_past_digit_limit_exit_four(fmt, monkeypatch, capsys):
                              monkeypatch=monkeypatch, capsys=capsys)
     assert (code, out) == (4, "")
     assert err == f"csverify: an output rational has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+_AT_LIMIT = "9" * sys.get_int_max_str_digits()
+_ONE_STORED_DEGREE = '{"range": [N, N], "A": {"N": {"dim": 1, "steps": {"0": [["1"]]}}}}'
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("document", [
+    '{"range": [-' + _AT_LIMIT + ', 0]}',  # trivial_degrees would print -N - 2
+    _ONE_STORED_DEGREE.replace("N", _AT_LIMIT),  # the window N + 1
+], ids=["range-start", "stored-degree"])
+def test_integer_field_at_digit_limit_exit_four(document, fmt, monkeypatch, capsys):
+    """An integer field as long as the digit limit parses in json, but a degree derived from it may not print."""
+    code, out, err = run_cli(["verify", "-", "--thm", "1", "--format", fmt], stdin_text=document,
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (4, "", f"csverify: range bound has {len(_AT_LIMIT)} digits or more\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_integer_field_one_digit_short_of_limit_verifies(fmt, monkeypatch, capsys):
+    bound = _AT_LIMIT[1:]
+    code, out, _ = run_cli(["verify", "-", "--thm", "1", "--format", fmt],
+                           stdin_text='{"range": [-' + bound + ', 0]}', monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and str(-int(bound) - 2) in out
+    code, out, _ = run_cli(["verify", "-", "--thm", "1", "--format", fmt],
+                           stdin_text=_ONE_STORED_DEGREE.replace("N", bound),
+                           monkeypatch=monkeypatch, capsys=capsys)
+    # A_N alone breaks column exactness; the report prints the window's degree N + 1
+    assert code == 2
+    assert str(int(bound) + 1) in out if fmt == "json" else f"FAIL column_exact at ({bound}, 'A')" in out
 
 
 def test_error_inside_node_family_keeps_its_own_message(monkeypatch, capsys):

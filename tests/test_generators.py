@@ -86,7 +86,7 @@ def test_clean_instances_validate():
     for i in range(25):
         prof = GenProfile(seed=split_seed(600, i), max_dim_per_node=10,
                           degree_range=(0, 4 + (i % 2)))
-        inst = gen_cs_instance(prof, verify=False)
+        inst = gen_cs_instance(prof)
         report = check_instance_hypotheses(inst)
         assert report.clean, (i, report.failures()[:3])
         assert all(inst.space("A", k).dim <= 10 for k in inst.degrees())
@@ -94,8 +94,7 @@ def test_clean_instances_validate():
 
 def test_node_dims_respect_cap():
     for i in range(10):
-        inst = gen_cs_instance(GenProfile(seed=split_seed(601, i), max_dim_per_node=6),
-                               verify=False)
+        inst = gen_cs_instance(GenProfile(seed=split_seed(601, i), max_dim_per_node=6))
         for family in inst.node_dims().values():
             assert all(d <= 6 for d in family.values())
 
@@ -126,10 +125,11 @@ def test_search_finds_witnessed_counterexample():
     assert not verdict.exact
 
 
-def test_search_reports_inconclusive_budget():
+def test_search_reports_inconclusive_budget(monkeypatch):
     # a pure centering shift never changes any matrix, so no conclusion
     # can break and the budget runs out
-    result = search_load_bearing(seed=7, budget=4, tags=("P_centering",))
+    monkeypatch.setattr("csverify.generators.SEARCH_TAGS", ("P_centering",))
+    result = search_load_bearing(seed=7, budget=4)
     assert not result.found
     assert result.tries == 4
     assert result.instance is None

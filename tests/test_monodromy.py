@@ -236,7 +236,8 @@ def test_kernel_flag_matches_dense_powers(seed, dim, k):
         if len(chain) > 1:
             assert Matrix.of(len(chain) - 1, dim, chain[:-1]) @ step == Matrix.of(len(chain) - 1, dim, chain[1:])
         head = Matrix.of(1, dim, chain[:1]).rows[0]
-        assert want[len(chain)].contains_vector(head) and not want[len(chain) - 1].contains_vector(head)
+        line = span_of_vectors([head], dim)
+        assert want[len(chain)].contains(line) and not want[len(chain) - 1].contains(line)
         vectors += rows.rows
     assert len(vectors) == dim and span_of_vectors(vectors, dim).dim == dim
 

@@ -108,14 +108,12 @@ def test_graph_round_trip():
 
 def test_instance_round_trip_generated():
     for i in range(6):
-        inst = gen_cs_instance(GenProfile(seed=split_seed(900, i), max_dim_per_node=8),
-                               verify=False)
+        inst = gen_cs_instance(GenProfile(seed=split_seed(900, i), max_dim_per_node=8))
         assert instance_from_json(instance_to_json(inst)) == inst
 
 
 def test_instance_round_trip_negative_degrees():
-    inst = gen_cs_instance(GenProfile(seed=31, max_dim_per_node=6, degree_range=(-3, 1)),
-                           verify=False)
+    inst = gen_cs_instance(GenProfile(seed=31, max_dim_per_node=6, degree_range=(-3, 1)))
     assert any(k < 0 for k in inst.A)
     assert instance_from_json(instance_to_json(inst)) == inst
 

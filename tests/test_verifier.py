@@ -35,6 +35,7 @@ from csverify.verifier import (
 )
 from csverify import verifier
 from csverify.verifier import _instance_maps, _weights_used
+from test_linalg_oracle import ref_contains_vector
 
 
 def zero_instance():
@@ -107,12 +108,13 @@ def test_invariant_cycles_with_trivial_monodromy():
 
 def test_gating_refuses_dirty_instances():
     inst = gen_adversarial(GenProfile(seed=5, broken_hypothesis="A_bound"))
+    report = check_instance_hypotheses(inst)
     with pytest.raises(HypothesesNotSatisfiedError):
-        verify_proposition(inst, "P1", 1)
+        verify_proposition(inst, "P1", 1, report=report)
     with pytest.raises(HypothesesNotSatisfiedError):
-        assemble_and_verify_les(inst)
+        assemble_and_verify_les(inst, report=report)
     with pytest.raises(HypothesesNotSatisfiedError):
-        verify_invariant_cycles(inst, 1)
+        verify_invariant_cycles(inst, 1, report=report)
 
 
 def test_degree_out_of_range():
@@ -144,7 +146,7 @@ def test_profile_gate_for_unipotent_entry_point():
     with pytest.raises(ProfileError):
         verify_unipotent_cs(inst, report=report)
     fixture = curve_cs_instance(cycle_graph(2))
-    verdicts = verify_unipotent_cs(fixture)
+    verdicts = verify_unipotent_cs(fixture, report=check_instance_hypotheses(fixture))
     assert verdicts and all(v.exact for v in verdicts)
     assert all(v.proposition.startswith("THM3:") for v in verdicts)
 
@@ -219,9 +221,9 @@ def ref_invariant_cycles(inst, k):
     im = image(inst.map("sa", k))
     ker_n = kernel(inst.map("N", k))
     if im != ker_n:
-        witness = next((row for row in ker_n.basis.rows if not im.contains_vector(row)), None)
+        witness = next((row for row in ker_n.basis.rows if not ref_contains_vector(im, row)), None)
         if witness is None:
-            witness = next(row for row in im.basis.rows if not ker_n.contains_vector(row))
+            witness = next(row for row in im.basis.rows if not ref_contains_vector(ker_n, row))
         return VerdictReport("THM2", k, False, witness=witness, weights_used=_weights_used("P1", k))
     used = tuple(sorted(set(_weights_used("P4", k)) | set(_weights_used("P1", k))))
     return VerdictReport("THM2", k, True, weights_used=used)
@@ -464,7 +466,7 @@ def ref_les(inst):
 
 def _widened(inst, width):
     return CSInstance((inst.k_min - width, inst.k_max + width), {node: getattr(inst, node) for node in NODES},
-                      inst.maps, purity_weight=inst.purity_weight, profile=inst.profile)
+                      inst.maps, profile=inst.profile)
 
 
 def _gapped_instance():
