@@ -4,13 +4,14 @@ Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
 two monodromy constructions disagree, or a generated instance or curve
 fixture fails its own hypothesis check: an InconsistencyError, mapped in
 ``main`` alone); 2 instance hypotheses dirty; 3 a conclusion is
-non-exact; 4 malformed or unreadable input (a nonzero "purity", or an
-integer field as long as the interpreter's digit limit), or a rational to
-print past that limit (a SerializationError from the one output
-formatter, with nothing on stdout); 64 bad command line.  `-` names
-standard input/output for piping.  `generate` (without `--break`) and
-`fixture curve` pass what they emit through ``verifier.checked``, the one
-place that self-check runs.
+non-exact; 4 malformed or unreadable input (a nonzero "purity", a graph's
+"self" other than -degree, or an integer field as long as the
+interpreter's digit limit), or a rational to print past that limit (a
+SerializationError from the one output formatter, with nothing on
+stdout); 64 bad command line.  `-` names standard input/output for
+piping.  `generate` (without `--break`) and `fixture curve` pass what they
+emit through ``verifier.checked``, the one place that self-check runs.
+`fixture curve` derives each C_j^2 from the dual graph alone.
 
 `verify` reports (schema 3) hold verdicts only for the degree window,
 the declared degrees within 2 of a stored space; `trivial_degrees` lists
@@ -31,7 +32,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .degenerations import DisconnectedGraphError, DualGraph, curve_cs_instance
+from .degenerations import DisconnectedGraphError, curve_cs_instance
 from .filtration import FiltrationError, WeightCompatibilityError
 from .generators import GenProfile, gen_adversarial, gen_cs_instance
 from .linalg import DimensionMismatchError
@@ -119,7 +120,6 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=_decimal, required=True)
     p_gen.add_argument("--max-dim", type=_decimal, default=6)
     p_gen.add_argument("--range", default="0:4")
-    p_gen.add_argument("--weight-spread", type=_decimal, default=3)
     p_gen.add_argument("--break", dest="broken", choices=list(BREAKABLE_HYPOTHESES))
 
     p_fix = sub.add_parser("fixture", help="ground-truth instances")
@@ -263,9 +263,7 @@ def _parse_range(text: str):
 def _cmd_generate(args) -> int:
     try:
         profile = GenProfile(seed=args.seed, max_dim_per_node=args.max_dim,
-                             degree_range=_parse_range(args.range),
-                             weight_spread=args.weight_spread,
-                             broken_hypothesis=args.broken)
+                             degree_range=_parse_range(args.range), broken_hypothesis=args.broken)
         if profile.broken_hypothesis is None:
             inst = checked(gen_cs_instance(profile))
         else:
@@ -277,12 +275,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    raw = _read_input(args.graph)
-    graph = graph_from_json(loads(raw))
-    # the fibre meets every component with intersection number 0, which
-    # holds exactly when each self-intersection is -degree
-    if graph.self_intersections != DualGraph.make(graph.vertices, graph.edges).self_intersections:
-        raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
+    graph = graph_from_json(loads(_read_input(args.graph)))
     _emit(dumps(instance_to_json(checked(curve_cs_instance(graph)))))
     return EXIT_OK
 

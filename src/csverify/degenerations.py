@@ -14,12 +14,12 @@ weight-0 part of the limit H^1.  The dictionary used here:
 
 with the nilpotent operator on P_1 pairing the weight-2 copy identically
 onto the weight-0 copy, and the map B_2 -> A_2 given by the intersection
-matrix of the components.  The loop convention adds 2 per loop to the
-diagonal so that a single irreducible fibre (one vertex, one loop) has
-self-intersection 0; with the default self-intersections (-degree) the
-matrix has row sums zero and one-dimensional kernel, which is exactly
-what exactness of the assembled sequences needs.  The row and the maps
-into and out of C come from the split construction in ``verifier``
+matrix of the components.  The graph is all the geometric input: the
+fibre F = sum C_j has F.C_j = 0, which forces C_j^2 to be minus the
+number of edges from j to other vertices (a loop adds nothing), so the
+matrix has row sums zero and kernel the line of (1, ..., 1), exactly what
+exactness of the assembled sequences needs.  The row and the maps into
+and out of C come from the split construction in ``verifier``
 (``assemble_row``, ``into_summand``).  ``cli fixture curve`` passes every
 fixture it emits through ``verifier.checked``.
 """
@@ -27,7 +27,7 @@ fixture it emits through ``verifier.checked``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .filtration import FilteredSpace
 from .linalg import Matrix, full_subspace, span_of_vectors, transpose
@@ -40,19 +40,13 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Dual graph of a degenerate fibre: loops and multi-edges allowed.
-
-    ``self_intersections`` defaults to -degree per vertex (degree counts
-    loops twice), the convention for a fibre of an elliptic fibration.
-    """
+    """Dual graph of a degenerate fibre: loops and multi-edges allowed."""
 
     vertices: int
     edges: Tuple[Tuple[int, int], ...]
-    self_intersections: Tuple[int, ...]
 
     @staticmethod
-    def make(vertices: int, edges: Sequence[Sequence[int]],
-             self_intersections: Optional[Sequence[int]] = None) -> "DualGraph":
+    def make(vertices: int, edges: Sequence[Sequence[int]]) -> "DualGraph":
         if vertices < 1:
             raise ValueError("a dual graph needs at least one vertex")
         norm = []
@@ -61,23 +55,14 @@ class DualGraph:
             if not (0 <= i < vertices and 0 <= j < vertices):
                 raise ValueError(f"edge {e} out of range")
             norm.append((min(i, j), max(i, j)))
-        norm_edges = tuple(sorted(norm))
-        if self_intersections is None:
-            deg = [0] * vertices
-            for i, j in norm_edges:
-                deg[i] += 1
-                deg[j] += 1
-            self_int = tuple(-d for d in deg)
-        else:
-            if len(self_intersections) != vertices:
-                raise ValueError("one self-intersection per vertex required")
-            self_int = tuple(int(s) for s in self_intersections)
-        graph = DualGraph(vertices, norm_edges, self_int)
+        graph = DualGraph(vertices, tuple(sorted(norm)))
         if not graph._connected():
             raise DisconnectedGraphError("dual graph is not connected")
         return graph
 
     def _connected(self) -> bool:
+        if len(self.edges) < self.vertices - 1:  # too few edges to span, so build nothing per vertex
+            return False
         parent = list(range(self.vertices))
 
         def find(x):
@@ -113,25 +98,26 @@ def betti(g: DualGraph) -> Tuple[int, int]:
 def intersection_matrix(g: DualGraph) -> Matrix:
     """Symmetric intersection pairing of the fibre components.
 
-    Off-diagonal entries are edge multiplicities; diagonal entries are the
-    self-intersections plus 2 per loop.  With default self-intersections
-    the rows sum to zero and the kernel is spanned by (1, ..., 1).
+    Off-diagonal entries are edge multiplicities; the diagonal entry
+    C_j^2 = -sum_{i != j} C_i.C_j makes every row sum to zero (F.C_j = 0),
+    so the kernel is spanned by (1, ..., 1).  Loops add nothing.
     """
     v = g.vertices
     rows = [[0] * v for _ in range(v)]
-    for i, s in enumerate(g.self_intersections):
-        rows[i][i] = s
     for i, j in g.edges:
-        rows[i][j] += 1
-        rows[j][i] += 1  # a loop adds 2 on the diagonal
+        if i != j:
+            rows[i][j] += 1
+            rows[j][i] += 1
+            rows[i][i] -= 1
+            rows[j][j] -= 1
     return Matrix.from_rows(rows, ncols=v)
 
 
 def curve_cs_instance(g: DualGraph) -> CSInstance:
     """Full CS instance of a totally degenerate curve with dual graph g.
 
-    It is built, not checked; with self-intersections other than -degree
-    it fails its own hypothesis check (``verifier.checked``).
+    It is built, not checked: ``cli fixture curve`` passes it through
+    ``verifier.checked``.
     """
     _, b1 = betti(g)
     v = g.vertices

@@ -3,8 +3,9 @@
 The clean recipe builds the graded skeleton and then conjugates:
 
   1. draw a centered nilpotent (P_k, N_k) for each degree: random Jordan
-     type, the operator in Jordan form, its centered filtration, then a
-     random invertible change of basis;
+     type with blocks of at most MAX_JORDAN_BLOCK, the operator in Jordan
+     form, its centered filtration, then a random invertible change of
+     basis;
   2. define C_k = coker(N_{k-1}) (+) ker(N_k) with the induced weights;
      the row maps r_k, s_k are the canonical projection/inclusion, so the
      row sequence is exact by construction;
@@ -78,7 +79,6 @@ class GenProfile:
     seed: int
     max_dim_per_node: int = 6
     degree_range: Tuple[int, int] = (0, 4)
-    weight_spread: int = 3
     broken_hypothesis: Optional[str] = None
 
     def __post_init__(self):
@@ -88,8 +88,6 @@ class GenProfile:
             raise ValueError("max_dim_per_node must be >= 0")
         if self.degree_range[0] > self.degree_range[1]:
             raise ValueError("empty degree range")
-        if self.weight_spread < 1:
-            raise ValueError("weight_spread must be >= 1")
         if self.broken_hypothesis is not None and self.broken_hypothesis not in BREAKABLE_HYPOTHESES:
             raise ValueError(f"unknown hypothesis tag {self.broken_hypothesis!r}")
 
@@ -188,9 +186,6 @@ def gen_centered_mhs(seed, dim: int, k: int,
     the operator.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    if dim == 0:
-        space = FilteredSpace.zero()
-        return space, NilpotentOp(space, Matrix.identity(0))
     cap = dim if max_block is None else min(dim, max(1, max_block))
     space, op = _jordan_pair(rng, _partition(rng, dim, cap, 1), dim, k)
     if monodromy_filtration(op, k).filtration != space:
@@ -244,10 +239,10 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
             # off-center node: all Jordan blocks of size >= 2 keep the kernel
             # and cokernel bounds valid for the filtration centered one higher,
             # so only the centering hypothesis fails
-            sizes = _partition(rng, p_dims[k], max(2, profile.weight_spread), 2)
+            sizes = _partition(rng, p_dims[k], MAX_JORDAN_BLOCK, 2)
             space, op = _jordan_pair(rng, sizes, p_dims[k], k + 1)
         else:
-            space, op = gen_centered_mhs(rng, p_dims[k], k, max_block=profile.weight_spread)
+            space, op = gen_centered_mhs(rng, p_dims[k], k, max_block=MAX_JORDAN_BLOCK)
         if space.dim:
             p_family[k] = space
             n_family[k] = op.matrix
@@ -338,6 +333,9 @@ class LoadBearingResult:
     degree: Optional[int] = None
     witness: Optional[tuple] = None
 
+
+# the largest Jordan block of a drawn P_k, and of the off-center node a P_centering tamper draws
+MAX_JORDAN_BLOCK = 3
 
 # the size and degrees of the instances search_load_bearing draws, the hypotheses
 # it breaks in turn, and the conclusions it tests

@@ -28,7 +28,8 @@ Schemas:
   filtered space   {"dim": d, "steps": {"<weight>": [[...rows...]]}}
   nilpotent op     {"space": <filtered space>, "matrix": [[...]]}
   centered filt.   {"center": k, "dim": d, "steps": {...}}
-  dual graph       {"vertices": v, "edges": [[i, j], ...], "self": [s_0...]}
+  dual graph       {"vertices": v, "edges": [[i, j], ...], "self": [s_0...]?}
+                   ("self" is read, never written: s_j = -degree, loops twice)
   CS instance      {"range": [kmin, kmax], "A": {"<k>": <fs>, ...}, "B": ...,
                     "C": ..., "P": ..., "N": {"<k>": [[...]]},
                     "col": {"b": ..., "a": ..., "c": ...},
@@ -247,9 +248,7 @@ def centered_filtration_to_json(cf: CenteredFiltration) -> dict:
 
 
 def graph_to_json(g: DualGraph) -> dict:
-    return {"vertices": g.vertices,
-            "edges": [[i, j] for i, j in g.edges],
-            "self": list(g.self_intersections)}
+    return {"vertices": g.vertices, "edges": [[i, j] for i, j in g.edges]}
 
 
 def graph_from_json(data) -> DualGraph:
@@ -258,7 +257,17 @@ def graph_from_json(data) -> DualGraph:
         selfs = data.get("self")
         if selfs is not None:
             selfs = [json_int(x, "self-intersection", key=False) for x in selfs]
-        return DualGraph.make(json_int(data["vertices"], "vertices", key=False), edges, selfs)
+        graph = DualGraph.make(json_int(data["vertices"], "vertices", key=False), edges)
+        if selfs is not None:
+            if len(selfs) != graph.vertices:
+                raise ValueError("one self-intersection per vertex required")
+            degree = [0] * graph.vertices
+            for i, j in graph.edges:
+                degree[i] += 1
+                degree[j] += 1
+            if selfs != [-d for d in degree]:
+                raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
+        return graph
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,45 @@ def test_monodromy_bytes_pinned(monkeypatch, capsys):
     assert digest.hexdigest() == "d06f264464061b759f81216655d923eb0d9c1bf250f57eb589ce3e0314b581cc"
 
 
+def test_fixture_bytes_pinned(monkeypatch, capsys):
+    """One SHA-256 over f"{exit}\n{stdout}" of `fixture curve` on seeded multigraphs (a random spanning
+    tree on 1-12 vertices plus 0-6 random edges, loops and multi-edges among them), then on three
+    graphs carrying a "self" list, recorded from an earlier version like the pins above."""
+    rng = random.Random(17)
+    documents = []
+    for v in range(1, 13):
+        for b1 in range(7):
+            labels = list(range(v))
+            rng.shuffle(labels)
+            edges = [[labels[j], labels[rng.randrange(j)]] for j in range(1, v)]
+            edges += [[rng.randrange(v), rng.randrange(v)] for _ in range(b1)]
+            documents.append({"vertices": v, "edges": edges})
+    rejected = [{"vertices": 1, "edges": [[0, 0]], "self": [0]},
+                {"vertices": 2, "edges": [[0, 1], [0, 1]], "self": [0, -2]}]
+    documents += [{"vertices": 1, "edges": [[0, 0]], "self": [-2]}, *rejected]  # -2: -degree, a loop counted twice
+    digest = hashlib.sha256()
+    for document in documents:
+        code, out, err = run_cli(["fixture", "curve", "--graph", "-"], stdin_text=json.dumps(document),
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        if document in rejected:
+            assert (code, err) == (4, "csverify: fixture curve needs self-intersection -degree at every vertex\n")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "829ca438c95a85e33271915a1a347082fe6080be6bb0360cdf33e6aea3fde24f"
+
+
+def test_fixture_disconnected_by_edge_count_allocates_nothing_per_vertex(monkeypatch, capsys):
+    """A graph with fewer than v - 1 edges is refused before any list of v entries is built."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["fixture", "curve", "--graph", "-"], stdin_text='{"vertices": 1000000, "edges": []}',
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (4, "", "csverify: bad dual graph: dual graph is not connected\n")
+    assert peak < 2**20
+
+
 def test_console_entry_point_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "csverify", "generate", "--seed", "12"],
@@ -429,7 +469,6 @@ _HUGE = "7" * 5000
     (["generate", "--seed", "1", "--max-dim", "-1"], None),
     (["generate", "--seed", "-3"], None),
     (["generate", "--seed", "1", "--range", "5:1"], None),
-    (["generate", "--seed", "1", "--weight-spread", "0"], None),
     (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0]]}'),
     (["fixture", "curve", "--graph", "-"],
      '{"vertices": 2, "edges": [[0, 1], [0, 1]], "self": [0, -2]}'),
@@ -455,7 +494,7 @@ _HUGE = "7" * 5000
     (["verify", "-"], '{' + _ONE_NODE + ', "N": {"0": [["' + _HUGE + '"]]}}'),
     (["fixture", "curve", "--graph", "-"], '{"vertices": ' + _HUGE + ', "edges": []}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
-        "range-overflow", "max-dim-negative", "seed-negative", "range-reversed", "weight-spread-zero",
+        "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
         "range-float", "purity-float", "purity-nonzero", "dim-float", "entry-true", "range-true",
         "degree-key-underscore", "vertices-float", "edge-end-float",
@@ -528,7 +567,6 @@ def test_error_inside_node_family_keeps_its_own_message(monkeypatch, capsys):
     ["generate", "--seed", " +10"],
     ["generate", "--seed", "+10"],
     ["generate", "--seed", "10", "--max-dim", "0_6"],
-    ["generate", "--seed", "10", "--weight-spread", "3.0"],
     ["monodromy", "op.json", "--center", "1_0"],
     ["verify", "inst.json", "--k", " 1"],
 ])

@@ -13,9 +13,7 @@ from csverify.degenerations import (
 )
 from csverify.linalg import image, kernel, span_of_vectors
 from csverify.verifier import (
-    InconsistencyError,
     check_instance_hypotheses,
-    checked,
     verify_invariant_cycles,
     verify_unipotent_cs,
 )
@@ -45,12 +43,10 @@ def test_bad_graph_data():
         DualGraph.make(0, [])
     with pytest.raises(ValueError):
         DualGraph.make(2, [(0, 5)])
-    with pytest.raises(ValueError):
-        DualGraph.make(2, [(0, 1)], self_intersections=[-1])
 
 
 def test_intersection_matrix_i1():
-    # the loop convention kills the -2 from the degree: F.F = 0
+    # a loop adds nothing: F.F = 0
     assert ints(intersection_matrix(cycle_graph(1))) == [[0]]
 
 
@@ -123,12 +119,6 @@ def test_euler_characteristic_bookkeeping():
         inst = curve_cs_instance(g)
         a_dims = [inst.space("A", k).dim for k in (0, 1, 2)]
         assert a_dims[0] - a_dims[1] + a_dims[2] == 1 - b1 + v
-
-
-def test_nondefault_self_intersections_fail_consistency():
-    g = DualGraph.make(2, [(0, 1), (0, 1)], self_intersections=[-1, -2])
-    with pytest.raises(InconsistencyError):
-        checked(curve_cs_instance(g))
 
 
 def test_instance_is_geometric_profile():

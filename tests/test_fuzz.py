@@ -26,7 +26,7 @@ from csverify.serialize import graph_to_json, instance_to_json, nilpotent_to_jso
 
 INSTANCE = instance_to_json(gen_cs_instance(GenProfile(seed=3, max_dim_per_node=4)))
 NILPOTENT = nilpotent_to_json(gen_centered_mhs(5, 4, 1)[1])
-GRAPH = graph_to_json(theta_graph())
+GRAPH = {**graph_to_json(theta_graph()), "self": [-3, -3]}  # mutations reach the check of "self"
 
 DOCUMENTED_EXITS = (0, 2, 3, 4)
 VERIFY_OPTIONS = (["--thm", "1"], ["--thm", "2"], ["--thm", "3"], ["--prop", "all"])

@@ -102,8 +102,9 @@ def test_centered_filtration_round_trip():
 def test_graph_round_trip():
     for g in (cycle_graph(1), cycle_graph(4), theta_graph()):
         assert graph_from_json(graph_to_json(g)) == g
-    custom = graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-5, 1]})
-    assert custom.self_intersections == (-5, 1)
+    assert graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-2, -2]}) == cycle_graph(2)
+    with pytest.raises(SerializationError):
+        graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-5, 1]})
 
 
 def test_instance_round_trip_generated():
