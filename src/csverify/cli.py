@@ -10,7 +10,8 @@ interpreter's digit limit), or a rational to print past that limit (a
 SerializationError from the one output formatter, with nothing on
 stdout); 64 bad command line.  `-` names standard input/output for
 piping.  `generate` (without `--break`) and `fixture curve` pass what they
-emit through ``verifier.checked``, the one place that self-check runs.
+emit through ``verifier.checked``, the one place that self-check runs;
+`monodromy` prints only a filtration both constructions agree on.
 `fixture curve` derives each C_j^2 from the dual graph alone.
 
 `verify` reports (schema 3) hold verdicts only for the degree window,
@@ -38,13 +39,13 @@ from .generators import GenProfile, gen_adversarial, gen_cs_instance
 from .linalg import DimensionMismatchError
 from .monodromy import (
     NilpotencyError,
-    monodromy_filtration,
-    monodromy_filtration_recursive,
+    centered_filtration,
+    centered_filtration_recursive,
 )
 from .serialize import (
     SerializationError,
-    centered_filtration_to_json,
     dumps,
+    filtered_space_to_json,
     graph_from_json,
     hypothesis_report_to_json,
     instance_from_json,
@@ -114,7 +115,6 @@ def _build_parser() -> _Parser:
     p_mono = sub.add_parser("monodromy", help="centered filtration of a nilpotent operator")
     p_mono.add_argument("nilpotent")
     p_mono.add_argument("--center", type=_decimal, required=True)
-    p_mono.add_argument("--cross-check", action="store_true")
 
     p_gen = sub.add_parser("generate", help="emit a seeded instance as JSON")
     p_gen.add_argument("--seed", type=_decimal, required=True)
@@ -239,15 +239,12 @@ def _render_text(payload, report, verdicts) -> str:
 
 def _cmd_monodromy(args) -> int:
     raw = _read_input(args.nilpotent)
-    op = nilpotent_from_json(loads(raw))
-    cf = monodromy_filtration(op, args.center)
-    payload = {"schema": 1, "input_digest": _digest(raw)}
-    payload.update(centered_filtration_to_json(cf))
-    if args.cross_check:
-        other = monodromy_filtration_recursive(op, args.center)
-        if other != cf:
-            raise InconsistencyError("the two constructions disagree")
-        payload["cross_check"] = "agree"
+    matrix = nilpotent_from_json(loads(raw)).matrix
+    filtration = centered_filtration(matrix, args.center)
+    if centered_filtration_recursive(matrix, args.center) != filtration:
+        raise InconsistencyError("the two constructions disagree")
+    payload = {"schema": 1, "input_digest": _digest(raw), "center": args.center, "cross_check": "agree"}
+    payload.update(filtered_space_to_json(filtration))
     _emit(dumps(payload))
     return EXIT_OK
 

@@ -40,7 +40,7 @@ from typing import Dict, Optional, Tuple
 
 from .filtration import FilteredSpace, direct_sum, graded_complement
 from .linalg import Matrix, inverse, ratio_row, transpose, vstack
-from .monodromy import NilpotentOp, chain_filtration, monodromy_filtration
+from .monodromy import NilpotentOp, centered_filtration, chain_filtration
 from .verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -188,7 +188,7 @@ def gen_centered_mhs(seed, dim: int, k: int,
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cap = dim if max_block is None else min(dim, max(1, max_block))
     space, op = _jordan_pair(rng, _partition(rng, dim, cap, 1), dim, k)
-    if monodromy_filtration(op, k).filtration != space:
+    if centered_filtration(op.matrix, k) != space:
         raise InconsistencyError("generated filtration is not the centered filtration of the operator")
     return space, op
 
@@ -337,23 +337,24 @@ class LoadBearingResult:
 # the largest Jordan block of a drawn P_k, and of the off-center node a P_centering tamper draws
 MAX_JORDAN_BLOCK = 3
 
-# the size and degrees of the instances search_load_bearing draws, the hypotheses
-# it breaks in turn, and the conclusions it tests
+# the tries search_load_bearing makes, the size and degrees of the instances it
+# draws, the hypotheses it breaks in turn, and the conclusions it tests
+SEARCH_BUDGET = 10_000
 SEARCH_MAX_DIM = 6
 SEARCH_DEGREE_RANGE = (0, 4)
 SEARCH_TAGS = ("A_bound", "P_centering")
 SEARCH_PROPOSITIONS = ("P4", "P1")
 
 
-def search_load_bearing(seed: int, budget: int = 10_000) -> LoadBearingResult:
+def search_load_bearing(seed: int) -> LoadBearingResult:
     """Search adversarial instances for a literally non-exact conclusion.
 
     Alternates over the broken-hypothesis tags of SEARCH_TAGS; on a hit the
     instance's hypothesis report is re-checked to confirm only the named
-    hypothesis failed.  Exhausting the budget is reported as inconclusive,
+    hypothesis failed.  Exhausting SEARCH_BUDGET is reported as inconclusive,
     not as a failure.
     """
-    for i in range(budget):
+    for i in range(SEARCH_BUDGET):
         tag = SEARCH_TAGS[i % len(SEARCH_TAGS)]
         profile = GenProfile(seed=split_seed(seed, i), max_dim_per_node=SEARCH_MAX_DIM,
                              degree_range=SEARCH_DEGREE_RANGE, broken_hypothesis=tag)
@@ -369,4 +370,4 @@ def search_load_bearing(seed: int, budget: int = 10_000) -> LoadBearingResult:
                         f"adversarial instance broke {report.failed_categories()}, wanted only {tag}")
                 return LoadBearingResult(True, i + 1, instance=inst, broken=tag,
                                          proposition=which, degree=k, witness=verdict.witness)
-    return LoadBearingResult(False, budget)
+    return LoadBearingResult(False, SEARCH_BUDGET)

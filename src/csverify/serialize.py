@@ -52,7 +52,7 @@ from .filtration import (
     StrictnessVerdict,
 )
 from .linalg import Matrix, Subspace, canonicalize, ratio_row
-from .monodromy import CenteredFiltration, NilpotentOp
+from .monodromy import NilpotentOp
 from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
 
 
@@ -241,17 +241,13 @@ def nilpotent_from_json(data) -> NilpotentOp:
     return NilpotentOp(space, matrix)
 
 
-def centered_filtration_to_json(cf: CenteredFiltration) -> dict:
-    out = filtered_space_to_json(cf.filtration)
-    out["center"] = cf.center
-    return out
-
-
 def graph_to_json(g: DualGraph) -> dict:
     return {"vertices": g.vertices, "edges": [[i, j] for i, j in g.edges]}
 
 
 def graph_from_json(data) -> DualGraph:
+    if not isinstance(data, dict):
+        raise SerializationError("dual graph must be a JSON object")
     try:
         edges = [[json_int(x, "edge end", key=False) for x in e] for e in data.get("edges", [])]
         selfs = data.get("self")

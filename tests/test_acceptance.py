@@ -150,7 +150,7 @@ def test_criterion_6_load_bearing_weights(tmp_path):
     invariant cycles or kernel-sequence conclusion is literally non-exact,
     with a stored witness; an exhausted budget is reported as inconclusive
     without failing."""
-    result = search_load_bearing(seed=20260811, budget=10_000)
+    result = search_load_bearing(seed=20260811)
     if not result.found:
         report("6 load-bearing weights", True, "inconclusive: budget exhausted")
         return

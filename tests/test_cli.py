@@ -125,7 +125,7 @@ def test_monodromy_subcommand_cross_check(tmp_path, capsys):
     }
     path = tmp_path / "op.json"
     path.write_text(json.dumps(op_json))
-    code, out, _ = run_cli(["monodromy", str(path), "--center", "1", "--cross-check"],
+    code, out, _ = run_cli(["monodromy", str(path), "--center", "1"],
                            capsys=capsys)
     assert code == 0
     payload = json.loads(out)
@@ -141,8 +141,8 @@ def test_monodromy_cross_check_disagreement_exit_one(tmp_path, monkeypatch, caps
         "space": {"dim": 2, "steps": {"0": [[1, 0], [0, 1]]}},
         "matrix": [["0", "1"], ["0", "0"]],
     }))
-    monkeypatch.setattr("csverify.cli.monodromy_filtration_recursive", lambda op, center: None)
-    code, out, err = run_cli(["monodromy", str(path), "--center", "1", "--cross-check"],
+    monkeypatch.setattr("csverify.cli.centered_filtration_recursive", lambda matrix, center: None)
+    code, out, err = run_cli(["monodromy", str(path), "--center", "1"],
                              capsys=capsys)
     assert code == EXIT_INTERNAL == 1
     assert out == ""
@@ -191,6 +191,8 @@ def test_unknown_flag_exit_64(capsys):
     assert code == 64
     code2, _, _ = run_cli(["frobnicate"], capsys=capsys)
     assert code2 == 64
+    code3, _, _ = run_cli(["monodromy", "x.json", "--center", "0", "--cross-check"], capsys=capsys)
+    assert code3 == 64  # the cross-check always runs; it is no option
 
 
 def test_generate_deterministic_output(capsys):
@@ -371,7 +373,7 @@ def test_verify_degree_out_of_range_exit_four(monkeypatch, capsys):
 def test_monodromy_zero_dimensional_operator(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"space": {"dim": 0, "steps": {}}, "matrix": []}))
-    code, out, _ = run_cli(["monodromy", str(path), "--center", "5", "--cross-check"],
+    code, out, _ = run_cli(["monodromy", str(path), "--center", "5"],
                            capsys=capsys)
     assert code == 0
     payload = json.loads(out)
@@ -379,7 +381,7 @@ def test_monodromy_zero_dimensional_operator(tmp_path, capsys):
 
 
 def test_monodromy_bytes_pinned(monkeypatch, capsys):
-    """One SHA-256 over f"{exit}\n{stdout}" of `monodromy - --center c --cross-check` on generated
+    """One SHA-256 over f"{exit}\n{stdout}" of `monodromy - --center c` on generated
     nilpotents (seeds 1-3, dimensions 0-8, centers -1..2), then over f"{exit}\n{stderr}" of three
     rejected operators, recorded from an earlier version like the pins above."""
     digest = hashlib.sha256()
@@ -388,7 +390,7 @@ def test_monodromy_bytes_pinned(monkeypatch, capsys):
             _, op = gen_centered_mhs(split_seed(seed, dim), dim, seed - 2)
             text = dumps(nilpotent_to_json(op))
             for center in range(-1, 3):
-                code, out, _ = run_cli(["monodromy", "-", "--center", str(center), "--cross-check"],
+                code, out, _ = run_cli(["monodromy", "-", "--center", str(center)],
                                        stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
                 digest.update(f"{code}\n{out}".encode())
     raises_weight = {"dim": 2, "steps": {"0": [["1", "0"]], "5": [["1", "0"], ["0", "1"]]}}
@@ -493,13 +495,19 @@ _HUGE = "7" * 5000
     (["verify", "-"], '{"range": [0, ' + _HUGE + ']}'),
     (["verify", "-"], '{' + _ONE_NODE + ', "N": {"0": [["' + _HUGE + '"]]}}'),
     (["fixture", "curve", "--graph", "-"], '{"vertices": ' + _HUGE + ', "edges": []}'),
+    # a graph document is an object
+    (["fixture", "curve", "--graph", "-"], '[]'),
+    (["fixture", "curve", "--graph", "-"], '"x"'),
+    (["fixture", "curve", "--graph", "-"], '3'),
+    (["fixture", "curve", "--graph", "-"], 'null'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
         "range-float", "purity-float", "purity-nonzero", "dim-float", "entry-true", "range-true",
         "degree-key-underscore", "vertices-float", "edge-end-float",
         "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus",
-        "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge"])
+        "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge",
+        "graph-array", "graph-string", "graph-number", "graph-null"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)

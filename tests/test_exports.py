@@ -3,8 +3,8 @@ function cannot leave a dangling entry in ``csverify.__all__``; each
 module imports a name from the module that defines it; no module reads a
 private attribute that another module defines, so memos such as
 ``Matrix._kernel`` are read through ``linalg``'s accessors; the random
-generator sits above everything but the CLI; and every public name has a
-caller outside the unit tests."""
+generator sits above everything but the CLI; every public name has a
+caller outside the unit tests; and every public field has a reader."""
 
 import ast
 import re
@@ -161,6 +161,33 @@ def uncalled_public_names(src, clients):
 def test_every_public_name_has_a_caller():
     """API that only its own unit tests call is dead weight: delete it, or give it a caller."""
     assert uncalled_public_names(_SRC, _CLIENTS) == []
+
+
+def unread_fields(src, clients):
+    """`module.Class.field` for each public field of a public class under src, annotated in the
+    class body or stored as ``self.field``, that no Attribute in src or the clients reads: a
+    bare Name such as a keyword argument of the same spelling does not count."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = {node.attr for tree in [*trees.values(), *(ast.parse(path.read_text()) for path in clients)]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            fields = {item.target.id for item in cls.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            fields |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+                       and node.value.id == "self"}
+            unread += [f"{mod}.{cls.name}.{field}" for field in sorted(fields)
+                       if not field.startswith("_") and field not in read]
+    return unread
+
+
+def test_every_field_has_a_reader():
+    """A field that is set but never read only holds its own bytes: delete it, or read it."""
+    assert unread_fields(_SRC, _CLIENTS) == []
 
 
 def test_the_caller_scan_flags_a_new_uncalled_function(tmp_path):

@@ -115,7 +115,7 @@ def test_adversarial_needs_wide_enough_range():
 
 
 def test_search_finds_witnessed_counterexample():
-    result = search_load_bearing(seed=7, budget=300)
+    result = search_load_bearing(seed=7)
     assert result.found
     assert result.proposition in ("P1", "P4")
     assert result.witness is not None
@@ -129,7 +129,8 @@ def test_search_reports_inconclusive_budget(monkeypatch):
     # a pure centering shift never changes any matrix, so no conclusion
     # can break and the budget runs out
     monkeypatch.setattr("csverify.generators.SEARCH_TAGS", ("P_centering",))
-    result = search_load_bearing(seed=7, budget=4)
+    monkeypatch.setattr("csverify.generators.SEARCH_BUDGET", 4)
+    result = search_load_bearing(seed=7)
     assert not result.found
     assert result.tries == 4
     assert result.instance is None

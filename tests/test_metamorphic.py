@@ -15,6 +15,15 @@ k in both parts.
 Filtered conjugation: conjugating every map by random filtered
 automorphisms of its ends changes no hypothesis verdict and no
 conclusion's exactness; only witnesses may move.
+
+Duality: the linear dual of an instance, with W_w(V^v) = ann W_{-w-1}(V)
+and every map transposed, exchanges "weights <=" with "weights >=".  It
+sends A_k, B_k, C_k and P_k to B'_{-k}, A'_{-k}, C'_{-k-1} and
+P'_{-k-2} = P_k^v(1), so A_bound and B_bound trade places, and P1_k and
+P4_k become P2_{-k-2} and P3_{-k-2}.  The dual fails exactly the mapped
+hypothesis verdicts, each conclusion's exactness and weights maps the
+same way, and dualizing twice gives the instance back over the range
+widened by 2 on each side.
 """
 
 import io
@@ -24,15 +33,18 @@ import random
 import pytest
 
 from csverify.cli import main
-from csverify.filtration import direct_sum
+from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
+from csverify.filtration import FilteredSpace, direct_sum, tate_twist
 from csverify.generators import GenProfile, _conjugate, gen_adversarial, gen_cs_instance
-from csverify.linalg import Matrix, hstack, vstack
+from csverify.linalg import Matrix, hstack, transpose, vstack
 from csverify.verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
     CONCLUSIONS,
     NODES,
+    SEQUENCES,
     CSInstance,
+    assemble_and_verify_les,
     check_instance_hypotheses,
     conclusion_exactness,
 )
@@ -159,3 +171,85 @@ def test_filtered_conjugation(broken):
         assert conjugated != inst
         assert truth_values(check_instance_hypotheses(conjugated)) == truth_values(check_instance_hypotheses(inst))
         assert exact_flags(conjugated) == exact_flags(inst), (seed, broken)
+
+
+# what each part of an instance becomes in its dual, as (part, d): the part at
+# degree k goes to the named one at degree d - k
+DUAL_NODES = {"A": ("B", 0), "B": ("A", 0), "C": ("C", -1), "P": ("P", -2)}
+# the nodes of the exactness verdicts: exactness at P_k and at P_k(-1) trade places
+DUAL_MIDDLES = {**DUAL_NODES, "P": ("P(-1)", -2), "P(-1)": ("P", -2)}
+DUAL_ARROWS = {"b": ("b", 0), "a": ("c", -1), "c": ("a", -1), "r": ("s", -1), "s": ("r", -1), "N": ("N", -2)}
+DUAL_BOUNDS = {"A_bound": ("B_bound", 0), "B_bound": ("A_bound", 0), "P_centering": ("P_centering", -2)}
+DUAL_CONCLUSIONS = {"P1": "P2", "P2": "P1", "P3": "P4", "P4": "P3"}  # P_k goes to P_{-k-2}
+
+
+def dual_space(v: FilteredSpace) -> FilteredSpace:
+    """V^v, with W_w(V^v) = ann W_{-w-1}(V): a jump of V at w is one of V^v at -w."""
+    return FilteredSpace(v.dim, {-w: v.step(w - 1).annihilator() for w in v.jumps})
+
+
+def dual_instance(inst: CSInstance) -> CSInstance:
+    """The dual over [-k_max - 2, -k_min]; P'_{-k-2} is P_k^v(1), centered at -k-2."""
+    spaces = {node: {} for node in NODES}
+    for node in NODES:
+        target, d = DUAL_NODES[node]
+        for k in range(inst.k_min, inst.k_max + 1):
+            dual = dual_space(inst.space(node, k))
+            spaces[target][d - k] = tate_twist(dual, 1) if node == "P" else dual
+    maps = {}
+    for label, family in inst.maps.items():
+        target, d = DUAL_ARROWS[label]
+        maps[target] = {d - k: transpose(m) for k, m in family.items()}
+    return CSInstance((-inst.k_max - 2, -inst.k_min), spaces, maps, inst.profile)
+
+
+def dual_failure(category, key):
+    """The hypothesis verdict of the dual that mirrors (category, key) of the instance."""
+    if category in SEQUENCES:
+        k, node = key
+        target, d = DUAL_MIDDLES[node]
+        return category, (d - k, target)
+    if category == "strictness":
+        label, k = key
+        target, d = DUAL_ARROWS[label]
+        return category, (target, d - k)
+    target, d = DUAL_BOUNDS[category]
+    return target, d - key
+
+
+def dual_tag(tag: str) -> str:
+    category, k = tag.split("@")
+    target, d = dual_failure(category, int(k))
+    return f"{target}@{d}"
+
+
+def assert_duality(inst: CSInstance, name):
+    dual = dual_instance(inst)
+    twice = dual_instance(dual)
+    assert (twice.k_min, twice.k_max) == (inst.k_min - 2, inst.k_max + 2)
+    assert twice.maps == inst.maps, name
+    assert all(twice.space(node, k) == inst.space(node, k)
+               for node in NODES for k in range(twice.k_min, twice.k_max + 1)), name
+    report, dual_report = check_instance_hypotheses(inst), check_instance_hypotheses(dual)
+    assert sorted(dual_report.failures()) == sorted(dual_failure(*f) for f in report.failures()), name
+    flags = exact_flags(inst)
+    assert flags == {(which, k): conclusion_exactness(dual, DUAL_CONCLUSIONS[which], -k - 2).exact
+                     for which, k in flags}, name
+    if report.clean:
+        dual_verdicts = {(v.proposition, v.degree): v for v in assemble_and_verify_les(dual, report=dual_report)}
+        for v in assemble_and_verify_les(inst, report=report):
+            mirror = dual_verdicts.get((DUAL_CONCLUSIONS[v.proposition], -v.degree - 2))
+            if mirror is not None:
+                assert mirror.exact == v.exact, name
+                assert mirror.weights_used == tuple(map(dual_tag, v.weights_used)), name
+
+
+@pytest.mark.parametrize("broken", CASES)
+def test_duality(broken):
+    for seed in range(1, 11):
+        assert_duality(generated(seed, broken), (seed, broken))
+
+
+def test_duality_of_curve_fixtures():
+    for name, graph in (("I_1", cycle_graph(1)), ("I_3", cycle_graph(3)), ("theta", theta_graph())):
+        assert_duality(curve_cs_instance(graph), name)

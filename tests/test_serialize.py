@@ -9,10 +9,9 @@ from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
 from csverify.filtration import FilteredSpace, full_subspace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, ratio_row, span_of_vectors
-from csverify.monodromy import NilpotentOp, monodromy_filtration
+from csverify.monodromy import NilpotentOp
 from csverify.serialize import (
     SerializationError,
-    centered_filtration_to_json,
     dumps,
     filtered_space_from_json,
     filtered_space_to_json,
@@ -88,15 +87,6 @@ def test_nilpotent_round_trip():
     op = NilpotentOp(fs, Matrix.from_rows([[0, 1], [0, 0]]))
     parsed = nilpotent_from_json(nilpotent_to_json(op))
     assert parsed.space == op.space and parsed.matrix == op.matrix
-
-
-def test_centered_filtration_round_trip():
-    fs = FilteredSpace.pure(2, 0)
-    op = NilpotentOp(fs, Matrix.from_rows([[0, 1], [0, 0]]))
-    cf = monodromy_filtration(op, 1)
-    data = centered_filtration_to_json(cf)
-    assert data["center"] == 1
-    assert filtered_space_from_json(data) == cf.filtration
 
 
 def test_graph_round_trip():
