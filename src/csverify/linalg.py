@@ -18,9 +18,14 @@ the one constructor that takes rows of ints and Fractions; callers that
 build matrices in bulk write the stored form through ``Matrix.of`` and
 ``ratio_row``.  Each derived object is computed once and kept on the
 matrix: its image, its kernel and, for a square matrix, its kernel flag
-(whose step ker f is the kernel memo) and the Jordan chains built from
-the flag; they are read only through ``image``, ``kernel``,
-``kernel_flag`` and ``jordan_chains``.
+(whose step ker f is the kernel memo), the Jordan chains built from the
+flag and the steps of the weight filtration centered at 0 that the
+chains span; they are read only through ``image``, ``kernel``,
+``kernel_flag``, ``jordan_chains`` and ``centered_steps``.
+``chain_steps`` is the one place where chains become weights, for these
+steps and for ``monodromy.chain_filtration`` alike; it adds one weight
+at a time to the reduced basis of the step below.  The zero subspace is
+one shared instance per ambient dimension, like ``Matrix.zero``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -137,7 +142,7 @@ class Matrix:
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.irows))
 
-    # read through image, kernel, kernel_flag and jordan_chains; kept outside eq/hash/repr
+    # read through image, kernel, kernel_flag, jordan_chains and centered_steps; kept outside eq/hash/repr
     @cached_property
     def _image(self) -> "Subspace":
         return canonicalize(transpose(self))
@@ -153,6 +158,10 @@ class Matrix:
     @cached_property
     def _jordan_chains(self) -> tuple:
         return _chains(self)
+
+    @cached_property
+    def _centered_steps(self) -> tuple:
+        return _steps(self)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -325,10 +334,12 @@ class Subspace:
 def canonicalize(m: Matrix) -> Subspace:
     """Row space of m in canonical reduced-echelon form."""
     reduced, pivots = rref(m)
-    return Subspace(m.ncols, reduced, pivots)
+    return Subspace(m.ncols, reduced, pivots) if pivots else zero_subspace(m.ncols)
 
 
+@lru_cache(maxsize=None)
 def zero_subspace(ambient_dim: int) -> Subspace:
+    """The zero subspace, one shared instance per ambient dimension (a Subspace is never mutated)."""
     return Subspace(ambient_dim, Matrix.zero(0, ambient_dim), ())
 
 
@@ -394,6 +405,35 @@ def _chains(f: Matrix) -> tuple:
     if sum(map(len, chains)) != flag[-1].dim:
         raise AssertionError(f"Jordan chain vectors do not span ker f^{len(flag) - 1}")
     return tuple(map(tuple, chains))
+
+
+def centered_steps(f: Matrix) -> tuple:
+    """``chain_steps`` of f's Jordan chains (kept on f): the weight filtration centered at 0
+    that f's chains span, as (weight, step) pairs."""
+    return f._centered_steps
+
+
+def _steps(f: Matrix) -> tuple:
+    return chain_steps(jordan_chains(f), f.nrows)
+
+
+def chain_steps(chains, dim: int) -> tuple:
+    """(w, W_w) ascending, one pair per weight w that occurs, where a chain of length m gives its
+    rows, head first, the weights m-1, m-3, ..., 1-m and W_w is the span of the rows of weight <= w.
+
+    One weight at a time: W_w is the reduced basis of the step below stacked with the rows of
+    weight w, so only those rows meet unreduced entries."""
+    by_weight = {}
+    for chain in chains:
+        m = len(chain)
+        for pos, row in enumerate(chain):
+            by_weight.setdefault(m - 1 - 2 * pos, []).append(row)
+    steps, below = [], zero_subspace(dim)
+    for w in sorted(by_weight):
+        rows = below.basis.irows + tuple(by_weight[w])
+        below = canonicalize(Matrix.of(len(rows), dim, rows))
+        steps.append((w, below))
+    return tuple(steps)
 
 
 def extend_basis(base: Subspace, m: Matrix) -> Matrix:

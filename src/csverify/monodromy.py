@@ -4,15 +4,18 @@ For a nilpotent endomorphism N of Q^d and a center k there is a unique
 finite increasing filtration M with N.M_i contained in M_{i-2} such that
 the i-th power of N induces an isomorphism Gr_{k+i} -> Gr_{k-i}.  It is
 determined by the kernel flag ker N < ker N^2 < ... < ker N^p = Q^d.
-The flag and its Jordan chains are kept on the matrix (``linalg``'s
-``kernel_flag`` and ``jordan_chains``), so every caller reads one
+The flag, its Jordan chains and the steps of the filtration centered
+at 0 are kept on the matrix (``linalg``'s ``kernel_flag``,
+``jordan_chains`` and ``centered_steps``), so every caller reads one
 derivation; ``nilpotency_index`` is the one nilpotency check, and a
 ``NilpotentOp`` keeps only its space and matrix.  Two independent
 constructions are implemented:
 
 * ``centered_filtration`` (``monodromy_filtration`` on an operator)
   gives a Jordan chain of length m the weights k+m-1, k+m-3, ...,
-  k-m+1 from head to tail (0 is the only eigenvalue);
+  k-m+1 from head to tail (0 is the only eigenvalue): it shifts the
+  centre-0 steps kept on the matrix by k, and ``FilteredSpace`` checks
+  the result as it checks any other;
 
 * ``centered_filtration_recursive`` (``monodromy_filtration_recursive``)
   uses the classical recursion: with N^m nonzero and N^{m+1} = 0 the
@@ -22,9 +25,13 @@ constructions are implemented:
 
 The two share the flag but no chain or recursion logic.  Uniqueness
 makes their agreement a sharp cross-check, run by every `monodromy`
-command and at scale by the test suite.  ``chain_filtration`` is the one place that turns chains
-into weights; the generators call it on the chains of a Jordan form, and
-the axiom check takes graded pieces from ``filtration.graded_complement``.
+command and at scale by the test suite.  ``linalg.chain_steps`` is the
+one place that turns chains into weights: the matrix's centre-0 steps
+come from it, and so does ``chain_filtration``, which the generators
+call on the chains of a Jordan form, so the generator's self-check
+compares two filtrations that differ in their chains, not in the
+routine.  The axiom check takes graded pieces from
+``filtration.graded_complement``.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ from .linalg import (
     DimensionMismatchError,
     Matrix,
     canonicalize,
+    centered_steps,
+    chain_steps,
     coords_map,
     image,
-    jordan_chains,
     kernel,
     kernel_flag,
     quotient_map,
@@ -109,23 +117,18 @@ def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
     in the stored row form of ``Matrix.irows``, and its vectors get the
     weights k+m-1, k+m-3, ..., k-m+1.
     """
-    weighted = []  # (weight, vector)
-    for chain in chains:
-        m = len(chain)
-        for pos, vec in enumerate(chain):
-            weighted.append((k + m - 1 - 2 * pos, vec))
-    weights = sorted({w for w, _ in weighted})
-    steps = {}
-    for w in weights:
-        rows = tuple(vec for wt, vec in weighted if wt <= w)
-        steps[w] = canonicalize(Matrix.of(len(rows), dim, rows))
-    return FilteredSpace(dim, steps)
+    return _shifted(dim, chain_steps(chains, dim), k)
 
 
 def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
-    """Centered weight filtration of a nilpotent matrix, from the Jordan chains kept on it."""
+    """Centered weight filtration of a nilpotent matrix: the centre-0 steps kept on it, shifted to k."""
     nilpotency_index(matrix)
-    return chain_filtration(jordan_chains(matrix), matrix.nrows, k)
+    return _shifted(matrix.nrows, centered_steps(matrix), k)
+
+
+def _shifted(dim: int, steps, k: int) -> FilteredSpace:
+    """The filtration with the centre-0 (weight, step) pairs moved to centre k, checked as any other."""
+    return FilteredSpace(dim, {w + k: sub for w, sub in steps})
 
 
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:

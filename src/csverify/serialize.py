@@ -34,7 +34,9 @@ Schemas:
                     "C": ..., "P": ..., "N": {"<k>": [[...]]},
                     "col": {"b": ..., "a": ..., "c": ...},
                     "row": {"r": ..., "s": ...}, "purity": 0,
-                    "profile": "geometric"?}          (profile key optional)
+                    "profile": "abstract" | "geometric"?}
+                   ("profile" is optional and "abstract" by default; any
+                   other value is a SerializationError)
 """
 
 from __future__ import annotations
@@ -322,8 +324,8 @@ def instance_from_json(data) -> CSInstance:
         maps[label] = {k: matrix_from_json(m, *skeleton.shape(label, k)) for k, m in raw.items()}
 
     profile = data.get("profile", "abstract")
-    if not isinstance(profile, str):
-        raise SerializationError("profile must be a string")
+    if profile not in ("abstract", "geometric"):
+        raise SerializationError('profile must be "abstract" or "geometric"')
     if json_int(data.get("purity", 0), "'purity'", key=False) != 0:
         raise SerializationError("'purity' must be 0")
     return CSInstance((k_min, k_max), spaces, maps, profile=profile)

@@ -500,6 +500,8 @@ _HUGE = "7" * 5000
     (["fixture", "curve", "--graph", "-"], '"x"'),
     (["fixture", "curve", "--graph", "-"], '3'),
     (["fixture", "curve", "--graph", "-"], 'null'),
+    # the profile is one of the two the verifier knows
+    (["verify", "-", "--thm", "1"], '{' + _ONE_NODE + ', "profile": "geometirc"}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
@@ -507,7 +509,7 @@ _HUGE = "7" * 5000
         "degree-key-underscore", "vertices-float", "edge-end-float",
         "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus",
         "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge",
-        "graph-array", "graph-string", "graph-number", "graph-null"])
+        "graph-array", "graph-string", "graph-number", "graph-null", "profile-unknown"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)

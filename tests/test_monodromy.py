@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csverify import linalg
-from csverify.filtration import FilteredSpace, full_subspace, tate_twist
+from csverify.filtration import FilteredSpace, FiltrationError, full_subspace, tate_twist
 from csverify.generators import gen_centered_mhs, random_invertible, split_seed
 from csverify.linalg import (
     Matrix,
+    canonicalize,
     hstack,
     image,
     inverse,
@@ -26,6 +27,7 @@ from csverify.monodromy import (
     NilpotentOp,
     centered_filtration,
     centered_filtration_recursive,
+    chain_filtration,
     ker_coker_weight_bounds,
     monodromy_filtration,
     monodromy_filtration_recursive,
@@ -272,12 +274,13 @@ def test_kernel_flag_rejects_non_nilpotent(seed, nil_dim, unit_dim):
 
 
 def test_one_derivation_per_operator(monkeypatch):
-    """Every construction reads the kernel flag and the Jordan chains kept on the matrix:
-    across all of them, each is built once for N, and the flag's step ker N is kernel(N)."""
+    """Every construction reads the kernel flag, the Jordan chains and the centre-0 steps kept
+    on the matrix: across all of them, each is built once for N, and the flag's step ker N is
+    kernel(N)."""
     space, op = gen_centered_mhs(split_seed(57, 2), 8, 1)  # Jordan type 3, 2, 2, 1
     n = Matrix.of(8, 8, op.matrix.irows)  # a copy with no memos yet
     built = Counter()
-    for name in ("_flag", "_chains"):
+    for name in ("_flag", "_chains", "_steps"):
         def counting(f, build=getattr(linalg, name), name=name):
             built[name] += f is n
             return build(f)
@@ -289,4 +292,66 @@ def test_one_derivation_per_operator(monkeypatch):
     assert monodromy_filtration(fresh, -2).filtration == centered_filtration_recursive(n, -2)
     assert ker_coker_weight_bounds(fresh, 1).ok
     assert centered_filtration_recursive(n, 1) == space
-    assert built == {"_flag": 1, "_chains": 1}
+    assert built == {"_flag": 1, "_chains": 1, "_steps": 1}
+
+
+# -- chain filtrations against the from-scratch construction ---------------
+
+def ref_chain_filtration(chains, dim, k):
+    """Each step W_w eliminated from scratch: all the chain vectors of weight <= w at once."""
+    weighted = []  # (weight, vector)
+    for chain in chains:
+        m = len(chain)
+        for pos, vec in enumerate(chain):
+            weighted.append((k + m - 1 - 2 * pos, vec))
+    steps = {}
+    for w in sorted({w for w, _ in weighted}):
+        rows = tuple(vec for wt, vec in weighted if wt <= w)
+        steps[w] = canonicalize(Matrix.of(len(rows), dim, rows))
+    return FilteredSpace(dim, steps)
+
+
+def _outcome(build):
+    """The filtration, or the message of the FiltrationError building it raised."""
+    try:
+        return build()
+    except FiltrationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10), st.integers(-3, 3))
+@example(0, 0, 0)  # the 0x0 operator
+def test_chain_filtration_matches_the_from_scratch_reference(seed, dim, k):
+    _, op = gen_centered_mhs(seed, dim, k)
+    chains = jordan_chains(op.matrix)
+    want = ref_chain_filtration(chains, dim, k)
+    assert chain_filtration(chains, dim, k) == want == op.space
+    for center in range(-3, 4):
+        assert centered_filtration(op.matrix, center) == ref_chain_filtration(chains, dim, center)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 6), st.integers(-3, 3))
+def test_chain_filtration_of_arbitrary_rows(seed, dim, k):
+    """Random integer rows grouped into chains, some of them zero, multiples or sums of earlier
+    rows, so steps may repeat or stop short of the whole space: both constructions give the same
+    filtration or refuse with the same message."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(rng.randint(dim, dim + 3)):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([rng.randint(-2, 2) * x + y for x, y in zip(a, b)])
+        elif kind < 0.4:
+            rows.append([0] * dim)
+        else:
+            rows.append([rng.randint(-4, 4) for _ in range(dim)])
+    chains = []
+    while rows:
+        m = rng.randint(1, len(rows))
+        chains.append(Matrix.from_rows(rows[:m], ncols=dim).irows)
+        rows = rows[m:]
+    assert _outcome(lambda: chain_filtration(chains, dim, k)) == _outcome(
+        lambda: ref_chain_filtration(chains, dim, k))
