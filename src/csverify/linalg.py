@@ -24,8 +24,9 @@ chains span; they are read only through ``image``, ``kernel``,
 ``kernel_flag``, ``jordan_chains`` and ``centered_steps``.
 ``chain_steps`` is the one place where chains become weights, for these
 steps and for ``monodromy.chain_filtration`` alike; it adds one weight
-at a time to the reduced basis of the step below.  The zero subspace is
-one shared instance per ambient dimension, like ``Matrix.zero``.
+at a time to the reduced basis of the step below.  Every kernel is one
+elimination (``null_space``).  The zero subspace is one shared instance
+per ambient dimension, like ``Matrix.zero``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -149,7 +150,7 @@ class Matrix:
 
     @cached_property
     def _kernel(self) -> "Subspace":
-        return canonicalize(self).annihilator()
+        return null_space(self)
 
     @cached_property
     def _kernel_flag(self) -> tuple:
@@ -305,10 +306,6 @@ class Subspace:
             return False
         return not any(any(self._residual(r)) for r, _ in other.basis.irows)
 
-    def annihilator(self) -> "Subspace":
-        """The kernel of the basis matrix: the rows of quotient_map(self), reduced."""
-        return canonicalize(quotient_map(self))
-
     def sum(self, other: "Subspace") -> "Subspace":
         """The span of both; an operand is returned as is when the other is zero or the whole space."""
         if self.ambient_dim != other.ambient_dim:
@@ -325,7 +322,7 @@ class Subspace:
             raise DimensionMismatchError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return zero_subspace(self.ambient_dim)
-        return canonicalize(kernel(quotient_map(self) @ transpose(other.basis)).basis @ other.basis)
+        return canonicalize(null_space(quotient_map(self) @ transpose(other.basis)).basis @ other.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -367,6 +364,24 @@ def kernel(f: Matrix) -> Subspace:
     return f._kernel
 
 
+def null_space(m: Matrix) -> Subspace:
+    """Kernel of m, canonical, from one elimination: m reduced with its columns reversed has a quotient
+    map whose rows, each reversed and taken in reverse order, are already ker m's reduced basis."""
+    n = m.ncols
+    rev = canonicalize(Matrix.of(m.nrows, n, tuple((r[::-1], d) for r, d in m.irows)))
+    rows = tuple((r[::-1], d) for r, d in reversed(quotient_map(rev).irows))
+    pivots = tuple(n - 1 - j for j, _, _ in reversed(rev._free_columns))
+    return Subspace(n, Matrix.of(len(rows), n, rows), pivots) if rows else zero_subspace(n)
+
+
+def maps_into(f: Matrix, s: Subspace, t: Subspace) -> bool:
+    """Whether f(s) lies in t, tested row by row against t's reduced basis: no image of s is reduced."""
+    if s.ambient_dim != f.ncols or t.ambient_dim != f.nrows:
+        raise DimensionMismatchError("subspaces not in the domain and target of f")
+    return (s.dim == 0 or t.dim == t.ambient_dim  # f(0) = 0 lies in t, and anything lies in the whole space
+            or not any(any(t._residual(r)) for r, _ in (s.basis @ transpose(f)).irows))
+
+
 def kernel_flag(f: Matrix) -> tuple:
     """(ker f^0, ker f^1, ..., ker f^p) for a square f, up to the first power whose kernel stops
     growing (kept on f).  It ends in the whole space iff f^p = 0; its step ker f^1 is kernel(f)."""
@@ -376,10 +391,11 @@ def kernel_flag(f: Matrix) -> tuple:
 
 
 def _flag(f: Matrix) -> tuple:
-    """No power of f is formed: ker f^(j+1) is the kernel of f followed by the quotient map of ker f^j."""
+    """No power of f is formed: ker f^(j+1) is the null space of f followed by the quotient map of
+    ker f^j, one elimination per level."""
     flag = [zero_subspace(f.ncols), f._kernel]
     while flag[-2].dim < flag[-1].dim < f.ncols:
-        flag.append(canonicalize(quotient_map(flag[-1]) @ f).annihilator())
+        flag.append(null_space(quotient_map(flag[-1]) @ f))
     return tuple(flag) if flag[-2].dim < flag[-1].dim else tuple(flag[:-1])
 
 

@@ -140,6 +140,17 @@ def json_int(value, what: str, key: bool) -> int:
     return value
 
 
+def _int_items(raw: dict, what: str):
+    """(k, value) over the integer keys k of raw; keys that spell one integer, such as "0", "00"
+    and "-0", are refused rather than letting the last one win in a dict."""
+    spelled = {}
+    for key, value in raw.items():
+        k = json_int(key, what, key=True)
+        if spelled.setdefault(k, key) != key:
+            raise SerializationError(f'{what} {k} is given twice, as "{spelled[k]}" and "{key}"')
+        yield k, value
+
+
 _RATIO = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
@@ -223,8 +234,7 @@ def filtered_space_to_json(v: FilteredSpace) -> dict:
 def filtered_space_from_json(data) -> FilteredSpace:
     try:
         dim = json_int(data["dim"], "dim", key=False)
-        steps = {json_int(w, "weight", key=True): _subspace_from_json(rows, dim)
-                 for w, rows in data.get("steps", {}).items()}
+        steps = {w: _subspace_from_json(rows, dim) for w, rows in _int_items(data.get("steps", {}), "weight")}
         return FilteredSpace(dim, steps)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SerializationError(f"bad filtered space: {exc}") from exc
@@ -307,7 +317,7 @@ def instance_from_json(data) -> CSInstance:
         raw = data.get(key, {})
         if not isinstance(raw, dict):
             raise SerializationError(f"family {key!r} must be an object")
-        return {json_int(k, "degree", key=True): filtered_space_from_json(v) for k, v in raw.items()}
+        return {k: filtered_space_from_json(v) for k, v in _int_items(raw, "degree")}
 
     spaces = {node: family(node) for node in NODES}
 
@@ -320,8 +330,7 @@ def instance_from_json(data) -> CSInstance:
         raw = groups[group].get(label, {})
         if not isinstance(raw, dict):
             raise SerializationError("map family must be an object")
-        raw = {json_int(k, "degree", key=True): m for k, m in raw.items()}
-        maps[label] = {k: matrix_from_json(m, *skeleton.shape(label, k)) for k, m in raw.items()}
+        maps[label] = {k: matrix_from_json(m, *skeleton.shape(label, k)) for k, m in _int_items(raw, "degree")}
 
     profile = data.get("profile", "abstract")
     if profile not in ("abstract", "geometric"):

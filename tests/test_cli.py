@@ -502,6 +502,12 @@ _HUGE = "7" * 5000
     (["fixture", "curve", "--graph", "-"], 'null'),
     # the profile is one of the two the verifier knows
     (["verify", "-", "--thm", "1"], '{' + _ONE_NODE + ', "profile": "geometirc"}'),
+    # two keys that spell one degree or weight, in a map family, a node family and a step list
+    (["verify", "-"], '{' + _ONE_NODE + ', "N": {"0": [["0"]], "00": [["1"]]}}'),
+    (["verify", "-"], '{' + _ONE_NODE + ', "N": {"00": [["1"]], "0": [["0"]]}}'),
+    (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}, '
+                      '"-0": {"dim": 1, "steps": {"0": [["1"]]}}}}'),
+    (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]], "-0": [["1"]]}}}}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
@@ -509,7 +515,8 @@ _HUGE = "7" * 5000
         "degree-key-underscore", "vertices-float", "edge-end-float",
         "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus",
         "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge",
-        "graph-array", "graph-string", "graph-number", "graph-null", "profile-unknown"])
+        "graph-array", "graph-string", "graph-number", "graph-null", "profile-unknown",
+        "map-degree-twice", "map-degree-twice-swapped", "node-degree-twice", "step-weight-twice"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)
@@ -569,6 +576,18 @@ def test_error_inside_node_family_keeps_its_own_message(monkeypatch, capsys):
     code, _, err = run_cli(["verify", "-"], stdin_text=not_increasing, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 4
     assert err == "csverify: bad filtered space: filtration not increasing at weight 1\n"
+
+
+@pytest.mark.parametrize("doc, err", [
+    ('{' + _ONE_NODE + ', "N": {"0": [["0"]], "00": [["1"]]}}', 'degree 0 is given twice, as "0" and "00"'),
+    ('{"range": [0, 0], "P": {"-0": {"dim": 0}, "0": {"dim": 0}}}', 'degree 0 is given twice, as "-0" and "0"'),
+    ('{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"1": [["1"]], "01": [["1"]]}}}}',
+     'bad filtered space: weight 1 is given twice, as "1" and "01"'),
+], ids=["map-family", "node-family", "steps"])
+def test_integer_keys_spelling_one_number_are_refused(doc, err, monkeypatch, capsys):
+    """A dict keyed by the integers would keep whichever spelling comes last."""
+    code, out, got = run_cli(["verify", "-"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, got) == (4, "", f"csverify: {err}\n")
 
 
 # integer flags are plain decimal, like integer keys in JSON; `int` would read "1_0" and " +10" as 10

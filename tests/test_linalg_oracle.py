@@ -6,10 +6,11 @@ The reference functions below are the straightforward Fraction loops
 integers and eliminate fraction-free; both must give the same pivots,
 the same entries, Fraction-typed, with the same printed form.
 
-The image and kernel kept on each Matrix, the kernel read off a reduced
-basis, the greedy basis extension, the sum that skips elimination
-beside a zero or whole operand and the intersection through a quotient
-map are compared with the direct computations they replace.
+The image and kernel kept on each Matrix, the kernel read off one
+elimination of the reversed columns, the row-by-row test of f(S) <= T,
+the greedy basis extension, the sum that skips elimination beside a
+zero or whole operand and the intersection through a quotient map are
+compared with the direct computations they replace.
 """
 
 from fractions import Fraction
@@ -25,6 +26,8 @@ from csverify.linalg import (
     hstack,
     image,
     kernel,
+    maps_into,
+    null_space,
     rref,
     span_of_vectors,
     transpose,
@@ -205,12 +208,65 @@ def test_image_of_subspace_matches_reference(data):
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
-def test_annihilator_matches_reference_kernel(m):
+def test_kernel_of_reduced_basis_matches_reference(m):
     sub = canonicalize(m)
-    got = sub.annihilator()
+    got = kernel(sub.basis)
     want = ref_kernel(sub.basis)
     assert got == want
     same_entries(got.basis.rows, want.basis.rows)
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """A drawn matrix with some of its rows and columns set to zero."""
+    m = draw(matrices())
+    rows = draw(st.sets(st.integers(0, m.nrows - 1))) if m.nrows else set()
+    cols = draw(st.sets(st.integers(0, m.ncols - 1))) if m.ncols else set()
+    return Matrix.from_rows([[0 if i in rows or j in cols else x for j, x in enumerate(r)]
+                             for i, r in enumerate(m.rows)], ncols=m.ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_zero_lines())
+@example(Matrix.from_rows([], ncols=4))  # 0 x n: the whole space
+@example(Matrix.from_rows([[]] * 3, ncols=0))  # n x 0: the zero space of Q^0
+@example(Matrix.zero(2, 3))
+@example(Matrix.from_rows([[0, 1, 2, 0], [0, 2, 4, 0]]))  # zero first and last columns
+@example(Matrix.from_rows([[1, 2, 3], [0, 0, 0], [2, 4, 7]]))
+@example(Matrix.identity(3))  # kernel zero
+def test_null_space_matches_reference_kernel(m):
+    """One elimination of the reversed columns gives the kernel's reduced basis: the same
+    pivots and entries as eliminating m and reducing one vector per free column."""
+    got, want = null_space(m), ref_kernel(m)
+    assert got == want and got.pivots == want.pivots
+    same_entries(got.basis.rows, want.basis.rows)
+    assert got.basis.nrows == m.ncols - len(rref(m)[1])
+
+
+def few_rows(n, most=None):
+    """The span of fewer than n drawn rows (of at most ``most``), in Q^n."""
+    count = st.integers(0, max(n - 1, 0) if most is None else most)
+    return matrices(nrows=count, ncols=st.just(n)).map(canonicalize)
+
+
+def subspaces(n):
+    """Zero, whole, or the row space of a drawn matrix, in Q^n."""
+    return st.one_of(st.just(zero_subspace(n)), st.just(full_subspace(n)),
+                     matrices(ncols=st.just(n)).map(canonicalize))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_maps_into_matches_image_containment(data):
+    f = data.draw(matrices())
+    # s and t are often proper: s spans fewer rows than its dimension, and t is some or all of
+    # f(s) and at most one more row, so that f(s) <= t can hold while f of the whole space does not
+    s = data.draw(st.one_of(subspaces(f.ncols), few_rows(f.ncols)))
+    mapped = image(f, s).basis.rows
+    shared = list(mapped[:data.draw(st.integers(0, len(mapped)))])
+    extra = data.draw(st.one_of(subspaces(f.nrows), few_rows(f.nrows, 1)))
+    t = canonicalize(Matrix.from_rows(shared + list(extra.basis.rows), ncols=f.nrows))
+    assert maps_into(f, s, t) == t.contains(image(f, s))
 
 
 @settings(max_examples=100, deadline=None)

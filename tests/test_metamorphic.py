@@ -36,7 +36,7 @@ from csverify.cli import main
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
 from csverify.filtration import FilteredSpace, direct_sum, tate_twist
 from csverify.generators import GenProfile, _conjugate, gen_adversarial, gen_cs_instance
-from csverify.linalg import Matrix, hstack, transpose, vstack
+from csverify.linalg import Matrix, hstack, kernel, transpose, vstack
 from csverify.verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -185,7 +185,7 @@ DUAL_CONCLUSIONS = {"P1": "P2", "P2": "P1", "P3": "P4", "P4": "P3"}  # P_k goes 
 
 def dual_space(v: FilteredSpace) -> FilteredSpace:
     """V^v, with W_w(V^v) = ann W_{-w-1}(V): a jump of V at w is one of V^v at -w."""
-    return FilteredSpace(v.dim, {-w: v.step(w - 1).annihilator() for w in v.jumps})
+    return FilteredSpace(v.dim, {-w: kernel(v.step(w - 1).basis) for w in v.jumps})
 
 
 def dual_instance(inst: CSInstance) -> CSInstance:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csverify import linalg
-from csverify.filtration import FilteredSpace, FiltrationError, full_subspace, tate_twist
+from csverify import linalg, monodromy
+from csverify.filtration import FilteredSpace, FiltrationError, full_subspace, graded_complement, tate_twist
 from csverify.generators import gen_centered_mhs, random_invertible, split_seed
 from csverify.linalg import (
     Matrix,
@@ -17,11 +17,14 @@ from csverify.linalg import (
     jordan_chains,
     kernel,
     kernel_flag,
+    quotient_map,
+    rank,
     span_of_vectors,
     transpose,
     vstack,
 )
 from csverify.monodromy import (
+    AxiomVerdict,
     CenteredFiltration,
     NilpotencyError,
     NilpotentOp,
@@ -355,3 +358,116 @@ def test_chain_filtration_of_arbitrary_rows(seed, dim, k):
         rows = rows[m:]
     assert _outcome(lambda: chain_filtration(chains, dim, k)) == _outcome(
         lambda: ref_chain_filtration(chains, dim, k))
+
+
+# -- the axiom check against canonical images and dense powers ---------------
+
+def ref_verify_centered_axioms(f, n):
+    """The axiom check that reduces each image N(M_w) and forms the powers N^i."""
+    space, k = f.filtration, f.center
+    for w in space.jumps:
+        if not space.step(w - 2).contains(image(n.matrix, space.step(w))):
+            return AxiomVerdict(False, failed_axiom="shift", failed_index=w)
+    spread = max((abs(w - k) for w in space.jumps), default=0)
+    power = n.matrix
+    for i in range(1, spread + 1):
+        up = graded_complement(space, k + i)
+        below = space.step(k - i - 1)
+        if up.nrows != space.step(k - i).dim - below.dim:
+            return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
+        if up.nrows and rank(quotient_map(below) @ power @ transpose(up)) != up.nrows:
+            return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
+        power = power @ n.matrix
+    return AxiomVerdict(True)
+
+
+def moved_step(space, pos):
+    """space with one jump moved to another weight strictly between its neighbours (an end
+    jump may move by up to two), the choice indexed by pos."""
+    jumps = space.jumps
+    moves = []
+    for j, w in enumerate(jumps):
+        lo = jumps[j - 1] + 1 if j else w - 2
+        hi = jumps[j + 1] - 1 if j + 1 < len(jumps) else w + 2
+        moves += [(w, x) for x in range(lo, hi + 1) if x != w]
+    old, new = moves[pos % len(moves)]
+    return FilteredSpace(space.dim, {new if w == old else w: sub for w, sub in space.steps})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10), st.integers(-3, 3),
+       st.sampled_from(["true", "centre", "moved", "squared"]), st.integers(-2, 2), st.integers(0, 99))
+@example(0, 0, 0, "true", 0, 0)  # the 0x0 operator
+@example(5, 4, 0, "moved", 0, 0)
+@example(5, 4, 0, "moved", 0, 3)
+@example(5, 6, 1, "centre", 1, 0)
+@example(7, 8, -1, "centre", -2, 0)
+@example(5, 6, 0, "squared", 0, 0)
+def test_axioms_match_the_dense_power_reference(seed, dim, k, kind, offset, pos):
+    """On true centered filtrations, on a wrong centre, on a moved step and against N^2 (which
+    keeps the shift axiom but kills Gr_{k+1} modulo W_{k-2}): the same verdict, failed axiom and
+    failed index as the check with canonical images and powers of N."""
+    space, op = gen_centered_mhs(seed, dim, k)
+    centre = k + offset if kind == "centre" else k
+    if kind == "moved" and dim:
+        space = moved_step(space, pos)
+    if kind == "squared":
+        op = NilpotentOp(space, op.matrix @ op.matrix)
+    cf = CenteredFiltration(centre, space)
+    got, want = verify_centered_axioms(cf, op), ref_verify_centered_axioms(cf, op)
+    assert (got.ok, got.failed_axiom, got.failed_index) == (want.ok, want.failed_axiom, want.failed_index)
+    if kind == "true":
+        assert got.ok
+
+
+def test_the_perturbations_reach_both_axioms():
+    """The true filtrations pass, and the moved steps, wrong centres and squared operators of the
+    differential test fail each axiom somewhere."""
+    outcomes = Counter()
+    for i in range(30):
+        space, op = gen_centered_mhs(split_seed(59, i), 3 + i % 8, 0)
+        squared = NilpotentOp(space, op.matrix @ op.matrix)
+        for cf, n in ((CenteredFiltration(0, space), op), (CenteredFiltration(1, space), op),
+                      (CenteredFiltration(0, moved_step(space, i)), op), (CenteredFiltration(0, space), squared)):
+            got, want = verify_centered_axioms(cf, n), ref_verify_centered_axioms(cf, n)
+            assert got == want
+            outcomes[got.failed_axiom, n is squared] += 1
+    # N^2 fails only on rank, since the dimensions of the graded pieces are those of N's filtration
+    assert outcomes["shift", False] and outcomes["graded_iso", False] and outcomes[None, False]
+    assert outcomes["graded_iso", True] and not outcomes["shift", True]
+
+
+# -- eliminations per derived object -----------------------------------------
+
+def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
+    """Counted on fresh matrices: a kernel takes one rref, a kernel flag one per level above
+    ker N plus one for ker N, and the axiom check none for the shift axiom, which runs before
+    the first graded piece is taken."""
+    calls, graded_at = [], []
+    real_rref, real_graded = linalg.rref, monodromy.graded_complement
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
+    monkeypatch.setattr(monodromy, "graded_complement",
+                        lambda v, i: graded_at.append(len(calls)) or real_graded(v, i))
+
+    def fresh(m):
+        return Matrix.of(m.nrows, m.ncols, m.irows)
+
+    for m in (Matrix.from_rows([[1, 2, 3], [2, 4, 6]]), Matrix.identity(3), Matrix.zero(2, 4)):
+        calls.clear()
+        kernel(fresh(m))
+        assert len(calls) == 1
+    calls.clear()
+    assert len(kernel_flag(fresh(Matrix.identity(3)))) == 1 and len(calls) == 1  # ker N = ker N^0
+    for i in range(20):
+        space, op = gen_centered_mhs(split_seed(58, i), 1 + i % 10, 0)
+        calls.clear()
+        flag = kernel_flag(fresh(op.matrix))
+        assert len(calls) == len(flag) - 1 == op.index
+        fresh_op = NilpotentOp(space, fresh(op.matrix))
+        concentrated = FilteredSpace.pure(space.dim, 0)  # fails the shift axiom unless N = 0
+        for cf, ok in ((CenteredFiltration(0, space), True),
+                       (CenteredFiltration(0, concentrated), op.matrix.is_zero())):
+            calls.clear()
+            graded_at.clear()
+            assert verify_centered_axioms(cf, fresh_op).ok is ok
+            assert (graded_at or [len(calls)])[0] == 0
