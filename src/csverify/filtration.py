@@ -15,7 +15,9 @@ Three constructions live here and nowhere else: the filtration a
 subspace inherits (``induced_on_subspace``), the one a surjection pushes
 forward (``induced_on_quotient``), and representatives of a graded piece
 (``graded_complement``).  The monodromy constructions and the generators
-build on them.
+build on them.  Every FilteredSpace is validated when it is built but
+one: ``shifted``, behind the Tate twist and every centered filtration,
+moves the weights of jump data that is already valid.
 
 Tate twist convention: ``tate_twist(v, n)`` models v(n) and shifts every
 weight by -2n, so twisting by -1 raises all weights by 2.
@@ -125,9 +127,17 @@ class FilteredSpace:
 _ZERO_SPACE = FilteredSpace(0, {})
 
 
+def shifted(dim: int, steps, by: int) -> FilteredSpace:
+    """Q^dim with the jump data ``steps``, every weight moved by ``by``.  The steps must already be
+    jump data (a FilteredSpace's, or the centre-0 steps of a Jordan basis), so nothing is re-checked."""
+    moved = object.__new__(FilteredSpace)
+    moved.dim, moved.steps = dim, tuple((w + by, sub) for w, sub in steps)
+    return moved
+
+
 def tate_twist(v: FilteredSpace, n: int) -> FilteredSpace:
     """v(n): same underlying space, weights shifted by -2n."""
-    return FilteredSpace(v.dim, {w - 2 * n: sub for w, sub in v.steps})
+    return shifted(v.dim, v.steps, -2 * n)
 
 
 def direct_sum(x: FilteredSpace, y: FilteredSpace) -> FilteredSpace:
@@ -157,8 +167,10 @@ def weights_geq(v: FilteredSpace, k: int) -> bool:
 
 
 def graded_complement(v: FilteredSpace, i: int) -> Matrix:
-    """Rows of W_i's basis, in order, that span it modulo W_{i-1} (representatives of Gr_i)."""
-    return extend_basis(v.step(i - 1), v.step(i).basis)
+    """Rows of W_i's basis, in order, that span it modulo W_{i-1} (representatives of Gr_i);
+    all of them when W_{i-1} is zero."""
+    below = v.step(i - 1)
+    return v.step(i).basis if below.dim == 0 else extend_basis(below, v.step(i).basis)
 
 
 def induced_on_subspace(v: FilteredSpace, sub: Subspace) -> FilteredSpace:

@@ -122,6 +122,8 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
 
     t = s.b.s^-1: b is block upper triangular in a basis s adapted to
     the flag of steps, with unit L.U diagonal blocks, so t^-1 = s.b^-1.s^-1.
+    When s is the identity (a pure space, or coordinate steps) t is b itself,
+    and s is neither inverted nor multiplied.
     """
     d = fs.dim
     if d == 0:
@@ -141,7 +143,10 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
             if block_of[j] > block_of[i] and rng.random() < 0.5:
                 upper[i][j] = _rand_q(rng)
     b = Matrix.of(d, d, tuple(diagonal)) + Matrix.of(d, d, tuple(map(ratio_row, upper)))
-    s = transpose(reduce(vstack, adapted))
+    stacked = reduce(vstack, adapted)
+    if stacked == Matrix.identity(d):
+        return b, inverse(b)
+    s = transpose(stacked)
     s_inv = inverse(s)
     return s @ b @ s_inv, s @ inverse(b) @ s_inv
 

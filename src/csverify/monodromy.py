@@ -14,8 +14,9 @@ constructions are implemented:
 * ``centered_filtration`` (``monodromy_filtration`` on an operator)
   gives a Jordan chain of length m the weights k+m-1, k+m-3, ...,
   k-m+1 from head to tail (0 is the only eigenvalue): it shifts the
-  centre-0 steps kept on the matrix by k, and ``FilteredSpace`` checks
-  the result as it checks any other;
+  centre-0 steps kept on the matrix by k with ``filtration.shifted``,
+  which re-checks nothing, since the steps come from a Jordan basis
+  that ``linalg`` asserts spans the space;
 
 * ``centered_filtration_recursive`` (``monodromy_filtration_recursive``)
   uses the classical recursion: with N^m nonzero and N^{m+1} = 0 the
@@ -30,7 +31,8 @@ one place that turns chains into weights: the matrix's centre-0 steps
 come from it, and so does ``chain_filtration``, which the generators
 call on the chains of a Jordan form, so the generator's self-check
 compares two filtrations that differ in their chains, not in the
-routine.  The axiom check takes graded pieces from
+routine; as it takes arbitrary rows, ``chain_filtration`` validates its
+result.  The axiom check takes graded pieces from
 ``filtration.graded_complement``.
 """
 
@@ -40,7 +42,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .filtration import FilteredSpace, graded_complement
+from .filtration import FilteredSpace, graded_complement, shifted
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -119,18 +121,13 @@ def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
     in the stored row form of ``Matrix.irows``, and its vectors get the
     weights k+m-1, k+m-3, ..., k-m+1.
     """
-    return _shifted(dim, chain_steps(chains, dim), k)
+    return FilteredSpace(dim, {w + k: sub for w, sub in chain_steps(chains, dim)})
 
 
 def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
     """Centered weight filtration of a nilpotent matrix: the centre-0 steps kept on it, shifted to k."""
     nilpotency_index(matrix)
-    return _shifted(matrix.nrows, centered_steps(matrix), k)
-
-
-def _shifted(dim: int, steps, k: int) -> FilteredSpace:
-    """The filtration with the centre-0 (weight, step) pairs moved to centre k, checked as any other."""
-    return FilteredSpace(dim, {w + k: sub for w, sub in steps})
+    return shifted(matrix.nrows, centered_steps(matrix), k)
 
 
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:

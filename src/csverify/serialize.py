@@ -105,10 +105,11 @@ def loads(raw):
     """json.loads, every failure a SerializationError.
 
     An integer literal longer than the interpreter's digit limit raises a
-    plain ValueError, not a JSONDecodeError."""
+    plain ValueError, not a JSONDecodeError, and nesting too deep for the
+    decoder a RecursionError."""
     try:
         return json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SerializationError(str(exc)) from exc
 
 

@@ -32,6 +32,9 @@ space.  A hypothesis at k reads spaces at k-1..k+1, and a conclusion at k
 has its middle node at k or k+2 (P3's B_{k+2}), so outside the window
 every middle space is zero and every verdict is exact with no witness;
 ``CSInstance.trivial_degrees`` names those degrees as closed intervals.
+Inside the window a verdict whose middle space is zero is still
+reported, exact, but no map is built for it, and only arrows with two
+nonzero ends get a strictness verdict.
 
 The verdict engines check the four exactness conclusions these
 hypotheses force, one row of CONCLUSIONS each:
@@ -93,6 +96,8 @@ class InconsistencyError(RuntimeError):
 
 # a verdict at degree k reads nodes at degrees k-1 .. k+2 only
 WINDOW_MARGIN = 2
+
+_ZERO = FilteredSpace.zero()
 
 BREAKABLE_HYPOTHESES = ("column_exact", "row_exact", "A_bound", "B_bound", "P_centering", "strictness")
 
@@ -243,7 +248,7 @@ class CSInstance:
 
     def space(self, node: str, k: int) -> FilteredSpace:
         """Node ``node`` at degree k; the zero space outside the stored support."""
-        return getattr(self, node).get(k, FilteredSpace.zero())
+        return getattr(self, node).get(k, _ZERO)
 
     def shape(self, label: str, k: int) -> Tuple[int, int]:
         """(rows, columns) of the map label_k: the dimensions of its target and source."""
@@ -362,8 +367,6 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
                 centered = False
             verdicts["P_centering"][k] = centered
         for label, mat, src, tgt in _instance_maps(inst, k):
-            if mat.nrows == 0 or mat.ncols == 0:
-                continue
             try:
                 verdict = strictness(FilteredMap(src, tgt, mat))
             except WeightCompatibilityError:
@@ -382,14 +385,21 @@ def checked(inst: CSInstance) -> CSInstance:
 
 
 def _exactness(inst: CSInstance, k: int, f: Tuple[str, int], g: Tuple[str, int]) -> ExactnessVerdict:
-    """Exactness at degree k of -f-> . -g->, each arrow a (label, degree offset) pair."""
-    return exactness_at(inst.map(f[0], k + f[1]), inst.map(g[0], k + g[1]))
+    """Exactness at degree k of -f-> . -g->, each arrow a (label, degree offset) pair; exact, with
+    no map built, where the middle node is zero: f's target, for a composite its outer factor's."""
+    label, d = f
+    _, _, node, dt = ARROWS[COMPOSITES[label][0] if label in COMPOSITES else label]
+    if k + d + dt not in getattr(inst, node):
+        return ExactnessVerdict(True)
+    return exactness_at(inst.map(label, k + d), inst.map(g[0], k + g[1]))
 
 
 def _instance_maps(inst: CSInstance, k: int):
-    """(label, matrix, source, target) of every arrow at degree k, twists applied."""
+    """(label, matrix, source, target) of every arrow at degree k with two nonzero ends, twists applied."""
     for label, (source, ds, target, dt) in ARROWS.items():
         src, tgt = inst.space(source, k + ds), inst.space(target, k + dt)
+        if not src.dim or not tgt.dim:
+            continue
         if label == "r":
             src = tate_twist(src, -1)
         elif label == "N":

@@ -300,6 +300,24 @@ def test_report_bytes_pinned(source, option, monkeypatch, capsys):
     assert hashlib.sha256(dumps(payload).encode()).hexdigest() == _REPORT_SHA256[(source, option)]
 
 
+def test_report_bytes_pinned_across_seeds(monkeypatch, capsys):
+    """One SHA-256 over f"{exit}\n{report}" of `verify --thm 1 --format json`, timing_ms removed, on
+    `generate` for seeds 1-4, --max-dim 6 and 10, clean and with each --break, recorded from an
+    earlier version like the pins above."""
+    digest = hashlib.sha256()
+    for seed in range(1, 5):
+        for max_dim in (6, 10):
+            for broken in [[]] + [["--break", tag] for tag in BREAKABLE_HYPOTHESES]:
+                _, text, _ = run_cli(["generate", "--seed", str(seed), "--max-dim", str(max_dim), *broken],
+                                     capsys=capsys)
+                code, out, _ = run_cli(["verify", "-", "--thm", "1", "--format", "json"], stdin_text=text,
+                                       monkeypatch=monkeypatch, capsys=capsys)
+                payload = json.loads(out)
+                del payload["timing_ms"]
+                digest.update(f"{code}\n{dumps(payload)}".encode())
+    assert digest.hexdigest() == "b4f2c045641388d9f1e0c66d554b726823d7e415f71bcd4a7e55f122a8f23439"
+
+
 @pytest.mark.parametrize("label", list(ARROWS))
 def test_map_one_column_too_wide_rejected(label, monkeypatch, capsys):
     inst = gen_cs_instance(GenProfile(seed=1))  # stores a nonzero map under every label
@@ -508,6 +526,11 @@ _HUGE = "7" * 5000
     (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]]}}, '
                       '"-0": {"dim": 1, "steps": {"0": [["1"]]}}}}'),
     (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"0": [["1"]], "-0": [["1"]]}}}}'),
+    # nesting deeper than the JSON decoder can recurse, at the top and inside a field
+    (["verify", "-"], "[" * 100000),
+    (["fixture", "curve", "--graph", "-"], "[" * 100000),
+    (["monodromy", "-", "--center", "0"], "[" * 100000),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": ' + "[" * 100000 + "}"),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
@@ -516,7 +539,8 @@ _HUGE = "7" * 5000
         "range-end-underscore", "range-start-underscore", "range-end-space", "range-end-plus",
         "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge",
         "graph-array", "graph-string", "graph-number", "graph-null", "profile-unknown",
-        "map-degree-twice", "map-degree-twice-swapped", "node-degree-twice", "step-weight-twice"])
+        "map-degree-twice", "map-degree-twice-swapped", "node-degree-twice", "step-weight-twice",
+        "nested-instance", "nested-graph", "nested-nilpotent", "nested-edges"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)

@@ -27,6 +27,7 @@ from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, ra
 from csverify.linalg import (
     Matrix,
     canonicalize,
+    extend_basis,
     full_subspace,
     hstack,
     image,
@@ -35,6 +36,7 @@ from csverify.linalg import (
     quotient_map,
     span_of_vectors,
     transpose,
+    zero_subspace,
 )
 from csverify.verifier import _instance_maps
 from test_linalg_oracle import ref_contains_vector
@@ -421,3 +423,28 @@ def filtrations(draw):
 @given(filtrations(), filtrations())
 def test_direct_sum_matches_reference(x, y):
     assert direct_sum(x, y) == ref_direct_sum(x, y)
+
+
+# -- the unchecked weight shift and the lowest graded piece ----------------
+
+@settings(max_examples=100, deadline=None)
+@given(filtrations(), st.integers(-3, 3))
+def test_tate_twist_equals_validated_filtration_and_builds_none(v, n):
+    want = FilteredSpace(v.dim, {w - 2 * n: sub for w, sub in v.steps})
+    built = []
+    real_init = FilteredSpace.__init__
+    FilteredSpace.__init__ = lambda self, dim, steps: built.append(dim) or real_init(self, dim, steps)
+    try:
+        got = tate_twist(v, n)
+    finally:
+        FilteredSpace.__init__ = real_init
+    assert got == want and got.steps == want.steps and not built
+
+
+@settings(max_examples=100, deadline=None)
+@given(filtrations())
+def test_graded_complement_at_lowest_jump_is_extension_of_zero(v):
+    """At and below the lowest jump, W_{i-1} is zero and the representatives are all of W_i's basis."""
+    lowest = v.jumps[0] if v.jumps else 0
+    for i in range(lowest - 2, lowest + 1):
+        assert graded_complement(v, i) == extend_basis(zero_subspace(v.dim), v.step(i).basis)

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csverify import generators
 from csverify.filtration import FilteredSpace, graded_complement
 from csverify.generators import (
     GenProfile,
     _jordan_pair,
+    _rand_q,
     gen_adversarial,
     gen_centered_mhs,
     gen_cs_instance,
@@ -16,7 +19,7 @@ from csverify.generators import (
     search_load_bearing,
     split_seed,
 )
-from csverify.linalg import Matrix, image, inverse, span_of_vectors
+from csverify.linalg import Matrix, extend_basis, image, inverse, span_of_vectors, transpose
 from csverify.monodromy import monodromy_filtration, verify_centered_axioms
 from csverify.serialize import dumps, instance_to_json
 from csverify.verifier import (
@@ -182,10 +185,54 @@ def filtered_spaces(draw):
     return FilteredSpace(dim, steps)
 
 
-@settings(max_examples=60, deadline=None)
-@given(filtered_spaces(), st.integers(0, 2**32))
+def ref_random_filtered_automorphism(rng, fs):
+    """The automorphism as s.b.s^-1 always, s the adapted basis even where it is the identity."""
+    d = fs.dim
+    if d == 0:
+        return Matrix.identity(0), Matrix.identity(0)
+    adapted, diagonal, block_of = [], [], []
+    for bi, w in enumerate(fs.jumps):
+        adapted.append(extend_basis(fs.step(w - 1), fs.step(w).basis))
+        start, size = len(block_of), adapted[-1].nrows
+        block_of += [bi] * size
+        for r in random_invertible(rng, size).rows:
+            diagonal.append([0] * start + list(r) + [0] * (d - start - size))
+    upper = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if block_of[j] > block_of[i] and rng.random() < 0.5:
+                num, den = _rand_q(rng)
+                upper[i][j] = Fraction(num, den)
+    b = Matrix.from_rows(diagonal) + Matrix.from_rows(upper)
+    s = transpose(Matrix.from_rows([r for m in adapted for r in m.rows], ncols=d))
+    s_inv = inverse(s)
+    return s @ b @ s_inv, s @ inverse(b) @ s_inv
+
+
+@st.composite
+def coordinate_spaces(draw):
+    """Q^d, d <= 6, each step spanned by the coordinate vectors of weight at most its own; with
+    the weights ascending the adapted basis is the identity."""
+    dim = draw(st.integers(0, 6))
+    weights = draw(st.lists(st.integers(-2, 3), min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        weights.sort()
+    unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return FilteredSpace(dim, {w: span_of_vectors([unit[i] for i in range(dim) if weights[i] <= w], dim)
+                               for w in weights})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.builds(FilteredSpace.pure, st.integers(0, 6), st.integers(-3, 3)),
+                 coordinate_spaces(), filtered_spaces()),
+       st.integers(0, 2**32))
 def test_random_filtered_automorphism_preserves_every_step(fs, seed):
-    t, t_inv = random_filtered_automorphism(random.Random(seed), fs)
+    """On pure, coordinate-step and general spaces, and equal to the always-conjugating
+    reference from the same random stream, which it leaves in the same state."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    t, t_inv = random_filtered_automorphism(rng, fs)
+    assert (t, t_inv) == ref_random_filtered_automorphism(ref_rng, fs)
+    assert rng.getstate() == ref_rng.getstate()
     assert (t.nrows, t.ncols) == (fs.dim, fs.dim)
     for _, step in fs.steps:
         assert image(t, step) == step
@@ -193,3 +240,18 @@ def test_random_filtered_automorphism_preserves_every_step(fs, seed):
     assert t @ t_inv == Matrix.identity(fs.dim)
     for w in fs.jumps:
         assert graded_complement(fs, w).nrows == fs.step(w).dim - fs.step(w - 1).dim
+
+
+def test_automorphism_of_pure_space_neither_inverts_nor_multiplies_by_basis(monkeypatch):
+    """On a pure space s is the identity: the one inverse taken is of b = t, and the one
+    product is the L.U of b's single diagonal block."""
+    inverted, products = [], []
+    real_inverse, real_matmul = generators.inverse, Matrix.__matmul__
+    monkeypatch.setattr(generators, "inverse", lambda a: inverted.append(a) or real_inverse(a))
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(None) or real_matmul(a, b))
+    for dim in range(1, 8):
+        for seed in range(4):
+            inverted.clear()
+            products.clear()
+            t, _ = random_filtered_automorphism(random.Random(seed), FilteredSpace.pure(dim, seed - 2))
+            assert inverted == [t] and len(products) == 1

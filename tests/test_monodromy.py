@@ -471,3 +471,24 @@ def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
             graded_at.clear()
             assert verify_centered_axioms(cf, fresh_op).ok is ok
             assert (graded_at or [len(calls)])[0] == 0
+
+
+# -- centered filtrations are shifted, not re-checked -------------------------
+
+def test_centered_filtration_equals_validated_filtration_and_builds_none(monkeypatch):
+    """Against FilteredSpace built from the same centre-0 steps, and the recursion; no centre, the
+    first on a fresh matrix included, constructs a validated FilteredSpace."""
+    built = []
+    real_init = FilteredSpace.__init__
+    monkeypatch.setattr(FilteredSpace, "__init__",
+                        lambda self, dim, steps: built.append(dim) or real_init(self, dim, steps))
+    for i in range(40):
+        _, op = gen_centered_mhs(split_seed(83, i), i % 11, 0)
+        matrix = Matrix.of(op.matrix.nrows, op.matrix.ncols, op.matrix.irows)  # no memo yet
+        for k in range(-3, 4):
+            built.clear()
+            got = centered_filtration(matrix, k)
+            assert not built
+            want = FilteredSpace(matrix.nrows, {w + k: sub for w, sub in linalg.centered_steps(matrix)})
+            assert got == want and got.steps == want.steps
+            assert got == centered_filtration_recursive(matrix, k)

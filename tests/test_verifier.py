@@ -541,3 +541,59 @@ def test_window_work_independent_of_declared_width(monkeypatch):
         windows.append(inst.degrees(pad=2))
         assert inst.trivial_degrees() == [(windows[-1][-1] + 1, width + 2)]
     assert counts[0] == counts[1] > 0 and windows[0] == windows[1]
+
+
+# -- exactness at a zero middle node ----------------------------------------
+
+# row of SEQUENCES or CONCLUSIONS -> its middle node at degree k, as (node, degree offset),
+# spelled out apart from ARROWS: P(-1) and P2's middle are the twist of P_k
+_MIDDLE = {"A": ("A", 0), "C": ("C", 0), "B": ("B", 0), "P": ("P", 0), "P(-1)": ("P", 0),
+           "P1": ("P", 0), "P2": ("P", 0), "P3": ("B", 2), "P4": ("A", 0)}
+
+
+def _exactness_rows():
+    """(name, f, g) of the six hypothesis rows and the four conclusions."""
+    rows = [(node, f, g) for nodes in verifier.SEQUENCES.values() for node, (f, g) in nodes.items()]
+    return rows + [(which, f, g) for which, (f, g, _) in CONCLUSIONS.items()]
+
+
+@pytest.mark.parametrize("kind,index", _WINDOW_CASES)
+def test_exactness_matches_built_maps_at_every_node(kind, index):
+    inst = _window_case(kind, index)
+    zero_middles = 0
+    for k in inst.degrees(pad=2):
+        for name, f, g in _exactness_rows():
+            fm, gm = inst.map(f[0], k + f[1]), inst.map(g[0], k + g[1])
+            assert verifier._exactness(inst, k, f, g) == exactness_at(fm, gm), (name, k)
+            node, d = _MIDDLE[name]
+            assert fm.nrows == inst.space(node, k + d).dim
+            zero_middles += fm.nrows == 0
+    assert zero_middles
+
+
+def _middle_dims(inst, degrees, names):
+    """The dimension of each named row's middle space at each degree, degree by degree."""
+    return [inst.space(node, k + d).dim for k in degrees for node, d in map(_MIDDLE.get, names)]
+
+
+def test_exactness_at_runs_only_at_nonzero_middle_nodes(monkeypatch):
+    """exactness_at is called, in order, once per verdict whose middle space is nonzero, by the
+    hypothesis check and by the spliced sequence alike."""
+    real = verifier.exactness_at
+    middles = []
+    monkeypatch.setattr(verifier, "exactness_at", lambda f, g: middles.append(f.nrows) or real(f, g))
+    stand_in = HypothesisReport({category: {} for category in BREAKABLE_HYPOTHESES})
+    hypotheses = [node for nodes in verifier.SEQUENCES.values() for node in nodes]
+    skipped = 0
+    for kind, index in _WINDOW_CASES:
+        inst = _window_case(kind, index)
+        middles.clear()
+        check_instance_hypotheses(inst)
+        hypothesis_dims = _middle_dims(inst, inst.degrees(), hypotheses)
+        assert middles == [d for d in hypothesis_dims if d], (kind, index)
+        middles.clear()
+        assemble_and_verify_les(inst, report=stand_in)
+        conclusion_dims = _middle_dims(inst, inst.degrees(pad=2), CONCLUSIONS)
+        assert middles == [d for d in conclusion_dims if d], (kind, index)
+        skipped += (hypothesis_dims + conclusion_dims).count(0)
+    assert skipped
