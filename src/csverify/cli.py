@@ -157,21 +157,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "monodromy":
-            return _cmd_monodromy(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "fixture":
-            return _cmd_fixture(args)
+        return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"csverify: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InconsistencyError as exc:
         print(f"csverify: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    raise AssertionError("unreachable")
 
 
 def entry():  # console-script hook
@@ -261,12 +253,12 @@ def _cmd_generate(args) -> int:
     try:
         profile = GenProfile(seed=args.seed, max_dim_per_node=args.max_dim,
                              degree_range=_parse_range(args.range), broken_hypothesis=args.broken)
-        if profile.broken_hypothesis is None:
-            inst = checked(gen_cs_instance(profile))
-        else:
-            inst = gen_adversarial(profile)
-    except ValueError as exc:
+    except ValueError as exc:  # GenProfile checks every input of generate
         raise SerializationError(str(exc)) from exc
+    if profile.broken_hypothesis is None:
+        inst = checked(gen_cs_instance(profile))
+    else:
+        inst = gen_adversarial(profile)
     _emit(dumps(instance_to_json(inst)))
     return EXIT_OK
 
@@ -275,6 +267,10 @@ def _cmd_fixture(args) -> int:
     graph = graph_from_json(loads(_read_input(args.graph)))
     _emit(dumps(instance_to_json(checked(curve_cs_instance(graph)))))
     return EXIT_OK
+
+
+# the handler of each command, by the name the parser stores in args.command
+_COMMANDS = {"verify": _cmd_verify, "monodromy": _cmd_monodromy, "generate": _cmd_generate, "fixture": _cmd_fixture}
 
 
 if __name__ == "__main__":

@@ -90,6 +90,10 @@ class GenProfile:
             raise ValueError("empty degree range")
         if self.broken_hypothesis is not None and self.broken_hypothesis not in BREAKABLE_HYPOTHESES:
             raise ValueError(f"unknown hypothesis tag {self.broken_hypothesis!r}")
+        # row_exact and P_centering tamper at a degree t <= k_max - 2, A_bound's absorbing variant inside
+        if (self.broken_hypothesis in ("row_exact", "P_centering", "A_bound")
+                and self.degree_range[1] - self.degree_range[0] < 2):
+            raise ValueError(f"degree range too narrow to break {self.broken_hypothesis}")
 
 
 def _rand_q(rng: random.Random) -> Tuple[int, int]:
@@ -121,7 +125,8 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
     """Random automorphism t preserving every step of the filtration, with its inverse.
 
     t = s.b.s^-1: b is block upper triangular in a basis s adapted to
-    the flag of steps, with unit L.U diagonal blocks, so t^-1 = s.b^-1.s^-1.
+    the flag of steps, with unit L.U diagonal blocks, drawn as one table
+    of entries; t^-1 is inverse(t), the one inverse taken of t.
     When s is the identity (a pure space, or coordinate steps) t is b itself,
     and s is neither inverted nor multiplied.
     """
@@ -129,26 +134,24 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
     if d == 0:
         return Matrix.identity(0), Matrix.identity(0)
     adapted = []
-    diagonal = []  # rows of the diagonal blocks of b
+    entries = [[(0, 1)] * d for _ in range(d)]  # b, as (numerator, denominator) pairs
     block_of = []  # the graded piece of each adapted vector
     for bi, w in enumerate(fs.jumps):
         adapted.append(graded_complement(fs, w))
         start, size = len(block_of), adapted[-1].nrows
         block_of += [bi] * size
-        left, right = (0,) * start, (0,) * (d - start - size)
-        diagonal += [(left + r + right, den) for r, den in random_invertible(rng, size).irows]
-    upper = [[(0, 1)] * d for _ in range(d)]
+        for row, (nums, den) in zip(entries[start:], random_invertible(rng, size).irows):
+            row[start:start + size] = [(x, den) for x in nums]
     for i in range(d):
         for j in range(d):
             if block_of[j] > block_of[i] and rng.random() < 0.5:
-                upper[i][j] = _rand_q(rng)
-    b = Matrix.of(d, d, tuple(diagonal)) + Matrix.of(d, d, tuple(map(ratio_row, upper)))
+                entries[i][j] = _rand_q(rng)
+    t = Matrix.of(d, d, tuple(map(ratio_row, entries)))  # b, which is t where s is the identity
     stacked = reduce(vstack, adapted)
-    if stacked == Matrix.identity(d):
-        return b, inverse(b)
-    s = transpose(stacked)
-    s_inv = inverse(s)
-    return s @ b @ s_inv, s @ inverse(b) @ s_inv
+    if stacked != Matrix.identity(d):
+        s = transpose(stacked)
+        t = s @ t @ inverse(s)
+    return t, inverse(t)
 
 
 def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[FilteredSpace, NilpotentOp]:
@@ -288,11 +291,7 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
 def _plan_tamper(rng: random.Random, broken: Optional[str], a: int, b: int):
     if broken is None:
         return None, None
-    needs_p = broken in ("row_exact", "P_centering")
-    needs_prev_p = broken == "A_bound"
-    if (needs_p or needs_prev_p) and b - a < 2:
-        raise ValueError(f"degree range too narrow to break {broken}")
-    if needs_p:
+    if broken in ("row_exact", "P_centering"):
         return rng.randint(a, b - 2), None
     if broken == "A_bound":
         variant = rng.choice(["floating", "absorbing"])

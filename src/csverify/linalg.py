@@ -17,11 +17,11 @@ only at the boundary: ``Matrix.rows`` builds them on each read, and
 the one constructor that takes rows of ints and Fractions; callers that
 build matrices in bulk write the stored form through ``Matrix.of`` and
 ``ratio_row``.  Each derived object is computed once and kept on the
-matrix: its image, its kernel and, for a square matrix, its kernel flag
-(whose step ker f is the kernel memo), the Jordan chains built from the
-flag and the steps of the weight filtration centered at 0 that the
-chains span; they are read only through ``image``, ``kernel``,
-``kernel_flag``, ``jordan_chains`` and ``centered_steps``.
+matrix by one helper, ``_kept``: ``kernel``, ``kernel_flag`` (for a
+square matrix; its step ker f is the kernel memo), ``jordan_chains``
+(built from the flag), ``centered_steps`` (the steps of the weight
+filtration centered at 0 that the chains span) and the full column
+space behind ``image`` are each that memoised function itself.
 ``chain_steps`` is the one place where chains become weights, for these
 steps and for ``monodromy.chain_filtration`` alike; it adds one weight
 at a time to the reduced basis of the step below.  Every kernel is one
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -142,27 +142,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.irows))
-
-    # read through image, kernel, kernel_flag, jordan_chains and centered_steps; kept outside eq/hash/repr
-    @cached_property
-    def _image(self) -> "Subspace":
-        return canonicalize(transpose(self))
-
-    @cached_property
-    def _kernel(self) -> "Subspace":
-        return null_space(self)
-
-    @cached_property
-    def _kernel_flag(self) -> tuple:
-        return _flag(self)
-
-    @cached_property
-    def _jordan_chains(self) -> tuple:
-        return _chains(self)
-
-    @cached_property
-    def _centered_steps(self) -> tuple:
-        return _steps(self)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -348,20 +327,40 @@ def span_of_vectors(vectors: Sequence[Sequence[QLike]], ambient_dim: int) -> Sub
     return canonicalize(Matrix.from_rows(list(vectors), ncols=ambient_dim))
 
 
+def _kept(build):
+    """``build`` memoised on its matrix: build(f) runs on the first call for f, and its result is
+    kept on f under the name of ``build``, outside eq/hash/repr."""
+    slot = "_" + build.__name__
+
+    @wraps(build)
+    def kept(f: Matrix):
+        memo = f.__dict__
+        if slot not in memo:
+            memo[slot] = build(f)
+        return memo[slot]
+    return kept
+
+
+@_kept
+def _column_space(f: Matrix) -> Subspace:
+    return canonicalize(transpose(f))
+
+
 def image(f: Matrix, s: Optional[Subspace] = None) -> Subspace:
     """Image f(s), defaulting to the full column space of f (kept on f)."""
     if s is not None and s.ambient_dim != f.ncols:
         raise DimensionMismatchError("subspace not in the domain of f")
     if s is None or s.dim == f.ncols:
-        return f._image
+        return _column_space(f)
     if s.dim == 0:
         return zero_subspace(f.nrows)
     return canonicalize(s.basis @ transpose(f))
 
 
+@_kept
 def kernel(f: Matrix) -> Subspace:
     """Kernel of f as a canonical subspace of the domain (kept on f)."""
-    return f._kernel
+    return null_space(f)
 
 
 def null_space(m: Matrix) -> Subspace:
@@ -382,31 +381,27 @@ def maps_into(f: Matrix, s: Subspace, t: Subspace) -> bool:
             or not any(any(t._residual(r)) for r, _ in (s.basis @ transpose(f)).irows))
 
 
+@_kept
 def kernel_flag(f: Matrix) -> tuple:
     """(ker f^0, ker f^1, ..., ker f^p) for a square f, up to the first power whose kernel stops
-    growing (kept on f).  It ends in the whole space iff f^p = 0; its step ker f^1 is kernel(f)."""
+    growing (kept on f).  It ends in the whole space iff f^p = 0; its step ker f^1 is kernel(f).
+
+    No power of f is formed: ker f^(j+1) is the null space of f followed by the quotient map of
+    ker f^j, one elimination per level."""
     if f.nrows != f.ncols:
         raise DimensionMismatchError("kernel flag of a non-square matrix")
-    return f._kernel_flag
-
-
-def _flag(f: Matrix) -> tuple:
-    """No power of f is formed: ker f^(j+1) is the null space of f followed by the quotient map of
-    ker f^j, one elimination per level."""
-    flag = [zero_subspace(f.ncols), f._kernel]
+    flag = [zero_subspace(f.ncols), kernel(f)]
     while flag[-2].dim < flag[-1].dim < f.ncols:
         flag.append(null_space(quotient_map(flag[-1]) @ f))
     return tuple(flag) if flag[-2].dim < flag[-1].dim else tuple(flag[:-1])
 
 
+@_kept
 def jordan_chains(f: Matrix) -> tuple:
     """Jordan chains spanning the last step of f's kernel flag (kept on f), each head first in
-    the stored row form of ``Matrix.irows``: (v, fv, ..., f^(m-1)v) with f^m v = 0."""
-    return f._jordan_chains
+    the stored row form of ``Matrix.irows``: (v, fv, ..., f^(m-1)v) with f^m v = 0.
 
-
-def _chains(f: Matrix) -> tuple:
-    """Top down: a new chain starts at each row of ker f^j outside ker f^(j-1) and the running chains."""
+    Top down: a new chain starts at each row of ker f^j outside ker f^(j-1) and the running chains."""
     flag = kernel_flag(f)
     step = transpose(f)  # the row v.f^T is the vector f v
     chains = []  # every chain started so far gets one more vector per lower level
@@ -423,13 +418,10 @@ def _chains(f: Matrix) -> tuple:
     return tuple(map(tuple, chains))
 
 
+@_kept
 def centered_steps(f: Matrix) -> tuple:
     """``chain_steps`` of f's Jordan chains (kept on f): the weight filtration centered at 0
     that f's chains span, as (weight, step) pairs."""
-    return f._centered_steps
-
-
-def _steps(f: Matrix) -> tuple:
     return chain_steps(jordan_chains(f), f.nrows)
 
 
@@ -495,8 +487,7 @@ def quotient_map(s: Subspace) -> Matrix:
 def section_of_quotient(s: Subspace) -> Matrix:
     """Canonical right inverse of quotient_map(s) (columns on free coords)."""
     n = s.ambient_dim
-    pivot_set = set(s.pivots)
-    free = [j for j in range(n) if j not in pivot_set]
+    free = [j for j, _, _ in s._free_columns]
     return Matrix.of(n, len(free), tuple((tuple(int(i == j) for j in free), 1) for i in range(n)))
 
 

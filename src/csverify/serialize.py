@@ -217,10 +217,6 @@ def matrix_from_json(data, nrows: int, ncols: int) -> Matrix:
     return Matrix.of(nrows, ncols, tuple(rows))
 
 
-def _subspace_to_json(s: Subspace) -> list:
-    return matrix_to_json(s.basis)
-
-
 def _subspace_from_json(data, ambient_dim: int) -> Subspace:
     if not isinstance(data, list):
         raise SerializationError("subspace must be an array of basis rows")
@@ -229,7 +225,7 @@ def _subspace_from_json(data, ambient_dim: int) -> Subspace:
 
 def filtered_space_to_json(v: FilteredSpace) -> dict:
     return {"dim": v.dim,
-            "steps": {str(w): _subspace_to_json(sub) for w, sub in v.steps}}
+            "steps": {str(w): matrix_to_json(sub.basis) for w, sub in v.steps}}
 
 
 def filtered_space_from_json(data) -> FilteredSpace:
@@ -283,14 +279,6 @@ def graph_from_json(data) -> DualGraph:
         raise SerializationError(f"bad dual graph: {exc}") from exc
 
 
-def _family_to_json(family: Dict[int, FilteredSpace]) -> dict:
-    return {str(k): filtered_space_to_json(v) for k, v in family.items()}
-
-
-def _maps_to_json(maps: Dict[int, Matrix]) -> dict:
-    return {str(k): matrix_to_json(m) for k, m in maps.items()}
-
-
 # the object that holds each arrow's family in the instance JSON (None: the top level)
 _MAP_GROUP = {"b": "col", "a": "col", "c": "col", "r": "row", "s": "row", "N": None}
 
@@ -298,9 +286,9 @@ _MAP_GROUP = {"b": "col", "a": "col", "c": "col", "r": "row", "s": "row", "N": N
 def instance_to_json(inst: CSInstance) -> dict:
     out = {"range": [inst.k_min, inst.k_max], "col": {}, "row": {}, "purity": 0}
     for node in NODES:
-        out[node] = _family_to_json(getattr(inst, node))
+        out[node] = {str(k): filtered_space_to_json(v) for k, v in getattr(inst, node).items()}
     for label, group in _MAP_GROUP.items():
-        (out[group] if group else out)[label] = _maps_to_json(inst.maps[label])
+        (out[group] if group else out)[label] = {str(k): matrix_to_json(m) for k, m in inst.maps[label].items()}
     if inst.profile != "abstract":
         out["profile"] = inst.profile
     return out

@@ -1,4 +1,4 @@
-"""The benchmark's tracer, ``bench/spans.py``, against this checkout.
+"""The benchmark, ``bench/run.py`` and its tracer ``bench/spans.py``, against this checkout.
 
 The tracer wraps csverify functions by name, so renaming one in src/
 breaks ``bench/run.py --trace 1`` without failing any other unit test.
@@ -6,25 +6,34 @@ Here the tracer, loaded from its file unchanged, is installed around one
 ``generate | verify --thm 1`` op and one ``fixture curve | verify --thm 3``
 op through ``cli.main``: every target must resolve, every counting hook
 must run, no op may fail, and restoring must put every original back.
+The untraced benchmark reads names straight off the package too (such as
+``linalg.Q`` in ``backend()``), so one op of each of its workloads runs
+here, loaded from its file unchanged, as the benchmark itself runs it.
 """
 
 import importlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
+import csverify
 from csverify import cli
 from csverify.degenerations import cycle_graph
 from csverify.serialize import dumps, graph_to_json
 
-_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, _BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load("spans")
 
 
 def _targets(spans):
@@ -77,3 +86,23 @@ def test_tracer_resolves_every_target_and_runs_every_hook(monkeypatch, capsys):
     metrics = tracer.layer_metrics(2)
     assert set(metrics) == set(spans.per_layer_units()) - {"trace.overhead_frac"}
     assert metrics["linalg.kernel.distinct_frac"] > 0 and metrics["linalg.image.distinct_frac"] > 0
+
+
+def test_every_workload_runs_one_op_through_the_benchmark(monkeypatch):
+    """backend(), then one op of each workload through the benchmark's own set-up, execute,
+    check and generated, on this package as imported (run.py's load_package would re-import it)."""
+    monkeypatch.syspath_prepend(str(_BENCH))  # run.py imports spans from beside itself
+    had_spans = "spans" in sys.modules
+    try:
+        run = _load("run")
+    finally:
+        if not had_spans:
+            sys.modules.pop("spans", None)
+    run.cs = csverify
+    assert run.backend() == "fractions.Fraction"
+    for name, workload in run.WORKLOADS.items():
+        prepared = run.Prepared(workload(), 1, ops=1)
+        spec, raw = prepared.specs[0], prepared.raws[0]
+        outputs = prepared.workload.execute(spec, raw)
+        assert prepared.workload.check(spec, outputs) is None, name
+        assert isinstance(prepared.workload.generated(spec, raw, outputs), bytes), name

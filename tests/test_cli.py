@@ -531,6 +531,10 @@ _HUGE = "7" * 5000
     (["fixture", "curve", "--graph", "-"], "[" * 100000),
     (["monodromy", "-", "--center", "0"], "[" * 100000),
     (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": ' + "[" * 100000 + "}"),
+    # a degree range too narrow for the requested tamper
+    (["generate", "--seed", "1", "--range", "0:1", "--break", "A_bound"], None),
+    (["generate", "--seed", "1", "--range", "0:1", "--break", "row_exact"], None),
+    (["generate", "--seed", "1", "--range", "0:0", "--break", "P_centering"], None),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
@@ -540,7 +544,8 @@ _HUGE = "7" * 5000
         "degree-key-huge", "int-literal-huge", "map-entry-huge", "vertices-huge",
         "graph-array", "graph-string", "graph-number", "graph-null", "profile-unknown",
         "map-degree-twice", "map-degree-twice-swapped", "node-degree-twice", "step-weight-twice",
-        "nested-instance", "nested-graph", "nested-nilpotent", "nested-edges"])
+        "nested-instance", "nested-graph", "nested-nilpotent", "nested-edges",
+        "range-narrow-A_bound", "range-narrow-row_exact", "range-narrow-P_centering"])
 def test_malformed_input_exit_four_without_traceback(args, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "csverify", *args],
                           input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)

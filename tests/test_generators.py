@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from csverify.generators import (
     search_load_bearing,
     split_seed,
 )
-from csverify.linalg import Matrix, extend_basis, image, inverse, span_of_vectors, transpose
+from csverify.linalg import Matrix, extend_basis, image, inverse, span_of_vectors, transpose, vstack
 from csverify.monodromy import monodromy_filtration, verify_centered_axioms
 from csverify.serialize import dumps, instance_to_json
 from csverify.verifier import (
@@ -113,8 +114,13 @@ def test_adversarial_breaks_exactly_named_hypothesis(tag):
 
 
 def test_adversarial_needs_wide_enough_range():
-    with pytest.raises(ValueError):
-        gen_adversarial(GenProfile(seed=1, degree_range=(0, 1), broken_hypothesis="row_exact"))
+    """The profile itself refuses a tamper that its degree range is too narrow for."""
+    for tag in ("A_bound", "row_exact", "P_centering"):
+        with pytest.raises(ValueError, match=f"^degree range too narrow to break {tag}$"):
+            GenProfile(seed=1, degree_range=(0, 1), broken_hypothesis=tag)
+        assert gen_adversarial(GenProfile(seed=1, degree_range=(0, 2), broken_hypothesis=tag)).k_max == 2
+    for tag in ("column_exact", "B_bound", "strictness"):
+        assert gen_adversarial(GenProfile(seed=1, degree_range=(0, 0), broken_hypothesis=tag)).k_max == 0
 
 
 def test_search_finds_witnessed_counterexample():
@@ -255,3 +261,22 @@ def test_automorphism_of_pure_space_neither_inverts_nor_multiplies_by_basis(monk
             products.clear()
             t, _ = random_filtered_automorphism(random.Random(seed), FilteredSpace.pure(dim, seed - 2))
             assert inverted == [t] and len(products) == 1
+
+
+def test_automorphism_inverts_only_the_basis_and_t_and_sums_nothing(monkeypatch):
+    """Where the adapted basis s is not the identity, b is drawn as one table of entries with no
+    matrix sum, and the inverses taken are of s and of t alone, never of b."""
+    spaces = [gen_centered_mhs(split_seed(77, i), 2 + i % 6, 0)[0] for i in range(20)]
+    bases = [transpose(reduce(vstack, [graded_complement(fs, w) for w in fs.jumps])) for fs in spaces]
+    inverted = []
+    real_inverse = generators.inverse
+    monkeypatch.setattr(generators, "inverse", lambda a: inverted.append(a) or real_inverse(a))
+    monkeypatch.setattr(Matrix, "__add__", lambda a, b: pytest.fail("matrix sum"))
+    checked = 0
+    for i, (fs, s) in enumerate(zip(spaces, bases)):
+        if s != Matrix.identity(fs.dim):
+            inverted.clear()
+            t, _ = random_filtered_automorphism(random.Random(i), fs)
+            assert inverted == [s, t]
+            checked += 1
+    assert checked >= 10

@@ -24,6 +24,15 @@ P4_k become P2_{-k-2} and P3_{-k-2}.  The dual fails exactly the mapped
 hypothesis verdicts, each conclusion's exactness and weights maps the
 same way, and dualizing twice gives the instance back over the range
 widened by 2 on each side.
+
+Clebsch-Gordan: the filtration of N1 (x) 1 + 1 (x) N2 centered at
+k1 + k2 is the convolution of the filtrations of N1 centered at k1 and
+of N2 centered at k2, the sl2 tensor rule (Deligne, Weil II 1.6).  It is
+an answer known from theory, not from a second construction.
+
+Long Jordan blocks: the generator caps Jordan blocks at MAX_JORDAN_BLOCK
+= 3; with the cap raised, instances carry blocks of 4-6, and every one
+must be clean with every THM 1-3 verdict exact and duality holding.
 """
 
 import io
@@ -32,11 +41,27 @@ import random
 
 import pytest
 
+from csverify import generators
 from csverify.cli import main
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
 from csverify.filtration import FilteredSpace, direct_sum, tate_twist
-from csverify.generators import GenProfile, _conjugate, gen_adversarial, gen_cs_instance
-from csverify.linalg import Matrix, hstack, kernel, transpose, vstack
+from csverify.generators import (
+    GenProfile,
+    _conjugate,
+    gen_adversarial,
+    gen_centered_mhs,
+    gen_cs_instance,
+    split_seed,
+)
+from csverify.linalg import Matrix, hstack, jordan_chains, kernel, span_of_vectors, transpose, vstack
+from csverify.monodromy import (
+    CenteredFiltration,
+    NilpotentOp,
+    centered_filtration,
+    centered_filtration_recursive,
+    ker_coker_weight_bounds,
+    verify_centered_axioms,
+)
 from csverify.verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -47,6 +72,8 @@ from csverify.verifier import (
     assemble_and_verify_les,
     check_instance_hypotheses,
     conclusion_exactness,
+    verify_invariant_cycles,
+    verify_unipotent_cs,
 )
 
 SHIFTS = (1, -3, 7)
@@ -253,3 +280,53 @@ def test_duality(broken):
 def test_duality_of_curve_fixtures():
     for name, graph in (("I_1", cycle_graph(1)), ("I_3", cycle_graph(3)), ("theta", theta_graph())):
         assert_duality(curve_cs_instance(graph), name)
+
+
+def kron(x: Matrix, y: Matrix) -> Matrix:
+    """x (x) y, acting on u (x) v, the vector of the products u_i v_j in that order, as xu (x) yv."""
+    return Matrix.from_rows([[a * b for a in rx for b in ry] for rx in x.rows for ry in y.rows],
+                            ncols=x.ncols * y.ncols)
+
+
+def convolution(m1: FilteredSpace, m2: FilteredSpace) -> FilteredSpace:
+    """W_w = the sum over a + b = w of W_a(m1) (x) W_b(m2); a at the jumps of m1 is enough."""
+    dim = m1.dim * m2.dim
+    steps = {}
+    for w in range(m1.jumps[0] + m2.jumps[0], m1.jumps[-1] + m2.jumps[-1] + 1):
+        steps[w] = span_of_vectors([[x * y for x in u for y in v] for a in m1.jumps
+                                    for u in m1.step(a).basis.rows for v in m2.step(w - a).basis.rows], dim)
+    return FilteredSpace(dim, steps)
+
+
+def test_clebsch_gordan():
+    indices = set()
+    for i in range(60):
+        d1, d2, k1, k2 = 1 + i % 5, 1 + (i // 5) % 4, i % 5 - 2, (i // 3) % 5 - 2
+        m1, op1 = gen_centered_mhs(split_seed(91, 2 * i), d1, k1)
+        m2, op2 = gen_centered_mhs(split_seed(91, 2 * i + 1), d2, k2)
+        n = kron(op1.matrix, Matrix.identity(d2)) + kron(Matrix.identity(d1), op2.matrix)
+        k, want = k1 + k2, convolution(m1, m2)
+        assert centered_filtration(n, k) == want == centered_filtration_recursive(n, k), i
+        op = NilpotentOp(want, n)
+        assert verify_centered_axioms(CenteredFiltration(k, want), op).ok, i
+        assert ker_coker_weight_bounds(op, k).ok, i
+        indices.add(op.index)
+    assert max(indices) >= 6  # blocks of the tensor operator up to length 6 at least
+
+
+def test_long_jordan_blocks(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_JORDAN_BLOCK", 7)
+    sizes = set()
+    for seed in range(1, 25):
+        inst = gen_cs_instance(GenProfile(seed=seed, max_dim_per_node=12))
+        sizes.update(len(chain) for n in inst.maps["N"].values() for chain in jordan_chains(n))
+        report = check_instance_hypotheses(inst)
+        assert report.clean, seed
+        geometric = CSInstance((inst.k_min, inst.k_max), {node: getattr(inst, node) for node in NODES},
+                               inst.maps, profile="geometric")
+        verdicts = (assemble_and_verify_les(inst, report=report)
+                    + [verify_invariant_cycles(inst, k, report=report) for k in inst.degrees(pad=1)]
+                    + verify_unipotent_cs(geometric, report=check_instance_hypotheses(geometric)))
+        assert all(v.exact for v in verdicts), seed
+        assert_duality(inst, seed)
+    assert {4, 5, 6} <= sizes

@@ -9,6 +9,7 @@ from csverify import linalg, monodromy
 from csverify.filtration import FilteredSpace, FiltrationError, full_subspace, graded_complement, tate_twist
 from csverify.generators import gen_centered_mhs, random_invertible, split_seed
 from csverify.linalg import (
+    DimensionMismatchError,
     Matrix,
     canonicalize,
     hstack,
@@ -276,18 +277,21 @@ def test_kernel_flag_rejects_non_nilpotent(seed, nil_dim, unit_dim):
         Matrix.identity(nil_dim + unit_dim).rows[:nil_dim], nil_dim + unit_dim))
 
 
-def test_one_derivation_per_operator(monkeypatch):
+def test_one_derivation_per_operator():
     """Every construction reads the kernel flag, the Jordan chains and the centre-0 steps kept
     on the matrix: across all of them, each is built once for N, and the flag's step ker N is
-    kernel(N)."""
+    kernel(N).  Builds are counted as the memo helper stores them on the matrix; a non-square
+    matrix has no flag, so each call raises and none is stored."""
+    built = Counter()
+
+    class CountingMemo(dict):
+        def __setitem__(self, slot, value):
+            built[slot] += 1
+            super().__setitem__(slot, value)
+
     space, op = gen_centered_mhs(split_seed(57, 2), 8, 1)  # Jordan type 3, 2, 2, 1
     n = Matrix.of(8, 8, op.matrix.irows)  # a copy with no memos yet
-    built = Counter()
-    for name in ("_flag", "_chains", "_steps"):
-        def counting(f, build=getattr(linalg, name), name=name):
-            built[name] += f is n
-            return build(f)
-        monkeypatch.setattr(linalg, name, counting)
+    n.__dict__ = CountingMemo(n.__dict__)
     assert kernel_flag(n)[1] is kernel(n)
     fresh = NilpotentOp(space, n)
     assert fresh.index == 3
@@ -295,7 +299,17 @@ def test_one_derivation_per_operator(monkeypatch):
     assert monodromy_filtration(fresh, -2).filtration == centered_filtration_recursive(n, -2)
     assert ker_coker_weight_bounds(fresh, 1).ok
     assert centered_filtration_recursive(n, 1) == space
-    assert built == {"_flag": 1, "_chains": 1, "_steps": 1}
+    assert {slot: built[slot] for slot in ("_kernel_flag", "_jordan_chains", "_centered_steps")} == {
+        "_kernel_flag": 1, "_jordan_chains": 1, "_centered_steps": 1}
+    assert set(built.values()) == {1}  # nor is any other memo built twice
+
+    built.clear()
+    wide = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    wide.__dict__ = CountingMemo(wide.__dict__)
+    for _ in range(3):
+        with pytest.raises(DimensionMismatchError):
+            kernel_flag(wide)
+    assert not built
 
 
 # -- chain filtrations against the from-scratch construction ---------------
