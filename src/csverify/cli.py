@@ -4,11 +4,11 @@ Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
 two monodromy constructions disagree, or a generated instance or curve
 fixture fails its own hypothesis check: an InconsistencyError, mapped in
 ``main`` alone); 2 instance hypotheses dirty; 3 a conclusion is
-non-exact; 4 malformed or unreadable input (a nonzero "purity", a graph's
-"self" other than -degree, or an integer field as long as the
-interpreter's digit limit), or a rational to print past that limit (a
-SerializationError from the one output formatter, with nothing on
-stdout); 64 bad command line.  `-` names standard input/output for
+non-exact; 4 malformed or unreadable input (a key no reader knows, a
+nonzero "purity", a graph's "self" other than -degree, or an integer
+field as long as the interpreter's digit limit), or a rational to print
+past that limit (a SerializationError from the one output formatter,
+with nothing on stdout); 64 bad command line.  `-` names standard input/output for
 piping.  `generate` (without `--break`) and `fixture curve` pass what they
 emit through ``verifier.checked``, the one place that self-check runs;
 `monodromy` prints only a filtration both constructions agree on.

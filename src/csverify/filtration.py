@@ -39,7 +39,7 @@ from .linalg import (
     image,
     kernel,
     quotient_map,
-    transpose,
+    times_transpose,
     zero_subspace,
 )
 
@@ -274,9 +274,9 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     if im.dim + image(g).dim == f.nrows and (im.dim == 0 or (g @ f).is_zero()):
         return ExactnessVerdict(True)
     rows, reason = im.basis, "composite_nonzero"
-    hits = [any(r) for r, _ in (rows @ transpose(g)).irows]
+    hits = [any(r) for r, _ in times_transpose(rows, g).irows]
     if not any(hits):  # then im(f) lies in ker(g), and the quotient map of im(f) finds a row outside it
         rows, reason = kernel(g).basis, "kernel_exceeds_image"
-        hits = [any(r) for r, _ in (rows @ transpose(quotient_map(im))).irows]
+        hits = [any(r) for r, _ in times_transpose(rows, quotient_map(im)).irows]
     v, den = rows.irows[hits.index(True)]
     return ExactnessVerdict(False, reason=reason, witness=tuple(Fraction(x, den) for x in v))

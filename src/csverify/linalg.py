@@ -11,7 +11,11 @@ positive and the pair in lowest terms (no prime divides the denominator
 and every numerator).  That form is unique, so equality and hashing
 stay structural.  Every operation reads and writes it directly:
 elimination is fraction-free, a product scales the right factor to one
-denominator and reduces each output row by one gcd.  Fractions are built
+denominator and reduces each output row by one gcd.  ``times_transpose(a,
+b)`` is a.b^T by the same rule with b's rows in place of columns, so a
+map applied to the rows of a basis (images, containment, intersections,
+Jordan chains, the monodromy axiom check) builds no transpose, and a
+subspace's free columns are read off its scaled basis.  Fractions are built
 only at the boundary: ``Matrix.rows`` builds them on each read, and
 ``serialize`` formats and parses the integers.  ``Matrix.from_rows`` is
 the one constructor that takes rows of ints and Fractions; callers that
@@ -182,6 +186,18 @@ def transpose(m: Matrix) -> Matrix:
     return Matrix.of(m.ncols, m.nrows, tuple(_lowest(c, den) for c in zip(*scaled)))
 
 
+def times_transpose(a: Matrix, b: Matrix) -> Matrix:
+    """a @ transpose(b) without building the transpose: the rows of a dotted with b's rows,
+    scaled once to one denominator, one gcd per output row.  With b = f, a row v of a becomes
+    the vector f v, so this applies f to rows."""
+    if a.ncols != b.ncols:
+        raise DimensionMismatchError(
+            f"cannot multiply {a.nrows}x{a.ncols} by the transpose of {b.nrows}x{b.ncols}")
+    den, scaled = _scaled(b.irows)
+    return Matrix.of(a.nrows, b.nrows, tuple(
+        _lowest([sum(map(mul, x, r)) for r in scaled], dx * den) for x, dx in a.irows))
+
+
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.ncols:
         raise DimensionMismatchError("vstack with differing column counts")
@@ -267,9 +283,11 @@ class Subspace:
 
     @cached_property
     def _free_columns(self) -> tuple:
-        """(j, numerators, denominator) of each non-pivot column j of the basis."""
+        """(j, numerators, denominator) of each non-pivot column j of the basis, in lowest terms,
+        read off the rows scaled to one denominator; no pivot column is built."""
+        den, scaled = _scaled(self.basis.irows)
         pivot_set = set(self.pivots)
-        return tuple((j, c, d) for j, (c, d) in enumerate(transpose(self.basis).irows)
+        return tuple((j, *_lowest([r[j] for r in scaled], den)) for j in range(self.ambient_dim)
                      if j not in pivot_set)
 
     def _residual(self, v) -> list:
@@ -301,7 +319,7 @@ class Subspace:
             raise DimensionMismatchError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return zero_subspace(self.ambient_dim)
-        return canonicalize(null_space(quotient_map(self) @ transpose(other.basis)).basis @ other.basis)
+        return canonicalize(null_space(times_transpose(quotient_map(self), other.basis)).basis @ other.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -354,7 +372,7 @@ def image(f: Matrix, s: Optional[Subspace] = None) -> Subspace:
         return _column_space(f)
     if s.dim == 0:
         return zero_subspace(f.nrows)
-    return canonicalize(s.basis @ transpose(f))
+    return canonicalize(times_transpose(s.basis, f))
 
 
 @_kept
@@ -378,7 +396,7 @@ def maps_into(f: Matrix, s: Subspace, t: Subspace) -> bool:
     if s.ambient_dim != f.ncols or t.ambient_dim != f.nrows:
         raise DimensionMismatchError("subspaces not in the domain and target of f")
     return (s.dim == 0 or t.dim == t.ambient_dim  # f(0) = 0 lies in t, and anything lies in the whole space
-            or not any(any(t._residual(r)) for r, _ in (s.basis @ transpose(f)).irows))
+            or not any(any(t._residual(r)) for r, _ in times_transpose(s.basis, f).irows))
 
 
 @_kept
@@ -403,12 +421,11 @@ def jordan_chains(f: Matrix) -> tuple:
 
     Top down: a new chain starts at each row of ker f^j outside ker f^(j-1) and the running chains."""
     flag = kernel_flag(f)
-    step = transpose(f)  # the row v.f^T is the vector f v
     chains = []  # every chain started so far gets one more vector per lower level
     for level in range(len(flag) - 1, 0, -1):
         have = flag[level - 1]
         if chains:
-            tails = Matrix.of(len(chains), f.nrows, tuple(c[-1] for c in chains)) @ step
+            tails = times_transpose(Matrix.of(len(chains), f.nrows, tuple(c[-1] for c in chains)), f)
             for chain, row in zip(chains, tails.irows):
                 chain.append(row)
             have = canonicalize(vstack(have.basis, tails))

@@ -58,6 +58,7 @@ from .linalg import (
     quotient_map,
     rank,
     section_of_quotient,
+    times_transpose,
     transpose,
     vstack,
 )
@@ -154,7 +155,7 @@ def centered_filtration_recursive(matrix: Matrix, k: int,
         im_nm = image(matrix, im_nm)
     k_basis = ker_nm.basis          # kappa x dim
     k_coords = coords_map(ker_nm)   # kappa x dim
-    n_on_ker = k_coords @ matrix @ transpose(k_basis)
+    n_on_ker = times_transpose(k_coords @ matrix, k_basis)
     im_in_k = image(k_coords, im_nm)
     q2 = quotient_map(im_in_k)
     sigma = section_of_quotient(im_in_k)
@@ -198,7 +199,8 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
 
     Returns the first failing axiom with its witness index; this is a
     verdict, not an exception.  No power of N, and no image of a step, is
-    formed: N^T is applied i times to the representatives of Gr_{k+i}.
+    formed: N is applied i times to the rows representing Gr_{k+i}, each time
+    by ``linalg.times_transpose``, which builds no transpose.
     """
     space = f.filtration
     if space.dim != n.space.dim:
@@ -208,16 +210,15 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
         if not maps_into(n.matrix, space.step(w), space.step(w - 2)):
             return AxiomVerdict(False, failed_axiom="shift", failed_index=w)
     spread = max((abs(w - k) for w in space.jumps), default=0)
-    step = transpose(n.matrix)  # the row v.N^T is the vector N v
     for i in range(1, spread + 1):
         up = graded_complement(space, k + i)
         below = space.step(k - i - 1)
         iso = up.nrows == space.step(k - i).dim - below.dim
         if iso and up.nrows:
             for _ in range(i):
-                up = up @ step
+                up = times_transpose(up, n.matrix)  # the row v becomes the vector N v
             # the shift axiom puts N^i.up inside W_{k-i}; modulo W_{k-i-1} it must keep full rank
-            iso = rank(up @ transpose(quotient_map(below))) == up.nrows
+            iso = rank(times_transpose(up, quotient_map(below))) == up.nrows
         if not iso:
             return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
     return AxiomVerdict(True)

@@ -13,7 +13,11 @@ longer than the interpreter's limit on decimal digits
 output: every rational written goes through ``_ratio_str``.  An integer
 field must be a digit shorter (``json_int``), so a degree derived from
 one within +-3 still prints.  "purity" must be 0, the one normalization
-of weights the verifier implements.
+of weights the verifier implements.  Every object of a document (an
+instance, its "col" and "row", a filtered space, a dual graph, a
+nilpotent operator) carries only the keys listed below: any other key,
+such as a misspelled "n" for "N", is a SerializationError naming it,
+never read as an absent key.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=1)`` itself: with an indent, ``json.dumps`` never uses CPython's C
@@ -141,6 +145,17 @@ def json_int(value, what: str, key: bool) -> int:
     return value
 
 
+def _object(data, keys, what: str) -> dict:
+    """data, a JSON object whose keys all lie in keys; a misspelled key would otherwise read as
+    an absent one, so "n" for "N" would make every N_k zero."""
+    if not isinstance(data, dict):
+        raise SerializationError(f"{what} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise SerializationError(f"{what} has an unknown key {json.dumps(key)[:40]}")
+    return data
+
+
 def _int_items(raw: dict, what: str):
     """(k, value) over the integer keys k of raw; keys that spell one integer, such as "0", "00"
     and "-0", are refused rather than letting the last one win in a dict."""
@@ -229,6 +244,7 @@ def filtered_space_to_json(v: FilteredSpace) -> dict:
 
 
 def filtered_space_from_json(data) -> FilteredSpace:
+    _object(data, ("dim", "steps"), "filtered space")
     try:
         dim = json_int(data["dim"], "dim", key=False)
         steps = {w: _subspace_from_json(rows, dim) for w, rows in _int_items(data.get("steps", {}), "weight")}
@@ -242,6 +258,7 @@ def nilpotent_to_json(op: NilpotentOp) -> dict:
 
 
 def nilpotent_from_json(data) -> NilpotentOp:
+    _object(data, ("space", "matrix"), "nilpotent operator")
     try:
         space = filtered_space_from_json(data["space"])
         matrix = matrix_from_json(data["matrix"], space.dim, space.dim)
@@ -255,8 +272,7 @@ def graph_to_json(g: DualGraph) -> dict:
 
 
 def graph_from_json(data) -> DualGraph:
-    if not isinstance(data, dict):
-        raise SerializationError("dual graph must be a JSON object")
+    _object(data, ("vertices", "edges", "self"), "dual graph")
     try:
         edges = [[json_int(x, "edge end", key=False) for x in e] for e in data.get("edges", [])]
         selfs = data.get("self")
@@ -281,6 +297,10 @@ def graph_from_json(data) -> DualGraph:
 
 # the object that holds each arrow's family in the instance JSON (None: the top level)
 _MAP_GROUP = {"b": "col", "a": "col", "c": "col", "r": "row", "s": "row", "N": None}
+# the keys each object of the instance JSON may carry: its map families, and at the top level the rest
+_INSTANCE_KEYS = {group: tuple(label for label, g in _MAP_GROUP.items() if g == group)
+                  for group in (None, "col", "row")}
+_INSTANCE_KEYS[None] += ("range", *NODES, "col", "row", "purity", "profile")
 
 
 def instance_to_json(inst: CSInstance) -> dict:
@@ -295,8 +315,7 @@ def instance_to_json(inst: CSInstance) -> dict:
 
 
 def instance_from_json(data) -> CSInstance:
-    if not isinstance(data, dict):
-        raise SerializationError("instance must be a JSON object")
+    _object(data, _INSTANCE_KEYS[None], "instance")
     bounds = data.get("range")
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise SerializationError("instance needs an integer pair under 'range'")
@@ -310,9 +329,8 @@ def instance_from_json(data) -> CSInstance:
 
     spaces = {node: family(node) for node in NODES}
 
-    groups = {None: data, "col": data.get("col", {}), "row": data.get("row", {})}
-    if not isinstance(groups["col"], dict) or not isinstance(groups["row"], dict):
-        raise SerializationError("'col' and 'row' must be objects")
+    groups = {None: data, **{group: _object(data.get(group, {}), _INSTANCE_KEYS[group], repr(group))
+                             for group in ("col", "row")}}
     skeleton = CSInstance((k_min, k_max), spaces, {})
     maps = {}
     for label, group in _MAP_GROUP.items():

@@ -535,6 +535,15 @@ _HUGE = "7" * 5000
     (["generate", "--seed", "1", "--range", "0:1", "--break", "A_bound"], None),
     (["generate", "--seed", "1", "--range", "0:1", "--break", "row_exact"], None),
     (["generate", "--seed", "1", "--range", "0:0", "--break", "P_centering"], None),
+    # a key that no reader knows, in every object of the three documents
+    (["verify", "-"], '{' + _ONE_NODE + ', "n": {"0": [["1"]]}}'),
+    (["verify", "-"], '{"range": [0, 0], "Q": {}}'),
+    (["verify", "-"], '{"range": [0, 0], "col": {"z": {}}}'),
+    (["verify", "-"], '{"range": [0, 0], "row": {"S": {}}}'),
+    (["verify", "-"], '{"range": [0, 0], "P": {"0": {"dim": 1, "Steps": {"0": [["1"]]}}}}'),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0, 1]], "Self": [-1, -1]}'),
+    (["monodromy", "-", "--center", "0"], '{"space": {"dim": 1}, "matrix": [["0"]], "center": 0}'),
+    (["monodromy", "-", "--center", "0"], '{"space": {"dim": 1, "step": {}}, "matrix": [["0"]]}'),
 ], ids=["N-row-not-array", "purity-text", "purity-array", "col-array", "row-number",
         "range-overflow", "max-dim-negative", "seed-negative", "range-reversed",
         "edge-one-vertex", "self-intersection-not-minus-degree",
@@ -545,12 +554,31 @@ _HUGE = "7" * 5000
         "graph-array", "graph-string", "graph-number", "graph-null", "profile-unknown",
         "map-degree-twice", "map-degree-twice-swapped", "node-degree-twice", "step-weight-twice",
         "nested-instance", "nested-graph", "nested-nilpotent", "nested-edges",
-        "range-narrow-A_bound", "range-narrow-row_exact", "range-narrow-P_centering"])
-def test_malformed_input_exit_four_without_traceback(args, stdin_text):
-    proc = subprocess.run([sys.executable, "-m", "csverify", *args],
-                          input=stdin_text, capture_output=True, text=True, env=_SUBPROCESS_ENV)
-    assert proc.returncode == 4, proc.stderr
-    assert "Traceback" not in proc.stderr
+        "range-narrow-A_bound", "range-narrow-row_exact", "range-narrow-P_centering",
+        "unknown-top-N", "unknown-top", "unknown-col", "unknown-row", "unknown-space",
+        "unknown-graph", "unknown-nilpotent", "unknown-nilpotent-space"])
+def test_malformed_input_exit_four_without_traceback(args, stdin_text, monkeypatch, capsys):
+    """In process: an exception that escapes ``main`` fails the test outright;
+    ``test_console_entry_point_subprocess`` covers the ``python -m csverify`` entry."""
+    code, _, err = run_cli(args, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 4, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rename, err", [
+    ((None, "N", "n"), 'instance has an unknown key "n"'),
+    (("row", "s", "S"), "'row' has an unknown key \"S\""),
+    (("col", "b", "B"), "'col' has an unknown key \"B\""),
+], ids=["N", "row-s", "col-b"])
+def test_misspelled_key_is_refused_by_name(rename, err, monkeypatch, capsys):
+    """A key read as absent would zero a whole map family, and the verdict would be "hypotheses dirty"."""
+    data = instance_to_json(gen_cs_instance(GenProfile(seed=1, max_dim_per_node=10)))
+    group, key, misspelled = rename
+    holder = data if group is None else data[group]
+    holder[misspelled] = holder.pop(key)
+    code, out, got = run_cli(["verify", "-", "--thm", "1"], stdin_text=dumps(data),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, got) == (4, "", f"csverify: {err}\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

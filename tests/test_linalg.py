@@ -21,6 +21,7 @@ from csverify.linalg import (
     rref,
     section_of_quotient,
     span_of_vectors,
+    times_transpose,
     transpose,
     vstack,
 )
@@ -206,7 +207,7 @@ def test_every_operation_stores_the_canonical_form():
                 transpose(a), hstack(a, c), vstack(a, c), rref(a)[0], s.basis, kernel(a).basis,
                 image(a).basis, image(a, canonicalize(transpose(b))).basis, s.sum(t).basis,
                 s.intersect(t).basis, quotient_map(s), coords_map(s), section_of_quotient(s),
-                extend_basis(s, c)]
+                extend_basis(s, c), times_transpose(a, c), times_transpose(transpose(b), a)]
         if m == k and rank(a) == m:
             made.append(inverse(a))
         for product in made:
@@ -250,9 +251,15 @@ def test_eliminations_go_through_module_rref(monkeypatch):
     calls = []
     real = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    for run in (lambda: canonicalize(a), lambda: inverse(a), lambda: rank(a),
-                lambda: extend_basis(linalg.zero_subspace(2), a)):
+
+    def fresh():  # a new matrix: no derived object is kept on it yet
+        return Matrix.from_rows([[1, 2], [3, 4]])
+
+    s, t = span_of_vectors([[1, 2]], 2), span_of_vectors([[1, 3]], 2)
+    for run in (lambda: canonicalize(fresh()), lambda: inverse(fresh()), lambda: rank(fresh()),
+                lambda: extend_basis(linalg.zero_subspace(2), fresh()),
+                lambda: image(fresh()), lambda: image(fresh(), s), lambda: kernel(fresh()),
+                lambda: s.intersect(t)):
         calls.clear()
         run()
         assert calls

@@ -6,11 +6,12 @@ The reference functions below are the straightforward Fraction loops
 integers and eliminate fraction-free; both must give the same pivots,
 the same entries, Fraction-typed, with the same printed form.
 
-The image and kernel kept on each Matrix, the kernel read off one
-elimination of the reversed columns, the row-by-row test of f(S) <= T,
-the greedy basis extension, the sum that skips elimination beside a
-zero or whole operand and the intersection through a quotient map are
-compared with the direct computations they replace.
+The product with a transpose that builds none, the free columns read
+off a reduced basis, the image and kernel kept on each Matrix, the
+kernel read off one elimination of the reversed columns, the row-by-row
+test of f(S) <= T, the greedy basis extension, the sum that skips
+elimination beside a zero or whole operand and the intersection through
+a quotient map are compared with the direct computations they replace.
 """
 
 from fractions import Fraction
@@ -30,6 +31,7 @@ from csverify.linalg import (
     null_space,
     rref,
     span_of_vectors,
+    times_transpose,
     transpose,
     vstack,
     zero_subspace,
@@ -328,3 +330,46 @@ def test_intersect_matches_reference(data):
     assert got == want
     same_entries(got.basis.rows, want.basis.rows)
     assert got.dim == a.dim + b.dim - a.sum(b).dim
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with as many columns each, either or both sometimes all zero."""
+    a = draw(matrices_with_zero_lines())
+    b = draw(matrices(ncols=st.just(a.ncols)))
+    if draw(st.booleans()):
+        b = Matrix.zero(b.nrows, b.ncols)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs())
+@example((Matrix.from_rows([], ncols=3), Matrix.from_rows([[1, 2, 3]])))  # 0 rows
+@example((Matrix.from_rows([[1, 2]]), Matrix.from_rows([], ncols=2)))  # 0 rows in b: 1 x 0
+@example((Matrix.from_rows([[]] * 2, ncols=0), Matrix.from_rows([[]] * 3, ncols=0)))  # 0 columns
+@example((Matrix.zero(2, 3), Matrix.zero(4, 3)))
+@example((Matrix.from_rows([[Fraction(1, 6), Fraction(-1, 3)]]), Matrix.from_rows([[2, -1], [4, 2]])))
+def test_times_transpose_matches_product_with_transpose(pair):
+    """The same stored rows, in lowest terms, as the product with a built transpose, and the
+    same entries as the Fraction loop."""
+    a, b = pair
+    got = times_transpose(a, b)
+    assert got == a @ transpose(b)  # shape and stored rows
+    same_entries(got.rows, ref_matmul(a, transpose(b)))
+
+
+def ref_free_columns(s):
+    """(j, numerators, denominator) of each free column, read off the transposed basis."""
+    return tuple((j, c, d) for j, (c, d) in enumerate(transpose(s.basis).irows) if j not in s.pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_zero_lines())
+@example(Matrix.from_rows([], ncols=4))
+@example(Matrix.from_rows([[]] * 3, ncols=0))
+@example(Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [0, 0, Fraction(7, 3)]]))
+def test_free_columns_match_the_transposed_basis(m):
+    """For bases from canonicalize, null_space and zero_subspace, the free columns read straight
+    off the basis are those of the transpose, in lowest terms per column."""
+    for s in (canonicalize(m), null_space(m), zero_subspace(m.ncols), full_subspace(m.ncols)):
+        assert s._free_columns == ref_free_columns(s)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from csverify import linalg, monodromy
 from csverify.filtration import FilteredSpace, FiltrationError, full_subspace, graded_complement, tate_twist
-from csverify.generators import gen_centered_mhs, random_invertible, split_seed
+from csverify.generators import (
+    GenProfile,
+    gen_adversarial,
+    gen_centered_mhs,
+    gen_cs_instance,
+    random_invertible,
+    split_seed,
+)
 from csverify.linalg import (
     DimensionMismatchError,
     Matrix,
@@ -18,6 +25,7 @@ from csverify.linalg import (
     jordan_chains,
     kernel,
     kernel_flag,
+    maps_into,
     quotient_map,
     rank,
     span_of_vectors,
@@ -449,6 +457,29 @@ def test_the_perturbations_reach_both_axioms():
     # N^2 fails only on rank, since the dimensions of the graded pieces are those of N's filtration
     assert outcomes["shift", False] and outcomes["graded_iso", False] and outcomes[None, False]
     assert outcomes["graded_iso", True] and not outcomes["shift", True]
+
+
+def test_fast_paths_match_the_oracles_on_generated_instances():
+    """On the P nodes of generated CS instances, clean and with P_centering broken (one node's
+    filtration centred a weight too high): ``maps_into`` between any two steps agrees with
+    containment of the reduced image, and the axiom check with the dense-power reference and
+    with uniqueness (the axioms hold iff the stored filtration is the one built from N)."""
+    seen = Counter()
+    for seed in range(1, 13):
+        for inst in (gen_cs_instance(GenProfile(seed=seed)),
+                     gen_adversarial(GenProfile(seed=seed, broken_hypothesis="P_centering"))):
+            for k, space in inst.P.items():
+                n = inst.map("N", k)
+                steps = [space.step(w) for w in space.jumps]
+                for s in steps:
+                    for t in steps:
+                        assert maps_into(n, s, t) == t.contains(image(n, s))
+                cf, op = CenteredFiltration(k, space), NilpotentOp(space, n)
+                got = verify_centered_axioms(cf, op)
+                assert got == ref_verify_centered_axioms(cf, op)
+                assert got.ok == (centered_filtration(n, k) == space)
+                seen[got.ok] += 1
+    assert seen[True] and seen[False]
 
 
 # -- eliminations per derived object -----------------------------------------
