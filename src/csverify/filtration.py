@@ -12,12 +12,13 @@ the images they keep, and one composite; a kernel is built only to find
 the witness of a failure.
 
 Three constructions live here and nowhere else: the filtration a
-subspace inherits (``induced_on_subspace``), the one a surjection pushes
-forward (``induced_on_quotient``), and representatives of a graded piece
-(``graded_complement``).  The monodromy constructions and the generators
-build on them.  Every FilteredSpace is validated when it is built but
-one: ``shifted``, behind the Tate twist and every centered filtration,
-moves the weights of jump data that is already valid.
+subspace inherits (``induced_on_subspace``, one elimination per step:
+``linalg.within`` reads sub . W_i in sub's coordinates), the one a
+surjection pushes forward (``induced_on_quotient``), and representatives
+of a graded piece (``graded_complement``).  The monodromy constructions
+and the generators build on them.  Every FilteredSpace is validated when
+it is built but one: ``shifted``, behind the Tate twist and every
+centered filtration, moves the weights of jump data that is already valid.
 
 Tate twist convention: ``tate_twist(v, n)`` models v(n) and shifts every
 weight by -2n, so twisting by -1 raises all weights by 2.
@@ -33,13 +34,13 @@ from .linalg import (
     DimensionMismatchError,
     Matrix,
     Subspace,
-    coords_map,
     extend_basis,
     full_subspace,
     image,
     kernel,
     quotient_map,
     times_transpose,
+    within,
     zero_subspace,
 )
 
@@ -174,9 +175,8 @@ def graded_complement(v: FilteredSpace, i: int) -> Matrix:
 
 
 def induced_on_subspace(v: FilteredSpace, sub: Subspace) -> FilteredSpace:
-    """sub with the steps sub . W_i(v), in the coordinates of sub's basis."""
-    coords = coords_map(sub)
-    return FilteredSpace(sub.dim, {w: image(coords, sub.intersect(step)) for w, step in v.steps})
+    """sub with the steps sub . W_i(v), in the coordinates of sub's basis: one ``within`` each."""
+    return FilteredSpace(sub.dim, {w: within(sub, step) for w, step in v.steps})
 
 
 def induced_on_quotient(v: FilteredSpace, q: Matrix) -> FilteredSpace:

@@ -29,8 +29,9 @@ space behind ``image`` are each that memoised function itself.
 ``chain_steps`` is the one place where chains become weights, for these
 steps and for ``monodromy.chain_filtration`` alike; it adds one weight
 at a time to the reduced basis of the step below.  Every kernel is one
-elimination (``null_space``).  The zero subspace is one shared instance
-per ambient dimension, like ``Matrix.zero``.
+elimination (``null_space``), ``within(t, s)`` (t . s in t's coordinates, behind
+intersections, induced filtrations and the monodromy recursion) too.  The zero
+subspace is one shared instance per ambient dimension, like ``Matrix.zero``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -299,8 +300,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")
-        if other.dim > self.dim:
-            return False
         return not any(any(self._residual(r)) for r, _ in other.basis.irows)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -314,12 +313,8 @@ class Subspace:
         return canonicalize(vstack(self.basis, other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection as the combinations y.B of other's basis B that the quotient map of self kills."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatchError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return zero_subspace(self.ambient_dim)
-        return canonicalize(null_space(times_transpose(quotient_map(self), other.basis)).basis @ other.basis)
+        """Intersection: its coordinates in other's basis (``within``), mapped back through that basis."""
+        return canonicalize(within(other, self).basis @ other.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -370,8 +365,6 @@ def image(f: Matrix, s: Optional[Subspace] = None) -> Subspace:
         raise DimensionMismatchError("subspace not in the domain of f")
     if s is None or s.dim == f.ncols:
         return _column_space(f)
-    if s.dim == 0:
-        return zero_subspace(f.nrows)
     return canonicalize(times_transpose(s.basis, f))
 
 
@@ -389,6 +382,12 @@ def null_space(m: Matrix) -> Subspace:
     rows = tuple((r[::-1], d) for r, d in reversed(quotient_map(rev).irows))
     pivots = tuple(n - 1 - j for j, _, _ in reversed(rev._free_columns))
     return Subspace(n, Matrix.of(len(rows), n, rows), pivots) if rows else zero_subspace(n)
+
+
+def within(t: Subspace, s: Subspace) -> Subspace:
+    """t . s in the coordinates of t's basis (a vector of t has its entries at t's pivots there), from
+    one elimination: the combinations of t's basis rows that the quotient map of s kills."""
+    return null_space(times_transpose(quotient_map(s), t.basis))
 
 
 def maps_into(f: Matrix, s: Subspace, t: Subspace) -> bool:
@@ -499,13 +498,6 @@ def quotient_map(s: Subspace) -> Matrix:
             v[p] = -x
         rows.append((tuple(v), d))
     return Matrix.of(n - s.dim, n, tuple(rows))
-
-
-def section_of_quotient(s: Subspace) -> Matrix:
-    """Canonical right inverse of quotient_map(s) (columns on free coords)."""
-    n = s.ambient_dim
-    free = [j for j, _, _ in s._free_columns]
-    return Matrix.of(n, len(free), tuple((tuple(int(i == j) for j in free), 1) for i in range(n)))
 
 
 def inverse(a: Matrix) -> Matrix:

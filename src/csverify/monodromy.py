@@ -22,7 +22,8 @@ constructions are implemented:
   uses the classical recursion: with N^m nonzero and N^{m+1} = 0 the
   extreme steps are forced (full space, ker N^m, im N^m, zero) and the
   middle ones are lifted from the centered filtration of the operator
-  induced on ker(N^m)/im(N^m).
+  induced on ker(N^m)/im(N^m), read by ``linalg.within`` and lifted by
+  rows of ker N^m's basis, with no transpose.
 
 The two share the flag but no chain or recursion logic.  Uniqueness
 makes their agreement a sharp cross-check, run by every `monodromy`
@@ -57,10 +58,9 @@ from .linalg import (
     maps_into,
     quotient_map,
     rank,
-    section_of_quotient,
     times_transpose,
-    transpose,
     vstack,
+    within,
 )
 
 
@@ -140,10 +140,10 @@ def centered_filtration_recursive(matrix: Matrix, k: int,
                                   section_rng: Optional[random.Random] = None) -> FilteredSpace:
     """Centered filtration by the classical recursion on ker(N^m)/im(N^m).
 
-    The induced operator on the subquotient is computed through a linear
-    section of ker(N^m) onto the quotient; any section gives the same
-    induced matrix, and ``section_rng`` perturbs the canonical choice by
-    an arbitrary correction into im(N^m) to let tests exercise that.
+    im(N^m) is read in the coordinates of ker(N^m)'s basis by ``linalg.within``.  The induced
+    operator on the subquotient is computed on rows lifted from the quotient into ker(N^m); any
+    lift gives the same induced matrix, and ``section_rng`` perturbs the canonical one (basis
+    rows of ker(N^m)) by an arbitrary correction in im(N^m) to let tests exercise that.
     """
     dim = matrix.nrows
     m = nilpotency_index(matrix) - 1
@@ -153,26 +153,21 @@ def centered_filtration_recursive(matrix: Matrix, k: int,
     im_nm = image(matrix)
     for _ in range(m - 1):
         im_nm = image(matrix, im_nm)
-    k_basis = ker_nm.basis          # kappa x dim
-    k_coords = coords_map(ker_nm)   # kappa x dim
-    n_on_ker = times_transpose(k_coords @ matrix, k_basis)
-    im_in_k = image(k_coords, im_nm)
+    im_in_k = within(ker_nm, im_nm)  # im N^m lies in ker N^m, as N^(m+1) = 0
     q2 = quotient_map(im_in_k)
-    sigma = section_of_quotient(im_in_k)
-    if section_rng is not None and im_in_k.dim > 0 and q2.nrows > 0:
-        correction = Matrix.from_rows(
-            [[section_rng.randint(-3, 3) for _ in range(q2.nrows)] for _ in range(im_in_k.dim)],
-            ncols=q2.nrows)
-        sigma = sigma + (transpose(im_in_k.basis) @ correction)
-    induced = q2 @ n_on_ker @ sigma
-    inner = centered_filtration_recursive(induced, k, section_rng)
+    # q2's canonical section, in Q^dim: the basis rows of ker N^m at im_in_k's free coordinates
+    lift = Matrix.of(q2.nrows, dim, tuple(r for j, r in enumerate(ker_nm.basis.irows) if j not in im_in_k.pivots))
+    if section_rng is not None:
+        lift = lift + Matrix.from_rows([[section_rng.randint(-3, 3) for _ in range(im_nm.dim)]
+                                        for _ in range(q2.nrows)], ncols=im_nm.dim) @ im_nm.basis
+    # row j: N applied to lift row j, in the coordinates of ker N^m's basis
+    n_lift = times_transpose(times_transpose(lift, matrix), coords_map(ker_nm))
+    inner = centered_filtration_recursive(times_transpose(q2, n_lift), k, section_rng)
 
     steps = {k + m: full_subspace(dim), k + m - 1: ker_nm, k - m: im_nm}
-    lift = transpose(sigma) @ k_basis  # quotient coords -> ambient, acting on rows
     for w, sub in inner.steps:
-        if w <= k - m or w > k + m - 2:
-            continue
-        steps[w] = canonicalize(vstack(im_nm.basis, sub.basis @ lift))
+        if k - m < w <= k + m - 2:
+            steps[w] = canonicalize(vstack(im_nm.basis, sub.basis @ lift))
     return FilteredSpace(dim, steps)
 
 

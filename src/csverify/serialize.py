@@ -17,7 +17,8 @@ of weights the verifier implements.  Every object of a document (an
 instance, its "col" and "row", a filtered space, a dual graph, a
 nilpotent operator) carries only the keys listed below: any other key,
 such as a misspelled "n" for "N", is a SerializationError naming it,
-never read as an absent key.
+never read as an absent key.  An error inside one filtered space or map
+of an instance starts with its place, such as ``P_0:`` or ``map r_1:``.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=1)`` itself: with an indent, ``json.dumps`` never uses CPython's C
@@ -243,14 +244,23 @@ def filtered_space_to_json(v: FilteredSpace) -> dict:
             "steps": {str(w): matrix_to_json(sub.basis) for w, sub in v.steps}}
 
 
-def filtered_space_from_json(data) -> FilteredSpace:
-    _object(data, ("dim", "steps"), "filtered space")
+def _placed(where: str, read, *args):
+    """read(*args), a fault in the data reported as a SerializationError that starts with where."""
     try:
-        dim = json_int(data["dim"], "dim", key=False)
-        steps = {w: _subspace_from_json(rows, dim) for w, rows in _int_items(data.get("steps", {}), "weight")}
-        return FilteredSpace(dim, steps)
+        return read(*args)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise SerializationError(f"bad filtered space: {exc}") from exc
+        raise SerializationError(f"{where}: {exc}") from exc
+
+
+def _filtered_space(data) -> FilteredSpace:
+    _object(data, ("dim", "steps"), "filtered space")
+    dim = json_int(data["dim"], "dim", key=False)
+    steps = {w: _subspace_from_json(rows, dim) for w, rows in _int_items(data.get("steps", {}), "weight")}
+    return FilteredSpace(dim, steps)
+
+
+def filtered_space_from_json(data) -> FilteredSpace:
+    return _placed("bad filtered space", _filtered_space, data)
 
 
 def nilpotent_to_json(op: NilpotentOp) -> dict:
@@ -325,7 +335,7 @@ def instance_from_json(data) -> CSInstance:
         raw = data.get(key, {})
         if not isinstance(raw, dict):
             raise SerializationError(f"family {key!r} must be an object")
-        return {k: filtered_space_from_json(v) for k, v in _int_items(raw, "degree")}
+        return {k: _placed(f"{key}_{k}", _filtered_space, v) for k, v in _int_items(raw, "degree")}
 
     spaces = {node: family(node) for node in NODES}
 
@@ -336,8 +346,9 @@ def instance_from_json(data) -> CSInstance:
     for label, group in _MAP_GROUP.items():
         raw = groups[group].get(label, {})
         if not isinstance(raw, dict):
-            raise SerializationError("map family must be an object")
-        maps[label] = {k: matrix_from_json(m, *skeleton.shape(label, k)) for k, m in _int_items(raw, "degree")}
+            raise SerializationError(f"map family {label!r} must be an object")
+        maps[label] = {k: _placed(f"map {label}_{k}", matrix_from_json, m, *skeleton.shape(label, k))
+                       for k, m in _int_items(raw, "degree")}
 
     profile = data.get("profile", "abstract")
     if profile not in ("abstract", "geometric"):

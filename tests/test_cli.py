@@ -628,18 +628,49 @@ def test_error_inside_node_family_keeps_its_own_message(monkeypatch, capsys):
     bad_dim = '{"range": [0, 0], "P": {"0": {"dim": 1.5, "steps": {"0": [["1"]]}}}}'
     code, out, err = run_cli(["verify", "-"], stdin_text=bad_dim, monkeypatch=monkeypatch, capsys=capsys)
     assert (code, out) == (4, "")
-    assert err == "csverify: bad filtered space: dim must be an integer, got 1.5\n"
+    assert err == "csverify: P_0: dim must be an integer, got 1.5\n"
     not_increasing = '{"range": [0, 0], "A": {"0": {"dim": 2, "steps": {"0": [["1", "0"]], "1": [["0", "1"]]}}}}'
     code, _, err = run_cli(["verify", "-"], stdin_text=not_increasing, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 4
-    assert err == "csverify: bad filtered space: filtration not increasing at weight 1\n"
+    assert err == "csverify: A_0: filtration not increasing at weight 1\n"
+
+
+def _emptied_p(d):
+    d["P"] = {}
+
+
+def _set(path, value):
+    def mutate(d):
+        *outer, last = path
+        for key in outer:
+            d = d[key]
+        d[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, err", [
+    (_emptied_p, "map r_1: matrix row must be an array of 0 entries"),
+    (_set(("row", "r", "1", 0, 0), "x"), "map r_1: cannot parse rational 'x'"),
+    (_set(("col", "b", "2"), [["1", "0", "0", "0"]]), "map b_2: matrix has 1 rows, expected 4"),
+    (_set(("N", "0"), "rows"), "map N_0: matrix must be an array of rows"),
+    (_set(("P", "2", "dim"), True), "P_2: dim must be an integer, got true"),
+    (_set(("A", "1", "steps", "9"), [["1/0", "0", "0"]]), "A_1: cannot parse rational '1/0'"),
+    (_set(("C", "3"), []), "C_3: filtered space must be a JSON object"),
+], ids=["P-emptied", "map-entry", "map-rows", "map-not-array", "node-dim", "node-entry", "node-not-object"])
+def test_instance_input_error_names_its_map_or_node(mutate, err, monkeypatch, capsys):
+    """An error inside one map or filtered space of an instance names it, however deep the fault."""
+    code, text, _ = run_cli(["generate", "--seed", "5", "--max-dim", "4"], capsys=capsys)
+    doc = json.loads(text)
+    mutate(doc)
+    code, out, got = run_cli(["verify", "-"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, got) == (4, "", f"csverify: {err}\n")
 
 
 @pytest.mark.parametrize("doc, err", [
     ('{' + _ONE_NODE + ', "N": {"0": [["0"]], "00": [["1"]]}}', 'degree 0 is given twice, as "0" and "00"'),
     ('{"range": [0, 0], "P": {"-0": {"dim": 0}, "0": {"dim": 0}}}', 'degree 0 is given twice, as "-0" and "0"'),
     ('{"range": [0, 0], "P": {"0": {"dim": 1, "steps": {"1": [["1"]], "01": [["1"]]}}}}',
-     'bad filtered space: weight 1 is given twice, as "1" and "01"'),
+     'P_0: weight 1 is given twice, as "1" and "01"'),
 ], ids=["map-family", "node-family", "steps"])
 def test_integer_keys_spelling_one_number_are_refused(doc, err, monkeypatch, capsys):
     """A dict keyed by the integers would keep whichever spelling comes last."""

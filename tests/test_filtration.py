@@ -27,6 +27,7 @@ from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, ra
 from csverify.linalg import (
     Matrix,
     canonicalize,
+    coords_map,
     extend_basis,
     full_subspace,
     hstack,
@@ -423,6 +424,22 @@ def filtrations(draw):
 @given(filtrations(), filtrations())
 def test_direct_sum_matches_reference(x, y):
     assert direct_sum(x, y) == ref_direct_sum(x, y)
+
+
+def ref_induced_on_subspace(v, sub):
+    """Each step as sub . W_i(v) through Subspace.intersect, then read in sub's coordinates by image."""
+    coords = coords_map(sub)
+    return FilteredSpace(sub.dim, {w: image(coords, sub.intersect(step)) for w, step in v.steps})
+
+
+@settings(max_examples=150, deadline=None)
+@given(filtrations(), st.data())
+def test_induced_on_subspace_matches_reference(v, data):
+    """Against the intersect-then-image formula, on zero, whole and drawn subspaces."""
+    n = v.dim
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n + 1))
+    for sub in (zero_subspace(n), full_subspace(n), span_of_vectors(rows, n)):
+        assert induced_on_subspace(v, sub) == ref_induced_on_subspace(v, sub)
 
 
 # -- the unchecked weight shift and the lowest graded piece ----------------

@@ -19,11 +19,11 @@ from csverify.linalg import (
     quotient_map,
     rank,
     rref,
-    section_of_quotient,
     span_of_vectors,
     times_transpose,
     transpose,
     vstack,
+    within,
 )
 from test_linalg_oracle import ref_rref
 
@@ -159,9 +159,22 @@ def test_membership_and_quotient_maps():
         q = quotient_map(s)
         assert kernel(q) == s
         assert image(q).dim == n - s.dim  # surjective
-        if n - s.dim:
-            sec = section_of_quotient(s)
-            assert q @ sec == Matrix.identity(n - s.dim)
+
+
+def test_within_reads_the_intersection_in_the_basis_of_t():
+    """within(t, s) lives in Q^(dim t); mapped through t's basis it is t . s, and it is everything
+    exactly when t lies in s."""
+    rng = random.Random(5)
+    for _ in range(80):
+        n = rng.randint(0, 6)
+        s, t = (span_of_vectors([[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))], n)
+                for _ in range(2))
+        got = within(t, s)
+        assert got.ambient_dim == t.dim
+        assert canonicalize(got.basis @ t.basis) == t.intersect(s)
+        assert got.dim == t.dim + s.dim - t.sum(s).dim
+        assert (got.dim == t.dim) == s.contains(t)
+        assert within(t, t).dim == t.dim and within(t, linalg.zero_subspace(n)).dim == 0
 
 
 def test_solve_and_inverse():
@@ -206,7 +219,7 @@ def test_every_operation_stores_the_canonical_form():
         made = [a, Matrix.from_rows(a.rows, ncols=k), Matrix.identity(k), Matrix.zero(m, k), a @ b, a + c,
                 transpose(a), hstack(a, c), vstack(a, c), rref(a)[0], s.basis, kernel(a).basis,
                 image(a).basis, image(a, canonicalize(transpose(b))).basis, s.sum(t).basis,
-                s.intersect(t).basis, quotient_map(s), coords_map(s), section_of_quotient(s),
+                s.intersect(t).basis, quotient_map(s), coords_map(s), within(s, t).basis,
                 extend_basis(s, c), times_transpose(a, c), times_transpose(transpose(b), a)]
         if m == k and rank(a) == m:
             made.append(inverse(a))
@@ -259,7 +272,7 @@ def test_eliminations_go_through_module_rref(monkeypatch):
     for run in (lambda: canonicalize(fresh()), lambda: inverse(fresh()), lambda: rank(fresh()),
                 lambda: extend_basis(linalg.zero_subspace(2), fresh()),
                 lambda: image(fresh()), lambda: image(fresh(), s), lambda: kernel(fresh()),
-                lambda: s.intersect(t)):
+                lambda: s.intersect(t), lambda: within(s, t)):
         calls.clear()
         run()
         assert calls

@@ -10,8 +10,9 @@ The product with a transpose that builds none, the free columns read
 off a reduced basis, the image and kernel kept on each Matrix, the
 kernel read off one elimination of the reversed columns, the row-by-row
 test of f(S) <= T, the greedy basis extension, the sum that skips
-elimination beside a zero or whole operand and the intersection through
-a quotient map are compared with the direct computations they replace.
+elimination beside a zero or whole operand, the intersection through
+a quotient map and its coordinates in one operand's basis (``within``)
+are compared with the direct computations they replace.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ from csverify.linalg import (
     times_transpose,
     transpose,
     vstack,
+    within,
     zero_subspace,
 )
 
@@ -330,6 +332,22 @@ def test_intersect_matches_reference(data):
     assert got == want
     same_entries(got.basis.rows, want.basis.rows)
     assert got.dim == a.dim + b.dim - a.sum(b).dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_within_matches_reference_intersection_coordinates(data):
+    """within(t, s) against the reference t . s with each basis row read at t's pivots, which are
+    the coordinates of a vector of t in t's reduced basis."""
+    n = data.draw(dims)
+    t = data.draw(subspaces(n))
+    shared = list(t.basis.rows[:data.draw(st.integers(0, t.dim))])
+    s = canonicalize(Matrix.from_rows(shared + list(data.draw(subspaces(n)).basis.rows), ncols=n))
+    want = canonicalize(Matrix.from_rows([[r[p] for p in t.pivots] for r in ref_intersect(t, s).basis.rows],
+                                         ncols=t.dim))
+    got = within(t, s)
+    assert got == want
+    same_entries(got.basis.rows, want.basis.rows)
 
 
 @st.composite

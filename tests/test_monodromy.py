@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csverify import linalg, monodromy
-from csverify.filtration import FilteredSpace, FiltrationError, full_subspace, graded_complement, tate_twist
+from csverify.filtration import (
+    FilteredSpace,
+    FiltrationError,
+    full_subspace,
+    graded_complement,
+    induced_on_subspace,
+    tate_twist,
+)
 from csverify.generators import (
     GenProfile,
     gen_adversarial,
@@ -156,14 +163,20 @@ def test_uniqueness_cross_algorithm_and_duality():
 
 
 def test_recursive_section_independence():
+    """Perturbed lifts give the canonical lift's filtration, which is the chain construction's, at
+    every dimension 0-10 and centre -3..3; the perturbation is drawn for some operators."""
     rng = random.Random(10)
-    for i in range(40):
-        dim = rng.randint(2, 9)
-        _, op = gen_centered_mhs(split_seed(53, i), dim, 0)
-        canonical = monodromy_filtration_recursive(op, 0)
-        perturbed = monodromy_filtration_recursive(op, 0, section_rng=random.Random(i))
-        perturbed2 = monodromy_filtration_recursive(op, 0, section_rng=random.Random(i + 1000))
-        assert canonical == perturbed == perturbed2
+    drawn = 0
+    for i in range(88):
+        dim, k = i % 11, rng.randint(-3, 3)
+        _, op = gen_centered_mhs(split_seed(53, i), dim, rng.randint(-3, 3))
+        chain = monodromy_filtration(op, k)
+        assert monodromy_filtration_recursive(op, k) == chain
+        for seed in (i, i + 1000):
+            section_rng = random.Random(seed)
+            assert monodromy_filtration_recursive(op, k, section_rng=section_rng) == chain
+            drawn += section_rng.getstate() != random.Random(seed).getstate()
+    assert drawn
 
 
 def test_conjugation_equivariance():
@@ -487,7 +500,7 @@ def test_fast_paths_match_the_oracles_on_generated_instances():
 def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
     """Counted on fresh matrices: a kernel takes one rref, a kernel flag one per level above
     ker N plus one for ker N, and the axiom check none for the shift axiom, which runs before
-    the first graded piece is taken."""
+    the first graded piece is taken.  The filtration a subspace inherits takes one rref per step."""
     calls, graded_at = [], []
     real_rref, real_graded = linalg.rref, monodromy.graded_complement
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
@@ -516,6 +529,10 @@ def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
             graded_at.clear()
             assert verify_centered_axioms(cf, fresh_op).ok is ok
             assert (graded_at or [len(calls)])[0] == 0
+        for sub in (flag[1], flag[-1], linalg.zero_subspace(space.dim)):  # ker N, the whole space, zero
+            calls.clear()
+            induced_on_subspace(space, sub)
+            assert len(calls) == len(space.steps)
 
 
 # -- centered filtrations are shifted, not re-checked -------------------------
