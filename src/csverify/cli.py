@@ -4,15 +4,18 @@ Exit codes: 0 all requested verdicts pass; 1 internal inconsistency (the
 two monodromy constructions disagree, or a generated instance or curve
 fixture fails its own hypothesis check: an InconsistencyError, mapped in
 ``main`` alone); 2 instance hypotheses dirty; 3 a conclusion is
-non-exact; 4 malformed or unreadable input (a key no reader knows, a
-nonzero "purity", a graph's "self" other than -degree, or an integer
-field as long as the interpreter's digit limit), or a rational to print
-past that limit (a SerializationError from the one output formatter,
-with nothing on stdout); 64 bad command line.  `-` names standard input/output for
-piping.  `generate` (without `--break`) and `fixture curve` pass what they
-emit through ``verifier.checked``, the one place that self-check runs;
-`monodromy` prints only a filtration both constructions agree on.
-`fixture curve` derives each C_j^2 from the dual graph alone.
+non-exact; 4 malformed or unreadable input; 64 bad command line.  Exit 4
+comes from four errors only: a SerializationError (a reader's, naming
+the fault's place; a bad flag of `generate`; or a rational to print past
+the digit limit, from the one output formatter, with nothing on stdout),
+a DegreeRangeError (`--k` outside the window), a ProfileError (`--thm 3`
+on an abstract instance) and an OSError (an unreadable file).  Any other
+exception is a bug and escapes ``main`` with a traceback, exit 1.  `-`
+names standard input/output for piping.  `generate` (without `--break`)
+and `fixture curve` pass what they emit through ``verifier.checked``, the
+one place that self-check runs; `monodromy` prints only a filtration both
+constructions agree on.  `fixture curve` derives each C_j^2 from the dual
+graph alone.
 
 `verify` reports (schema 3) hold verdicts only for the degree window,
 the declared degrees within 2 of a stored space; `trivial_degrees` lists
@@ -33,15 +36,9 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .degenerations import DisconnectedGraphError, curve_cs_instance
-from .filtration import FiltrationError, WeightCompatibilityError
+from .degenerations import curve_cs_instance
 from .generators import GenProfile, gen_adversarial, gen_cs_instance
-from .linalg import DimensionMismatchError
-from .monodromy import (
-    NilpotencyError,
-    centered_filtration,
-    centered_filtration_recursive,
-)
+from .monodromy import centered_filtration, centered_filtration_recursive
 from .serialize import (
     SerializationError,
     dumps,
@@ -60,7 +57,6 @@ from .verifier import (
     CONCLUSIONS,
     DegreeRangeError,
     InconsistencyError,
-    MalformedInstanceError,
     ProfileError,
     assemble_and_verify_les,
     check_instance_hypotheses,
@@ -77,9 +73,7 @@ EXIT_NONEXACT = 3
 EXIT_BAD_INPUT = 4
 EXIT_USAGE = 64
 
-_INPUT_ERRORS = (SerializationError, MalformedInstanceError, NilpotencyError,
-                 FiltrationError, WeightCompatibilityError, DimensionMismatchError,
-                 DisconnectedGraphError, DegreeRangeError, ProfileError, OSError)
+_INPUT_ERRORS = (SerializationError, DegreeRangeError, ProfileError, OSError)
 
 
 class _UsageError(Exception):
@@ -139,10 +133,6 @@ def _read_input(path: str) -> bytes:
 
 def _digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
-def _emit(text: str):
-    sys.stdout.write(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -210,9 +200,9 @@ def _cmd_verify(args) -> int:
         "exit_status": status,
     }
     if args.format == "json":
-        _emit(dumps(payload))
+        sys.stdout.write(dumps(payload))
     else:
-        _emit(_render_text(payload, report, verdicts))
+        sys.stdout.write(_render_text(payload, report, verdicts))
     return status
 
 
@@ -237,7 +227,7 @@ def _cmd_monodromy(args) -> int:
         raise InconsistencyError("the two constructions disagree")
     payload = {"schema": 1, "input_digest": _digest(raw), "center": args.center, "cross_check": "agree"}
     payload.update(filtered_space_to_json(filtration))
-    _emit(dumps(payload))
+    sys.stdout.write(dumps(payload))
     return EXIT_OK
 
 
@@ -259,13 +249,13 @@ def _cmd_generate(args) -> int:
         inst = checked(gen_cs_instance(profile))
     else:
         inst = gen_adversarial(profile)
-    _emit(dumps(instance_to_json(inst)))
+    sys.stdout.write(dumps(instance_to_json(inst)))
     return EXIT_OK
 
 
 def _cmd_fixture(args) -> int:
     graph = graph_from_json(loads(_read_input(args.graph)))
-    _emit(dumps(instance_to_json(checked(curve_cs_instance(graph)))))
+    sys.stdout.write(dumps(instance_to_json(checked(curve_cs_instance(graph)))))
     return EXIT_OK
 
 

@@ -53,10 +53,6 @@ class WeightCompatibilityError(ValueError):
     """A map sends some W_i of its source outside W_i of its target."""
 
 
-class ComposabilityError(ValueError):
-    """Two maps do not share the middle filtered space."""
-
-
 class FilteredSpace:
     """Q^dim with a finite increasing weight filtration.
 
@@ -268,7 +264,7 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     else the first one of ker(g), built only then, outside im(f).
     """
     if g.ncols != f.nrows:
-        raise ComposabilityError(
+        raise DimensionMismatchError(
             f"maps do not compose: f lands in Q^{f.nrows}, g starts from Q^{g.ncols}")
     im = image(f)
     if im.dim + image(g).dim == f.nrows and (im.dim == 0 or (g @ f).is_zero()):

@@ -132,8 +132,8 @@ class Matrix:
     @staticmethod
     @lru_cache(maxsize=None)
     def zero(m: int, n: int) -> "Matrix":
-        """The zero matrix, one shared instance per shape (a Matrix is never mutated)."""
-        return Matrix.of(m, n, (((0,) * n, 1),) * m)
+        """The zero matrix, one shared instance per shape (a Matrix is never mutated); no row when m = 0."""
+        return Matrix.of(m, n, (((0,) * n, 1),) * m if m else ())
 
     @property
     def rows(self) -> tuple:

@@ -17,8 +17,10 @@ of weights the verifier implements.  Every object of a document (an
 instance, its "col" and "row", a filtered space, a dual graph, a
 nilpotent operator) carries only the keys listed below: any other key,
 such as a misspelled "n" for "N", is a SerializationError naming it,
-never read as an absent key.  An error inside one filtered space or map
-of an instance starts with its place, such as ``P_0:`` or ``map r_1:``.
+never read as an absent key.  The three readers raise SerializationError
+and nothing else, and every fault names its place: a field read as absent
+reports the type it should have, and an error inside one filtered space or
+map of an instance starts with it, such as ``P_0:`` or ``map r_1:``.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=1)`` itself: with an indent, ``json.dumps`` never uses CPython's C
@@ -49,6 +51,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 from math import gcd
 from typing import Dict, Optional, Tuple
 
@@ -157,14 +160,16 @@ def _object(data, keys, what: str) -> dict:
     return data
 
 
-def _int_items(raw: dict, what: str):
-    """(k, value) over the integer keys k of raw; keys that spell one integer, such as "0", "00"
-    and "-0", are refused rather than letting the last one win in a dict."""
+def _int_items(raw, what: str, key: str):
+    """(k, value) over the integer keys k of raw, the JSON object named what; keys that spell one
+    integer, such as "0", "00" and "-0", are refused rather than letting the last one win in a dict."""
+    if not isinstance(raw, dict):
+        raise SerializationError(f"{what} must be a JSON object")
     spelled = {}
-    for key, value in raw.items():
-        k = json_int(key, what, key=True)
-        if spelled.setdefault(k, key) != key:
-            raise SerializationError(f'{what} {k} is given twice, as "{spelled[k]}" and "{key}"')
+    for text, value in raw.items():
+        k = json_int(text, key, key=True)
+        if spelled.setdefault(k, text) != text:
+            raise SerializationError(f'{key} {k} is given twice, as "{spelled[k]}" and "{text}"')
         yield k, value
 
 
@@ -245,17 +250,18 @@ def filtered_space_to_json(v: FilteredSpace) -> dict:
 
 
 def _placed(where: str, read, *args):
-    """read(*args), a fault in the data reported as a SerializationError that starts with where."""
+    """read(*args), a ValueError or OverflowError from it a SerializationError that starts with
+    where, or without a prefix for an empty where: for a constructor whose messages name their place."""
     try:
         return read(*args)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise SerializationError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _filtered_space(data) -> FilteredSpace:
     _object(data, ("dim", "steps"), "filtered space")
-    dim = json_int(data["dim"], "dim", key=False)
-    steps = {w: _subspace_from_json(rows, dim) for w, rows in _int_items(data.get("steps", {}), "weight")}
+    dim = json_int(data.get("dim"), "dim", key=False)
+    steps = {w: _subspace_from_json(rows, dim) for w, rows in _int_items(data.get("steps", {}), "'steps'", "weight")}
     return FilteredSpace(dim, steps)
 
 
@@ -269,12 +275,9 @@ def nilpotent_to_json(op: NilpotentOp) -> dict:
 
 def nilpotent_from_json(data) -> NilpotentOp:
     _object(data, ("space", "matrix"), "nilpotent operator")
-    try:
-        space = filtered_space_from_json(data["space"])
-        matrix = matrix_from_json(data["matrix"], space.dim, space.dim)
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad nilpotent operator: {exc}") from exc
-    return NilpotentOp(space, matrix)
+    space = filtered_space_from_json(data.get("space"))
+    matrix = matrix_from_json(data.get("matrix"), space.dim, space.dim)
+    return _placed("", NilpotentOp, space, matrix)
 
 
 def graph_to_json(g: DualGraph) -> dict:
@@ -283,26 +286,23 @@ def graph_to_json(g: DualGraph) -> dict:
 
 def graph_from_json(data) -> DualGraph:
     _object(data, ("vertices", "edges", "self"), "dual graph")
-    try:
-        edges = [[json_int(x, "edge end", key=False) for x in e] for e in data.get("edges", [])]
-        selfs = data.get("self")
-        if selfs is not None:
-            selfs = [json_int(x, "self-intersection", key=False) for x in selfs]
-        graph = DualGraph.make(json_int(data["vertices"], "vertices", key=False), edges)
-        if selfs is not None:
-            if len(selfs) != graph.vertices:
-                raise ValueError("one self-intersection per vertex required")
-            degree = [0] * graph.vertices
-            for i, j in graph.edges:
-                degree[i] += 1
-                degree[j] += 1
-            if selfs != [-d for d in degree]:
-                raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
-        return graph
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, SerializationError):
-            raise
-        raise SerializationError(f"bad dual graph: {exc}") from exc
+    edges = data.get("edges", [])
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise SerializationError("'edges' must be an array of vertex pairs")
+    edges = [[json_int(x, "edge end", key=False) for x in e] for e in edges]
+    selfs = data.get("self")
+    if selfs is not None:
+        if not isinstance(selfs, list):
+            raise SerializationError("'self' must be an array of integers")
+        selfs = [json_int(x, "self-intersection", key=False) for x in selfs]
+    graph = _placed("bad dual graph", DualGraph.make, json_int(data.get("vertices"), "vertices", key=False), edges)
+    if selfs is not None:
+        if len(selfs) != graph.vertices:
+            raise SerializationError("bad dual graph: one self-intersection per vertex required")
+        ends = Counter(v for edge in graph.edges for v in edge)  # a loop's vertex twice
+        if selfs != [-ends[v] for v in range(graph.vertices)]:
+            raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
+    return graph
 
 
 # the object that holds each arrow's family in the instance JSON (None: the top level)
@@ -330,25 +330,16 @@ def instance_from_json(data) -> CSInstance:
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise SerializationError("instance needs an integer pair under 'range'")
     k_min, k_max = (json_int(x, "range bound", key=False) for x in bounds)
-
-    def family(key) -> Dict[int, FilteredSpace]:
-        raw = data.get(key, {})
-        if not isinstance(raw, dict):
-            raise SerializationError(f"family {key!r} must be an object")
-        return {k: _placed(f"{key}_{k}", _filtered_space, v) for k, v in _int_items(raw, "degree")}
-
-    spaces = {node: family(node) for node in NODES}
+    spaces = {node: {k: _placed(f"{node}_{k}", _filtered_space, v)
+                     for k, v in _int_items(data.get(node, {}), f"family {node!r}", "degree")}
+              for node in NODES}
 
     groups = {None: data, **{group: _object(data.get(group, {}), _INSTANCE_KEYS[group], repr(group))
                              for group in ("col", "row")}}
-    skeleton = CSInstance((k_min, k_max), spaces, {})
-    maps = {}
-    for label, group in _MAP_GROUP.items():
-        raw = groups[group].get(label, {})
-        if not isinstance(raw, dict):
-            raise SerializationError(f"map family {label!r} must be an object")
-        maps[label] = {k: _placed(f"map {label}_{k}", matrix_from_json, m, *skeleton.shape(label, k))
-                       for k, m in _int_items(raw, "degree")}
+    skeleton = _placed("", CSInstance, (k_min, k_max), spaces, {})
+    maps = {label: {k: _placed(f"map {label}_{k}", matrix_from_json, m, *skeleton.shape(label, k))
+                    for k, m in _int_items(groups[group].get(label, {}), f"map family {label!r}", "degree")}
+            for label, group in _MAP_GROUP.items()}
 
     profile = data.get("profile", "abstract")
     if profile not in ("abstract", "geometric"):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,9 @@ import pytest
 
 from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph, theta_graph
+from csverify.filtration import FiltrationError
 from csverify.generators import GenProfile, gen_centered_mhs, gen_cs_instance, split_seed
-from csverify.linalg import Matrix, hstack
+from csverify.linalg import DimensionMismatchError, Matrix, hstack, zero_subspace
 from csverify.serialize import dumps, graph_to_json, instance_to_json, nilpotent_to_json
 from csverify.verifier import (
     ARROWS,
@@ -656,7 +658,10 @@ def _set(path, value):
     (_set(("P", "2", "dim"), True), "P_2: dim must be an integer, got true"),
     (_set(("A", "1", "steps", "9"), [["1/0", "0", "0"]]), "A_1: cannot parse rational '1/0'"),
     (_set(("C", "3"), []), "C_3: filtered space must be a JSON object"),
-], ids=["P-emptied", "map-entry", "map-rows", "map-not-array", "node-dim", "node-entry", "node-not-object"])
+    (_set(("A", "0", "steps"), []), "A_0: 'steps' must be a JSON object"),
+    (_set(("A", "0"), {"steps": {}}), "A_0: dim must be an integer, got null"),
+], ids=["P-emptied", "map-entry", "map-rows", "map-not-array", "node-dim", "node-entry", "node-not-object",
+        "steps-array", "dim-missing"])
 def test_instance_input_error_names_its_map_or_node(mutate, err, monkeypatch, capsys):
     """An error inside one map or filtered space of an instance names it, however deep the fault."""
     code, text, _ = run_cli(["generate", "--seed", "5", "--max-dim", "4"], capsys=capsys)
@@ -664,6 +669,64 @@ def test_instance_input_error_names_its_map_or_node(mutate, err, monkeypatch, ca
     mutate(doc)
     code, out, got = run_cli(["verify", "-"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
     assert (code, out, got) == (4, "", f"csverify: {err}\n")
+
+
+_ONE_STEP = '{"dim": 1, "steps": {"0": [["1"]]}}'
+
+
+@pytest.mark.parametrize("args, doc, err", [
+    (["monodromy", "-", "--center", "0"], '{"matrix": [["0"]]}',
+     "bad filtered space: filtered space must be a JSON object"),
+    (["monodromy", "-", "--center", "0"], '{"space": ' + _ONE_STEP + '}', "matrix must be an array of rows"),
+    (["fixture", "curve", "--graph", "-"], '{"edges": [[0, 0]]}', "vertices must be an integer, got null"),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": 5}', "'edges' must be an array of vertex pairs"),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0, 1, 1]]}',
+     "'edges' must be an array of vertex pairs"),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0]]}', "'edges' must be an array of vertex pairs"),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [0]}', "'edges' must be an array of vertex pairs"),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 2, "edges": [[0, 1]], "self": 5}',
+     "'self' must be an array of integers"),
+], ids=["nilpotent-no-space", "nilpotent-no-matrix", "graph-no-vertices", "edges-number", "edge-three-ends",
+        "edge-one-end", "edge-number", "self-number"])
+def test_document_input_error_names_its_field(args, doc, err, monkeypatch, capsys):
+    """A fault in a nilpotent operator or a dual graph names the field, never a Python internal
+    such as a bare key or "object is not iterable"."""
+    code, out, got = run_cli(args, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, got) == (4, "", f"csverify: {err}\n")
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["verify", "-"], '{"range": [0, 0], "A": {"0": {"dim": 10000000, "steps": {}}}}'),
+    (["monodromy", "-", "--center", "0"], '{"space": {"dim": 10000000, "steps": {}}, "matrix": []}'),
+], ids=["instance", "nilpotent"])
+def test_declared_dimension_allocates_nothing(args, doc, monkeypatch, capsys):
+    """A space declared with ten million dimensions and no steps is refused before any row of that length is built."""
+    zero_subspace.cache_clear()  # zero spaces cached by an earlier run would hide the allocation
+    Matrix.zero.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "") and "filtration is not exhaustive" in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("args, doc, target, error", [
+    (["monodromy", "-", "--center", "0"], '{"space": ' + _ONE_STEP + ', "matrix": [["0"]]}',
+     "centered_filtration_recursive", FiltrationError("step at weight 3 lives in Q^2, not Q^4")),
+    (["fixture", "curve", "--graph", "-"], '{"vertices": 1, "edges": []}',
+     "curve_cs_instance", DimensionMismatchError("cannot multiply 2x3 by 2x3")),
+], ids=["monodromy", "fixture"])
+def test_internal_fault_is_not_bad_input(args, doc, target, error, monkeypatch, capsys):
+    """Only the readers decide what is the input's fault: an error the program raises on valid
+    input escapes ``main`` (a traceback, exit 1) instead of passing as exit 4."""
+    def fail(*_):
+        raise error
+    monkeypatch.setattr(f"csverify.cli.{target}", fail)
+    with pytest.raises(type(error), match=re.escape(str(error))):
+        run_cli(args, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
 
 
 @pytest.mark.parametrize("doc, err", [

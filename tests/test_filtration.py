@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csverify.filtration import (
-    ComposabilityError,
     ExactnessVerdict,
     FiltrationError,
     FilteredMap,
@@ -25,6 +24,7 @@ from csverify.filtration import (
 )
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, random_invertible
 from csverify.linalg import (
+    DimensionMismatchError,
     Matrix,
     canonicalize,
     coords_map,
@@ -287,7 +287,7 @@ def test_composability_checked():
     v = two_step()
     f = FilteredMap(v, v, Matrix.identity(2))
     g = FilteredMap(FilteredSpace.pure(1, 2), FilteredSpace.pure(1, 2), Matrix.identity(1))
-    with pytest.raises(ComposabilityError):
+    with pytest.raises(DimensionMismatchError):
         exactness_at(f.matrix, g.matrix)
 
 

@@ -5,7 +5,8 @@ document itself is one) is replaced by a value of another type or an
 out-of-place number, a key is deleted or renamed.  Or one list changes
 length: an element is dropped, duplicated or appended, or the list is
 cleared.  Whatever the mutation, `main` returns a documented exit code
-(0, 2, 3 or 4) and no exception or traceback escapes it.  The documents
+(0, 2, 3 or 4), no exception or traceback escapes it, and stderr
+names the faulty field rather than a Python internal.  The documents
 are a generated instance (run through `verify` with each `--thm` and
 `--prop all`), a nilpotent operator (`monodromy`) and a dual graph
 (`fixture curve`).
@@ -15,6 +16,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import sys
 
 from hypothesis import given, settings
@@ -115,8 +117,12 @@ def run(args, stdin_text):
             code = main(args)
     finally:
         sys.stdin = saved
-    assert code in DOCUMENTED_EXITS, (args, stdin_text, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    text = err.getvalue()
+    assert code in DOCUMENTED_EXITS, (args, stdin_text, text)
+    assert "Traceback" not in text
+    # the readers name the faulty field, never a Python internal such as a KeyError's bare key
+    assert not any(internal in text for internal in ("object has no attribute", "is not iterable", "values to unpack"))
+    assert not re.search(r": '[^']*'$", text, re.M), text
 
 
 @settings(max_examples=80, deadline=None)
