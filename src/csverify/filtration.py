@@ -137,19 +137,21 @@ def tate_twist(v: FilteredSpace, n: int) -> FilteredSpace:
     return shifted(v.dim, v.steps, -2 * n)
 
 
-def direct_sum(x: FilteredSpace, y: FilteredSpace) -> FilteredSpace:
-    """Block direct sum, x in the leading coordinates.
+def direct_sum(*spaces: FilteredSpace) -> FilteredSpace:
+    """Block direct sum of any number of spaces, each in the coordinates after those before it.
 
-    Each step stacks x's reduced basis over y's, shifted by x.dim; the stack is already
-    in reduced echelon form (pivots x's, then y's + x.dim), so it needs no elimination."""
-    dim = x.dim + y.dim
-    pad_x, pad_y = (0,) * x.dim, (0,) * y.dim
+    Each step stacks every summand's reduced basis, padded to its block; the stack is already in
+    reduced echelon form (pivots shifted by the dimensions before), so it needs no elimination."""
+    dim = sum(x.dim for x in spaces)
     steps = {}
-    for w in sorted(set(x.jumps) | set(y.jumps)):
-        xs, ys = x.step(w), y.step(w)
-        rows = (tuple((r + pad_y, d) for r, d in xs.basis.irows)
-                + tuple((pad_x + r, d) for r, d in ys.basis.irows))
-        steps[w] = Subspace(dim, Matrix.of(len(rows), dim, rows), xs.pivots + tuple(p + x.dim for p in ys.pivots))
+    for w in sorted(set().union(*(x.jumps for x in spaces))):
+        rows, pivots, before = [], [], 0
+        for x in spaces:
+            sub, left, right = x.step(w), (0,) * before, (0,) * (dim - before - x.dim)
+            rows += [(left + r + right, d) for r, d in sub.basis.irows]
+            pivots += [p + before for p in sub.pivots]
+            before += x.dim
+        steps[w] = Subspace(dim, Matrix.of(len(rows), dim, tuple(rows)), tuple(pivots))
     return FilteredSpace(dim, steps)
 
 

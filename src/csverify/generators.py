@@ -20,9 +20,11 @@ curve fixtures; only the draws and the tampers live here.  Exact sequences
 of filtered spaces with strict maps are graded-split, so building split and
 conjugating loses no generality for testing purposes.  The weights come
 from the library's own constructions: the Jordan chains go through
-``monodromy.chain_filtration``, the kernel and cokernel weights through
+``linalg.chain_steps``, the kernel and cokernel weights through
 ``filtration.induced_on_subspace``/``induced_on_quotient``, and the adapted
 bases of the automorphisms through ``filtration.graded_complement``.
+Nothing is checked here: each P_k, off-centre too, is one ``_jordan_pair``
+draw, and each node one ``filtration.direct_sum`` of its summands.
 Adversarial variants break exactly one named hypothesis by editing the
 summands before the conjugation step: a pure line added to A_t and B_t
 under one name breaks a weight bound or strictness, moving coker(N_{t-1})
@@ -38,9 +40,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, Optional, Tuple
 
-from .filtration import FilteredSpace, direct_sum, graded_complement
-from .linalg import Matrix, inverse, ratio_row, transpose, vstack
-from .monodromy import NilpotentOp, centered_filtration, chain_filtration
+from .filtration import FilteredSpace, direct_sum, graded_complement, shifted
+from .linalg import Matrix, chain_steps, inverse, ratio_row, transpose, vstack
+from .monodromy import NilpotentOp
 from .verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -154,9 +156,9 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
     return t, inverse(t)
 
 
-def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[FilteredSpace, NilpotentOp]:
-    """Nilpotent of the given Jordan type with the filtration centered at
-    ``center``, conjugated by a random invertible matrix."""
+def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[FilteredSpace, Matrix]:
+    """Nilpotent of the given Jordan type conjugated by a random invertible t, with the filtration
+    centered at ``center`` that t's columns span as chains: a basis, so its steps need no check."""
     t = random_invertible(rng, dim)
     columns = transpose(t).irows
     entries = [[0] * dim for _ in range(dim)]
@@ -166,8 +168,7 @@ def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[Filt
             entries[j - 1][j] = 1  # N e_j = e_{j-1}, so t e_j, last first, is a chain of t N t^-1
         chains.append(columns[start:start + s][::-1])
         start += s
-    space = chain_filtration(chains, dim, center)
-    return space, NilpotentOp(space, t @ Matrix.from_rows(entries, ncols=dim) @ inverse(t))
+    return shifted(dim, chain_steps(chains, dim), center), t @ Matrix.from_rows(entries, ncols=dim) @ inverse(t)
 
 
 def _partition(rng: random.Random, total: int, cap: int, least: int):
@@ -183,22 +184,17 @@ def _partition(rng: random.Random, total: int, cap: int, least: int):
     return sizes
 
 
-def gen_centered_mhs(seed, dim: int, k: int,
-                     max_block: Optional[int] = None) -> Tuple[FilteredSpace, NilpotentOp]:
+def gen_centered_mhs(seed, dim: int, k: int) -> Tuple[FilteredSpace, NilpotentOp]:
     """A random nilpotent with weight filtration centered at k.
 
     Picks a random Jordan type of total size ``dim``, writes the operator
     in Jordan form, assigns the centered filtration along the chains and
-    conjugates both by a random invertible matrix.  The result is verified
-    internally: the space's filtration equals the centered filtration of
-    the operator.
+    conjugates both by a random invertible matrix.  Nothing compares it with
+    ``centered_filtration``; ``NilpotentOp`` checks nilpotency and N.W_i <= W_{i+2}.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    cap = dim if max_block is None else min(dim, max(1, max_block))
-    space, op = _jordan_pair(rng, _partition(rng, dim, cap, 1), dim, k)
-    if centered_filtration(op.matrix, k) != space:
-        raise InconsistencyError("generated filtration is not the centered filtration of the operator")
-    return space, op
+    space, matrix = _jordan_pair(rng, _partition(rng, dim, dim, 1), dim, k)
+    return space, NilpotentOp(space, matrix)
 
 
 # tampered hypothesis -> weights, as offsets from t, of the line b_t carries from B_t onto A_t
@@ -243,17 +239,15 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
 
     p_family, n_family = {}, {}
     for k in p_degrees:
-        if broken == "P_centering" and k == t:
-            # off-center node: all Jordan blocks of size >= 2 keep the kernel
-            # and cokernel bounds valid for the filtration centered one higher,
-            # so only the centering hypothesis fails
-            sizes = _partition(rng, p_dims[k], MAX_JORDAN_BLOCK, 2)
-            space, op = _jordan_pair(rng, sizes, p_dims[k], k + 1)
-        else:
-            space, op = gen_centered_mhs(rng, p_dims[k], k, max_block=MAX_JORDAN_BLOCK)
+        # an off-center node (P_centering's at t) has Jordan blocks of size >= 2 only: they keep the
+        # kernel and cokernel bounds valid for the filtration centered one higher, so only the
+        # centering hypothesis fails
+        off = broken == "P_centering" and k == t
+        space, matrix = _jordan_pair(rng, _partition(rng, p_dims[k], MAX_JORDAN_BLOCK, 2 if off else 1),
+                                     p_dims[k], k + 1 if off else k)
         if space.dim:
             p_family[k] = space
-            n_family[k] = op.matrix
+            n_family[k] = matrix
 
     parts, c_family, r_family, s_family = assemble_row(p_family, n_family, range(a - 2, b + 1))
 
@@ -282,7 +276,7 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
     if broken in _ZEROED_MAP:
         del maps[_ZEROED_MAP[broken]][t]
 
-    spaces = {node: {k: reduce(direct_sum, table[(node, k)].values()) for k in range(a, b + 1)}
+    spaces = {node: {k: direct_sum(*table[(node, k)].values()) for k in range(a, b + 1)}
               for node in "AB"}
     inst = CSInstance((a, b), {**spaces, "C": c_family, "P": p_family}, maps)
     return _conjugate(inst, rng)

@@ -27,7 +27,7 @@ square matrix; its step ker f is the kernel memo), ``jordan_chains``
 filtration centered at 0 that the chains span) and the full column
 space behind ``image`` are each that memoised function itself.
 ``chain_steps`` is the one place where chains become weights, for these
-steps and for ``monodromy.chain_filtration`` alike; it adds one weight
+steps and for the generators' Jordan forms alike; it adds one weight
 at a time to the reduced basis of the step below.  Every kernel is one
 elimination (``null_space``), ``within(t, s)`` (t . s in t's coordinates, behind
 intersections, induced filtrations and the monodromy recursion) too.  The zero

@@ -29,11 +29,8 @@ The two share the flag but no chain or recursion logic.  Uniqueness
 makes their agreement a sharp cross-check, run by every `monodromy`
 command and at scale by the test suite.  ``linalg.chain_steps`` is the
 one place that turns chains into weights: the matrix's centre-0 steps
-come from it, and so does ``chain_filtration``, which the generators
-call on the chains of a Jordan form, so the generator's self-check
-compares two filtrations that differ in their chains, not in the
-routine; as it takes arbitrary rows, ``chain_filtration`` validates its
-result.  The axiom check takes graded pieces from
+come from it, and so do the generators' P_k, from the chains of a Jordan
+form.  The axiom check takes graded pieces from
 ``filtration.graded_complement``.
 """
 
@@ -49,7 +46,6 @@ from .linalg import (
     Matrix,
     canonicalize,
     centered_steps,
-    chain_steps,
     coords_map,
     full_subspace,
     image,
@@ -113,16 +109,6 @@ class CenteredFiltration:
 
     center: int
     filtration: FilteredSpace
-
-
-def chain_filtration(chains, dim: int, k: int) -> FilteredSpace:
-    """Centered weight filtration at k on Q^dim, from Jordan chains.
-
-    Each chain is given head first, (v, Nv, ..., N^{m-1}v), its vectors
-    in the stored row form of ``Matrix.irows``, and its vectors get the
-    weights k+m-1, k+m-3, ..., k-m+1.
-    """
-    return FilteredSpace(dim, {w + k: sub for w, sub in chain_steps(chains, dim)})
 
 
 def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:

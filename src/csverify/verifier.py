@@ -52,7 +52,7 @@ unipotent geometric form of the spliced sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .filtration import (
@@ -194,7 +194,7 @@ def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix]
     c_family, r_family, s_family = {}, {}, {}
     for k in degrees[1:]:
         summands = node_summands("C", k, parts)
-        c_family[k] = reduce(direct_sum, summands.values())
+        c_family[k] = direct_sum(*summands.values())
         r_family[k] = into_summand(summands, ("coker", k - 1), coker_map[k - 1])
         s_family[k] = transpose(into_summand(summands, ("ker", k), ker_basis[k]))
     return parts, c_family, r_family, s_family

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csverify import generators
+from csverify import generators, linalg
 from csverify.filtration import FilteredSpace, graded_complement
 from csverify.generators import (
     GenProfile,
@@ -61,6 +61,17 @@ def test_gen_centered_satisfies_axioms():
         space, op = gen_centered_mhs(split_seed(3, i), dim, k)
         assert space == op.space
         assert verify_centered_axioms(monodromy_filtration(op, k), op).ok
+
+
+def test_generation_checks_nothing(monkeypatch):
+    """Generation builds and ``verifier.checked`` checks: drawing a clean or tampered instance derives
+    no Jordan chains and wraps no P_k in a NilpotentOp, whose constructor checks it."""
+    monkeypatch.setattr(linalg, "jordan_chains", lambda f: pytest.fail("Jordan chains derived"))
+    monkeypatch.setattr(generators, "NilpotentOp", lambda *args: pytest.fail("NilpotentOp built"))
+    for seed in range(1, 4):
+        gen_cs_instance(GenProfile(seed=seed, max_dim_per_node=10))
+        for tag in BREAKABLE_HYPOTHESES:
+            gen_adversarial(GenProfile(seed=seed, max_dim_per_node=10, broken_hypothesis=tag))
 
 
 def test_gen_cs_rejects_broken_profile():

@@ -106,6 +106,29 @@ def test_invariant_cycles_with_trivial_monodromy():
     assert verify_invariant_cycles(inst, 0, report=report).exact
 
 
+@pytest.mark.parametrize("p, c, b, failure", [
+    (0, 0, 0, ("B_bound", 1)),
+    (2, 2, 2, ("P_centering", 0)),
+    (0, 1, 1, ("strictness", ("s", 0))),
+])
+def test_one_dimensional_witnesses_that_hypotheses_bear_load(p, c, b, failure):
+    """P_0 = Q at weight p with N = 0, C_0 = Q at weight c, B_1 = Q at weight b, C_1 = B_2 = Q at
+    weight p+2, s_0 = r_1 = c_0 = c_1 = 1 and no A.  Each choice of weights fails one hypothesis
+    alone, and then exactly P1 at 0 and P3 at -1 are non-exact: ker N_0 = P_0 and B_1 are each
+    the kernel of their conclusion, with nothing mapping in (A_0 = 0, P_{-1} = 0)."""
+    def line(w):
+        return {"dim": 1, "steps": {str(w): [["1"]]}}
+    one = [["1"]]
+    inst = instance_from_json({
+        "range": [0, 2], "P": {"0": line(p)}, "C": {"0": line(c), "1": line(p + 2)},
+        "B": {"1": line(b), "2": line(p + 2)},
+        "row": {"s": {"0": one}, "r": {"1": one}}, "col": {"c": {"0": one, "1": one}}})
+    assert check_instance_hypotheses(inst).failures() == [failure]
+    non_exact = {(which, k): (v.reason, v.witness) for k in inst.degrees(pad=2) for which in CONCLUSIONS
+                 if not (v := conclusion_exactness(inst, which, k)).exact}
+    assert non_exact == {("P1", 0): ("kernel_exceeds_image", (1,)), ("P3", -1): ("kernel_exceeds_image", (1,))}
+
+
 def test_gating_refuses_dirty_instances():
     inst = gen_adversarial(GenProfile(seed=5, broken_hypothesis="A_bound"))
     report = check_instance_hypotheses(inst)
