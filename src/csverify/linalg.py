@@ -14,18 +14,19 @@ elimination is fraction-free, a product scales the right factor to one
 denominator and reduces each output row by one gcd.  ``times_transpose(a,
 b)`` is a.b^T by the same rule with b's rows in place of columns, so a
 map applied to the rows of a basis (images, containment, intersections,
-Jordan chains, the monodromy axiom check) builds no transpose, and a
-subspace's free columns are read off its scaled basis.  Fractions are built
-only at the boundary: ``Matrix.rows`` builds them on each read, and
-``serialize`` formats and parses the integers.  ``Matrix.from_rows`` is
-the one constructor that takes rows of ints and Fractions; callers that
-build matrices in bulk write the stored form through ``Matrix.of`` and
-``ratio_row``.  Each derived object is computed once and kept on the
-matrix by one helper, ``_kept``: ``kernel``, ``kernel_flag`` (for a
-square matrix; its step ker f is the kernel memo), ``jordan_chains``
-(built from the flag), ``centered_steps`` (the steps of the weight
-filtration centered at 0 that the chains span) and the full column
-space behind ``image`` are each that memoised function itself.
+Jordan chains, the monodromy axiom check) builds no transpose.  Fractions
+are built only at the boundary: ``Matrix.rows`` builds them on each read,
+and ``serialize`` formats and parses the integers.  ``Matrix.from_rows``
+is the one constructor that takes rows of ints and Fractions; callers
+that build matrices in bulk write the stored form through ``Matrix.of``
+and ``ratio_row``.  Each derived object is computed once and kept on its
+matrix or subspace by one helper, ``_kept``: ``kernel``, ``kernel_flag``
+(for a square matrix; its step ker f is the kernel memo),
+``jordan_chains`` (built from the flag), ``centered_steps`` (the steps of
+the weight filtration centered at 0 that the chains span), the full
+column space behind ``image`` and a subspace's ``quotient_map`` (read off
+its scaled basis: the one reduction modulo a subspace, behind every
+containment, cokernel and ``within``) are each that memoised function.
 ``chain_steps`` is the one place where chains become weights, for these
 steps and for the generators' Jordan forms alike; it adds one weight
 at a time to the reduced basis of the step below.  Every kernel is one
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -282,20 +283,10 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
-    @cached_property
-    def _free_columns(self) -> tuple:
-        """(j, numerators, denominator) of each non-pivot column j of the basis, in lowest terms,
-        read off the rows scaled to one denominator; no pivot column is built."""
-        den, scaled = _scaled(self.basis.irows)
-        pivot_set = set(self.pivots)
-        return tuple((j, *_lowest([r[j] for r in scaled], den)) for j in range(self.ambient_dim)
-                     if j not in pivot_set)
-
     def _residual(self, v) -> list:
-        """v - sum_i v[p_i] * row_i, which is zero on the pivot columns, read on the free
-        columns; v is integer numerators, and column j is scaled by its denominator."""
-        coeffs = [v[p] for p in self.pivots]
-        return [v[j] * d - sum(map(mul, coeffs, c)) for j, c, d in self._free_columns]
+        """v's integer numerators under the quotient map: v - sum_i v[p_i] * row_i, which is zero
+        on the pivot columns, read on each free column and scaled by that column's denominator."""
+        return [sum(map(mul, q, v)) for q, _ in quotient_map(self).irows]
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -341,12 +332,12 @@ def span_of_vectors(vectors: Sequence[Sequence[QLike]], ambient_dim: int) -> Sub
 
 
 def _kept(build):
-    """``build`` memoised on its matrix: build(f) runs on the first call for f, and its result is
-    kept on f under the name of ``build``, outside eq/hash/repr."""
+    """``build`` memoised on its matrix or subspace: build(f) runs on the first call for f, and its
+    result is kept on f under the name of ``build``, outside eq/hash/repr."""
     slot = "_" + build.__name__
 
     @wraps(build)
-    def kept(f: Matrix):
+    def kept(f):
         memo = f.__dict__
         if slot not in memo:
             memo[slot] = build(f)
@@ -380,7 +371,7 @@ def null_space(m: Matrix) -> Subspace:
     n = m.ncols
     rev = canonicalize(Matrix.of(m.nrows, n, tuple((r[::-1], d) for r, d in m.irows)))
     rows = tuple((r[::-1], d) for r, d in reversed(quotient_map(rev).irows))
-    pivots = tuple(n - 1 - j for j, _, _ in reversed(rev._free_columns))
+    pivots = tuple(j for j in range(n) if n - 1 - j not in rev.pivots)
     return Subspace(n, Matrix.of(len(rows), n, rows), pivots) if rows else zero_subspace(n)
 
 
@@ -481,22 +472,26 @@ def coords_map(s: Subspace) -> Matrix:
     return Matrix.of(s.dim, n, tuple((tuple(int(j == p) for j in range(n)), 1) for p in s.pivots))
 
 
+@_kept
 def quotient_map(s: Subspace) -> Matrix:
-    """Surjection Q^n -> Q^(n-dim s) with kernel exactly s, read off the reduced basis.
+    """Surjection Q^n -> Q^(n-dim s) with kernel exactly s, read off the reduced basis (kept on s).
 
     Free column j gives the row with 1 at j and -row_i[j] at the pivot of
     row i; it reads entry j of v's residual after reduction against s.
-    Over the column's denominator d that row is d at j and minus the
-    column's numerators at the pivots, already in lowest terms.
+    Column j, read off the basis scaled to one denominator, is c/d in lowest
+    terms, so over d the row is d at j and -c at the pivots.
     """
     n = s.ambient_dim
+    den, scaled = _scaled(s.basis.irows)
     rows = []
-    for j, c, d in s._free_columns:
-        v = [0] * n
-        v[j] = d
-        for p, x in zip(s.pivots, c):
-            v[p] = -x
-        rows.append((tuple(v), d))
+    for j in range(n):
+        if j not in s.pivots:
+            c, d = _lowest([r[j] for r in scaled], den)
+            v = [0] * n
+            v[j] = d
+            for p, x in zip(s.pivots, c):
+                v[p] = -x
+            rows.append((tuple(v), d))
     return Matrix.of(n - s.dim, n, tuple(rows))
 
 

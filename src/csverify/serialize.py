@@ -36,7 +36,7 @@ Schemas:
   nilpotent op     {"space": <filtered space>, "matrix": [[...]]}
   centered filt.   {"center": k, "dim": d, "steps": {...}}
   dual graph       {"vertices": v, "edges": [[i, j], ...], "self": [s_0...]?}
-                   ("self" is read, never written: s_j = -degree, loops twice)
+                   ("self" is read, never written: s_j = -(edges from j to other vertices))
   CS instance      {"range": [kmin, kmax], "A": {"<k>": <fs>, ...}, "B": ...,
                     "C": ..., "P": ..., "N": {"<k>": [[...]]},
                     "col": {"b": ..., "a": ..., "c": ...},
@@ -299,9 +299,9 @@ def graph_from_json(data) -> DualGraph:
     if selfs is not None:
         if len(selfs) != graph.vertices:
             raise SerializationError("bad dual graph: one self-intersection per vertex required")
-        ends = Counter(v for edge in graph.edges for v in edge)  # a loop's vertex twice
+        ends = Counter(v for i, j in graph.edges if i != j for v in (i, j))  # a loop meets no other curve
         if selfs != [-ends[v] for v in range(graph.vertices)]:
-            raise SerializationError("fixture curve needs self-intersection -degree at every vertex")
+            raise SerializationError("fixture curve needs self-intersection minus the edges to other vertices")
     return graph
 
 

@@ -57,6 +57,70 @@ MUTANTS = (
            "by_weight.setdefault(m - 2 * pos, [])",
            ("tests/test_monodromy.py::test_chain_filtration_matches_the_from_scratch_reference",
             "tests/test_generators.py::test_jordan_pair_matches_reference_weights")),
+    Mutant("csverify/linalg.py",  # a quotient row with its pivot entries of the wrong sign
+           "v[p] = -x",
+           "v[p] = x",
+           ("tests/test_linalg_oracle.py::test_quotient_map_matches_the_transposed_basis",
+            "tests/test_linalg.py::test_membership_and_quotient_maps")),
+    Mutant("csverify/linalg.py",  # the kernel's pivots read at the reversed pivot columns, not the free ones
+           "if n - 1 - j not in rev.pivots",
+           "if n - 1 - j in rev.pivots",
+           ("tests/test_linalg_oracle.py::test_null_space_matches_reference_kernel",)),
+    Mutant("csverify/serialize.py",  # "self" counting a loop's vertex twice again
+           "for i, j in graph.edges if i != j for v in (i, j)",
+           "for i, j in graph.edges for v in (i, j)",
+           ("tests/test_serialize.py::test_self_list_is_the_intersection_diagonal_loops_included",
+            "tests/test_cli.py::test_fixture_bytes_pinned")),
+    # each hypothesis verdict made to pass anything
+    Mutant("csverify/verifier.py",
+           'verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)',
+           'verdicts["A_bound"][k] = True',
+           ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[A_bound]",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
+    Mutant("csverify/verifier.py",
+           'verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)',
+           'verdicts["B_bound"][k] = True',
+           ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[B_bound]",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
+    Mutant("csverify/verifier.py",
+           'verdicts["P_centering"][k] = centered',
+           'verdicts["P_centering"][k] = True',
+           ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[P_centering]",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
+    Mutant("csverify/filtration.py",  # the strictness count never compared
+           "if mapped != im.dim + step.dim - im.sum(step).dim:",
+           "if False:",
+           ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[strictness]",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
+    Mutant("csverify/verifier.py",  # the six exactness hypotheses always exact, the conclusions untouched
+           "verdicts[category][(k, node)] = _exactness(inst, k, *arrows)",
+           "verdicts[category][(k, node)] = ExactnessVerdict(True)",
+           ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]",
+            "tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[row_exact]")),
+    Mutant("csverify/verifier.py",  # _exactness always exact, hypotheses and conclusions alike
+           "return exactness_at(inst.map(label, k + d), inst.map(g[0], k + g[1]))",
+           "return ExactnessVerdict(True)",
+           ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
+    # each CONCLUSIONS row with one degree offset moved by one
+    Mutant("csverify/verifier.py",
+           '"P1": (("sa", 0), ("N", 0), (("P_centering", 0), ("B_bound", 1))),',
+           '"P1": (("sa", 0), ("N", 0), (("P_centering", 0), ("B_bound", 2))),',
+           ("tests/test_verifier.py::test_conclusions_match_reference_on_clean_and_curve_instances",)),
+    Mutant("csverify/verifier.py",
+           '"P2": (("N", 0), ("cr", 1), (("P_centering", 0), ("A_bound", 1))),',
+           '"P2": (("N", 0), ("cr", 0), (("P_centering", 0), ("A_bound", 1))),',
+           ("tests/test_verifier.py::test_conclusions_match_reference_on_clean_and_curve_instances",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
+    Mutant("csverify/verifier.py",
+           '"P3": (("cr", 1), ("b", 2), (("B_bound", 2), ("P_centering", 1))),',
+           '"P3": (("cr", 1), ("b", 2), (("B_bound", 2), ("P_centering", 0))),',
+           ("tests/test_verifier.py::test_conclusions_match_reference_on_clean_and_curve_instances",)),
+    Mutant("csverify/verifier.py",
+           '"P4": (("b", 0), ("sa", 0), (("A_bound", 0), ("P_centering", -1))),',
+           '"P4": (("b", -1), ("sa", 0), (("A_bound", 0), ("P_centering", -1))),',
+           ("tests/test_verifier.py::test_conclusions_match_reference_on_clean_and_curve_instances",
+            "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
 )
 
 

@@ -440,15 +440,16 @@ def test_fixture_bytes_pinned(monkeypatch, capsys):
             edges = [[labels[j], labels[rng.randrange(j)]] for j in range(1, v)]
             edges += [[rng.randrange(v), rng.randrange(v)] for _ in range(b1)]
             documents.append({"vertices": v, "edges": edges})
-    rejected = [{"vertices": 1, "edges": [[0, 0]], "self": [0]},
+    rejected = [{"vertices": 1, "edges": [[0, 0]], "self": [-2]},
                 {"vertices": 2, "edges": [[0, 1], [0, 1]], "self": [0, -2]}]
-    documents += [{"vertices": 1, "edges": [[0, 0]], "self": [-2]}, *rejected]  # -2: -degree, a loop counted twice
+    documents += [{"vertices": 1, "edges": [[0, 0]], "self": [0]}, *rejected]  # I_1: a loop adds nothing, C^2 = 0
     digest = hashlib.sha256()
     for document in documents:
         code, out, err = run_cli(["fixture", "curve", "--graph", "-"], stdin_text=json.dumps(document),
                                  monkeypatch=monkeypatch, capsys=capsys)
         if document in rejected:
-            assert (code, err) == (4, "csverify: fixture curve needs self-intersection -degree at every vertex\n")
+            assert (code, err) == (
+                4, "csverify: fixture curve needs self-intersection minus the edges to other vertices\n")
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "829ca438c95a85e33271915a1a347082fe6080be6bb0360cdf33e6aea3fde24f"
 

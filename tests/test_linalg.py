@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from csverify.linalg import (
     image,
     inverse,
     kernel,
+    maps_into,
     quotient_map,
     rank,
     rref,
@@ -159,6 +161,25 @@ def test_membership_and_quotient_maps():
         q = quotient_map(s)
         assert kernel(q) == s
         assert image(q).dim == n - s.dim  # surjective
+
+
+def test_quotient_map_kept_on_its_subspace():
+    """Containment, ``within`` and ``maps_into`` all read the one quotient map kept on s."""
+    s = span_of_vectors([[1, 2, 0, 1], [0, 1, 3, 0]], 4)
+    t = span_of_vectors([[1, 3, 3, 1]], 4)
+    u = span_of_vectors([[0, 1, 0, 0], [0, 0, 1, 1]], 4)
+    first = quotient_map(s)
+    assert s.contains(t) and within(t, s).dim == 1
+    assert not maps_into(Matrix.identity(4), u, s)
+    assert quotient_map(s) is first
+    assert quotient_map(linalg.zero_subspace(3)) is quotient_map(linalg.zero_subspace(3))
+
+
+def test_linalg_keeps_no_cached_property():
+    """Every derived object goes through ``_kept``; no class of linalg memoises a second way."""
+    assert not hasattr(linalg, "cached_property")
+    for cls in (v for v in vars(linalg).values() if isinstance(v, type) and v.__module__ == linalg.__name__):
+        assert not any(isinstance(attr, cached_property) for attr in vars(cls).values()), cls
 
 
 def test_within_reads_the_intersection_in_the_basis_of_t():

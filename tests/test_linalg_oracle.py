@@ -6,7 +6,7 @@ The reference functions below are the straightforward Fraction loops
 integers and eliminate fraction-free; both must give the same pivots,
 the same entries, Fraction-typed, with the same printed form.
 
-The product with a transpose that builds none, the free columns read
+The product with a transpose that builds none, the quotient map read
 off a reduced basis, the image and kernel kept on each Matrix, the
 kernel read off one elimination of the reversed columns, the row-by-row
 test of f(S) <= T, the greedy basis extension, the sum that skips
@@ -30,6 +30,7 @@ from csverify.linalg import (
     kernel,
     maps_into,
     null_space,
+    quotient_map,
     rref,
     span_of_vectors,
     times_transpose,
@@ -376,9 +377,18 @@ def test_times_transpose_matches_product_with_transpose(pair):
     same_entries(got.rows, ref_matmul(a, transpose(b)))
 
 
-def ref_free_columns(s):
-    """(j, numerators, denominator) of each free column, read off the transposed basis."""
-    return tuple((j, c, d) for j, (c, d) in enumerate(transpose(s.basis).irows) if j not in s.pivots)
+def ref_quotient_rows(s):
+    """One stored row per free column j, read off the transposed basis: column j in lowest terms
+    c/d gives the row d at j and -c at the pivots."""
+    rows = []
+    for j, (c, d) in enumerate(transpose(s.basis).irows):
+        if j not in s.pivots:
+            row = [0] * s.ambient_dim
+            row[j] = d
+            for p, x in zip(s.pivots, c):
+                row[p] = -x
+            rows.append((tuple(row), d))
+    return tuple(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -386,8 +396,15 @@ def ref_free_columns(s):
 @example(Matrix.from_rows([], ncols=4))
 @example(Matrix.from_rows([[]] * 3, ncols=0))
 @example(Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [0, 0, Fraction(7, 3)]]))
-def test_free_columns_match_the_transposed_basis(m):
-    """For bases from canonicalize, null_space and zero_subspace, the free columns read straight
-    off the basis are those of the transpose, in lowest terms per column."""
-    for s in (canonicalize(m), null_space(m), zero_subspace(m.ncols), full_subspace(m.ncols)):
-        assert s._free_columns == ref_free_columns(s)
+def test_quotient_map_matches_the_transposed_basis(m):
+    """For bases from canonicalize, null_space and zero_subspace, the quotient map read off the
+    scaled basis has the rows read off the transpose, and ``_residual`` of a vector's numerators
+    is those rows applied to it: m's rows and the unit vectors."""
+    n = m.ncols
+    vectors = [r for r, _ in m.irows] + [r for r, _ in Matrix.identity(n).irows]
+    for s in (canonicalize(m), null_space(m), zero_subspace(n), full_subspace(n)):
+        want = ref_quotient_rows(s)
+        got = quotient_map(s)
+        assert (got.nrows, got.ncols, got.irows) == (n - s.dim, n, want)
+        for v in vectors:
+            assert s._residual(v) == [sum(q[i] * v[i] for i in range(n)) for q, _ in want]

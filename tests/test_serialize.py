@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
+from csverify.degenerations import curve_cs_instance, cycle_graph, intersection_matrix, theta_graph
 from csverify.filtration import FilteredSpace, full_subspace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, ratio_row, span_of_vectors
@@ -95,6 +96,25 @@ def test_graph_round_trip():
     assert graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-2, -2]}) == cycle_graph(2)
     with pytest.raises(SerializationError):
         graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-5, 1]})
+
+
+def test_self_list_is_the_intersection_diagonal_loops_included():
+    """"self" is read against the matrix ``fixture curve`` builds: C_j^2 is minus the edges from j to
+    other vertices, and a loop adds nothing (F.C_j = 0).  On random connected multigraphs, each with
+    a loop, the diagonal of intersection_matrix is accepted and every entry moved by one is refused."""
+    rng = random.Random(3)
+    for _ in range(100):
+        v = rng.randint(1, 7)
+        edges = [[j, rng.randrange(j)] for j in range(1, v)]
+        edges += [[rng.randrange(v), rng.randrange(v)] for _ in range(rng.randint(0, 4))]
+        edges += [[i, i] for i in rng.sample(range(v), rng.randint(1, v))]
+        graph = {"vertices": v, "edges": edges}
+        diagonal = [int(row[j]) for j, row in enumerate(intersection_matrix(graph_from_json(graph)).rows)]
+        assert graph_from_json({**graph, "self": diagonal}) == graph_from_json(graph)
+        for j in range(v):
+            for step in (-1, 1):
+                with pytest.raises(SerializationError):
+                    graph_from_json({**graph, "self": diagonal[:j] + [diagonal[j] + step] + diagonal[j + 1:]})
 
 
 def test_instance_round_trip_generated():

@@ -106,6 +106,11 @@ def test_invariant_cycles_with_trivial_monodromy():
     assert verify_invariant_cycles(inst, 0, report=report).exact
 
 
+def _line(w):
+    """Q at weight w, as a filtered space of the instance JSON."""
+    return {"dim": 1, "steps": {str(w): [["1"]]}}
+
+
 @pytest.mark.parametrize("p, c, b, failure", [
     (0, 0, 0, ("B_bound", 1)),
     (2, 2, 2, ("P_centering", 0)),
@@ -116,17 +121,36 @@ def test_one_dimensional_witnesses_that_hypotheses_bear_load(p, c, b, failure):
     weight p+2, s_0 = r_1 = c_0 = c_1 = 1 and no A.  Each choice of weights fails one hypothesis
     alone, and then exactly P1 at 0 and P3 at -1 are non-exact: ker N_0 = P_0 and B_1 are each
     the kernel of their conclusion, with nothing mapping in (A_0 = 0, P_{-1} = 0)."""
-    def line(w):
-        return {"dim": 1, "steps": {str(w): [["1"]]}}
     one = [["1"]]
     inst = instance_from_json({
-        "range": [0, 2], "P": {"0": line(p)}, "C": {"0": line(c), "1": line(p + 2)},
-        "B": {"1": line(b), "2": line(p + 2)},
+        "range": [0, 2], "P": {"0": _line(p)}, "C": {"0": _line(c), "1": _line(p + 2)},
+        "B": {"1": _line(b), "2": _line(p + 2)},
         "row": {"s": {"0": one}, "r": {"1": one}}, "col": {"c": {"0": one, "1": one}}})
     assert check_instance_hypotheses(inst).failures() == [failure]
     non_exact = {(which, k): (v.reason, v.witness) for k in inst.degrees(pad=2) for which in CONCLUSIONS
                  if not (v := conclusion_exactness(inst, which, k)).exact}
     assert non_exact == {("P1", 0): ("kernel_exceeds_image", (1,)), ("P3", -1): ("kernel_exceeds_image", (1,))}
+
+
+@pytest.mark.parametrize("a, failure", [
+    (2, ("A_bound", 1)),
+    (1, ("strictness", ("a", 1))),
+])
+def test_one_dimensional_witnesses_that_a_bears_load(a, failure):
+    """P_0 = A_0 = C_0 = Q at weight 0 with N = 0, C_1 = Q at weight 2, A_1 = Q at weight a,
+    s_0 = a_0 = r_1 = a_1 = 1 and no B.  Each weight fails one hypothesis alone, and then exactly
+    P2 at 0 and P4 at 1 are non-exact: P_0(-1) and A_1 are each the kernel of their conclusion
+    (B = 0), with nothing mapping in (N_0 = 0, B_1 = 0).  Strictness of a_1 is a hypothesis that
+    neither row of CONCLUSIONS lists."""
+    one = [["1"]]
+    inst = instance_from_json({
+        "range": [0, 2], "P": {"0": _line(0)}, "A": {"0": _line(0), "1": _line(a)},
+        "C": {"0": _line(0), "1": _line(2)},
+        "row": {"s": {"0": one}, "r": {"1": one}}, "col": {"a": {"0": one, "1": one}}})
+    assert check_instance_hypotheses(inst).failures() == [failure]
+    non_exact = {(which, k): (v.reason, v.witness) for k in inst.degrees(pad=2) for which in CONCLUSIONS
+                 if not (v := conclusion_exactness(inst, which, k)).exact}
+    assert non_exact == {("P2", 0): ("kernel_exceeds_image", (1,)), ("P4", 1): ("kernel_exceeds_image", (1,))}
 
 
 def test_gating_refuses_dirty_instances():
