@@ -15,7 +15,9 @@ names standard input/output for piping.  `generate` (without `--break`)
 and `fixture curve` pass what they emit through ``verifier.checked``, the
 one place that self-check runs; `monodromy` prints only a filtration both
 constructions agree on.  `fixture curve` derives each C_j^2 from the dual
-graph alone.
+graph alone.  `generate` refuses, as exit 4, a `--max-dim` above
+``generators.MAX_GEN_DIM`` and a `--range` a:b with b - a above
+``generators.MAX_GEN_WIDTH``.
 
 `verify` reports (schema 3) hold verdicts only for the degree window,
 the declared degrees within 2 of a stored space; `trivial_degrees` lists

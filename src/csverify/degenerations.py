@@ -26,8 +26,7 @@ fixture it emits through ``verifier.checked``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .filtration import FilteredSpace
 from .linalg import Matrix, full_subspace, span_of_vectors, transpose
@@ -38,8 +37,7 @@ class DisconnectedGraphError(ValueError):
     """The dual graph of a fibre must be connected."""
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Dual graph of a degenerate fibre: loops and multi-edges allowed."""
 
     vertices: int

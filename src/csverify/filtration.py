@@ -9,7 +9,7 @@ counting dimensions: a FilteredMap keeps dim f(W_i) from its
 compatibility check, and no intersection of subspaces is formed.
 Exactness passes on a count too: the ranks of the two maps, read from
 the images they keep, and one composite; a kernel is built only to find
-the witness of a failure.
+the witness of a failure.  Both verdicts are named tuples, true iff they pass.
 
 Three constructions live here and nowhere else: the filtration a
 subspace inherits (``induced_on_subspace``, one elimination per step:
@@ -26,9 +26,8 @@ weight by -2n, so twisting by -1 raises all weights by 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .linalg import (
     DimensionMismatchError,
@@ -210,8 +209,7 @@ class FilteredMap:
         return f"FilteredMap({self.source!r} -> {self.target!r})"
 
 
-@dataclass(frozen=True)
-class StrictnessVerdict:
+class StrictnessVerdict(NamedTuple):
     strict: bool
     failing_weight: Optional[int] = None
     reason: Optional[str] = None
@@ -238,8 +236,7 @@ def strictness(f: FilteredMap) -> StrictnessVerdict:
     return StrictnessVerdict(True)
 
 
-@dataclass(frozen=True)
-class ExactnessVerdict:
+class ExactnessVerdict(NamedTuple):
     """Outcome of an image-equals-kernel test, with a failure witness.
 
     On failure the witness is either a vector of ker(g) outside im(f)

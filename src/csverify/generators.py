@@ -36,9 +36,8 @@ profile, so a profile determines its instance byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .filtration import FilteredSpace, direct_sum, graded_complement, shifted
 from .linalg import Matrix, chain_steps, inverse, ratio_row, transpose, vstack
@@ -74,28 +73,31 @@ def split_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
 class GenProfile:
-    """Parameters of one generation task."""
+    """Parameters of one generation task, each checked here: every input check of ``generate``."""
 
-    seed: int
-    max_dim_per_node: int = 6
-    degree_range: Tuple[int, int] = (0, 4)
-    broken_hypothesis: Optional[str] = None
+    __slots__ = ("seed", "max_dim_per_node", "degree_range", "broken_hypothesis")
 
-    def __post_init__(self):
-        if self.seed < 0:  # random.Random would seed with abs(seed)
+    def __init__(self, seed: int, max_dim_per_node: int = 6, degree_range: Tuple[int, int] = (0, 4),
+                 broken_hypothesis: Optional[str] = None):
+        if seed < 0:  # random.Random would seed with abs(seed)
             raise ValueError("seed must be >= 0")
-        if self.max_dim_per_node < 0:
+        if max_dim_per_node < 0:
             raise ValueError("max_dim_per_node must be >= 0")
-        if self.degree_range[0] > self.degree_range[1]:
+        if max_dim_per_node > MAX_GEN_DIM:
+            raise ValueError(f"max_dim_per_node must be <= {MAX_GEN_DIM}")
+        width = degree_range[1] - degree_range[0]
+        if width < 0:
             raise ValueError("empty degree range")
-        if self.broken_hypothesis is not None and self.broken_hypothesis not in BREAKABLE_HYPOTHESES:
-            raise ValueError(f"unknown hypothesis tag {self.broken_hypothesis!r}")
+        if width > MAX_GEN_WIDTH:
+            raise ValueError(f"degree range wider than {MAX_GEN_WIDTH}")
+        if broken_hypothesis is not None and broken_hypothesis not in BREAKABLE_HYPOTHESES:
+            raise ValueError(f"unknown hypothesis tag {broken_hypothesis!r}")
         # row_exact and P_centering tamper at a degree t <= k_max - 2, A_bound's absorbing variant inside
-        if (self.broken_hypothesis in ("row_exact", "P_centering", "A_bound")
-                and self.degree_range[1] - self.degree_range[0] < 2):
-            raise ValueError(f"degree range too narrow to break {self.broken_hypothesis}")
+        if broken_hypothesis in ("row_exact", "P_centering", "A_bound") and width < 2:
+            raise ValueError(f"degree range too narrow to break {broken_hypothesis}")
+        self.seed, self.max_dim_per_node = seed, max_dim_per_node
+        self.degree_range, self.broken_hypothesis = degree_range, broken_hypothesis
 
 
 def _rand_q(rng: random.Random) -> Tuple[int, int]:
@@ -319,8 +321,7 @@ def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:
                       profile=inst.profile)
 
 
-@dataclass(frozen=True)
-class LoadBearingResult:
+class LoadBearingResult(NamedTuple):
     """Outcome of the search for a hypothesis-dropping counterexample."""
 
     found: bool
@@ -334,6 +335,10 @@ class LoadBearingResult:
 
 # the largest Jordan block of a drawn P_k, and of the off-center node a P_centering tamper draws
 MAX_JORDAN_BLOCK = 3
+
+# GenProfile's caps on max_dim_per_node and on k_max - k_min: each P_k is dense, every degree is drawn
+MAX_GEN_DIM = 64
+MAX_GEN_WIDTH = 256
 
 # the tries search_load_bearing makes, the size and degrees of the instances it
 # draws, the hypotheses it breaks in turn, and the conclusions it tests

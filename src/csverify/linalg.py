@@ -43,7 +43,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, lcm
@@ -267,17 +266,24 @@ def rref(m: Matrix) -> tuple:
     return Matrix.of(len(reduced), m.ncols, tuple(reduced)), tuple(pivots)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^ambient_dim with canonical echelon basis.
 
     Construct through :func:`canonicalize`; the canonical form makes
-    set equality coincide with structural equality.
+    set equality coincide with structural equality, over (ambient_dim,
+    basis, pivots); what ``_kept`` keeps on it does not count.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    pivots: tuple
+    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple):
+        self.ambient_dim, self.basis, self.pivots = ambient_dim, basis, pivots
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.pivots == other.pivots and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis, self.pivots))
 
     @property
     def dim(self) -> int:

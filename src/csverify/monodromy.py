@@ -31,14 +31,14 @@ command and at scale by the test suite.  ``linalg.chain_steps`` is the
 one place that turns chains into weights: the matrix's centre-0 steps
 come from it, and so do the generators' P_k, from the chains of a Jordan
 form.  The axiom check takes graded pieces from
-``filtration.graded_complement``.
+``filtration.graded_complement``.  Its verdict, the bounds verdict and a
+``CenteredFiltration`` are named tuples; each verdict is true iff it passes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .filtration import FilteredSpace, graded_complement, shifted
 from .linalg import (
@@ -103,8 +103,7 @@ class NilpotentOp:
         return f"NilpotentOp(dim {self.space.dim}, index {self.index})"
 
 
-@dataclass(frozen=True)
-class CenteredFiltration:
+class CenteredFiltration(NamedTuple):
     """A candidate monodromy filtration: a center and the step data."""
 
     center: int
@@ -163,8 +162,7 @@ def monodromy_filtration_recursive(n: NilpotentOp, k: int,
     return CenteredFiltration(k, centered_filtration_recursive(n.matrix, k, section_rng))
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(NamedTuple):
     """Result of checking the two centered-filtration axioms."""
 
     ok: bool
@@ -205,8 +203,7 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
     return AxiomVerdict(True)
 
 
-@dataclass(frozen=True)
-class BoundsVerdict:
+class BoundsVerdict(NamedTuple):
     """Outcome of the kernel/cokernel weight-bound check.
 
     ``status`` is "ok", "hypothesis_not_satisfied" (the space's weight

@@ -51,8 +51,6 @@ unipotent geometric form of the spliced sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .filtration import (
@@ -302,22 +300,26 @@ class CSInstance:
         return f"CSInstance(degrees {self.k_min}..{self.k_max}, dims {self.node_dims()})"
 
 
-@dataclass(frozen=True)
 class HypothesisReport:
     """Per-degree verdicts for the hypotheses of a CSInstance.
 
-    ``verdicts`` maps each category of BREAKABLE_HYPOTHESES to its
-    verdicts: exactness keyed by (degree, node), bounds and centering by
-    degree (a bool each), strictness by (map label, degree).  A verdict
-    passes iff it is true, and the report is clean iff every verdict passes.
+    ``verdicts``, its one field and read-only, maps each category of
+    BREAKABLE_HYPOTHESES to its verdicts: exactness keyed by (degree,
+    node), bounds and centering by degree (a bool each), strictness by
+    (map label, degree).  A verdict passes iff it is true, and the report
+    is clean iff every verdict passes; the failures are listed once, here.
     """
 
-    verdicts: Dict[str, dict]
+    __slots__ = ("_verdicts", "_failures")
 
-    @cached_property
-    def _failures(self) -> Tuple[Tuple[str, object], ...]:
-        return tuple((category, key) for category in BREAKABLE_HYPOTHESES
-                     for key in sorted(key for key, verdict in self.verdicts[category].items() if not verdict))
+    def __init__(self, verdicts: Dict[str, dict]):
+        self._verdicts = verdicts
+        self._failures = tuple((category, key) for category in BREAKABLE_HYPOTHESES
+                               for key in sorted(key for key, verdict in verdicts[category].items() if not verdict))
+
+    @property
+    def verdicts(self) -> Dict[str, dict]:
+        return self._verdicts
 
     @property
     def clean(self) -> bool:
@@ -330,19 +332,25 @@ class HypothesisReport:
         return tuple(sorted({category for category, _ in self._failures}))
 
 
-@dataclass(frozen=True)
 class VerdictReport:
-    """Outcome of one exactness conclusion on a clean instance."""
+    """Outcome of one exactness conclusion on a clean instance; equal when all five fields are."""
 
-    proposition: str
-    degree: int
-    exact: bool
-    witness: Optional[tuple] = None
-    weights_used: Tuple[str, ...] = ()
+    __slots__ = ("proposition", "degree", "exact", "witness", "weights_used")
 
-    def __post_init__(self):
-        if self.exact and self.witness is not None:
+    def __init__(self, proposition: str, degree: int, exact: bool, witness: Optional[tuple] = None,
+                 weights_used: Tuple[str, ...] = ()):
+        if exact and witness is not None:
             raise ValueError("witness present on an exact verdict")
+        self.proposition, self.degree, self.exact = proposition, degree, exact
+        self.witness, self.weights_used = witness, weights_used
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerdictReport):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
 
 
 def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:

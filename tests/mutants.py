@@ -121,6 +121,59 @@ MUTANTS = (
            '"P4": (("b", -1), ("sa", 0), (("A_bound", 0), ("P_centering", -1))),',
            ("tests/test_verifier.py::test_conclusions_match_reference_on_clean_and_curve_instances",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
+    Mutant("csverify/linalg.py",  # the kernel flag without its step ker f^3
+           "    return tuple(flag) if flag[-2].dim < flag[-1].dim else tuple(flag[:-1])",
+           "    return tuple(flag[:3] + flag[4:]) if flag[-2].dim < flag[-1].dim else tuple(flag[:3] + flag[4:-1])",
+           ("tests/test_monodromy.py::test_kernel_flag_matches_dense_powers",
+            "tests/test_monodromy.py::test_jordan_three_recursive")),
+    Mutant("csverify/linalg.py",  # a.b^T with its rows left out of lowest terms
+           "_lowest([sum(map(mul, x, r)) for r in scaled], dx * den) for x, dx in a.irows))",
+           "(tuple([sum(map(mul, x, r)) for r in scaled]), dx * den) for x, dx in a.irows))",
+           ("tests/test_linalg.py::test_every_operation_stores_the_canonical_form",
+            "tests/test_monodromy.py::test_kernel_flag_matches_dense_powers")),
+    Mutant("csverify/linalg.py",  # within(t, s) reading s . t in s's coordinates
+           "return null_space(times_transpose(quotient_map(s), t.basis))",
+           "return null_space(times_transpose(quotient_map(t), s.basis))",
+           ("tests/test_linalg.py::test_within_reads_the_intersection_in_the_basis_of_t",
+            "tests/test_linalg.py::test_intersect_planes")),
+    Mutant("csverify/monodromy.py",  # the recursion lifting at im_in_k's pivots, not its free coordinates
+           "if j not in im_in_k.pivots))",
+           "if j in im_in_k.pivots))",
+           ("tests/test_monodromy.py::test_jordan_three_recursive",
+            "tests/test_monodromy.py::test_recursive_section_independence")),
+    # the value types: subspaces equal whatever their bases, and an exact verdict with a witness accepted
+    Mutant("csverify/linalg.py",
+           "and self.pivots == other.pivots and self.basis == other.basis",
+           "and self.pivots == other.pivots",
+           ("tests/test_value_types.py::test_subspaces_of_one_span_are_one_key",
+            "tests/test_linalg.py::test_canonical_equality_matches_membership_oracle")),
+    Mutant("csverify/verifier.py",
+           "if exact and witness is not None:",
+           "if False:",
+           ("tests/test_verifier.py::test_witness_field_consistency",
+            "tests/test_value_types.py::test_verdict_report_equality_and_refusal")),
+    Mutant("csverify/filtration.py",  # an exactness verdict true as a nonempty tuple
+           "        return self.exact\n",
+           "        return True\n",
+           ("tests/test_value_types.py::test_each_verdict_is_true_iff_it_passes",
+            "tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]")),
+    # each ARROWS row and each SEQUENCES entry with one degree offset moved by one
+    *(Mutant("csverify/verifier.py", old, new,
+             ("tests/test_verifier.py::test_i1_fixture_clean_report",
+              f"tests/test_verifier.py::test_one_dimensional_witnesses_that_{witness}"))
+      for old, new, witness in (
+          ('"b": ("B", 0, "A", 0),', '"b": ("B", 0, "A", 1),', "a_bears_load"),
+          ('"a": ("A", 0, "C", 0),', '"a": ("A", 1, "C", 0),', "a_bears_load"),
+          ('"c": ("C", 0, "B", 1),', '"c": ("C", 0, "B", 0),', "hypotheses_bear_load"),
+          ('"r": ("P", -1, "C", 0),', '"r": ("P", 0, "C", 0),', "hypotheses_bear_load"),
+          ('"s": ("C", 0, "P", 0),', '"s": ("C", 0, "P", 1),', "hypotheses_bear_load"),
+          ('"N": ("P", 0, "P", 0),', '"N": ("P", 0, "P", 1),', "hypotheses_bear_load"),
+          ('"A": (("b", 0), ("a", 0))', '"A": (("b", 1), ("a", 0))', "a_bears_load"),
+          ('"C": (("a", 0), ("c", 0))', '"C": (("a", 0), ("c", 1))', "hypotheses_bear_load"),
+          ('"B": (("c", -1), ("b", 0))', '"B": (("c", 0), ("b", 0))', "hypotheses_bear_load"),
+          ('"C": (("r", 0), ("s", 0))', '"C": (("r", 1), ("s", 0))', "hypotheses_bear_load"),
+          ('"P": (("s", 0), ("N", 0))', '"P": (("s", 0), ("N", 1))', "hypotheses_bear_load"),
+          ('"P(-1)": (("N", 0), ("r", 1))', '"P(-1)": (("N", 0), ("r", 0))', "hypotheses_bear_load"))),
 )
 
 

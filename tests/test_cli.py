@@ -14,7 +14,7 @@ import pytest
 from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph, theta_graph
 from csverify.filtration import FiltrationError
-from csverify.generators import GenProfile, gen_centered_mhs, gen_cs_instance, split_seed
+from csverify.generators import MAX_GEN_DIM, MAX_GEN_WIDTH, GenProfile, gen_centered_mhs, gen_cs_instance, split_seed
 from csverify.linalg import DimensionMismatchError, Matrix, hstack, zero_subspace
 from csverify.serialize import dumps, graph_to_json, instance_to_json, nilpotent_to_json
 from csverify.verifier import (
@@ -566,6 +566,15 @@ def test_malformed_input_exit_four_without_traceback(args, stdin_text, monkeypat
     code, _, err = run_cli(args, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 4, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, err", [
+    ("--max-dim", str(MAX_GEN_DIM + 1), f"max_dim_per_node must be <= {MAX_GEN_DIM}"),
+    ("--range", f"0:{MAX_GEN_WIDTH + 1}", f"degree range wider than {MAX_GEN_WIDTH}"),
+], ids=["max-dim", "range"])
+def test_generate_size_past_its_cap_is_exit_four(flag, value, err, capsys):
+    """One past each cap is refused before anything is drawn."""
+    assert run_cli(["generate", "--seed", "1", flag, value], capsys=capsys) == (4, "", f"csverify: {err}\n")
 
 
 @pytest.mark.parametrize("rename, err", [

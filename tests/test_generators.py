@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from csverify import generators, linalg
 from csverify.filtration import FilteredSpace, graded_complement
 from csverify.generators import (
+    MAX_GEN_DIM,
+    MAX_GEN_WIDTH,
     GenProfile,
     _jordan_pair,
     _rand_q,
@@ -132,6 +134,26 @@ def test_adversarial_needs_wide_enough_range():
         assert gen_adversarial(GenProfile(seed=1, degree_range=(0, 2), broken_hypothesis=tag)).k_max == 2
     for tag in ("column_exact", "B_bound", "strictness"):
         assert gen_adversarial(GenProfile(seed=1, degree_range=(0, 0), broken_hypothesis=tag)).k_max == 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": 1, "max_dim_per_node": -1}, "max_dim_per_node must be >= 0"),
+    ({"seed": 1, "max_dim_per_node": MAX_GEN_DIM + 1}, f"max_dim_per_node must be <= {MAX_GEN_DIM}"),
+    ({"seed": 1, "degree_range": (3, 2)}, "empty degree range"),
+    ({"seed": 1, "degree_range": (-5, MAX_GEN_WIDTH - 4)}, f"degree range wider than {MAX_GEN_WIDTH}"),
+    ({"seed": 1, "broken_hypothesis": "a_bound"}, "unknown hypothesis tag 'a_bound'"),
+], ids=["seed", "max-dim-negative", "max-dim-cap", "range-empty", "range-cap", "tag"])
+def test_profile_refusals_keep_their_messages(kwargs, message):
+    with pytest.raises(ValueError) as refused:
+        GenProfile(**kwargs)
+    assert str(refused.value) == message
+
+
+def test_profile_accepts_the_size_caps():
+    """Each cap itself is accepted; nothing is drawn at it."""
+    profile = GenProfile(seed=1, max_dim_per_node=MAX_GEN_DIM, degree_range=(-5, MAX_GEN_WIDTH - 5))
+    assert (profile.max_dim_per_node, profile.degree_range) == (MAX_GEN_DIM, (-5, MAX_GEN_WIDTH - 5))
 
 
 def test_search_finds_witnessed_counterexample():

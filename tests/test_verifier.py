@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
@@ -132,20 +134,22 @@ def test_one_dimensional_witnesses_that_hypotheses_bear_load(p, c, b, failure):
     assert non_exact == {("P1", 0): ("kernel_exceeds_image", (1,)), ("P3", -1): ("kernel_exceeds_image", (1,))}
 
 
-@pytest.mark.parametrize("a, failure", [
-    (2, ("A_bound", 1)),
-    (1, ("strictness", ("a", 1))),
+@pytest.mark.parametrize("w, a, failure", [
+    (0, 2, ("A_bound", 1)),
+    (0, 1, ("strictness", ("a", 1))),
+    (-1, 1, ("P_centering", 0)),
 ])
-def test_one_dimensional_witnesses_that_a_bears_load(a, failure):
-    """P_0 = A_0 = C_0 = Q at weight 0 with N = 0, C_1 = Q at weight 2, A_1 = Q at weight a,
-    s_0 = a_0 = r_1 = a_1 = 1 and no B.  Each weight fails one hypothesis alone, and then exactly
-    P2 at 0 and P4 at 1 are non-exact: P_0(-1) and A_1 are each the kernel of their conclusion
-    (B = 0), with nothing mapping in (N_0 = 0, B_1 = 0).  Strictness of a_1 is a hypothesis that
-    neither row of CONCLUSIONS lists."""
+def test_one_dimensional_witnesses_that_a_bears_load(w, a, failure):
+    """P_0 = A_0 = C_0 = Q at weight w with N = 0, C_1 = Q at weight w+2, A_1 = Q at weight a,
+    s_0 = a_0 = r_1 = a_1 = 1 and no B.  Each choice of weights fails one hypothesis alone, and
+    then exactly P2 at 0 and P4 at 1 are non-exact: P_0(-1) and A_1 are each the kernel of their
+    conclusion (B = 0), with nothing mapping in (N_0 = 0, B_1 = 0).  Strictness of a_1 is a
+    hypothesis that neither row of CONCLUSIONS lists.  With the witnesses above, every weight
+    hypothesis of every CONCLUSIONS row has one that fails it alone."""
     one = [["1"]]
     inst = instance_from_json({
-        "range": [0, 2], "P": {"0": _line(0)}, "A": {"0": _line(0), "1": _line(a)},
-        "C": {"0": _line(0), "1": _line(2)},
+        "range": [0, 2], "P": {"0": _line(w)}, "A": {"0": _line(w), "1": _line(a)},
+        "C": {"0": _line(w), "1": _line(w + 2)},
         "row": {"s": {"0": one}, "r": {"1": one}}, "col": {"a": {"0": one, "1": one}}})
     assert check_instance_hypotheses(inst).failures() == [failure]
     non_exact = {(which, k): (v.reason, v.witness) for k in inst.degrees(pad=2) for which in CONCLUSIONS
@@ -469,11 +473,16 @@ def test_failures_match_six_field_report_across_categories():
 
 
 def test_report_is_frozen_with_one_field():
+    """The report is built from one field, ``verdicts``; every other public attribute is derived
+    from it, and none can be assigned."""
     report = check_instance_hypotheses(zero_instance())
-    assert list(report.__dataclass_fields__) == ["verdicts"]
+    assert list(inspect.signature(HypothesisReport).parameters) == ["verdicts"]
+    assert [name for name in dir(report) if not name.startswith("_")
+            and not callable(getattr(report, name))] == ["clean", "verdicts"]
     assert list(report.verdicts) == list(BREAKABLE_HYPOTHESES)
-    with pytest.raises(AttributeError):
-        report.verdicts = {}
+    for name in ("verdicts", "clean", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, {})
 
 
 # -- the degree window against every declared degree -----------------------
