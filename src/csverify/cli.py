@@ -16,8 +16,12 @@ and `fixture curve` pass what they emit through ``verifier.checked``, the
 one place that self-check runs; `monodromy` prints only a filtration both
 constructions agree on.  `fixture curve` derives each C_j^2 from the dual
 graph alone.  `generate` refuses, as exit 4, a `--max-dim` above
-``generators.MAX_GEN_DIM`` and a `--range` a:b with b - a above
-``generators.MAX_GEN_WIDTH``.
+``generators.MAX_GEN_DIM``, a `--range` a:b with b - a above
+``generators.MAX_GEN_WIDTH``, and the two together with max-dim^2 x
+(b - a + 1) above ``generators.MAX_GEN_CELLS``.  `fixture curve` refuses,
+as exit 4, a dual graph whose fixture would have a node above
+``degenerations.MAX_FIXTURE_DIM``: its nodes are Q^v and Q^(2 b1), for v
+vertices and b1 = e - v + 1 independent cycles.
 
 `verify` reports (schema 3) hold verdicts only for the degree window,
 the declared degrees within 2 of a stored space; `trivial_degrees` lists

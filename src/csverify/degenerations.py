@@ -33,6 +33,10 @@ from .linalg import Matrix, full_subspace, span_of_vectors, transpose
 from .verifier import CSInstance, assemble_row, into_summand, node_summands
 
 
+# the largest node ``graph_from_json`` lets a fixture build, Q^v or Q^(2*b1), every map of it dense
+MAX_FIXTURE_DIM = 64
+
+
 class DisconnectedGraphError(ValueError):
     """The dual graph of a fibre must be connected."""
 

@@ -17,8 +17,9 @@ subspace inherits (``induced_on_subspace``, one elimination per step:
 surjection pushes forward (``induced_on_quotient``), and representatives
 of a graded piece (``graded_complement``).  The monodromy constructions
 and the generators build on them.  Every FilteredSpace is validated when
-it is built but one: ``shifted``, behind the Tate twist and every
-centered filtration, moves the weights of jump data that is already valid.
+it is built but one: ``shifted(steps, by)``, behind the Tate twist and every
+centered filtration, moves the weights of jump data that is already valid,
+on the space of its top step.
 
 Tate twist convention: ``tate_twist(v, n)`` models v(n) and shifts every
 weight by -2n, so twisting by -1 raises all weights by 2.
@@ -123,17 +124,18 @@ class FilteredSpace:
 _ZERO_SPACE = FilteredSpace(0, {})
 
 
-def shifted(dim: int, steps, by: int) -> FilteredSpace:
-    """Q^dim with the jump data ``steps``, every weight moved by ``by``.  The steps must already be
-    jump data (a FilteredSpace's, or the centre-0 steps of a Jordan basis), so nothing is re-checked."""
+def shifted(steps, by: int) -> FilteredSpace:
+    """The jump data ``steps`` with every weight moved by ``by``, on the space of its top step (Q^0
+    when there is none).  The steps must already be jump data (a FilteredSpace's, or the centre-0
+    steps of a Jordan basis), so nothing is re-checked."""
     moved = object.__new__(FilteredSpace)
-    moved.dim, moved.steps = dim, tuple((w + by, sub) for w, sub in steps)
+    moved.dim, moved.steps = steps[-1][1].dim if steps else 0, tuple((w + by, sub) for w, sub in steps)
     return moved
 
 
 def tate_twist(v: FilteredSpace, n: int) -> FilteredSpace:
     """v(n): same underlying space, weights shifted by -2n."""
-    return shifted(v.dim, v.steps, -2 * n)
+    return shifted(v.steps, -2 * n)
 
 
 def direct_sum(*spaces: FilteredSpace) -> FilteredSpace:
@@ -150,7 +152,7 @@ def direct_sum(*spaces: FilteredSpace) -> FilteredSpace:
             rows += [(left + r + right, d) for r, d in sub.basis.irows]
             pivots += [p + before for p in sub.pivots]
             before += x.dim
-        steps[w] = Subspace(dim, Matrix.of(len(rows), dim, tuple(rows)), tuple(pivots))
+        steps[w] = Subspace(Matrix.of(tuple(rows), dim), tuple(pivots))
     return FilteredSpace(dim, steps)
 
 

@@ -91,6 +91,8 @@ class GenProfile:
             raise ValueError("empty degree range")
         if width > MAX_GEN_WIDTH:
             raise ValueError(f"degree range wider than {MAX_GEN_WIDTH}")
+        if max_dim_per_node ** 2 * (width + 1) > MAX_GEN_CELLS:
+            raise ValueError(f"max_dim_per_node squared times the number of degrees exceeds {MAX_GEN_CELLS}")
         if broken_hypothesis is not None and broken_hypothesis not in BREAKABLE_HYPOTHESES:
             raise ValueError(f"unknown hypothesis tag {broken_hypothesis!r}")
         # row_exact and P_centering tamper at a degree t <= k_max - 2, A_bound's absorbing variant inside
@@ -117,7 +119,7 @@ def _rand_unit_triangular(rng: random.Random, n: int, lower: bool) -> Matrix:
             else:
                 row.append((0, 1))
         rows.append(ratio_row(row))
-    return Matrix.of(n, n, tuple(rows))
+    return Matrix.of(tuple(rows), n)
 
 
 def random_invertible(rng: random.Random, n: int) -> Matrix:
@@ -150,7 +152,7 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
         for j in range(d):
             if block_of[j] > block_of[i] and rng.random() < 0.5:
                 entries[i][j] = _rand_q(rng)
-    t = Matrix.of(d, d, tuple(map(ratio_row, entries)))  # b, which is t where s is the identity
+    t = Matrix.of(tuple(map(ratio_row, entries)), d)  # b, which is t where s is the identity
     stacked = reduce(vstack, adapted)
     if stacked != Matrix.identity(d):
         s = transpose(stacked)
@@ -158,9 +160,10 @@ def random_filtered_automorphism(rng: random.Random, fs: FilteredSpace) -> Tuple
     return t, inverse(t)
 
 
-def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[FilteredSpace, Matrix]:
-    """Nilpotent of the given Jordan type conjugated by a random invertible t, with the filtration
-    centered at ``center`` that t's columns span as chains: a basis, so its steps need no check."""
+def _jordan_pair(rng: random.Random, sizes, center: int) -> Tuple[FilteredSpace, Matrix]:
+    """Nilpotent of the given Jordan type on Q^sum(sizes) conjugated by a random invertible t, with the
+    filtration centered at ``center`` that t's columns span as chains: a basis, so its steps need no check."""
+    dim = sum(sizes)
     t = random_invertible(rng, dim)
     columns = transpose(t).irows
     entries = [[0] * dim for _ in range(dim)]
@@ -170,7 +173,7 @@ def _jordan_pair(rng: random.Random, sizes, dim: int, center: int) -> Tuple[Filt
             entries[j - 1][j] = 1  # N e_j = e_{j-1}, so t e_j, last first, is a chain of t N t^-1
         chains.append(columns[start:start + s][::-1])
         start += s
-    return shifted(dim, chain_steps(chains, dim), center), t @ Matrix.from_rows(entries, ncols=dim) @ inverse(t)
+    return shifted(chain_steps(chains, dim), center), t @ Matrix.from_rows(entries, ncols=dim) @ inverse(t)
 
 
 def _partition(rng: random.Random, total: int, cap: int, least: int):
@@ -195,7 +198,7 @@ def gen_centered_mhs(seed, dim: int, k: int) -> Tuple[FilteredSpace, NilpotentOp
     ``centered_filtration``; ``NilpotentOp`` checks nilpotency and N.W_i <= W_{i+2}.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    space, matrix = _jordan_pair(rng, _partition(rng, dim, dim, 1), dim, k)
+    space, matrix = _jordan_pair(rng, _partition(rng, dim, dim, 1), k)
     return space, NilpotentOp(space, matrix)
 
 
@@ -246,7 +249,7 @@ def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
         # centering hypothesis fails
         off = broken == "P_centering" and k == t
         space, matrix = _jordan_pair(rng, _partition(rng, p_dims[k], MAX_JORDAN_BLOCK, 2 if off else 1),
-                                     p_dims[k], k + 1 if off else k)
+                                     k + 1 if off else k)
         if space.dim:
             p_family[k] = space
             n_family[k] = matrix
@@ -339,6 +342,8 @@ MAX_JORDAN_BLOCK = 3
 # GenProfile's caps on max_dim_per_node and on k_max - k_min: each P_k is dense, every degree is drawn
 MAX_GEN_DIM = 64
 MAX_GEN_WIDTH = 256
+# and on the two together, max_dim_per_node^2 * (k_max - k_min + 1): each cap alone at the other's default
+MAX_GEN_CELLS = MAX_GEN_DIM ** 2 * 5
 
 # the tries search_load_bearing makes, the size and degrees of the instances it
 # draws, the hypotheses it breaks in turn, and the conclusions it tests

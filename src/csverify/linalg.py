@@ -18,8 +18,12 @@ Jordan chains, the monodromy axiom check) builds no transpose.  Fractions
 are built only at the boundary: ``Matrix.rows`` builds them on each read,
 and ``serialize`` formats and parses the integers.  ``Matrix.from_rows``
 is the one constructor that takes rows of ints and Fractions; callers
-that build matrices in bulk write the stored form through ``Matrix.of``
-and ``ratio_row``.  Each derived object is computed once and kept on its
+that build matrices in bulk write the stored form through
+``Matrix.of(irows, ncols)`` and ``ratio_row``.  Sizes come from the data:
+``Matrix.of`` counts its rows (ncols is given for a matrix with none) and
+``Subspace(basis, pivots)`` lives in Q^basis.ncols, so what callers still
+keep by hand is the stored form itself, lowest terms and reduced bases.
+Each derived object is computed once and kept on its
 matrix or subspace by one helper, ``_kept``: ``kernel``, ``kernel_flag``
 (for a square matrix; its step ker f is the kernel memo),
 ``jordan_chains`` (built from the flag), ``centered_steps`` (the steps of
@@ -104,10 +108,10 @@ class Matrix:
         raise TypeError("build a Matrix with Matrix.from_rows (rational rows) or Matrix.of (stored rows)")
 
     @staticmethod
-    def of(nrows: int, ncols: int, irows: tuple) -> "Matrix":
-        """The matrix whose rows are already in the stored form."""
+    def of(irows: tuple, ncols: int) -> "Matrix":
+        """The matrix with these rows, already in the stored form; ncols is its width, needed when there are none."""
         m = object.__new__(Matrix)
-        m.nrows, m.ncols, m.irows = nrows, ncols, irows
+        m.nrows, m.ncols, m.irows = len(irows), ncols, irows
         return m
 
     @staticmethod
@@ -123,17 +127,17 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise DimensionMismatchError("column count required for a matrix with no rows")
-        return Matrix.of(len(rows), ncols, tuple(map(_irow, rows)))
+        return Matrix.of(tuple(map(_irow, rows)), ncols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.of(n, n, tuple((tuple(int(i == j) for j in range(n)), 1) for i in range(n)))
+        return Matrix.of(tuple((tuple(int(i == j) for j in range(n)), 1) for i in range(n)), n)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def zero(m: int, n: int) -> "Matrix":
         """The zero matrix, one shared instance per shape (a Matrix is never mutated); no row when m = 0."""
-        return Matrix.of(m, n, (((0,) * n, 1),) * m if m else ())
+        return Matrix.of((((0,) * n, 1),) * m if m else (), n)
 
     @property
     def rows(self) -> tuple:
@@ -157,8 +161,8 @@ class Matrix:
         # integer dot products with the columns of other over one denominator, one gcd per row
         den, scaled = _scaled(other.irows)
         cols = list(zip(*scaled))
-        return Matrix.of(self.nrows, other.ncols, tuple(
-            _lowest([sum(map(mul, a, c)) for c in cols], da * den) for a, da in self.irows))
+        return Matrix.of(tuple(
+            _lowest([sum(map(mul, a, c)) for c in cols], da * den) for a, da in self.irows), other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -168,7 +172,7 @@ class Matrix:
             den = lcm(da, db)
             fa, fb = den // da, den // db
             out.append(_lowest([x * fa + y * fb for x, y in zip(a, b)], den))
-        return Matrix.of(self.nrows, self.ncols, tuple(out))
+        return Matrix.of(tuple(out), self.ncols)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r, _ in self.irows)
@@ -184,7 +188,7 @@ def transpose(m: Matrix) -> Matrix:
     if m.nrows == 0:
         return Matrix.zero(m.ncols, 0)
     den, scaled = _scaled(m.irows)
-    return Matrix.of(m.ncols, m.nrows, tuple(_lowest(c, den) for c in zip(*scaled)))
+    return Matrix.of(tuple(_lowest(c, den) for c in zip(*scaled)), m.nrows)
 
 
 def times_transpose(a: Matrix, b: Matrix) -> Matrix:
@@ -195,14 +199,14 @@ def times_transpose(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatchError(
             f"cannot multiply {a.nrows}x{a.ncols} by the transpose of {b.nrows}x{b.ncols}")
     den, scaled = _scaled(b.irows)
-    return Matrix.of(a.nrows, b.nrows, tuple(
-        _lowest([sum(map(mul, x, r)) for r in scaled], dx * den) for x, dx in a.irows))
+    return Matrix.of(tuple(
+        _lowest([sum(map(mul, x, r)) for r in scaled], dx * den) for x, dx in a.irows), b.nrows)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.ncols:
         raise DimensionMismatchError("vstack with differing column counts")
-    return Matrix.of(a.nrows + b.nrows, a.ncols, a.irows + b.irows)
+    return Matrix.of(a.irows + b.irows, a.ncols)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -214,7 +218,7 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
         den = lcm(dx, dy)
         fx, fy = den // dx, den // dy
         rows.append((tuple([v * fx for v in x] + [v * fy for v in y]), den))
-    return Matrix.of(a.nrows, a.ncols + b.ncols, tuple(rows))
+    return Matrix.of(tuple(rows), a.ncols + b.ncols)
 
 
 def rref(m: Matrix) -> tuple:
@@ -263,7 +267,7 @@ def rref(m: Matrix) -> tuple:
         if g != 1:
             row = [x // g for x in row]
         reduced.append((tuple(row), row[c]))
-    return Matrix.of(len(reduced), m.ncols, tuple(reduced)), tuple(pivots)
+    return Matrix.of(tuple(reduced), m.ncols), tuple(pivots)
 
 
 class Subspace:
@@ -274,8 +278,8 @@ class Subspace:
     basis, pivots); what ``_kept`` keeps on it does not count.
     """
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple):
-        self.ambient_dim, self.basis, self.pivots = ambient_dim, basis, pivots
+    def __init__(self, basis: Matrix, pivots: tuple):
+        self.ambient_dim, self.basis, self.pivots = basis.ncols, basis, pivots
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -320,17 +324,17 @@ class Subspace:
 def canonicalize(m: Matrix) -> Subspace:
     """Row space of m in canonical reduced-echelon form."""
     reduced, pivots = rref(m)
-    return Subspace(m.ncols, reduced, pivots) if pivots else zero_subspace(m.ncols)
+    return Subspace(reduced, pivots) if pivots else zero_subspace(m.ncols)
 
 
 @lru_cache(maxsize=None)
 def zero_subspace(ambient_dim: int) -> Subspace:
     """The zero subspace, one shared instance per ambient dimension (a Subspace is never mutated)."""
-    return Subspace(ambient_dim, Matrix.zero(0, ambient_dim), ())
+    return Subspace(Matrix.zero(0, ambient_dim), ())
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+    return Subspace(Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
 
 
 def span_of_vectors(vectors: Sequence[Sequence[QLike]], ambient_dim: int) -> Subspace:
@@ -375,10 +379,10 @@ def null_space(m: Matrix) -> Subspace:
     """Kernel of m, canonical, from one elimination: m reduced with its columns reversed has a quotient
     map whose rows, each reversed and taken in reverse order, are already ker m's reduced basis."""
     n = m.ncols
-    rev = canonicalize(Matrix.of(m.nrows, n, tuple((r[::-1], d) for r, d in m.irows)))
+    rev = canonicalize(Matrix.of(tuple((r[::-1], d) for r, d in m.irows), n))
     rows = tuple((r[::-1], d) for r, d in reversed(quotient_map(rev).irows))
     pivots = tuple(j for j in range(n) if n - 1 - j not in rev.pivots)
-    return Subspace(n, Matrix.of(len(rows), n, rows), pivots) if rows else zero_subspace(n)
+    return Subspace(Matrix.of(rows, n), pivots) if rows else zero_subspace(n)
 
 
 def within(t: Subspace, s: Subspace) -> Subspace:
@@ -421,7 +425,7 @@ def jordan_chains(f: Matrix) -> tuple:
     for level in range(len(flag) - 1, 0, -1):
         have = flag[level - 1]
         if chains:
-            tails = times_transpose(Matrix.of(len(chains), f.nrows, tuple(c[-1] for c in chains)), f)
+            tails = times_transpose(Matrix.of(tuple(c[-1] for c in chains), f.nrows), f)
             for chain, row in zip(chains, tails.irows):
                 chain.append(row)
             have = canonicalize(vstack(have.basis, tails))
@@ -452,7 +456,7 @@ def chain_steps(chains, dim: int) -> tuple:
     steps, below = [], zero_subspace(dim)
     for w in sorted(by_weight):
         rows = below.basis.irows + tuple(by_weight[w])
-        below = canonicalize(Matrix.of(len(rows), dim, rows))
+        below = canonicalize(Matrix.of(rows, dim))
         steps.append((w, below))
     return tuple(steps)
 
@@ -468,14 +472,14 @@ def extend_basis(base: Subspace, m: Matrix) -> Matrix:
     residuals = [base._residual(r) for r, _ in m.irows]
     if not any(map(any, residuals)):
         return Matrix.zero(0, m.ncols)
-    _, pivots = rref(Matrix.of(len(residuals[0]), m.nrows, tuple((c, 1) for c in zip(*residuals))))
-    return Matrix.of(len(pivots), m.ncols, tuple(m.irows[i] for i in pivots))
+    _, pivots = rref(Matrix.of(tuple((c, 1) for c in zip(*residuals)), m.nrows))
+    return Matrix.of(tuple(m.irows[i] for i in pivots), m.ncols)
 
 
 def coords_map(s: Subspace) -> Matrix:
     """Selector P with P.v = coordinates of v in the basis of s (valid on s)."""
     n = s.ambient_dim
-    return Matrix.of(s.dim, n, tuple((tuple(int(j == p) for j in range(n)), 1) for p in s.pivots))
+    return Matrix.of(tuple((tuple(int(j == p) for j in range(n)), 1) for p in s.pivots), n)
 
 
 @_kept
@@ -498,7 +502,7 @@ def quotient_map(s: Subspace) -> Matrix:
             for p, x in zip(s.pivots, c):
                 v[p] = -x
             rows.append((tuple(v), d))
-    return Matrix.of(n - s.dim, n, tuple(rows))
+    return Matrix.of(tuple(rows), n)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -509,7 +513,7 @@ def inverse(a: Matrix) -> Matrix:
     reduced, pivots = rref(hstack(a, Matrix.identity(n)))
     if pivots != tuple(range(n)):
         raise DimensionMismatchError("matrix is singular")
-    return Matrix.of(n, n, tuple((r[n:], d) for r, d in reduced.irows))
+    return Matrix.of(tuple((r[n:], d) for r, d in reduced.irows), n)
 
 
 def rank(a: Matrix) -> int:

@@ -113,7 +113,7 @@ class CenteredFiltration(NamedTuple):
 def centered_filtration(matrix: Matrix, k: int) -> FilteredSpace:
     """Centered weight filtration of a nilpotent matrix: the centre-0 steps kept on it, shifted to k."""
     nilpotency_index(matrix)
-    return shifted(matrix.nrows, centered_steps(matrix), k)
+    return shifted(centered_steps(matrix), k)
 
 
 def monodromy_filtration(n: NilpotentOp, k: int) -> CenteredFiltration:
@@ -141,7 +141,7 @@ def centered_filtration_recursive(matrix: Matrix, k: int,
     im_in_k = within(ker_nm, im_nm)  # im N^m lies in ker N^m, as N^(m+1) = 0
     q2 = quotient_map(im_in_k)
     # q2's canonical section, in Q^dim: the basis rows of ker N^m at im_in_k's free coordinates
-    lift = Matrix.of(q2.nrows, dim, tuple(r for j, r in enumerate(ker_nm.basis.irows) if j not in im_in_k.pivots))
+    lift = Matrix.of(tuple(r for j, r in enumerate(ker_nm.basis.irows) if j not in im_in_k.pivots), dim)
     if section_rng is not None:
         lift = lift + Matrix.from_rows([[section_rng.randint(-3, 3) for _ in range(im_nm.dim)]
                                         for _ in range(q2.nrows)], ncols=im_nm.dim) @ im_nm.basis

@@ -36,7 +36,8 @@ Schemas:
   nilpotent op     {"space": <filtered space>, "matrix": [[...]]}
   centered filt.   {"center": k, "dim": d, "steps": {...}}
   dual graph       {"vertices": v, "edges": [[i, j], ...], "self": [s_0...]?}
-                   ("self" is read, never written: s_j = -(edges from j to other vertices))
+                   ("self" is read, never written: s_j = -(edges from j to other vertices);
+                   v and 2*(e - v + 1), the fixture's node sizes, at most MAX_FIXTURE_DIM)
   CS instance      {"range": [kmin, kmax], "A": {"<k>": <fs>, ...}, "B": ...,
                     "C": ..., "P": ..., "N": {"<k>": [[...]]},
                     "col": {"b": ..., "a": ..., "c": ...},
@@ -55,7 +56,7 @@ from collections import Counter
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .degenerations import DualGraph
+from .degenerations import MAX_FIXTURE_DIM, DualGraph, betti
 from .filtration import (
     ExactnessVerdict,
     FilteredSpace,
@@ -235,7 +236,7 @@ def matrix_from_json(data, nrows: int, ncols: int) -> Matrix:
         if not isinstance(row, list) or len(row) != ncols:
             raise SerializationError(f"matrix row must be an array of {ncols} entries")
         rows.append(_row(row))
-    return Matrix.of(nrows, ncols, tuple(rows))
+    return Matrix.of(tuple(rows), ncols)
 
 
 def _subspace_from_json(data, ambient_dim: int) -> Subspace:
@@ -296,6 +297,10 @@ def graph_from_json(data) -> DualGraph:
             raise SerializationError("'self' must be an array of integers")
         selfs = [json_int(x, "self-intersection", key=False) for x in selfs]
     graph = _placed("bad dual graph", DualGraph.make, json_int(data.get("vertices"), "vertices", key=False), edges)
+    _, b1 = betti(graph)
+    if max(graph.vertices, 2 * b1) > MAX_FIXTURE_DIM:
+        raise SerializationError(f"dual graph too large: the fixture's nodes Q^v and Q^(2*b1) are capped at "
+                                 f"dimension {MAX_FIXTURE_DIM}, got v = {graph.vertices}, 2*b1 = {2 * b1}")
     if selfs is not None:
         if len(selfs) != graph.vertices:
             raise SerializationError("bad dual graph: one self-intersection per vertex required")

@@ -161,14 +161,14 @@ def identity_on_shared(source: dict, target: dict) -> Matrix:
     """The map between direct sums that is the identity between equally named summands, zero elsewhere."""
     cols = _coordinates(source)
     rows = tuple((tuple(int(c == r) for c in cols), 1) for r in _coordinates(target))
-    return Matrix.of(len(rows), len(cols), rows)
+    return Matrix.of(rows, len(cols))
 
 
 def into_summand(summands: dict, name: Tuple[str, int], m: Matrix) -> Matrix:
     """m, a map into the summand called name, as a map into the whole direct sum."""
     zero = ((0,) * m.ncols, 1)
     rows = tuple(m.irows[i] if key == name else zero for key, i in _coordinates(summands))
-    return Matrix.of(len(rows), m.ncols, rows)
+    return Matrix.of(rows, m.ncols)
 
 
 def assemble_row(p_family: Dict[int, FilteredSpace], n_family: Dict[int, Matrix],

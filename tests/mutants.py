@@ -35,8 +35,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("csverify/generators.py",  # a drawn P_k centered one too high
-           "return shifted(dim, chain_steps(chains, dim), center),",
-           "return shifted(dim, chain_steps(chains, dim), center + 1),",
+           "return shifted(chain_steps(chains, dim), center),",
+           "return shifted(chain_steps(chains, dim), center + 1),",
            ("tests/test_generators.py::test_jordan_pair_matches_reference_weights",
             "tests/test_cli.py::test_generate_bytes_pinned_across_seeds")),
     Mutant("csverify/generators.py",  # the chains of t's columns read tail first
@@ -44,8 +44,8 @@ MUTANTS = (
            "chains.append(columns[start:start + s])",
            ("tests/test_generators.py::test_jordan_pair_matches_reference_weights",)),
     Mutant("csverify/generators.py",  # the P_centering tamper's off-centre P_k drawn centered
-           "p_dims[k], k + 1 if off else k)",
-           "p_dims[k], k)",
+           "k + 1 if off else k)",
+           "k)",
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[P_centering]",
             "tests/test_cli.py::test_generate_bytes_pinned[--break=P_centering]")),
     Mutant("csverify/filtration.py",  # a summand's pivots left at its own coordinates
@@ -127,8 +127,8 @@ MUTANTS = (
            ("tests/test_monodromy.py::test_kernel_flag_matches_dense_powers",
             "tests/test_monodromy.py::test_jordan_three_recursive")),
     Mutant("csverify/linalg.py",  # a.b^T with its rows left out of lowest terms
-           "_lowest([sum(map(mul, x, r)) for r in scaled], dx * den) for x, dx in a.irows))",
-           "(tuple([sum(map(mul, x, r)) for r in scaled]), dx * den) for x, dx in a.irows))",
+           "_lowest([sum(map(mul, x, r)) for r in scaled], dx * den) for x, dx in a.irows), b.nrows)",
+           "(tuple([sum(map(mul, x, r)) for r in scaled]), dx * den) for x, dx in a.irows), b.nrows)",
            ("tests/test_linalg.py::test_every_operation_stores_the_canonical_form",
             "tests/test_monodromy.py::test_kernel_flag_matches_dense_powers")),
     Mutant("csverify/linalg.py",  # within(t, s) reading s . t in s's coordinates
@@ -137,8 +137,8 @@ MUTANTS = (
            ("tests/test_linalg.py::test_within_reads_the_intersection_in_the_basis_of_t",
             "tests/test_linalg.py::test_intersect_planes")),
     Mutant("csverify/monodromy.py",  # the recursion lifting at im_in_k's pivots, not its free coordinates
-           "if j not in im_in_k.pivots))",
-           "if j in im_in_k.pivots))",
+           "if j not in im_in_k.pivots), dim)",
+           "if j in im_in_k.pivots), dim)",
            ("tests/test_monodromy.py::test_jordan_three_recursive",
             "tests/test_monodromy.py::test_recursive_section_independence")),
     # the value types: subspaces equal whatever their bases, and an exact verdict with a witness accepted
@@ -157,6 +157,51 @@ MUTANTS = (
            "        return True\n",
            ("tests/test_value_types.py::test_each_verdict_is_true_iff_it_passes",
             "tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]")),
+    # sizes read off the data: a subspace's ambient dimension off its basis rows, a shift's space off
+    # its lowest step, and the shared zero matrix with no rows built as m copies of a row (m = 0)
+    Mutant("csverify/linalg.py",
+           "self.ambient_dim, self.basis, self.pivots = basis.ncols, basis, pivots",
+           "self.ambient_dim, self.basis, self.pivots = basis.nrows, basis, pivots",
+           ("tests/test_linalg.py::test_membership_and_quotient_maps",
+            "tests/test_value_types.py::test_subspaces_of_one_span_are_one_key")),
+    Mutant("csverify/filtration.py",
+           "moved.dim, moved.steps = steps[-1][1].dim if steps else 0,",
+           "moved.dim, moved.steps = steps[0][1].dim if steps else 0,",
+           ("tests/test_filtration.py::test_shifted_reads_its_space_off_the_top_step",)),
+    Mutant("csverify/linalg.py",
+           "return Matrix.of((((0,) * n, 1),) * m if m else (), n)",
+           "return Matrix.of((((0,) * n, 1),) * m, n)",
+           ("tests/test_cli.py::test_declared_dimension_allocates_nothing",)),
+    # each new size cap off by one: its comparison, and the count it compares
+    Mutant("csverify/generators.py",
+           "if max_dim_per_node ** 2 * (width + 1) > MAX_GEN_CELLS:",
+           "if max_dim_per_node ** 2 * (width + 1) >= MAX_GEN_CELLS:",
+           ("tests/test_generators.py::test_profile_bounds_the_two_sizes_together",
+            "tests/test_generators.py::test_profile_accepts_the_dimension_cap")),
+    Mutant("csverify/generators.py",
+           "max_dim_per_node ** 2 * (width + 1)",
+           "max_dim_per_node ** 2 * width",
+           ("tests/test_generators.py::test_profile_refusals_keep_their_messages[joint-cap]",
+            "tests/test_cli.py::test_generate_size_past_its_cap_is_exit_four")),
+    Mutant("csverify/serialize.py",
+           "if max(graph.vertices, 2 * b1) > MAX_FIXTURE_DIM:",
+           "if max(graph.vertices, 2 * b1) >= MAX_FIXTURE_DIM:",
+           ("tests/test_serialize.py::test_graph_cap_at_its_edge",)),
+    Mutant("csverify/degenerations.py",
+           "return 1, len(g.edges) - g.vertices + 1",
+           "return 1, len(g.edges) - g.vertices",
+           ("tests/test_serialize.py::test_graph_cap_at_its_edge",
+            "tests/test_cli.py::test_fixture_past_its_cap_is_exit_four")),
+    # the stored form kept by hand: hstack over dx*dy, not lcm(dx, dy) (in src/ its right factor is
+    # always the identity, dy = 1, so only the unit test sees it), and a zero row over 2, not 1
+    Mutant("csverify/linalg.py",
+           "den = lcm(dx, dy)",
+           "den = dx * dy",
+           ("tests/test_linalg.py::test_every_operation_stores_the_canonical_form",)),
+    Mutant("csverify/verifier.py",
+           "zero = ((0,) * m.ncols, 1)",
+           "zero = ((0,) * m.ncols, 2)",
+           ("tests/test_cli.py::test_pipelines_build_only_the_stored_form",)),
     # each ARROWS row and each SEQUENCES entry with one degree offset moved by one
     *(Mutant("csverify/verifier.py", old, new,
              ("tests/test_verifier.py::test_i1_fixture_clean_report",

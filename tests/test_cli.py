@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,16 @@ import pytest
 from csverify.cli import EXIT_INTERNAL, main
 from csverify.degenerations import cycle_graph, theta_graph
 from csverify.filtration import FiltrationError
-from csverify.generators import MAX_GEN_DIM, MAX_GEN_WIDTH, GenProfile, gen_centered_mhs, gen_cs_instance, split_seed
-from csverify.linalg import DimensionMismatchError, Matrix, hstack, zero_subspace
+from csverify.generators import (
+    MAX_GEN_CELLS,
+    MAX_GEN_DIM,
+    MAX_GEN_WIDTH,
+    GenProfile,
+    gen_centered_mhs,
+    gen_cs_instance,
+    split_seed,
+)
+from csverify.linalg import DimensionMismatchError, Matrix, Subspace, hstack, zero_subspace
 from csverify.serialize import dumps, graph_to_json, instance_to_json, nilpotent_to_json
 from csverify.verifier import (
     ARROWS,
@@ -467,6 +477,56 @@ def test_fixture_disconnected_by_edge_count_allocates_nothing_per_vertex(monkeyp
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("graph, got", [
+    ({"vertices": 65, "edges": [[j, j + 1] for j in range(64)]}, "v = 65, 2*b1 = 0"),
+    ({"vertices": 2, "edges": [[0, 1]] * 34}, "v = 2, 2*b1 = 66"),
+], ids=["vertices", "cycles"])
+def test_fixture_past_its_cap_is_exit_four(graph, got, monkeypatch, capsys):
+    """One vertex or one cycle past the cap on a fixture node is refused before anything is built."""
+    code, out, err = run_cli(["fixture", "curve", "--graph", "-"], stdin_text=json.dumps(graph),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == ("csverify: dual graph too large: the fixture's nodes Q^v and Q^(2*b1) are capped at "
+                   f"dimension 64, got {got}\n")
+
+
+def test_pipelines_build_only_the_stored_form(monkeypatch, capsys):
+    """Every Matrix and Subspace built by one `generate | verify --thm 1`, one `fixture curve | verify
+    --thm 3` and one `monodromy` is in the stored form.  The sizes are read off the data; what the
+    builders still keep by hand is checked here: each row has ncols integer numerators over a positive
+    denominator, in lowest terms, and each basis is reduced, its pivots strictly increasing, each the
+    first nonzero of its row with entry 1 there and 0 in the other rows of its column."""
+    built = Counter()
+    of, init = Matrix.of, Subspace.__init__
+
+    def stored_of(irows, ncols):
+        for nums, den in irows:
+            assert type(nums) is tuple and len(nums) == ncols and den > 0 and gcd(den, *nums) == 1, (nums, den)
+        built["matrix"] += 1
+        return of(irows, ncols)
+
+    def reduced_init(self, basis, pivots):
+        assert len(pivots) == basis.nrows and all(p < q for p, q in zip(pivots, pivots[1:])), pivots
+        for i, ((nums, den), p) in enumerate(zip(basis.irows, pivots)):
+            assert not any(nums[:p]) and nums[p] == den, (nums, den, p)
+            assert not any(r[p] for j, (r, _) in enumerate(basis.irows) if j != i), p
+        built["subspace"] += 1
+        init(self, basis, pivots)
+
+    monkeypatch.setattr(Matrix, "of", staticmethod(stored_of))
+    monkeypatch.setattr(Subspace, "__init__", reduced_init)
+    stdin = {"fixture": json.dumps(graph_to_json(theta_graph())),
+             "monodromy": dumps(nilpotent_to_json(gen_centered_mhs(5, 8, 1)[1]))}
+    for first, second in ((["generate", "--seed", "3", "--max-dim", "10"], ["verify", "-", "--thm", "1"]),
+                          (["fixture", "curve", "--graph", "-"], ["verify", "-", "--thm", "3"]),
+                          (["monodromy", "-", "--center", "1"], None)):
+        code, out, _ = run_cli(first, stdin_text=stdin.get(first[0]), monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        if second:
+            assert run_cli(second, stdin_text=out, monkeypatch=monkeypatch, capsys=capsys)[0] == 0
+    assert built["matrix"] > 1000 and built["subspace"] > 100, built
+
+
 def test_console_entry_point_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "csverify", "generate", "--seed", "12"],
@@ -568,13 +628,15 @@ def test_malformed_input_exit_four_without_traceback(args, stdin_text, monkeypat
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag, value, err", [
-    ("--max-dim", str(MAX_GEN_DIM + 1), f"max_dim_per_node must be <= {MAX_GEN_DIM}"),
-    ("--range", f"0:{MAX_GEN_WIDTH + 1}", f"degree range wider than {MAX_GEN_WIDTH}"),
-], ids=["max-dim", "range"])
-def test_generate_size_past_its_cap_is_exit_four(flag, value, err, capsys):
+@pytest.mark.parametrize("flags, err", [
+    (["--max-dim", str(MAX_GEN_DIM + 1)], f"max_dim_per_node must be <= {MAX_GEN_DIM}"),
+    (["--range", f"0:{MAX_GEN_WIDTH + 1}"], f"degree range wider than {MAX_GEN_WIDTH}"),
+    (["--max-dim", "16", "--range", "0:80"],
+     f"max_dim_per_node squared times the number of degrees exceeds {MAX_GEN_CELLS}"),
+], ids=["max-dim", "range", "joint"])
+def test_generate_size_past_its_cap_is_exit_four(flags, err, capsys):
     """One past each cap is refused before anything is drawn."""
-    assert run_cli(["generate", "--seed", "1", flag, value], capsys=capsys) == (4, "", f"csverify: {err}\n")
+    assert run_cli(["generate", "--seed", "1", *flags], capsys=capsys) == (4, "", f"csverify: {err}\n")
 
 
 @pytest.mark.parametrize("rename, err", [

@@ -18,6 +18,7 @@ from csverify.filtration import (
     graded_complement,
     induced_on_quotient,
     induced_on_subspace,
+    shifted,
     strictness,
     tate_twist,
     weights_geq,
@@ -333,7 +334,7 @@ def constructed_pairs(rng):
         ker = random_subspace(rng, b, r)
         yield map_onto(rng, ker), map_killing(rng, ker), None
         # g.f = 0, but im(f) is a hyperplane of ker(g): short of rank
-        short = canonicalize(Matrix.of(r - 1, b, ker.basis.irows[:r - 1]))
+        short = canonicalize(Matrix.of(ker.basis.irows[:r - 1], b))
         yield map_onto(rng, short), map_killing(rng, ker), "kernel_exceeds_image"
         # rank f + rank g = b, yet im(f) is not ker(g): a count of ranks alone would pass it
         other = random_subspace(rng, b, r)
@@ -458,6 +459,16 @@ def test_tate_twist_equals_validated_filtration_and_builds_none(v, n):
     finally:
         FilteredSpace.__init__ = real_init
     assert got == want and got.steps == want.steps and not built
+
+
+def test_shifted_reads_its_space_off_the_top_step():
+    """``shifted`` is given no dimension: the space is that of its top step, the whole space, and Q^0
+    when there are no steps; a lower step spans less."""
+    v = FilteredSpace(3, {-1: span_of_vectors([[1, 0, 0]], 3), 1: span_of_vectors([[1, 0, 0], [0, 1, 1]], 3),
+                          2: full_subspace(3)})
+    assert shifted(v.steps, 5) == FilteredSpace(3, {w + 5: sub for w, sub in v.steps})
+    assert shifted(v.steps, 5).dim == 3
+    assert shifted((), 5) == FilteredSpace.zero() and shifted((), 5).dim == 0
 
 
 @settings(max_examples=100, deadline=None)

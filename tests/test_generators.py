@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from csverify import generators, linalg
 from csverify.filtration import FilteredSpace, graded_complement
 from csverify.generators import (
+    MAX_GEN_CELLS,
     MAX_GEN_DIM,
     MAX_GEN_WIDTH,
     GenProfile,
@@ -142,18 +143,36 @@ def test_adversarial_needs_wide_enough_range():
     ({"seed": 1, "max_dim_per_node": MAX_GEN_DIM + 1}, f"max_dim_per_node must be <= {MAX_GEN_DIM}"),
     ({"seed": 1, "degree_range": (3, 2)}, "empty degree range"),
     ({"seed": 1, "degree_range": (-5, MAX_GEN_WIDTH - 4)}, f"degree range wider than {MAX_GEN_WIDTH}"),
+    ({"seed": 1, "max_dim_per_node": 16, "degree_range": (0, 80)},
+     f"max_dim_per_node squared times the number of degrees exceeds {MAX_GEN_CELLS}"),
     ({"seed": 1, "broken_hypothesis": "a_bound"}, "unknown hypothesis tag 'a_bound'"),
-], ids=["seed", "max-dim-negative", "max-dim-cap", "range-empty", "range-cap", "tag"])
+], ids=["seed", "max-dim-negative", "max-dim-cap", "range-empty", "range-cap", "joint-cap", "tag"])
 def test_profile_refusals_keep_their_messages(kwargs, message):
     with pytest.raises(ValueError) as refused:
         GenProfile(**kwargs)
     assert str(refused.value) == message
 
 
-def test_profile_accepts_the_size_caps():
-    """Each cap itself is accepted; nothing is drawn at it."""
-    profile = GenProfile(seed=1, max_dim_per_node=MAX_GEN_DIM, degree_range=(-5, MAX_GEN_WIDTH - 5))
-    assert (profile.max_dim_per_node, profile.degree_range) == (MAX_GEN_DIM, (-5, MAX_GEN_WIDTH - 5))
+def test_profile_accepts_the_dimension_cap():
+    """--max-dim at its cap is accepted at the default range; nothing is drawn at it."""
+    profile = GenProfile(seed=1, max_dim_per_node=MAX_GEN_DIM)
+    assert (profile.max_dim_per_node, profile.degree_range) == (MAX_GEN_DIM, (0, 4))
+
+
+def test_profile_accepts_the_width_cap():
+    """A range at the width cap is accepted at the default --max-dim."""
+    profile = GenProfile(seed=1, degree_range=(-5, MAX_GEN_WIDTH - 5))
+    assert (profile.max_dim_per_node, profile.degree_range) == (6, (-5, MAX_GEN_WIDTH - 5))
+
+
+def test_profile_bounds_the_two_sizes_together():
+    """max_dim^2 * (b - a + 1) at MAX_GEN_CELLS is accepted (one degree more is the refusal table's
+    joint-cap row), and past it the joint bound refuses, both single caps at once included."""
+    assert MAX_GEN_CELLS == MAX_GEN_DIM ** 2 * 5 == 16 ** 2 * 80
+    assert GenProfile(seed=1, max_dim_per_node=16, degree_range=(0, 79)).degree_range == (0, 79)
+    for dims, degrees in ((MAX_GEN_DIM, (0, 5)), (MAX_GEN_DIM, (0, MAX_GEN_WIDTH))):
+        with pytest.raises(ValueError, match="^max_dim_per_node squared times the number of degrees"):
+            GenProfile(seed=1, max_dim_per_node=dims, degree_range=degrees)
 
 
 def test_search_finds_witnessed_counterexample():
@@ -209,7 +228,7 @@ def test_jordan_pair_matches_reference_weights():
             for center in range(-2, 3):
                 seed += 1
                 t = random_invertible(random.Random(seed), dim)
-                space, _ = _jordan_pair(random.Random(seed), sizes, dim, center)
+                space, _ = _jordan_pair(random.Random(seed), sizes, center)
                 assert space == ref_jordan_filtration(t, sizes, center), (sizes, center)
 
 

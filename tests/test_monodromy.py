@@ -51,6 +51,7 @@ from csverify.monodromy import (
     nilpotency_index,
     verify_centered_axioms,
 )
+from csverify.verifier import check_instance_hypotheses
 
 
 def graded_dims(fs):
@@ -256,11 +257,11 @@ def test_kernel_flag_matches_dense_powers(seed, dim, k):
     step = transpose(op.matrix)
     vectors = []
     for chain in jordan_chains(op.matrix):
-        rows = Matrix.of(len(chain), dim, chain)
-        assert (Matrix.of(1, dim, chain[-1:]) @ step).is_zero()
+        rows = Matrix.of(chain, dim)
+        assert (Matrix.of(chain[-1:], dim) @ step).is_zero()
         if len(chain) > 1:
-            assert Matrix.of(len(chain) - 1, dim, chain[:-1]) @ step == Matrix.of(len(chain) - 1, dim, chain[1:])
-        head = Matrix.of(1, dim, chain[:1]).rows[0]
+            assert Matrix.of(chain[:-1], dim) @ step == Matrix.of(chain[1:], dim)
+        head = Matrix.of(chain[:1], dim).rows[0]
         line = span_of_vectors([head], dim)
         assert want[len(chain)].contains(line) and not want[len(chain) - 1].contains(line)
         vectors += rows.rows
@@ -309,7 +310,7 @@ def test_one_derivation_per_operator():
             super().__setitem__(slot, value)
 
     space, op = gen_centered_mhs(split_seed(57, 2), 8, 1)  # Jordan type 3, 2, 2, 1
-    n = Matrix.of(8, 8, op.matrix.irows)  # a copy with no memos yet
+    n = Matrix.of(op.matrix.irows, 8)  # a copy with no memos yet
     n.__dict__ = CountingMemo(n.__dict__)
     assert kernel_flag(n)[1] is kernel(n)
     fresh = NilpotentOp(space, n)
@@ -343,7 +344,7 @@ def ref_chain_filtration(chains, dim, k):
     steps = {}
     for w in sorted({w for w, _ in weighted}):
         rows = tuple(vec for wt, vec in weighted if wt <= w)
-        steps[w] = canonicalize(Matrix.of(len(rows), dim, rows))
+        steps[w] = canonicalize(Matrix.of(rows, dim))
     return FilteredSpace(dim, steps)
 
 
@@ -459,6 +460,38 @@ def test_fast_paths_match_the_oracles_on_generated_instances():
     assert seen[True] and seen[False]
 
 
+def test_uniqueness_three_deciders_agree_on_every_stored_p():
+    """Uniqueness of the monodromy filtration as a test: on every stored P_k of clean and
+    P_centering-tampered instances (seeds 1-40, --max-dim 6 and 10), the axioms hold on the stored
+    filtration iff it equals ``centered_filtration`` iff the report's P_centering verdict passes."""
+    outcomes = Counter()
+    for seed in range(1, 41):
+        for max_dim in (6, 10):
+            for broken in (None, "P_centering"):
+                profile = GenProfile(seed=seed, max_dim_per_node=max_dim, broken_hypothesis=broken)
+                inst = gen_adversarial(profile) if broken else gen_cs_instance(profile)
+                report = check_instance_hypotheses(inst)
+                for k, space in inst.P.items():
+                    n = inst.map("N", k)
+                    axioms = verify_centered_axioms(CenteredFiltration(k, space), NilpotentOp(space, n))
+                    deciders = (axioms.ok, centered_filtration(n, k) == space, report.verdicts["P_centering"][k])
+                    assert len(set(deciders)) == 1, (seed, max_dim, broken, k, deciders)
+                    outcomes[axioms.failed_axiom] += 1
+    # the tampered nodes fail: P_k centred one weight too high keeps the shift axiom
+    assert outcomes[None] and outcomes["graded_iso"] and not outcomes["shift"]
+
+
+def test_a_shift_failure_is_not_the_centered_filtration():
+    """Q^2 with W_0 = <e1>, W_2 = Q^2 and N e1 = e2, centred at 1: N.W_0 = <e2> is not in W_-2 = 0,
+    and N's own filtration centred at 1 puts the chain's tail e2, not e1, at weight 0."""
+    space = FilteredSpace(2, {0: span_of_vectors([[1, 0]], 2), 2: full_subspace(2)})
+    n = Matrix.from_rows([[0, 0], [1, 0]])
+    verdict = verify_centered_axioms(CenteredFiltration(1, space), NilpotentOp(space, n))
+    assert (verdict.ok, verdict.failed_axiom, verdict.failed_index) == (False, "shift", 0)
+    assert centered_filtration(n, 1) == FilteredSpace(2, {0: span_of_vectors([[0, 1]], 2), 2: full_subspace(2)})
+    assert centered_filtration(n, 1) != space
+
+
 # -- eliminations per derived object -----------------------------------------
 
 def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
@@ -472,7 +505,7 @@ def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
                         lambda v, i: graded_at.append(len(calls)) or real_graded(v, i))
 
     def fresh(m):
-        return Matrix.of(m.nrows, m.ncols, m.irows)
+        return Matrix.of(m.irows, m.ncols)
 
     for m in (Matrix.from_rows([[1, 2, 3], [2, 4, 6]]), Matrix.identity(3), Matrix.zero(2, 4)):
         calls.clear()
@@ -510,7 +543,7 @@ def test_centered_filtration_equals_validated_filtration_and_builds_none(monkeyp
                         lambda self, dim, steps: built.append(dim) or real_init(self, dim, steps))
     for i in range(40):
         _, op = gen_centered_mhs(split_seed(83, i), i % 11, 0)
-        matrix = Matrix.of(op.matrix.nrows, op.matrix.ncols, op.matrix.irows)  # no memo yet
+        matrix = Matrix.of(op.matrix.irows, op.matrix.ncols)  # no memo yet
         for k in range(-3, 4):
             built.clear()
             got = centered_filtration(matrix, k)

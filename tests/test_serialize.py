@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csverify.degenerations import curve_cs_instance, cycle_graph, intersection_matrix, theta_graph
+from csverify.degenerations import MAX_FIXTURE_DIM, curve_cs_instance, cycle_graph, intersection_matrix, theta_graph
 from csverify.filtration import FilteredSpace, full_subspace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, ratio_row, span_of_vectors
@@ -96,6 +96,24 @@ def test_graph_round_trip():
     assert graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-2, -2]}) == cycle_graph(2)
     with pytest.raises(SerializationError):
         graph_from_json({"vertices": 2, "edges": [[0, 1], [1, 0]], "self": [-5, 1]})
+
+
+def test_graph_cap_at_its_edge():
+    """A fixture's nodes are Q^v and Q^(2*b1), b1 = e - v + 1 with loops counted: each at
+    MAX_FIXTURE_DIM is read, one past it refused; nothing is built either way."""
+    cap = MAX_FIXTURE_DIM
+    path = [[j, j + 1] for j in range(cap - 1)]
+    at_edge = {"path": {"vertices": cap, "edges": path},
+               "loops": {"vertices": 1, "edges": [[0, 0]] * (cap // 2)},
+               "parallel": {"vertices": 2, "edges": [[0, 1]] * (cap // 2 + 1)}}
+    past = {"path": {"vertices": cap + 1, "edges": path + [[cap - 1, cap]]},
+            "loops": {"vertices": 1, "edges": [[0, 0]] * (cap // 2 + 1)},
+            "parallel": {"vertices": 2, "edges": [[0, 1]] * (cap // 2 + 2)}}
+    for name, graph in at_edge.items():
+        assert graph_from_json(graph).vertices == graph["vertices"], name
+    for name, graph in past.items():
+        with pytest.raises(SerializationError, match=f"^dual graph too large: .* capped at dimension {cap}, "):
+            graph_from_json(graph)
 
 
 def test_self_list_is_the_intersection_diagonal_loops_included():
