@@ -1,71 +1,21 @@
 """Exact-arithmetic verification of weight filtrations and the long exact
 sequences of one-parameter degenerations (Clemens-Schmid type), together
-with generators and curve fixtures for testing the weight hypotheses."""
+with generators and curve fixtures for testing the weight hypotheses.
+
+The package namespace holds only the names the benchmark reads off it;
+every other name is imported from the module that defines it."""
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    Matrix,
-    Subspace,
-    canonicalize,
-    image,
-    kernel,
-)
-from .filtration import (
-    ExactnessVerdict,
-    FilteredMap,
-    FilteredSpace,
-    direct_sum,
-    tate_twist,
-    weights_geq,
-    weights_leq,
-)
 from .monodromy import (
-    CenteredFiltration,
-    NilpotentOp,
     ker_coker_weight_bounds,
     monodromy_filtration,
     monodromy_filtration_recursive,
     verify_centered_axioms,
 )
-from .verifier import (
-    CSInstance,
-    HypothesisReport,
-    VerdictReport,
-    assemble_and_verify_les,
-    check_instance_hypotheses,
-    verify_invariant_cycles,
-    verify_proposition,
-    verify_unipotent_cs,
-)
-from .generators import (
-    GenProfile,
-    gen_adversarial,
-    gen_centered_mhs,
-    gen_cs_instance,
-    search_load_bearing,
-    split_seed,
-)
-from .degenerations import (
-    DualGraph,
-    betti,
-    curve_cs_instance,
-    cycle_graph,
-    intersection_matrix,
-    theta_graph,
-)
+from .generators import gen_centered_mhs, split_seed
 
 __all__ = [
-    "Matrix", "Subspace", "canonicalize", "image", "kernel",
-    "ExactnessVerdict", "FilteredMap", "FilteredSpace",
-    "direct_sum", "tate_twist", "weights_geq", "weights_leq",
-    "CenteredFiltration", "NilpotentOp", "ker_coker_weight_bounds",
-    "monodromy_filtration", "monodromy_filtration_recursive", "verify_centered_axioms",
-    "CSInstance", "HypothesisReport", "VerdictReport", "assemble_and_verify_les",
-    "check_instance_hypotheses", "verify_invariant_cycles", "verify_proposition",
-    "verify_unipotent_cs",
-    "GenProfile", "gen_adversarial", "gen_centered_mhs", "gen_cs_instance",
-    "search_load_bearing", "split_seed",
-    "DualGraph", "betti", "curve_cs_instance", "cycle_graph",
-    "intersection_matrix", "theta_graph",
+    "split_seed", "gen_centered_mhs", "monodromy_filtration", "monodromy_filtration_recursive",
+    "verify_centered_axioms", "ker_coker_weight_bounds",
 ]

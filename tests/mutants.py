@@ -1,7 +1,7 @@
 """Mutation gate: deliberate one-edit breakages of src/ and the tests that must catch each.
 
-Run from anywhere with ``python3 tests/mutants.py``.  src/, tests/ and pyproject.toml are copied
-to a temporary directory once, and the named tests must pass there unmutated.  Each mutant is
+Run from anywhere with ``python3 tests/mutants.py``.  src/, tests/, bench/ and pyproject.toml are
+copied to a temporary directory once, and the named tests must pass there unmutated.  Each mutant is
 then applied alone, only its named tests run (pytest with the copy as its root, so the copy's
 src/ is the one imported), and the edit is undone.  A mutant is killed when those tests fail
 (pytest exit 1); a pass, or any other exit (a node id that no longer exists is exit 4), leaves
@@ -34,6 +34,15 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # the package namespace re-exporting a name the benchmark does not read off it
+    Mutant("csverify/__init__.py",
+           "from .generators import gen_centered_mhs, split_seed\n\n__all__ = [\n",
+           'from .generators import GenProfile, gen_centered_mhs, split_seed\n\n__all__ = [\n    "GenProfile",\n',
+           ("tests/test_exports.py::test_the_package_exports_only_what_its_clients_read",)),
+    Mutant("csverify/__init__.py",  # the same name imported there but left out of __all__
+           "from .generators import gen_centered_mhs, split_seed",
+           "from .generators import GenProfile, gen_centered_mhs, split_seed",
+           ("tests/test_exports.py::test_the_package_exports_only_what_its_clients_read",)),
     Mutant("csverify/generators.py",  # a drawn P_k centered one too high
            "return shifted(chain_steps(chains, dim), center),",
            "return shifted(chain_steps(chains, dim), center + 1),",
@@ -102,6 +111,15 @@ MUTANTS = (
            "return ExactnessVerdict(True)",
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
+    # hypothesis verdicts that a non-exact conclusion should have failed, seen by locality
+    Mutant("csverify/verifier.py",  # column exactness at B never failing
+           "for node, arrows in nodes.items():\n                verdicts[category][(k, node)] = _exactness(",
+           'for node, arrows in nodes.items():\n                verdicts[category][(k, node)] = ExactnessVerdict(True) if node == "B" else _exactness(',
+           ("tests/test_verifier.py::test_every_non_exact_conclusion_has_a_failing_dependency",)),
+    Mutant("csverify/verifier.py",  # the zero-middle shortcut reading B_{k+d} for B_{k+d+1}
+           "if k + d + dt not in getattr(inst, node):",
+           "if k + d not in getattr(inst, node):",
+           ("tests/test_verifier.py::test_every_non_exact_conclusion_has_a_failing_dependency",)),
     # each CONCLUSIONS row with one degree offset moved by one
     Mutant("csverify/verifier.py",
            '"P1": (("sa", 0), ("N", 0), (("P_centering", 0), ("B_bound", 1))),',
@@ -247,7 +265,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):  # the export guards read bench/ as a client
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
         # a killer that fails on the unmutated code would kill every mutant it is named for

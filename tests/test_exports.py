@@ -1,5 +1,6 @@
 """The package's public names: each one exported resolves, so a deleted
-function cannot leave a dangling entry in ``csverify.__all__``; each
+function cannot leave a dangling entry in ``csverify.__all__``; the
+package namespace re-exports only what the benchmark reads off it; each
 module imports a name from the module that defines it; no module reads a
 private attribute that another module defines, so memos such as
 ``Matrix._kernel`` are read through ``linalg``'s accessors; the random
@@ -8,6 +9,7 @@ caller outside the unit tests; and every public field has a reader."""
 
 import ast
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -156,6 +158,22 @@ def uncalled_public_names(src, clients):
     return [f"{mod}.{qualname}"
             for mod, tree in trees.items() for qualname, name, node in _public_definitions(tree)
             if not outside[name] and inside[name] == _references(node)[name]]
+
+
+def _package_reads(clients):
+    """Names read as an attribute of the package's own name: ``cs.name`` or ``csverify.name``."""
+    return {node.attr for path in clients for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("cs", "csverify")}
+
+
+def test_the_package_exports_only_what_its_clients_read():
+    """The package namespace holds what the benchmark reads off it: every public attribute but a
+    submodule is in __all__, and the clients read every __all__ name through the package."""
+    public = {name for name, value in vars(csverify).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - set(csverify.__all__)) == []
+    assert sorted(set(csverify.__all__) - _package_reads(_CLIENTS)) == []
 
 
 def test_every_public_name_has_a_caller():

@@ -113,48 +113,121 @@ def _line(w):
     return {"dim": 1, "steps": {str(w): [["1"]]}}
 
 
-@pytest.mark.parametrize("p, c, b, failure", [
+_ONE = [["1"]]
+
+# (p, c, b, the one failing hypothesis) and (w, a, the one failing hypothesis)
+_S_WITNESSES = [
     (0, 0, 0, ("B_bound", 1)),
     (2, 2, 2, ("P_centering", 0)),
     (0, 1, 1, ("strictness", ("s", 0))),
-])
-def test_one_dimensional_witnesses_that_hypotheses_bear_load(p, c, b, failure):
-    """P_0 = Q at weight p with N = 0, C_0 = Q at weight c, B_1 = Q at weight b, C_1 = B_2 = Q at
-    weight p+2, s_0 = r_1 = c_0 = c_1 = 1 and no A.  Each choice of weights fails one hypothesis
-    alone, and then exactly P1 at 0 and P3 at -1 are non-exact: ker N_0 = P_0 and B_1 are each
-    the kernel of their conclusion, with nothing mapping in (A_0 = 0, P_{-1} = 0)."""
-    one = [["1"]]
-    inst = instance_from_json({
-        "range": [0, 2], "P": {"0": _line(p)}, "C": {"0": _line(c), "1": _line(p + 2)},
-        "B": {"1": _line(b), "2": _line(p + 2)},
-        "row": {"s": {"0": one}, "r": {"1": one}}, "col": {"c": {"0": one, "1": one}}})
-    assert check_instance_hypotheses(inst).failures() == [failure]
-    non_exact = {(which, k): (v.reason, v.witness) for k in inst.degrees(pad=2) for which in CONCLUSIONS
-                 if not (v := conclusion_exactness(inst, which, k)).exact}
-    assert non_exact == {("P1", 0): ("kernel_exceeds_image", (1,)), ("P3", -1): ("kernel_exceeds_image", (1,))}
-
-
-@pytest.mark.parametrize("w, a, failure", [
+]
+_A_WITNESSES = [
     (0, 2, ("A_bound", 1)),
     (0, 1, ("strictness", ("a", 1))),
     (-1, 1, ("P_centering", 0)),
-])
-def test_one_dimensional_witnesses_that_a_bears_load(w, a, failure):
+]
+
+
+def _s_witness(p, c, b):
+    """P_0 = Q at weight p with N = 0, C_0 = Q at weight c, B_1 = Q at weight b, C_1 = B_2 = Q at
+    weight p+2, s_0 = r_1 = c_0 = c_1 = 1 and no A."""
+    return instance_from_json({
+        "range": [0, 2], "P": {"0": _line(p)}, "C": {"0": _line(c), "1": _line(p + 2)},
+        "B": {"1": _line(b), "2": _line(p + 2)},
+        "row": {"s": {"0": _ONE}, "r": {"1": _ONE}}, "col": {"c": {"0": _ONE, "1": _ONE}}})
+
+
+def _a_witness(w, a):
     """P_0 = A_0 = C_0 = Q at weight w with N = 0, C_1 = Q at weight w+2, A_1 = Q at weight a,
-    s_0 = a_0 = r_1 = a_1 = 1 and no B.  Each choice of weights fails one hypothesis alone, and
-    then exactly P2 at 0 and P4 at 1 are non-exact: P_0(-1) and A_1 are each the kernel of their
-    conclusion (B = 0), with nothing mapping in (N_0 = 0, B_1 = 0).  Strictness of a_1 is a
-    hypothesis that neither row of CONCLUSIONS lists.  With the witnesses above, every weight
-    hypothesis of every CONCLUSIONS row has one that fails it alone."""
-    one = [["1"]]
-    inst = instance_from_json({
+    s_0 = a_0 = r_1 = a_1 = 1 and no B."""
+    return instance_from_json({
         "range": [0, 2], "P": {"0": _line(w)}, "A": {"0": _line(w), "1": _line(a)},
         "C": {"0": _line(w), "1": _line(w + 2)},
-        "row": {"s": {"0": one}, "r": {"1": one}}, "col": {"a": {"0": one, "1": one}}})
+        "row": {"s": {"0": _ONE}, "r": {"1": _ONE}}, "col": {"a": {"0": _ONE, "1": _ONE}}})
+
+
+def _non_exact(inst):
+    """{(conclusion, degree): verdict} of every non-exact conclusion over the padded window, ungated."""
+    return {(which, k): v for k in inst.degrees(pad=2) for which in CONCLUSIONS
+            if not (v := conclusion_exactness(inst, which, k)).exact}
+
+
+@pytest.mark.parametrize("p, c, b, failure", _S_WITNESSES)
+def test_one_dimensional_witnesses_that_hypotheses_bear_load(p, c, b, failure):
+    """Each choice of weights of ``_s_witness`` fails one hypothesis alone, and then exactly P1 at
+    0 and P3 at -1 are non-exact: ker N_0 = P_0 and B_1 are each the kernel of their conclusion,
+    with nothing mapping in (A_0 = 0, P_{-1} = 0)."""
+    inst = _s_witness(p, c, b)
     assert check_instance_hypotheses(inst).failures() == [failure]
-    non_exact = {(which, k): (v.reason, v.witness) for k in inst.degrees(pad=2) for which in CONCLUSIONS
-                 if not (v := conclusion_exactness(inst, which, k)).exact}
+    non_exact = {key: (v.reason, v.witness) for key, v in _non_exact(inst).items()}
+    assert non_exact == {("P1", 0): ("kernel_exceeds_image", (1,)), ("P3", -1): ("kernel_exceeds_image", (1,))}
+
+
+@pytest.mark.parametrize("w, a, failure", _A_WITNESSES)
+def test_one_dimensional_witnesses_that_a_bears_load(w, a, failure):
+    """Each choice of weights of ``_a_witness`` fails one hypothesis alone, and then exactly P2 at
+    0 and P4 at 1 are non-exact: P_0(-1) and A_1 are each the kernel of their conclusion (B = 0),
+    with nothing mapping in (N_0 = 0, B_1 = 0).  Strictness of a_1 is a hypothesis that neither
+    row of CONCLUSIONS lists.  With the witnesses above, every weight hypothesis of every
+    CONCLUSIONS row has one that fails it alone."""
+    inst = _a_witness(w, a)
+    assert check_instance_hypotheses(inst).failures() == [failure]
+    non_exact = {key: (v.reason, v.witness) for key, v in _non_exact(inst).items()}
     assert non_exact == {("P2", 0): ("kernel_exceeds_image", (1,)), ("P4", 1): ("kernel_exceeds_image", (1,))}
+
+
+# conclusion -> (the exactness hypotheses, each (category, node, degree offset), and the map, as
+# (label, degree offset), whose strictness its proof reads besides the weight hypotheses of its
+# CONCLUSIONS row)
+_DEPENDENCIES = {
+    "P1": ((("row_exact", "P", 0), ("column_exact", "C", 0)), ("s", 0)),
+    "P2": ((("row_exact", "P(-1)", 0), ("column_exact", "C", 1)), ("a", 1)),
+    "P3": ((("row_exact", "C", 1), ("column_exact", "B", 2)), ("s", 1)),
+    "P4": ((("column_exact", "A", 0), ("row_exact", "C", 0)), ("a", 0)),
+}
+
+
+def _dependencies(which, k):
+    """The hypothesis verdicts, each (category, key) as in HypothesisReport, that conclusion which at k rests on."""
+    exactness, (label, d) = _DEPENDENCIES[which]
+    return ([(hyp, k + dk) for hyp, dk in CONCLUSIONS[which][2]]
+            + [(category, (k + dk, node)) for category, node, dk in exactness]
+            + [("strictness", (label, k + d))])
+
+
+def _locality_corpus():
+    for seed in range(1, 21):
+        for max_dim in (6, 10):
+            yield gen_cs_instance(GenProfile(seed=seed, max_dim_per_node=max_dim))
+            for broken in BREAKABLE_HYPOTHESES:
+                yield gen_adversarial(GenProfile(seed=seed, max_dim_per_node=max_dim, broken_hypothesis=broken))
+    yield from (_s_witness(p, c, b) for p, c, b, _ in _S_WITNESSES)
+    yield from (_a_witness(w, a) for w, a, _ in _A_WITNESSES)
+
+
+def test_every_non_exact_conclusion_has_a_failing_dependency():
+    """Locality of the conclusions: a conclusion that is not exact, run ungated, fails some
+    hypothesis verdict that its proof reads, as ``_DEPENDENCIES`` and its CONCLUSIONS row list
+    them.  One with every dependency passing would be a counterexample to the theorem as the
+    table states it, so either the table or the code would be wrong.  The strictness entries
+    are the ones CONCLUSIONS omits (the two FOUND lines of CHANGES.md on its P2, P3 and P4 rows):
+    only the pinned one-dimensional witnesses need them, and each row's entry is there the one
+    failing dependency of some non-exact conclusion of that row."""
+    unexplained, alone = [], set()
+    non_exact = 0
+    for inst in _locality_corpus():
+        verdicts = check_instance_hypotheses(inst).verdicts
+        for which, k in _non_exact(inst):
+            non_exact += 1
+            failing = [(category, key) for category, key in _dependencies(which, k)
+                       if not verdicts[category].get(key, True)]
+            if not failing:
+                unexplained.append((which, k, instance_to_json(inst)))
+            elif len(failing) == 1 and failing[0][0] == "strictness":
+                alone.add(which)
+    assert non_exact > 0
+    assert unexplained == []
+    assert alone == set(CONCLUSIONS)
 
 
 def test_gating_refuses_dirty_instances():
