@@ -5,11 +5,11 @@ bounded filtration W recorded sparsely at its jump weights.  Maps between
 filtered spaces must not raise weights; the strict ones are exactly those
 whose kernel/image/cokernel inherit well-behaved filtrations, which is what
 every exactness argument downstream leans on.  Strictness is decided by
-counting dimensions: a FilteredMap keeps dim f(W_i) from its
-compatibility check, and no intersection of subspaces is formed.
-Exactness passes on a count too: the ranks of the two maps, read from
-the images they keep, and one composite; a kernel is built only to find
-the witness of a failure.  Both verdicts are named tuples, true iff they pass.
+counting dimensions: a FilteredMap keeps dim f(W_i), the rank of the rows
+its compatibility check forms, and no subspace sum is formed.  Exactness
+passes on two ranks and a zero test of the composite; an image or kernel
+is built only for a failure's witness.  Both verdicts are named tuples,
+true iff they pass.
 
 Three constructions live here and nowhere else: the filtration a
 subspace inherits (``induced_on_subspace``, one elimination per step:
@@ -38,7 +38,9 @@ from .linalg import (
     full_subspace,
     image,
     kernel,
+    product_is_zero,
     quotient_map,
+    rank,
     times_transpose,
     within,
     zero_subspace,
@@ -186,8 +188,8 @@ def induced_on_quotient(v: FilteredSpace, q: Matrix) -> FilteredSpace:
 class FilteredMap:
     """A weight-compatible linear map between filtered spaces.
 
-    ``image_dims`` maps each jump weight w of the source to dim f(W_w),
-    kept from the compatibility check for the strictness test.
+    f(W_w) is formed once per source jump w, as rows (f applied to W_w's basis): they must lie
+    in W_w of the target, and their rank is ``image_dims[w]`` = dim f(W_w), kept for strictness.
     """
 
     __slots__ = ("source", "target", "matrix", "image_dims")
@@ -198,10 +200,11 @@ class FilteredMap:
                 f"map matrix is {matrix.nrows}x{matrix.ncols}, expected {target.dim}x{source.dim}")
         image_dims = {}
         for w, sub in source.steps:
-            mapped = image(matrix, sub)
-            if not target.step(w).contains(mapped):
+            into, whole = target.step(w), sub.dim == source.dim  # f(whole source) = im f, its rank kept on f
+            mapped = None if whole and into.dim == target.dim else times_transpose(sub.basis, matrix)
+            if into.dim < target.dim and not into.contains_rows(mapped):
                 raise WeightCompatibilityError(f"W_{w} of the source is not carried into W_{w} of the target")
-            image_dims[w] = mapped.dim
+            image_dims[w] = rank(matrix) if whole else rank(mapped)
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -226,14 +229,20 @@ def strictness(f: FilteredMap) -> StrictnessVerdict:
     A weight-compatible f has f(W_i(source)) inside im(f) . W_i(target),
     the fact behind strictness of morphisms (Deligne, Theorie de Hodge
     II, 1971), so the two are equal iff their dimensions are:
-    dim f(W_i) = dim im + dim W_i(target) - dim(im + W_i(target)).
+    dim f(W_i) = dim im + dim W_i(target) - dim(im + W_i(target)).  The
+    sum is counted, not built: dim W_i + rank(q.f) for q the quotient map
+    of W_i, or the larger dimension where a summand is 0 or everything.
     """
-    im = image(f.matrix)
+    im, n = rank(f.matrix), f.target.dim
     mapped = 0  # dim f(W_i(source)), constant between source jumps
     for w in sorted(set(f.source.jumps) | set(f.target.jumps)):
         mapped = f.image_dims.get(w, mapped)
         step = f.target.step(w)
-        if mapped != im.dim + step.dim - im.sum(step).dim:
+        if im in (0, n) or step.dim in (0, n):  # one summand is zero or everything: the sum is the larger
+            total = max(im, step.dim)
+        else:
+            total = step.dim + rank(quotient_map(step) @ f.matrix)
+        if mapped != im + step.dim - total:
             return StrictnessVerdict(False, failing_weight=w)
     return StrictnessVerdict(True)
 
@@ -258,18 +267,18 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
     """Exactness of the two-map matrix sequence . -f-> . -g-> . at the middle.
 
     Like ``strictness``, a passing verdict is a dimension count: im(f) =
-    ker(g) iff rank f + rank g = dim of the middle and g.f = 0.  The ranks
-    are those of the images kept on f and g, and g.f is formed only when
-    the count holds and f is nonzero.  A failing verdict's witness is the
-    first basis row of im(f) that g does not kill, read off one product,
-    else the first one of ker(g), built only then, outside im(f).
+    ker(g) iff rank f + rank g = dim of the middle and g.f = 0, tested by
+    ``product_is_zero`` only when the count holds and f is nonzero.  A
+    failing verdict's witness is the first basis row of im(f) that g does
+    not kill, else the first one of ker(g), built only then, outside im(f).
     """
     if g.ncols != f.nrows:
         raise DimensionMismatchError(
             f"maps do not compose: f lands in Q^{f.nrows}, g starts from Q^{g.ncols}")
-    im = image(f)
-    if im.dim + image(g).dim == f.nrows and (im.dim == 0 or (g @ f).is_zero()):
+    rank_f = rank(f)
+    if rank_f + rank(g) == f.nrows and (rank_f == 0 or product_is_zero(g, f)):
         return ExactnessVerdict(True)
+    im = image(f)
     rows, reason = im.basis, "composite_nonzero"
     hits = [any(r) for r, _ in times_transpose(rows, g).irows]
     if not any(hits):  # then im(f) lies in ker(g), and the quotient map of im(f) finds a row outside it

@@ -23,8 +23,9 @@ that build matrices in bulk write the stored form through
 ``Matrix.of`` counts its rows (ncols is given for a matrix with none) and
 ``Subspace(basis, pivots)`` lives in Q^basis.ncols, so what callers still
 keep by hand is the stored form itself, lowest terms and reduced bases.
-Each derived object is computed once and kept on its
-matrix or subspace by one helper, ``_kept``: ``kernel``, ``kernel_flag``
+Every elimination is ``rref``; ``rank`` and ``extend_basis`` stop after its
+forward pass.  Each derived object is computed once and kept on its
+matrix or subspace by one helper, ``_kept``: ``rank``, ``kernel``, ``kernel_flag``
 (for a square matrix; its step ker f is the kernel memo),
 ``jordan_chains`` (built from the flag), ``centered_steps`` (the steps of
 the weight filtration centered at 0 that the chains span), the full
@@ -36,7 +37,7 @@ steps and for the generators' Jordan forms alike; it adds one weight
 at a time to the reduced basis of the step below.  Every kernel is one
 elimination (``null_space``), ``within(t, s)`` (t . s in t's coordinates, behind
 intersections, induced filtrations and the monodromy recursion) too.  The zero
-subspace is one shared instance per ambient dimension, like ``Matrix.zero``.
+subspace is one shared instance per dimension, like ``Matrix.zero`` and ``identity``.
 
 Conventions:
   * vectors are tuples of rationals, acted on as column vectors;
@@ -130,7 +131,9 @@ class Matrix:
         return Matrix.of(tuple(map(_irow, rows)), ncols)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int) -> "Matrix":
+        """The identity, one shared instance per size, like ``zero``."""
         return Matrix.of(tuple((tuple(int(i == j) for j in range(n)), 1) for i in range(n)), n)
 
     @staticmethod
@@ -221,44 +224,37 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.of(tuple(rows), a.ncols + b.ncols)
 
 
-def rref(m: Matrix) -> tuple:
-    """Reduced row-echelon form.
+def rref(m: Matrix, pivots_only: bool = False) -> tuple:
+    """Reduced row-echelon form: (reduced, pivots), the nonzero reduced rows as a Matrix and the
+    strictly increasing pivot columns.  A forward pass finds the pivots, then back-substitution
+    clears each pivot column above its row; with ``pivots_only`` it returns (None, pivots) after
+    the forward pass, whose pivots are already the reduced form's.
 
-    Returns (reduced, pivots): the nonzero reduced rows as a Matrix and
-    the strictly increasing pivot column indices.
-
-    Fraction-free Gauss-Jordan on the numerators (a row's denominator
-    does not change its span): every update p*row - f*pivot_row is
-    divided by the row's content, and at the end each pivot row, made
+    Fraction-free on the numerators (a row's denominator does not change its span): every update
+    p*row - f*pivot_row is divided by the row's content, and at the end each pivot row, made
     primitive with a positive pivot p, is stored over p.
     """
     if not m.nrows or not m.ncols:
-        return Matrix.zero(0, m.ncols), ()
+        return None if pivots_only else Matrix.zero(0, m.ncols), ()
     rows = [list(r) for r, _ in m.irows]
     nrows = m.nrows
     pivots = []
-    pr = 0
     for c in range(m.ncols):
+        pr = len(pivots)
         for i in range(pr, nrows):
             if rows[i][c]:
                 break
         else:
             continue
         rows[pr], rows[i] = rows[i], rows[pr]
-        prow = rows[pr]
-        p = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != pr:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        pr += 1
-        if pr == nrows:
+        _clear(rows, range(pr + 1, nrows), pr, c)
+        if len(pivots) == nrows:
             break
+    if pivots_only:
+        return None, tuple(pivots)
+    for pr in range(len(pivots) - 1, 0, -1):  # last pivot first: row pr is already clear at the later pivots
+        _clear(rows, range(pr), pr, pivots[pr])
     reduced = []
     for row, c in zip(rows, pivots):
         g = gcd(*row)
@@ -268,6 +264,20 @@ def rref(m: Matrix) -> tuple:
             row = [x // g for x in row]
         reduced.append((tuple(row), row[c]))
     return Matrix.of(tuple(reduced), m.ncols), tuple(pivots)
+
+
+def _clear(rows: list, targets, pr: int, c: int):
+    """Clear column c of rows[i], for i in targets, with the pivot row rows[pr], each row kept primitive."""
+    prow = rows[pr]
+    p = prow[c]
+    for i in targets:
+        f = rows[i][c]
+        if f:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(rows[i], prow)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
 
 
 class Subspace:
@@ -301,7 +311,11 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimension mismatch")
-        return not any(any(self._residual(r)) for r, _ in other.basis.irows)
+        return self.contains_rows(other.basis)
+
+    def contains_rows(self, m: Matrix) -> bool:
+        """Whether every row of m lies in the subspace: each residual is zero."""
+        return not any(any(self._residual(r)) for r, _ in m.irows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         """The span of both; an operand is returned as is when the other is zero or the whole space."""
@@ -396,7 +410,7 @@ def maps_into(f: Matrix, s: Subspace, t: Subspace) -> bool:
     if s.ambient_dim != f.ncols or t.ambient_dim != f.nrows:
         raise DimensionMismatchError("subspaces not in the domain and target of f")
     return (s.dim == 0 or t.dim == t.ambient_dim  # f(0) = 0 lies in t, and anything lies in the whole space
-            or not any(any(t._residual(r)) for r, _ in times_transpose(s.basis, f).irows))
+            or t.contains_rows(times_transpose(s.basis, f)))
 
 
 @_kept
@@ -472,7 +486,7 @@ def extend_basis(base: Subspace, m: Matrix) -> Matrix:
     residuals = [base._residual(r) for r, _ in m.irows]
     if not any(map(any, residuals)):
         return Matrix.zero(0, m.ncols)
-    _, pivots = rref(Matrix.of(tuple((c, 1) for c in zip(*residuals)), m.nrows))
+    _, pivots = rref(Matrix.of(tuple((c, 1) for c in zip(*residuals)), m.nrows), pivots_only=True)
     return Matrix.of(tuple(m.irows[i] for i in pivots), m.ncols)
 
 
@@ -516,5 +530,16 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix.of(tuple((r[n:], d) for r, d in reduced.irows), n)
 
 
+@_kept
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    """The rank, from rref's forward pass alone (kept on a)."""
+    return len(rref(a, pivots_only=True)[1])
+
+
+def product_is_zero(g: Matrix, f: Matrix) -> bool:
+    """Whether g.f = 0, entry by entry, stopping at the first nonzero one: f's rows are scaled to one
+    denominator, as by ``@``, and no product Matrix is built."""
+    if g.ncols != f.nrows:
+        raise DimensionMismatchError(f"cannot multiply {g.nrows}x{g.ncols} by {f.nrows}x{f.ncols}")
+    cols = list(zip(*_scaled(f.irows)[1]))
+    return not any(sum(map(mul, a, c)) for a, _ in g.irows for c in cols)

@@ -30,8 +30,8 @@ makes their agreement a sharp cross-check, run by every `monodromy`
 command and at scale by the test suite.  ``linalg.chain_steps`` is the
 one place that turns chains into weights: the matrix's centre-0 steps
 come from it, and so do the generators' P_k, from the chains of a Jordan
-form.  The axiom check takes graded pieces from
-``filtration.graded_complement``.  Its verdict, the bounds verdict and a
+form.  The axiom check, ``centered_axioms`` (the verifier's P_centering), takes graded
+pieces from ``filtration.graded_complement``.  Its verdict, the bounds verdict and a
 ``CenteredFiltration`` are named tuples; each verdict is true iff it passes.
 """
 
@@ -173,20 +173,20 @@ class AxiomVerdict(NamedTuple):
         return self.ok
 
 
-def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdict:
-    """Check N.M_i <= M_{i-2} and that N^i induces Gr_{k+i} ~ Gr_{k-i}.
+def centered_axioms(space: FilteredSpace, k: int, matrix: Matrix) -> AxiomVerdict:
+    """Check N.M_i <= M_{i-2} and that N^i induces Gr_{k+i} ~ Gr_{k-i}, for M = space, N = matrix.
 
-    Returns the first failing axiom with its witness index; this is a
-    verdict, not an exception.  No power of N, and no image of a step, is
-    formed: N is applied i times to the rows representing Gr_{k+i}, each time
-    by ``linalg.times_transpose``, which builds no transpose.
+    Returns the first failing axiom with its witness index; this is a verdict, not an exception.
+    No power of N, and no image of a step, is formed: N is applied i times to the rows representing
+    Gr_{k+i} by ``linalg.times_transpose``.  The centered filtration is the unique finite one with
+    both properties, so this decides ``centered_filtration(matrix, k) == space`` with none built.
+    N need not be known to be nilpotent: under the shift axiom N^p maps the top step M_t into
+    M_{t-2p}, zero once t - 2p is below the lowest jump, so a non-nilpotent N fails it.
     """
-    space = f.filtration
-    if space.dim != n.space.dim:
+    if matrix.nrows != space.dim or matrix.ncols != space.dim:
         raise DimensionMismatchError("filtration and operator live on different spaces")
-    k = f.center
     for w in space.jumps:
-        if not maps_into(n.matrix, space.step(w), space.step(w - 2)):
+        if not maps_into(matrix, space.step(w), space.step(w - 2)):
             return AxiomVerdict(False, failed_axiom="shift", failed_index=w)
     spread = max((abs(w - k) for w in space.jumps), default=0)
     for i in range(1, spread + 1):
@@ -195,12 +195,17 @@ def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdic
         iso = up.nrows == space.step(k - i).dim - below.dim
         if iso and up.nrows:
             for _ in range(i):
-                up = times_transpose(up, n.matrix)  # the row v becomes the vector N v
+                up = times_transpose(up, matrix)  # the row v becomes the vector N v
             # the shift axiom puts N^i.up inside W_{k-i}; modulo W_{k-i-1} it must keep full rank
             iso = rank(times_transpose(up, quotient_map(below))) == up.nrows
         if not iso:
             return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
     return AxiomVerdict(True)
+
+
+def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdict:
+    """``centered_axioms`` of a candidate filtration and an operator."""
+    return centered_axioms(f.filtration, f.center, n.matrix)
 
 
 class BoundsVerdict(NamedTuple):

@@ -69,7 +69,7 @@ from .filtration import (
     weights_leq,
 )
 from .linalg import Matrix, image, kernel, quotient_map, transpose
-from .monodromy import NilpotencyError, centered_filtration
+from .monodromy import centered_axioms
 
 
 class MalformedInstanceError(ValueError):
@@ -359,7 +359,9 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
     Structural defects raise MalformedInstanceError (at instance
     construction); everything here is reported as a verdict instead, a
     non-nilpotent N_k as a failed P_centering verdict.  Only the degree
-    window is visited; the verdicts outside it all pass.
+    window is visited; the verdicts outside it all pass.  A passing verdict
+    is a count or a zero test; P_centering is ``centered_axioms``, which by
+    uniqueness needs no centered filtration built.
     """
     verdicts = {category: {} for category in BREAKABLE_HYPOTHESES}
     for k in inst.degrees():
@@ -369,11 +371,7 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
         if inst.k_min <= k <= inst.k_max:
             verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)
             verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)
-            try:
-                centered = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
-            except NilpotencyError:
-                centered = False
-            verdicts["P_centering"][k] = centered
+            verdicts["P_centering"][k] = centered_axioms(inst.space("P", k), k, inst.map("N", k)).ok
         for label, mat, src, tgt in _instance_maps(inst, k):
             try:
                 verdict = strictness(FilteredMap(src, tgt, mat))

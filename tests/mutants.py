@@ -93,11 +93,11 @@ MUTANTS = (
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
     Mutant("csverify/verifier.py",
            'verdicts["P_centering"][k] = centered',
-           'verdicts["P_centering"][k] = True',
+           'verdicts["P_centering"][k] = True or centered',
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[P_centering]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
     Mutant("csverify/filtration.py",  # the strictness count never compared
-           "if mapped != im.dim + step.dim - im.sum(step).dim:",
+           "if mapped != im + step.dim - total:",
            "if False:",
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[strictness]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
@@ -220,6 +220,35 @@ MUTANTS = (
            "zero = ((0,) * m.ncols, 1)",
            "zero = ((0,) * m.ncols, 2)",
            ("tests/test_cli.py::test_pipelines_build_only_the_stored_form",)),
+    # passing verdicts as counts: each count, zero test and loop bound cut short
+    Mutant("csverify/linalg.py",  # the forward pass stopping one pivot early
+           "if len(pivots) == nrows:",
+           "if len(pivots) == nrows - 1:",
+           ("tests/test_sympy_oracle.py::test_forward_pass_rank_matches_full_rref_and_sympy",
+            "tests/test_linalg_oracle.py::test_rref_matches_reference")),
+    Mutant("csverify/linalg.py",  # the zero test reading f's numerators without their row denominators
+           "cols = list(zip(*_scaled(f.irows)[1]))",
+           "cols = list(zip(*[r for r, _ in f.irows]))",
+           ("tests/test_linalg_oracle.py::test_product_is_zero_matches_the_built_product",
+            "tests/test_filtration.py::test_zero_test_matches_the_built_product_on_generated_pairs")),
+    Mutant("csverify/filtration.py",  # exactness passing on the rank count alone
+           "(rank_f == 0 or product_is_zero(g, f))",
+           "True",
+           ("tests/test_filtration.py::test_exactness_matches_brute_force_oracle",)),
+    Mutant("csverify/filtration.py",  # f(W_w) never tested against W_w of the target
+           "if into.dim < target.dim and not into.contains_rows(mapped):",
+           "if False:",
+           ("tests/test_filtration.py::test_compatibility_and_strictness_counts_match_built_subspaces",)),
+    Mutant("csverify/filtration.py",  # strictness without the target-step rank: dim(im + W_i) read as dim W_i
+           "total = step.dim + rank(quotient_map(step) @ f.matrix)",
+           "total = step.dim",
+           ("tests/test_filtration.py::test_compatibility_and_strictness_counts_match_built_subspaces",
+            "tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[strictness]")),
+    Mutant("csverify/monodromy.py",  # the graded-iso loop stopping one step short of the spread
+           "for i in range(1, spread + 1):",
+           "for i in range(1, spread):",
+           ("tests/test_monodromy.py::test_p_centering_by_axioms_matches_the_built_filtration",
+            "tests/test_monodromy.py::test_axioms_match_the_dense_power_reference")),
     # each ARROWS row and each SEQUENCES entry with one degree offset moved by one
     *(Mutant("csverify/verifier.py", old, new,
              ("tests/test_verifier.py::test_i1_fixture_clean_report",
@@ -260,6 +289,8 @@ def _killed(copy: Path, mutant: Mutant) -> bool:
 
 
 def main() -> int:
+    if len({(mutant.path, mutant.old) for mutant in MUTANTS}) != len(MUTANTS):
+        raise SystemExit("two mutants share a path and old text, and so a test id")
     started = time.monotonic()
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -491,7 +491,8 @@ def test_fixture_past_its_cap_is_exit_four(graph, got, monkeypatch, capsys):
 
 
 def test_pipelines_build_only_the_stored_form(monkeypatch, capsys):
-    """Every Matrix and Subspace built by one `generate | verify --thm 1`, one `fixture curve | verify
+    """Every Matrix and Subspace built by one `generate | verify --thm 1`, one with a broken hypothesis
+    (exit 2: its failing verdicts build images, kernels and witnesses), one `fixture curve | verify
     --thm 3` and one `monodromy` is in the stored form.  The sizes are read off the data; what the
     builders still keep by hand is checked here: each row has ncols integer numerators over a positive
     denominator, in lowest terms, and each basis is reduced, its pivots strictly increasing, each the
@@ -517,13 +518,15 @@ def test_pipelines_build_only_the_stored_form(monkeypatch, capsys):
     monkeypatch.setattr(Subspace, "__init__", reduced_init)
     stdin = {"fixture": json.dumps(graph_to_json(theta_graph())),
              "monodromy": dumps(nilpotent_to_json(gen_centered_mhs(5, 8, 1)[1]))}
-    for first, second in ((["generate", "--seed", "3", "--max-dim", "10"], ["verify", "-", "--thm", "1"]),
-                          (["fixture", "curve", "--graph", "-"], ["verify", "-", "--thm", "3"]),
-                          (["monodromy", "-", "--center", "1"], None)):
+    broken = ["generate", "--seed", "3", "--max-dim", "10", "--break", "column_exact"]
+    for first, second, verdict in ((["generate", "--seed", "3", "--max-dim", "10"], ["verify", "-", "--thm", "1"], 0),
+                                   (broken, ["verify", "-", "--thm", "1"], 2),
+                                   (["fixture", "curve", "--graph", "-"], ["verify", "-", "--thm", "3"], 0),
+                                   (["monodromy", "-", "--center", "1"], None, None)):
         code, out, _ = run_cli(first, stdin_text=stdin.get(first[0]), monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0
         if second:
-            assert run_cli(second, stdin_text=out, monkeypatch=monkeypatch, capsys=capsys)[0] == 0
+            assert run_cli(second, stdin_text=out, monkeypatch=monkeypatch, capsys=capsys)[0] == verdict
     assert built["matrix"] > 1000 and built["subspace"] > 100, built
 
 

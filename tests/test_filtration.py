@@ -36,12 +36,15 @@ from csverify.linalg import (
     image,
     inverse,
     kernel,
+    product_is_zero,
     quotient_map,
     span_of_vectors,
     transpose,
     zero_subspace,
 )
-from csverify.verifier import _instance_maps
+from csverify.verifier import CONCLUSIONS, SEQUENCES, _instance_maps
+
+import corpus
 from test_linalg_oracle import ref_contains_vector
 
 
@@ -247,6 +250,82 @@ def test_strictness_matches_reference_on_compatible_maps(seed, m, n, zero_frac):
           for i in range(n)] for j in range(m)], ncols=n)
     f = FilteredMap(src, tgt, v @ coeffs @ inverse(u))
     assert strictness(f) == ref_strictness(f)
+
+
+# -- compatibility and strictness counted, against the subspaces they replace -
+
+def ref_filtered_map(src, tgt, mat):
+    """(image_dims, strictness verdict) from built subspaces, or None where mat is not
+    weight-compatible: f(W_w) is image(f, W_w), which must lie in W_w of the target, and the
+    count reads dim(im + W_w) off im.sum(W_w)."""
+    image_dims = {}
+    for w, sub in src.steps:
+        mapped = image(mat, sub)
+        if not tgt.step(w).contains(mapped):
+            return None
+        image_dims[w] = mapped.dim
+    im, mapped = image(mat), 0
+    for w in sorted(set(src.jumps) | set(tgt.jumps)):
+        mapped = image_dims.get(w, mapped)
+        step = tgt.step(w)
+        if mapped != im.dim + step.dim - im.sum(step).dim:
+            return image_dims, StrictnessVerdict(False, failing_weight=w)
+    return image_dims, StrictnessVerdict(True)
+
+
+def counted_filtered_map(src, tgt, mat):
+    try:
+        f = FilteredMap(src, tgt, mat)
+    except WeightCompatibilityError:
+        return None
+    return f.image_dims, strictness(f)
+
+
+def test_compatibility_and_strictness_counts_match_built_subspaces():
+    """Every map with two nonzero ends in the shared corpus (seeds 1-40, max dim 6 and 10, clean
+    and each break), then random maps on adapted spaces: compatible by construction with
+    coefficients zeroed to break strictness, or arbitrary."""
+    outcomes = Counter()
+
+    def compare(src, tgt, mat):
+        got = counted_filtered_map(src, tgt, mat)
+        assert got == ref_filtered_map(src, tgt, mat)
+        outcomes["incompatible" if got is None else bool(got[1])] += 1
+
+    for _, _, _, inst in corpus.generated():
+        for k in inst.degrees():
+            for _, mat, src, tgt in _instance_maps(inst, k):
+                compare(src, tgt, mat)
+    rng = random.Random(93)
+    for _ in range(300):
+        src, u, a = _adapted_space(rng, rng.randint(1, 5))
+        tgt, v, b = _adapted_space(rng, rng.randint(1, 5))
+        zero_frac = rng.choice((0.0, 0.3, 0.7))
+        coeffs = Matrix.from_rows([[rng.randint(-3, 3) if b[j] <= a[i] and rng.random() >= zero_frac else 0
+                                    for i in range(src.dim)] for j in range(tgt.dim)], ncols=src.dim)
+        compare(src, tgt, v @ coeffs @ inverse(u))
+        compare(src, tgt, Matrix.from_rows([[rng.randint(-1, 1) for _ in range(src.dim)]
+                                            for _ in range(tgt.dim)], ncols=src.dim))
+    assert min(outcomes[key] for key in ("incompatible", True, False)) >= 20, outcomes
+
+
+def test_zero_test_matches_the_built_product_on_generated_pairs():
+    """g.f = 0 tested entry by entry against the built product, for every exactness hypothesis and
+    conclusion of the shared corpus, whose rows carry different denominators."""
+    rows = [pair for nodes in SEQUENCES.values() for pair in nodes.values()]
+    rows += [(f, g) for f, g, _ in CONCLUSIONS.values()]
+    outcomes = Counter()
+    for _, _, _, inst in corpus.generated():
+        for k in inst.degrees(pad=2):
+            for (f, df), (g, dg) in rows:
+                fm, gm = inst.map(f, k + df), inst.map(g, k + dg)
+                if fm.is_zero() or gm.is_zero():
+                    continue
+                want = (gm @ fm).is_zero()
+                assert product_is_zero(gm, fm) == want
+                outcomes[want] += 1
+                outcomes["mixed denominators"] += len({d for _, d in fm.irows}) > 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # -- exactness -------------------------------------------------------------

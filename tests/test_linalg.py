@@ -284,7 +284,7 @@ def test_eliminations_go_through_module_rref(monkeypatch):
     entry point below must reach it through the module name."""
     calls = []
     real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(linalg, "rref", lambda m, *args, **kwargs: calls.append(m) or real(m, *args, **kwargs))
 
     def fresh():  # a new matrix: no derived object is kept on it yet
         return Matrix.from_rows([[1, 2], [3, 4]])

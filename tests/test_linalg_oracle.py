@@ -9,7 +9,8 @@ the same entries, Fraction-typed, with the same printed form.
 The product with a transpose that builds none, the quotient map read
 off a reduced basis, the image and kernel kept on each Matrix, the
 kernel read off one elimination of the reversed columns, the row-by-row
-test of f(S) <= T, the greedy basis extension, the sum that skips
+test of f(S) <= T, the greedy basis extension, the zero test of a
+product that builds none, the sum that skips
 elimination beside a zero or whole operand, the intersection through
 a quotient map and its coordinates in one operand's basis (``within``)
 are compared with the direct computations they replace.
@@ -30,6 +31,7 @@ from csverify.linalg import (
     kernel,
     maps_into,
     null_space,
+    product_is_zero,
     quotient_map,
     rref,
     span_of_vectors,
@@ -375,6 +377,34 @@ def test_times_transpose_matches_product_with_transpose(pair):
     got = times_transpose(a, b)
     assert got == a @ transpose(b)  # shape and stored rows
     same_entries(got.rows, ref_matmul(a, transpose(b)))
+
+
+@st.composite
+def killing_pairs(draw):
+    """(g, f), with g.f = 0 unless one entry of g was moved: g's rows are combinations of the
+    left kernel of f (the reference kernel of f's transpose), and f's rows keep their own
+    denominators, so a zero test that reads f's numerators alone goes wrong."""
+    f = draw(matrices())
+    left = ref_kernel(transpose(f)).basis.rows
+    rows = []
+    for _ in range(draw(dims)):
+        coeffs = [draw(rationals) for _ in left]
+        rows.append([sum((c * y[j] for c, y in zip(coeffs, left)), _ZERO) for j in range(f.nrows)])
+    if rows and f.nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, f.nrows - 1))] += draw(rationals)
+    return Matrix.from_rows(rows, ncols=f.nrows), f
+
+
+@settings(max_examples=100, deadline=None)
+@given(killing_pairs())
+@example((Matrix.from_rows([[2, -3]]), Matrix.from_rows([[Fraction(1, 2)], [Fraction(1, 3)]])))
+@example((Matrix.from_rows([], ncols=2), Matrix.from_rows([[1], [2]])))
+@example((Matrix.from_rows([[]], ncols=0), Matrix.from_rows([], ncols=3)))
+def test_product_is_zero_matches_the_built_product(pair):
+    g, f = pair
+    want = (g @ f).is_zero()
+    assert want == all(x == 0 for row in ref_matmul(g, f) for x in row)
+    assert product_is_zero(g, f) == want
 
 
 def ref_quotient_rows(s):

@@ -43,6 +43,7 @@ from csverify.monodromy import (
     CenteredFiltration,
     NilpotencyError,
     NilpotentOp,
+    centered_axioms,
     centered_filtration,
     centered_filtration_recursive,
     ker_coker_weight_bounds,
@@ -52,6 +53,8 @@ from csverify.monodromy import (
     verify_centered_axioms,
 )
 from csverify.verifier import check_instance_hypotheses
+
+import corpus
 
 
 def graded_dims(fs):
@@ -465,20 +468,58 @@ def test_uniqueness_three_deciders_agree_on_every_stored_p():
     P_centering-tampered instances (seeds 1-40, --max-dim 6 and 10), the axioms hold on the stored
     filtration iff it equals ``centered_filtration`` iff the report's P_centering verdict passes."""
     outcomes = Counter()
-    for seed in range(1, 41):
-        for max_dim in (6, 10):
-            for broken in (None, "P_centering"):
-                profile = GenProfile(seed=seed, max_dim_per_node=max_dim, broken_hypothesis=broken)
-                inst = gen_adversarial(profile) if broken else gen_cs_instance(profile)
-                report = check_instance_hypotheses(inst)
-                for k, space in inst.P.items():
-                    n = inst.map("N", k)
-                    axioms = verify_centered_axioms(CenteredFiltration(k, space), NilpotentOp(space, n))
-                    deciders = (axioms.ok, centered_filtration(n, k) == space, report.verdicts["P_centering"][k])
-                    assert len(set(deciders)) == 1, (seed, max_dim, broken, k, deciders)
-                    outcomes[axioms.failed_axiom] += 1
+    for seed, max_dim, broken, inst in corpus.generated():
+        if broken not in (None, "P_centering"):
+            continue
+        report = check_instance_hypotheses(inst)
+        for k, space in inst.P.items():
+            n = inst.map("N", k)
+            axioms = verify_centered_axioms(CenteredFiltration(k, space), NilpotentOp(space, n))
+            deciders = (axioms.ok, centered_filtration(n, k) == space, report.verdicts["P_centering"][k])
+            assert len(set(deciders)) == 1, (seed, max_dim, broken, k, deciders)
+            outcomes[axioms.failed_axiom] += 1
     # the tampered nodes fail: P_k centred one weight too high keeps the shift axiom
     assert outcomes[None] and outcomes["graded_iso"] and not outcomes["shift"]
+
+
+def ref_p_centering(space, k, n):
+    """The P_centering verdict as the filtration it names, built: N's centered filtration at k
+    equals the stored one, and a non-nilpotent N fails."""
+    try:
+        return centered_filtration(n, k) == space
+    except NilpotencyError:
+        return False
+
+
+def test_p_centering_by_axioms_matches_the_built_filtration():
+    """The verifier decides P_centering by the two axioms alone, which uniqueness allows.  Against
+    the built filtration: every degree of the shared corpus (seeds 1-40, max dim 6 and 10, clean
+    and each break); ``gen_centered_mhs`` draws tested at their centre k and at k - 1 and k + 1;
+    and non-nilpotent operators on those draws (the identity, N + 1, a coordinate projection),
+    which the shift axiom alone refuses."""
+    outcomes = Counter()
+    for _, _, _, inst in corpus.generated():
+        verdicts = check_instance_hypotheses(inst).verdicts["P_centering"]
+        for k in range(inst.k_min, inst.k_max + 1):
+            space, n = inst.space("P", k), inst.map("N", k)
+            assert verdicts[k] == centered_axioms(space, k, n).ok == ref_p_centering(space, k, n), k
+            outcomes["corpus", verdicts[k]] += 1
+    for i in range(80):
+        centre = i % 7 - 3
+        space, op = gen_centered_mhs(split_seed(97, i), i % 11, centre)
+        for k in (centre - 1, centre, centre + 1):
+            got = centered_axioms(space, k, op.matrix)
+            assert got.ok == ref_p_centering(space, k, op.matrix), (i, k)
+            outcomes["draw", got.ok] += 1
+        if not space.dim:
+            continue
+        one = Matrix.identity(space.dim)
+        projection = Matrix.of((one.irows[0],) + Matrix.zero(space.dim - 1, space.dim).irows, space.dim)
+        for other in (one, op.matrix + one, projection):
+            got = centered_axioms(space, centre, other)
+            assert (got.ok, got.failed_axiom) == (False, "shift") and not ref_p_centering(space, centre, other)
+            outcomes["not nilpotent"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 5, outcomes
 
 
 def test_a_shift_failure_is_not_the_centered_filtration():
@@ -500,7 +541,7 @@ def test_eliminations_per_kernel_flag_and_axiom_check(monkeypatch):
     the first graded piece is taken.  The filtration a subspace inherits takes one rref per step."""
     calls, graded_at = [], []
     real_rref, real_graded = linalg.rref, monodromy.graded_complement
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
+    monkeypatch.setattr(linalg, "rref", lambda m, *args, **kwargs: calls.append(m) or real_rref(m, *args, **kwargs))
     monkeypatch.setattr(monodromy, "graded_complement",
                         lambda v, i: graded_at.append(len(calls)) or real_graded(v, i))
 

@@ -10,3 +10,10 @@ def test_mutant_still_applies(mutant):
     for node in mutant.killers:
         path, name = node.split("::")
         assert f"def {name.split('[')[0]}(" in (ROOT / path).read_text(), node
+
+
+def test_mutant_ids_are_unique():
+    """Each case above is named by its (path, old text); pytest would suffix a repeated name with
+    0 and 1, renaming an existing case, so a repeat fails here instead."""
+    ids = [(mutant.path, mutant.old) for mutant in MUTANTS]
+    assert sorted(set(ids)) == sorted(ids), [key for key in ids if ids.count(key) > 1]

@@ -48,11 +48,18 @@ rationals = st.one_of(
 )
 
 
+# entries over 1000 bits, beside the small ones, for the forward-pass rank
+huge_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-2**1100, 2**1100), st.integers(1, 2**1030)),
+)
+
+
 @st.composite
-def fraction_rows(draw, nrows=st.integers(0, 8), ncols=st.integers(0, 8)):
+def fraction_rows(draw, nrows=st.integers(0, 8), ncols=st.integers(0, 8), entries=rationals):
     """Rows of Fractions with duplicated, scaled and zero rows mixed in."""
     m, n = draw(nrows), draw(ncols)
-    rows = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     for _ in range(draw(st.integers(0, 2)) if m else 0):
         i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         scale = draw(st.sampled_from([0, 1, -1, 3, Fraction(-5, 7)]))
@@ -89,6 +96,22 @@ def test_rref_rank_and_kernel_match_sympy(case):
     assert ker.dim == n - theirs.rank()
     if ker.dim:
         assert ker == span_of_vectors(from_sympy(theirs.nullspace().to_list()), n)
+
+
+_BIG = 2**1024 + 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(fraction_rows(nrows=st.integers(0, 6), ncols=st.integers(0, 6), entries=huge_rationals))
+@example((3, 3, [[_BIG, Fraction(1, _BIG), 0], [1, 1, 1], [_BIG + 1, Fraction(1, _BIG) + 1, 1]]))
+@example((2, 2, [[Fraction(_BIG, 3), -_BIG], [Fraction(-1, _BIG), Fraction(3, _BIG)]]))
+def test_forward_pass_rank_matches_full_rref_and_sympy(case):
+    """rank stops after rref's forward pass: its pivots are the reduced form's, and its count is sympy's."""
+    m, n, rows = case
+    ours = Matrix.from_rows(rows, ncols=n)
+    _, pivots = rref(ours)
+    assert rref(ours, pivots_only=True) == (None, pivots)
+    assert rank(ours) == len(pivots) == to_sympy(m, n, rows).rank()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -35,8 +36,9 @@ from csverify.verifier import (
     verify_proposition,
     verify_unipotent_cs,
 )
-from csverify import verifier
+from csverify import linalg, verifier
 from csverify.verifier import _instance_maps, _weights_used
+import corpus
 from test_linalg_oracle import ref_contains_vector
 
 
@@ -196,11 +198,7 @@ def _dependencies(which, k):
 
 
 def _locality_corpus():
-    for seed in range(1, 21):
-        for max_dim in (6, 10):
-            yield gen_cs_instance(GenProfile(seed=seed, max_dim_per_node=max_dim))
-            for broken in BREAKABLE_HYPOTHESES:
-                yield gen_adversarial(GenProfile(seed=seed, max_dim_per_node=max_dim, broken_hypothesis=broken))
+    yield from (inst for seed, _, _, inst in corpus.generated() if seed <= 20)
     yield from (_s_witness(p, c, b) for p, c, b, _ in _S_WITNESSES)
     yield from (_a_witness(w, a) for w, a, _ in _A_WITNESSES)
 
@@ -469,6 +467,63 @@ def test_composites_built_once_and_invisible():
             conclusion_exactness(inst, which, k)
     assert inst._products
     assert instance_from_json(instance_to_json(inst)) == inst
+
+
+# -- a passing verdict is a count --------------------------------------------
+
+def _check_work(monkeypatch, inst) -> Counter:
+    """The work check_instance_hypotheses(inst) does, counted: full and forward-only eliminations,
+    the column spaces behind ``image``, null spaces (every kernel), Jordan chains (every centered
+    filtration), products formed inside ``exactness_at``, and the verdicts that pass there."""
+    work, inside = Counter(), []
+    real_rref, real_matmul, real_exactness = linalg.rref, Matrix.__matmul__, verifier.exactness_at
+
+    def rref(m, pivots_only=False):
+        work["forward pass" if pivots_only else "full rref"] += 1
+        return real_rref(m, pivots_only)
+
+    def matmul(a, b):
+        work["product in exactness_at"] += bool(inside)
+        return real_matmul(a, b)
+
+    def exactness(f, g):
+        inside.append(None)
+        try:
+            verdict = real_exactness(f, g)
+        finally:
+            inside.pop()
+        work["exact"] += verdict.exact
+        return verdict
+
+    def counted(name, real):
+        return lambda *args: work.update((name,)) or real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", rref)
+        patch.setattr(Matrix, "__matmul__", matmul)
+        patch.setattr(verifier, "exactness_at", exactness)
+        for name in ("_column_space", "null_space", "jordan_chains"):
+            patch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+        report = check_instance_hypotheses(inst)
+    work["clean"] = report.clean
+    return work
+
+
+def test_a_clean_check_builds_no_image_kernel_or_centered_filtration(monkeypatch):
+    """On clean instances read afresh from JSON, so that nothing is kept on their matrices yet,
+    every hypothesis verdict passes on a count or a zero test: every elimination is rref's forward
+    pass, so no column space, kernel or subspace sum is reduced; no Jordan chain, and so no
+    centered filtration, is built; and no product Matrix is formed for a passing exactness
+    verdict.  A failing verdict still builds its witness, which the same counters see."""
+    fresh = [gen_cs_instance(GenProfile(seed=seed, max_dim_per_node=(6, 10)[seed % 2])) for seed in range(1, 7)]
+    fresh += [curve_cs_instance(theta_graph()), curve_cs_instance(cycle_graph(4))]
+    for inst in fresh:
+        work = _check_work(monkeypatch, instance_from_json(instance_to_json(inst)))
+        assert work["clean"] and work["exact"] and work["forward pass"], work
+        assert set(+work) == {"clean", "exact", "forward pass"}, work
+    broken = gen_adversarial(GenProfile(seed=1, max_dim_per_node=6, broken_hypothesis="column_exact"))
+    work = _check_work(monkeypatch, instance_from_json(instance_to_json(broken)))
+    assert not work["clean"] and work["_column_space"] and work["full rref"], work
 
 
 # -- the category-keyed report against the six-field one --------------------
