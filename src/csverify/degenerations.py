@@ -78,22 +78,8 @@ class DualGraph(NamedTuple):
         return len({find(x) for x in range(self.vertices)}) == 1
 
 
-def cycle_graph(n: int) -> DualGraph:
-    """The dual graph of an n-gon of rational curves (type I_n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return DualGraph.make(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def theta_graph() -> DualGraph:
-    """Two vertices joined by three parallel edges."""
-    return DualGraph.make(2, [(0, 1), (0, 1), (0, 1)])
-
-
 def betti(g: DualGraph) -> Tuple[int, int]:
-    """(b0, b1) of the graph; b0 must be 1."""
-    if not g._connected():
-        raise DisconnectedGraphError("dual graph is not connected")
+    """(b0, b1) of the graph; b0 is 1, since ``DualGraph.make`` refuses a disconnected graph."""
     return 1, len(g.edges) - g.vertices + 1
 
 

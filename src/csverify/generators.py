@@ -23,8 +23,9 @@ from the library's own constructions: the Jordan chains go through
 ``linalg.chain_steps``, the kernel and cokernel weights through
 ``filtration.induced_on_subspace``/``induced_on_quotient``, and the adapted
 bases of the automorphisms through ``filtration.graded_complement``.
-Nothing is checked here: each P_k, off-centre too, is one ``_jordan_pair``
-draw, and each node one ``filtration.direct_sum`` of its summands.
+Nothing is checked here, and no check or verdict engine is imported: each
+P_k, off-centre too, is one ``_jordan_pair`` draw, and each node one
+``filtration.direct_sum`` of its summands.
 Adversarial variants break exactly one named hypothesis by editing the
 summands before the conjugation step: a pure line added to A_t and B_t
 under one name breaks a weight bound or strictness, moving coker(N_{t-1})
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .filtration import FilteredSpace, direct_sum, graded_complement, shifted
 from .linalg import Matrix, chain_steps, inverse, ratio_row, transpose, vstack
@@ -47,10 +48,7 @@ from .verifier import (
     BREAKABLE_HYPOTHESES,
     NODES,
     CSInstance,
-    InconsistencyError,
     assemble_row,
-    check_instance_hypotheses,
-    conclusion_exactness,
     identity_on_shared,
     node_summands,
 )
@@ -324,18 +322,6 @@ def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:
                       profile=inst.profile)
 
 
-class LoadBearingResult(NamedTuple):
-    """Outcome of the search for a hypothesis-dropping counterexample."""
-
-    found: bool
-    tries: int
-    instance: Optional[CSInstance] = None
-    broken: Optional[str] = None
-    proposition: Optional[str] = None
-    degree: Optional[int] = None
-    witness: Optional[tuple] = None
-
-
 # the largest Jordan block of a drawn P_k, and of the off-center node a P_centering tamper draws
 MAX_JORDAN_BLOCK = 3
 
@@ -344,38 +330,3 @@ MAX_GEN_DIM = 64
 MAX_GEN_WIDTH = 256
 # and on the two together, max_dim_per_node^2 * (k_max - k_min + 1): each cap alone at the other's default
 MAX_GEN_CELLS = MAX_GEN_DIM ** 2 * 5
-
-# the tries search_load_bearing makes, the size and degrees of the instances it
-# draws, the hypotheses it breaks in turn, and the conclusions it tests
-SEARCH_BUDGET = 10_000
-SEARCH_MAX_DIM = 6
-SEARCH_DEGREE_RANGE = (0, 4)
-SEARCH_TAGS = ("A_bound", "P_centering")
-SEARCH_PROPOSITIONS = ("P4", "P1")
-
-
-def search_load_bearing(seed: int) -> LoadBearingResult:
-    """Search adversarial instances for a literally non-exact conclusion.
-
-    Alternates over the broken-hypothesis tags of SEARCH_TAGS; on a hit the
-    instance's hypothesis report is re-checked to confirm only the named
-    hypothesis failed.  Exhausting SEARCH_BUDGET is reported as inconclusive,
-    not as a failure.
-    """
-    for i in range(SEARCH_BUDGET):
-        tag = SEARCH_TAGS[i % len(SEARCH_TAGS)]
-        profile = GenProfile(seed=split_seed(seed, i), max_dim_per_node=SEARCH_MAX_DIM,
-                             degree_range=SEARCH_DEGREE_RANGE, broken_hypothesis=tag)
-        inst = gen_adversarial(profile)
-        for k in inst.degrees(pad=2):
-            for which in SEARCH_PROPOSITIONS:
-                verdict = conclusion_exactness(inst, which, k)
-                if verdict.exact:
-                    continue
-                report = check_instance_hypotheses(inst)
-                if report.failed_categories() != (tag,):
-                    raise InconsistencyError(
-                        f"adversarial instance broke {report.failed_categories()}, wanted only {tag}")
-                return LoadBearingResult(True, i + 1, instance=inst, broken=tag,
-                                         proposition=which, degree=k, witness=verdict.witness)
-    return LoadBearingResult(False, SEARCH_BUDGET)

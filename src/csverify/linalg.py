@@ -317,16 +317,6 @@ class Subspace:
         """Whether every row of m lies in the subspace: each residual is zero."""
         return not any(any(self._residual(r)) for r, _ in m.irows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        """The span of both; an operand is returned as is when the other is zero or the whole space."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatchError("ambient dimension mismatch")
-        if other.dim == 0 or self.dim == self.ambient_dim:
-            return self
-        if self.dim == 0 or other.dim == other.ambient_dim:
-            return other
-        return canonicalize(vstack(self.basis, other.basis))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection: its coordinates in other's basis (``within``), mapped back through that basis."""
         return canonicalize(within(other, self).basis @ other.basis)

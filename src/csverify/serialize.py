@@ -270,19 +270,11 @@ def filtered_space_from_json(data) -> FilteredSpace:
     return _placed("bad filtered space", _filtered_space, data)
 
 
-def nilpotent_to_json(op: NilpotentOp) -> dict:
-    return {"space": filtered_space_to_json(op.space), "matrix": matrix_to_json(op.matrix)}
-
-
 def nilpotent_from_json(data) -> NilpotentOp:
     _object(data, ("space", "matrix"), "nilpotent operator")
     space = filtered_space_from_json(data.get("space"))
     matrix = matrix_from_json(data.get("matrix"), space.dim, space.dim)
     return _placed("", NilpotentOp, space, matrix)
-
-
-def graph_to_json(g: DualGraph) -> dict:
-    return {"vertices": g.vertices, "edges": [[i, j] for i, j in g.edges]}
 
 
 def graph_from_json(data) -> DualGraph:

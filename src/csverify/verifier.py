@@ -328,9 +328,6 @@ class HypothesisReport:
     def failures(self) -> List[Tuple[str, object]]:
         return list(self._failures)
 
-    def failed_categories(self) -> Tuple[str, ...]:
-        return tuple(sorted({category for category, _ in self._failures}))
-
 
 class VerdictReport:
     """Outcome of one exactness conclusion on a clean instance; equal when all five fields are."""

@@ -43,6 +43,15 @@ MUTANTS = (
            "from .generators import gen_centered_mhs, split_seed",
            "from .generators import GenProfile, gen_centered_mhs, split_seed",
            ("tests/test_exports.py::test_the_package_exports_only_what_its_clients_read",)),
+    # a check imported into the generator again, and a public function that only the tests call
+    Mutant("csverify/generators.py",
+           "    assemble_row,\n",
+           "    assemble_row,\n    check_instance_hypotheses,\n",
+           ("tests/test_exports.py::test_the_generator_imports_no_check",)),
+    Mutant("csverify/degenerations.py",
+           "def betti(g: DualGraph)",
+           "def theta_graph() -> DualGraph:\n    return DualGraph.make(2, [(0, 1)] * 3)\n\n\ndef betti(g: DualGraph)",
+           ("tests/test_exports.py::test_every_public_name_has_a_caller",)),
     Mutant("csverify/generators.py",  # a drawn P_k centered one too high
            "return shifted(chain_steps(chains, dim), center),",
            "return shifted(chain_steps(chains, dim), center + 1),",

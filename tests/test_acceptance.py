@@ -9,13 +9,12 @@ import json
 import random
 from pathlib import Path
 
-from csverify.degenerations import curve_cs_instance, cycle_graph, theta_graph
+from csverify.degenerations import curve_cs_instance
 from csverify.generators import (
     GenProfile,
     gen_adversarial,
     gen_centered_mhs,
     gen_cs_instance,
-    search_load_bearing,
     split_seed,
 )
 from csverify.linalg import Matrix, canonicalize, image, kernel, qstr
@@ -28,11 +27,9 @@ from csverify.monodromy import (
 from csverify.serialize import (
     dumps,
     graph_from_json,
-    graph_to_json,
     instance_from_json,
     instance_to_json,
     nilpotent_from_json,
-    nilpotent_to_json,
 )
 from csverify.verifier import (
     BREAKABLE_HYPOTHESES,
@@ -42,6 +39,8 @@ from csverify.verifier import (
     verify_invariant_cycles,
     verify_unipotent_cs,
 )
+from corpus import cycle_graph, failed_categories, graph_to_json, nilpotent_to_json, subspace_sum, theta_graph
+from load_bearing import search_load_bearing
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,8 +112,8 @@ def test_criterion_4_checker_sensitivity():
                                  max_dim_per_node=6, broken_hypothesis=tag)
             inst = gen_adversarial(profile)
             rep = check_instance_hypotheses(inst)
-            if rep.failed_categories() != (tag,):
-                bad.append((tag, i, rep.failed_categories()))
+            if failed_categories(rep) != (tag,):
+                bad.append((tag, i, failed_categories(rep)))
                 continue
             try:
                 verify_proposition(inst, "P1", inst.k_min, report=rep)
@@ -168,7 +167,10 @@ def test_criterion_6_load_bearing_weights(tmp_path):
     ok = (not verdict.exact
           and result.witness is not None
           and result.proposition in ("P1", "P4")
-          and check_instance_hypotheses(restored).failed_categories() == (result.broken,))
+          and failed_categories(check_instance_hypotheses(restored)) == (result.broken,)
+          # the persisted counterexample is the document this seed finds, on its third try
+          and result.tries == 3
+          and payload == json.loads((FIXTURES / "load_bearing.json").read_text()))
     report("6 load-bearing weights", ok,
            f"{result.broken} breaks {result.proposition} at k={result.degree} "
            f"(found in {result.tries} tries)")
@@ -178,7 +180,7 @@ def test_criterion_6_regression_fixture():
     """The persisted counterexample stays non-exact, with a valid witness."""
     data = json.loads((FIXTURES / "load_bearing.json").read_text())
     inst = instance_from_json(data["instance"])
-    assert check_instance_hypotheses(inst).failed_categories() == (data["broken_hypothesis"],)
+    assert failed_categories(check_instance_hypotheses(inst)) == (data["broken_hypothesis"],)
     verdict = conclusion_exactness(inst, data["proposition"], data["degree"])
     assert not verdict.exact
     stored = tuple(qstr(x) for x in verdict.witness)
@@ -204,7 +206,7 @@ def test_criterion_7_infrastructure():
         other = canonicalize(
             Matrix.from_rows([[rng.randint(-4, 4) for _ in range(n)]
                               for _ in range(rng.randint(0, n))], ncols=n))
-        if sub.sum(other).dim != sub.dim + other.dim - sub.intersect(other).dim:
+        if subspace_sum(sub, other).dim != sub.dim + other.dim - sub.intersect(other).dim:
             lattice_bad += 1
 
     roundtrip_bad = 0

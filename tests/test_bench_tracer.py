@@ -19,8 +19,8 @@ from pathlib import Path
 
 import csverify
 from csverify import cli
-from csverify.degenerations import cycle_graph
-from csverify.serialize import dumps, graph_to_json
+from csverify.serialize import dumps
+from corpus import cycle_graph, graph_to_json
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from csverify.cli import EXIT_INTERNAL, main
-from csverify.degenerations import cycle_graph, theta_graph
 from csverify.filtration import FiltrationError
 from csverify.generators import (
     MAX_GEN_CELLS,
@@ -26,7 +25,7 @@ from csverify.generators import (
     split_seed,
 )
 from csverify.linalg import DimensionMismatchError, Matrix, Subspace, hstack, zero_subspace
-from csverify.serialize import dumps, graph_to_json, instance_to_json, nilpotent_to_json
+from csverify.serialize import dumps, instance_to_json
 from csverify.verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
@@ -35,6 +34,7 @@ from csverify.verifier import (
     HypothesisReport,
     MalformedInstanceError,
 )
+from corpus import cycle_graph, graph_to_json, nilpotent_to_json, theta_graph
 
 
 # `python -m csverify` subprocesses import the package from this checkout, installed or not

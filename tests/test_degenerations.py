@@ -7,9 +7,7 @@ from csverify.degenerations import (
     DualGraph,
     betti,
     curve_cs_instance,
-    cycle_graph,
     intersection_matrix,
-    theta_graph,
 )
 from csverify.linalg import image, kernel, span_of_vectors
 from csverify.verifier import (
@@ -17,6 +15,7 @@ from csverify.verifier import (
     verify_invariant_cycles,
     verify_unipotent_cs,
 )
+from corpus import cycle_graph, theta_graph
 
 
 def ints(m):

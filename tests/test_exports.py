@@ -4,8 +4,9 @@ package namespace re-exports only what the benchmark reads off it; each
 module imports a name from the module that defines it; no module reads a
 private attribute that another module defines, so memos such as
 ``Matrix._kernel`` are read through ``linalg``'s accessors; the random
-generator sits above everything but the CLI; every public name has a
-caller outside the unit tests; and every public field has a reader."""
+generator sits above everything but the CLI and imports no check; every
+public name has a caller in the package or the benchmark, not in the
+tests; and every public field has a reader there."""
 
 import ast
 import re
@@ -111,11 +112,23 @@ def test_only_the_cli_and_the_package_import_the_generator():
     assert importers <= {"cli.py", "__init__.py"}
 
 
+_CHECKS = re.compile(r"check_instance_hypotheses|checked|conclusion_exactness|verify_\w+")
+
+
+def test_the_generator_imports_no_check():
+    """The generator builds and the CLI checks: no hypothesis check or verdict engine is imported
+    into generators.py, so a generator bug cannot hide behind a check of its own."""
+    tree = ast.parse((_SRC / "generators.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module == "verifier" for alias in node.names]
+    assert "CSInstance" in imported
+    assert [name for name in imported if _CHECKS.fullmatch(name)] == []
+
+
 _ROOT = _SRC.parents[1]
-# the readers that count as callers besides the package itself: the benchmark,
-# which also names what it traces as "module.function" strings, and the
-# acceptance criteria
-_CLIENTS = sorted((_ROOT / "bench").rglob("*.py")) + [_ROOT / "tests" / "test_acceptance.py"]
+# the one reader that counts as a caller besides the package itself: the
+# benchmark, which also names what it traces as "module.function" strings
+_CLIENTS = sorted((_ROOT / "bench").rglob("*.py"))
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 

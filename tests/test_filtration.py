@@ -257,7 +257,7 @@ def test_strictness_matches_reference_on_compatible_maps(seed, m, n, zero_frac):
 def ref_filtered_map(src, tgt, mat):
     """(image_dims, strictness verdict) from built subspaces, or None where mat is not
     weight-compatible: f(W_w) is image(f, W_w), which must lie in W_w of the target, and the
-    count reads dim(im + W_w) off im.sum(W_w)."""
+    count reads dim(im + W_w) off subspace_sum(im, W_w)."""
     image_dims = {}
     for w, sub in src.steps:
         mapped = image(mat, sub)
@@ -268,7 +268,7 @@ def ref_filtered_map(src, tgt, mat):
     for w in sorted(set(src.jumps) | set(tgt.jumps)):
         mapped = image_dims.get(w, mapped)
         step = tgt.step(w)
-        if mapped != im.dim + step.dim - im.sum(step).dim:
+        if mapped != im.dim + step.dim - corpus.subspace_sum(im, step).dim:
             return image_dims, StrictnessVerdict(False, failing_weight=w)
     return image_dims, StrictnessVerdict(True)
 

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csverify.cli import main
-from csverify.degenerations import theta_graph
 from csverify.generators import GenProfile, gen_centered_mhs, gen_cs_instance
-from csverify.serialize import graph_to_json, instance_to_json, nilpotent_to_json
+from csverify.serialize import instance_to_json
+from corpus import graph_to_json, nilpotent_to_json, theta_graph
 
 INSTANCE = instance_to_json(gen_cs_instance(GenProfile(seed=3, max_dim_per_node=4)))
 NILPOTENT = nilpotent_to_json(gen_centered_mhs(5, 4, 1)[1])

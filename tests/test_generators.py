@@ -20,7 +20,6 @@ from csverify.generators import (
     gen_cs_instance,
     random_filtered_automorphism,
     random_invertible,
-    search_load_bearing,
     split_seed,
 )
 from csverify.linalg import Matrix, extend_basis, image, inverse, span_of_vectors, transpose, vstack
@@ -31,6 +30,9 @@ from csverify.verifier import (
     check_instance_hypotheses,
     conclusion_exactness,
 )
+import load_bearing
+from corpus import failed_categories
+from load_bearing import search_load_bearing
 
 
 def test_split_seed_is_deterministic_and_spreading():
@@ -124,7 +126,7 @@ def test_adversarial_breaks_exactly_named_hypothesis(tag):
                           broken_hypothesis=tag)
         inst = gen_adversarial(prof)
         report = check_instance_hypotheses(inst)
-        assert report.failed_categories() == (tag,), report.failures()[:5]
+        assert failed_categories(report) == (tag,), report.failures()[:5]
 
 
 def test_adversarial_needs_wide_enough_range():
@@ -179,9 +181,10 @@ def test_search_finds_witnessed_counterexample():
     result = search_load_bearing(seed=7)
     assert result.found
     assert result.proposition in ("P1", "P4")
+    assert (result.broken, result.proposition, result.degree, result.tries) == ("A_bound", "P4", 2, 1)
     assert result.witness is not None
     report = check_instance_hypotheses(result.instance)
-    assert report.failed_categories() == (result.broken,)
+    assert failed_categories(report) == (result.broken,)
     verdict = conclusion_exactness(result.instance, result.proposition, result.degree)
     assert not verdict.exact
 
@@ -189,8 +192,8 @@ def test_search_finds_witnessed_counterexample():
 def test_search_reports_inconclusive_budget(monkeypatch):
     # a pure centering shift never changes any matrix, so no conclusion
     # can break and the budget runs out
-    monkeypatch.setattr("csverify.generators.SEARCH_TAGS", ("P_centering",))
-    monkeypatch.setattr("csverify.generators.SEARCH_BUDGET", 4)
+    monkeypatch.setattr(load_bearing, "SEARCH_TAGS", ("P_centering",))
+    monkeypatch.setattr(load_bearing, "SEARCH_BUDGET", 4)
     result = search_load_bearing(seed=7)
     assert not result.found
     assert result.tries == 4

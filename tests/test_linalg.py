@@ -27,6 +27,7 @@ from csverify.linalg import (
     vstack,
     within,
 )
+from corpus import subspace_sum
 from test_linalg_oracle import ref_rref
 
 
@@ -63,16 +64,16 @@ def test_canonicalize_idempotent():
 
 def test_sum_idempotent_and_complementary():
     v = canonicalize(Matrix.from_rows([[1, 0], [0, 1]]))
-    assert v.sum(v) == v
+    assert subspace_sum(v, v) == v
     e1 = span_of_vectors([[1, 0]], 2)
     e2 = span_of_vectors([[0, 1]], 2)
-    assert e1.sum(e2) == full_subspace(2)
+    assert subspace_sum(e1, e2) == full_subspace(2)
 
 
 def test_sum_stacked_reduction():
     a = span_of_vectors([[1, 1, 0]], 3)
     b = span_of_vectors([[1, -1, 0]], 3)
-    assert a.sum(b) == span_of_vectors([[1, 0, 0], [0, 1, 0]], 3)
+    assert subspace_sum(a, b) == span_of_vectors([[1, 0, 0], [0, 1, 0]], 3)
 
 
 def test_intersect_transverse_lines():
@@ -90,7 +91,7 @@ def test_intersect_planes():
 
 def test_ambient_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
-        span_of_vectors([[1, 0]], 2).sum(span_of_vectors([[1, 0, 0]], 3))
+        subspace_sum(span_of_vectors([[1, 0]], 2), span_of_vectors([[1, 0, 0]], 3))
     with pytest.raises(DimensionMismatchError):
         span_of_vectors([[1, 0]], 2).intersect(span_of_vectors([[1, 0, 0]], 3))
 
@@ -126,10 +127,10 @@ def test_modular_dimension_law_random():
             return span_of_vectors(
                 [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)], n)
         a, b = rand_space(), rand_space()
-        assert a.sum(b).dim == a.dim + b.dim - a.intersect(b).dim
+        assert subspace_sum(a, b).dim == a.dim + b.dim - a.intersect(b).dim
         # lattice modular law on triples with a <= c
-        c = a.sum(rand_space())
-        assert a.sum(b).intersect(c) == a.sum(b.intersect(c))
+        c = subspace_sum(a, rand_space())
+        assert subspace_sum(a, b).intersect(c) == subspace_sum(a, b.intersect(c))
 
 
 def in_span_by_elimination(sub, vec):
@@ -193,7 +194,7 @@ def test_within_reads_the_intersection_in_the_basis_of_t():
         got = within(t, s)
         assert got.ambient_dim == t.dim
         assert canonicalize(got.basis @ t.basis) == t.intersect(s)
-        assert got.dim == t.dim + s.dim - t.sum(s).dim
+        assert got.dim == t.dim + s.dim - subspace_sum(t, s).dim
         assert (got.dim == t.dim) == s.contains(t)
         assert within(t, t).dim == t.dim and within(t, linalg.zero_subspace(n)).dim == 0
 
@@ -239,7 +240,7 @@ def test_every_operation_stores_the_canonical_form():
         s, t = canonicalize(a), canonicalize(c)
         made = [a, Matrix.from_rows(a.rows, ncols=k), Matrix.identity(k), Matrix.zero(m, k), a @ b, a + c,
                 transpose(a), hstack(a, c), vstack(a, c), rref(a)[0], s.basis, kernel(a).basis,
-                image(a).basis, image(a, canonicalize(transpose(b))).basis, s.sum(t).basis,
+                image(a).basis, image(a, canonicalize(transpose(b))).basis, subspace_sum(s, t).basis,
                 s.intersect(t).basis, quotient_map(s), coords_map(s), within(s, t).basis,
                 extend_basis(s, c), times_transpose(a, c), times_transpose(transpose(b), a)]
         if m == k and rank(a) == m:

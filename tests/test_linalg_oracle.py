@@ -10,8 +10,7 @@ The product with a transpose that builds none, the quotient map read
 off a reduced basis, the image and kernel kept on each Matrix, the
 kernel read off one elimination of the reversed columns, the row-by-row
 test of f(S) <= T, the greedy basis extension, the zero test of a
-product that builds none, the sum that skips
-elimination beside a zero or whole operand, the intersection through
+product that builds none, the intersection through
 a quotient map and its coordinates in one operand's basis (``within``)
 are compared with the direct computations they replace.
 """
@@ -37,10 +36,10 @@ from csverify.linalg import (
     span_of_vectors,
     times_transpose,
     transpose,
-    vstack,
     within,
     zero_subspace,
 )
+from corpus import subspace_sum
 
 _ZERO = Fraction(0)
 
@@ -182,7 +181,7 @@ def ref_extend_basis(base, rows):
     for row in rows:
         if not ref_contains_vector(base, row):
             kept.append(row)
-            base = base.sum(span_of_vectors([row], base.ambient_dim))
+            base = subspace_sum(base, span_of_vectors([row], base.ambient_dim))
     return kept
 
 
@@ -296,20 +295,6 @@ def test_zero_matrix_shared_per_shape():
     assert Matrix.zero(0, 4) is not Matrix.zero(4, 0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_sum_matches_reference(data):
-    n = data.draw(dims)
-    def operand():
-        return data.draw(st.one_of(st.just(zero_subspace(n)), st.just(full_subspace(n)),
-                                   matrices(ncols=st.just(n)).map(canonicalize)))
-    a, b = operand(), operand()
-    got = a.sum(b)
-    assert got == canonicalize(vstack(a.basis, b.basis))
-    if b.dim == 0 or a.dim == n:
-        assert got is a
-
-
 def ref_intersect(a, b):
     """The stacked-coefficient construction: pairs (x, y) with x.A = y.B form the kernel of [A^T | -B^T]."""
     if a.dim == 0 or b.dim == 0:
@@ -334,7 +319,7 @@ def test_intersect_matches_reference(data):
     got, want = a.intersect(b), ref_intersect(a, b)
     assert got == want
     same_entries(got.basis.rows, want.basis.rows)
-    assert got.dim == a.dim + b.dim - a.sum(b).dim
+    assert got.dim == a.dim + b.dim - subspace_sum(a, b).dim
 
 
 @settings(max_examples=150, deadline=None)

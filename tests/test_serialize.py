@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csverify.degenerations import MAX_FIXTURE_DIM, curve_cs_instance, cycle_graph, intersection_matrix, theta_graph
+from csverify.degenerations import MAX_FIXTURE_DIM, curve_cs_instance, intersection_matrix
 from csverify.filtration import FilteredSpace, full_subspace
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, ratio_row, span_of_vectors
@@ -17,16 +17,15 @@ from csverify.serialize import (
     filtered_space_from_json,
     filtered_space_to_json,
     graph_from_json,
-    graph_to_json,
     hypothesis_report_to_json,
     instance_from_json,
     instance_to_json,
     matrix_from_json,
     matrix_to_json,
     nilpotent_from_json,
-    nilpotent_to_json,
 )
 from csverify.verifier import MalformedInstanceError, check_instance_hypotheses
+from corpus import cycle_graph, graph_to_json, nilpotent_to_json, theta_graph
 
 
 def test_rational_parse_and_format():
