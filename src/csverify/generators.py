@@ -214,17 +214,18 @@ def gen_cs_instance(profile: GenProfile) -> CSInstance:
     """
     if profile.broken_hypothesis is not None:
         raise ValueError("profile requests a broken hypothesis; use gen_adversarial")
-    return _generate(profile, random.Random(profile.seed))
+    return _generate(profile)
 
 
 def gen_adversarial(profile: GenProfile) -> CSInstance:
     """An instance failing exactly the profile's named hypothesis."""
     if profile.broken_hypothesis is None:
         raise ValueError("profile names no hypothesis to break")
-    return _generate(profile, random.Random(profile.seed))
+    return _generate(profile)
 
 
-def _generate(profile: GenProfile, rng: random.Random) -> CSInstance:
+def _generate(profile: GenProfile) -> CSInstance:
+    rng = random.Random(profile.seed)
     a, b = profile.degree_range
     broken = profile.broken_hypothesis
     max_dim = profile.max_dim_per_node

@@ -2,7 +2,7 @@
 
 Everything downstream (filtrations, monodromy, the sequence verifiers)
 reduces to the subspace lattice implemented here: canonical reduced
-row-echelon bases, sums, intersections, images, kernels and quotients.
+row-echelon bases, intersections, images, kernels and quotients.
 No floating point is used anywhere.
 
 A Matrix stores each row as integers over one denominator: ``irows``
@@ -26,9 +26,8 @@ keep by hand is the stored form itself, lowest terms and reduced bases.
 Every elimination is ``rref``; ``rank`` and ``extend_basis`` stop after its
 forward pass.  Each derived object is computed once and kept on its
 matrix or subspace by one helper, ``_kept``: ``rank``, ``kernel``, ``kernel_flag``
-(for a square matrix; its step ker f is the kernel memo),
-``jordan_chains`` (built from the flag), ``centered_steps`` (the steps of
-the weight filtration centered at 0 that the chains span), the full
+(for a square matrix; its step ker f is the kernel memo), ``centered_steps``
+(the steps centered at 0 that f's Jordan chains span; the chains are not kept), the full
 column space behind ``image`` and a subspace's ``quotient_map`` (read off
 its scaled basis: the one reduction modulo a subspace, behind every
 containment, cokernel and ``within``) are each that memoised function.
@@ -418,9 +417,8 @@ def kernel_flag(f: Matrix) -> tuple:
     return tuple(flag) if flag[-2].dim < flag[-1].dim else tuple(flag[:-1])
 
 
-@_kept
 def jordan_chains(f: Matrix) -> tuple:
-    """Jordan chains spanning the last step of f's kernel flag (kept on f), each head first in
+    """Jordan chains spanning the last step of f's kernel flag, each head first in
     the stored row form of ``Matrix.irows``: (v, fv, ..., f^(m-1)v) with f^m v = 0.
 
     Top down: a new chain starts at each row of ker f^j outside ker f^(j-1) and the running chains."""

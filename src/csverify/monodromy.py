@@ -4,11 +4,11 @@ For a nilpotent endomorphism N of Q^d and a center k there is a unique
 finite increasing filtration M with N.M_i contained in M_{i-2} such that
 the i-th power of N induces an isomorphism Gr_{k+i} -> Gr_{k-i}.  It is
 determined by the kernel flag ker N < ker N^2 < ... < ker N^p = Q^d.
-The flag, its Jordan chains and the steps of the filtration centered
-at 0 are kept on the matrix (``linalg``'s ``kernel_flag``,
-``jordan_chains`` and ``centered_steps``), so every caller reads one
-derivation; ``nilpotency_index`` is the one nilpotency check, and a
-``NilpotentOp`` keeps only its space and matrix.  Two independent
+The flag and the steps of the filtration centered at 0, which its
+Jordan chains span, are kept on the matrix (``linalg``'s ``kernel_flag``
+and ``centered_steps``), so every caller reads one derivation;
+``nilpotency_index`` is the one nilpotency check, and a ``NilpotentOp``
+keeps only its space and matrix.  Two independent
 constructions are implemented:
 
 * ``centered_filtration`` (``monodromy_filtration`` on an operator)

@@ -54,7 +54,7 @@ import re
 import sys
 from collections import Counter
 from math import gcd
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .degenerations import MAX_FIXTURE_DIM, DualGraph, betti
 from .filtration import (
@@ -346,16 +346,12 @@ def instance_from_json(data) -> CSInstance:
     return CSInstance((k_min, k_max), spaces, maps, profile=profile)
 
 
-def _witness_json(witness: Optional[tuple]):
-    return None if witness is None else [_ratio_str(x.numerator, x.denominator) for x in witness]
+def _witness_json(witness: tuple) -> list:
+    return [_ratio_str(x.numerator, x.denominator) for x in witness]
 
 
 def exactness_verdict_to_json(v: ExactnessVerdict) -> dict:
-    out = {"exact": v.exact}
-    if not v.exact:
-        out["reason"] = v.reason
-        out["witness"] = _witness_json(v.witness)
-    return out
+    return {"exact": True} if v.exact else {"exact": False, "reason": v.reason, "witness": _witness_json(v.witness)}
 
 
 def strictness_verdict_to_json(v: StrictnessVerdict) -> dict:
@@ -368,28 +364,25 @@ def strictness_verdict_to_json(v: StrictnessVerdict) -> dict:
     return out
 
 
+# the "bounds" block of a hypothesis report: its key -> the category it reads
+_BOUNDS = (("A", "A_bound"), ("B", "B_bound"), ("P_centering", "P_centering"))
+
+
 def hypothesis_report_to_json(report: HypothesisReport) -> dict:
-    def keyed(d, render):
+    def grouped(d, render):
+        """{str(outer): {str(inner): render(verdict)}} of a dict keyed by (outer, inner) pairs."""
         out: Dict[str, dict] = {}
-        for key, verdict in sorted(d.items()):
-            k, node = key
-            out.setdefault(str(k), {})[node] = render(verdict)
+        for (outer, inner), verdict in d.items():
+            out.setdefault(str(outer), {})[str(inner)] = render(verdict)
         return out
 
     verdicts = report.verdicts
-    strict = {}
-    for (label, k), verdict in sorted(verdicts["strictness"].items()):
-        strict.setdefault(label, {})[str(k)] = strictness_verdict_to_json(verdict)
     return {
         "clean": report.clean,
-        "column": keyed(verdicts["column_exact"], exactness_verdict_to_json),
-        "row": keyed(verdicts["row_exact"], exactness_verdict_to_json),
-        "bounds": {
-            "A": {str(k): ok for k, ok in sorted(verdicts["A_bound"].items())},
-            "B": {str(k): ok for k, ok in sorted(verdicts["B_bound"].items())},
-            "P_centering": {str(k): ok for k, ok in sorted(verdicts["P_centering"].items())},
-        },
-        "strictness": strict,
+        "column": grouped(verdicts["column_exact"], exactness_verdict_to_json),
+        "row": grouped(verdicts["row_exact"], exactness_verdict_to_json),
+        "bounds": {key: {str(k): ok for k, ok in verdicts[category].items()} for key, category in _BOUNDS},
+        "strictness": grouped(verdicts["strictness"], strictness_verdict_to_json),
     }
 
 

@@ -51,7 +51,7 @@ unipotent geometric form of the spliced sequence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .filtration import (
     ExactnessVerdict,
@@ -329,25 +329,14 @@ class HypothesisReport:
         return list(self._failures)
 
 
-class VerdictReport:
-    """Outcome of one exactness conclusion on a clean instance; equal when all five fields are."""
+class VerdictReport(NamedTuple):
+    """Outcome of one exactness conclusion on a clean instance; a witness only when not exact."""
 
-    __slots__ = ("proposition", "degree", "exact", "witness", "weights_used")
-
-    def __init__(self, proposition: str, degree: int, exact: bool, witness: Optional[tuple] = None,
-                 weights_used: Tuple[str, ...] = ()):
-        if exact and witness is not None:
-            raise ValueError("witness present on an exact verdict")
-        self.proposition, self.degree, self.exact = proposition, degree, exact
-        self.witness, self.weights_used = witness, weights_used
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerdictReport):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
+    proposition: str
+    degree: int
+    exact: bool
+    witness: Optional[tuple] = None
+    weights_used: Tuple[str, ...] = ()
 
 
 def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:

@@ -168,17 +168,30 @@ MUTANTS = (
            "if j in im_in_k.pivots), dim)",
            ("tests/test_monodromy.py::test_jordan_three_recursive",
             "tests/test_monodromy.py::test_recursive_section_independence")),
-    # the value types: subspaces equal whatever their bases, and an exact verdict with a witness accepted
+    # the value types: subspaces equal whatever their bases
     Mutant("csverify/linalg.py",
            "and self.pivots == other.pivots and self.basis == other.basis",
            "and self.pivots == other.pivots",
            ("tests/test_value_types.py::test_subspaces_of_one_span_are_one_key",
             "tests/test_linalg.py::test_canonical_equality_matches_membership_oracle")),
-    Mutant("csverify/verifier.py",
-           "if exact and witness is not None:",
-           "if False:",
-           ("tests/test_verifier.py::test_witness_field_consistency",
-            "tests/test_value_types.py::test_verdict_report_equality_and_refusal")),
+    # the report writers: the grouping rule with its keys swapped, the A and B bounds swapped, a failing
+    # exactness verdict without its reason, and a non-exact conclusion without its witness
+    Mutant("csverify/serialize.py",
+           "out.setdefault(str(outer), {})[str(inner)] = render(verdict)",
+           "out.setdefault(str(inner), {})[str(outer)] = render(verdict)",
+           ("tests/test_cli.py::test_report_bytes_pinned_across_seeds",)),
+    Mutant("csverify/serialize.py",
+           '_BOUNDS = (("A", "A_bound"), ("B", "B_bound"),',
+           '_BOUNDS = (("A", "B_bound"), ("B", "A_bound"),',
+           ("tests/test_cli.py::test_report_bytes_pinned_across_seeds",)),
+    Mutant("csverify/serialize.py",
+           '{"exact": False, "reason": v.reason, "witness": _witness_json(v.witness)}',
+           '{"exact": False, "witness": _witness_json(v.witness)}',
+           ("tests/test_cli.py::test_report_bytes_pinned_across_seeds",)),
+    Mutant("csverify/serialize.py",
+           'out["witness"] = _witness_json(v.witness)',
+           "pass",
+           ("tests/test_verifier.py::test_non_exact_conclusions_exit_three_with_witnesses",)),
     Mutant("csverify/filtration.py",  # an exactness verdict true as a nonempty tuple
            "        return self.exact\n",
            "        return True\n",

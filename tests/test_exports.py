@@ -87,7 +87,7 @@ def foreign_private_reads(src):
 
 
 def test_no_module_reads_another_modules_private_attributes():
-    """A memo kept on a Matrix is read through image, kernel, kernel_flag, jordan_chains or centered_steps."""
+    """A memo kept on a Matrix is read through image, kernel, kernel_flag or centered_steps."""
     assert foreign_private_reads(_SRC) == []
 
 

@@ -301,8 +301,8 @@ def test_kernel_flag_rejects_non_nilpotent(seed, nil_dim, unit_dim):
 
 
 def test_one_derivation_per_operator():
-    """Every construction reads the kernel flag, the Jordan chains and the centre-0 steps kept
-    on the matrix: across all of them, each is built once for N, and the flag's step ker N is
+    """Every construction reads the kernel flag and the centre-0 steps kept on the matrix:
+    across all of them, each is built once for N, and the flag's step ker N is
     kernel(N).  Builds are counted as the memo helper stores them on the matrix; a non-square
     matrix has no flag, so each call raises and none is stored."""
     built = Counter()
@@ -322,8 +322,8 @@ def test_one_derivation_per_operator():
     assert monodromy_filtration(fresh, -2).filtration == centered_filtration_recursive(n, -2)
     assert ker_coker_weight_bounds(fresh, 1).ok
     assert centered_filtration_recursive(n, 1) == space
-    assert {slot: built[slot] for slot in ("_kernel_flag", "_jordan_chains", "_centered_steps")} == {
-        "_kernel_flag": 1, "_jordan_chains": 1, "_centered_steps": 1}
+    assert {slot: built[slot] for slot in ("_kernel_flag", "_centered_steps")} == {
+        "_kernel_flag": 1, "_centered_steps": 1}
     assert set(built.values()) == {1}  # nor is any other memo built twice
 
     built.clear()

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from csverify.filtration import ExactnessVerdict, FilteredSpace, StrictnessVerdict
 from csverify.generators import gen_centered_mhs
 from csverify.linalg import Matrix, canonicalize, span_of_vectors
@@ -70,7 +68,7 @@ def test_each_verdict_is_true_iff_it_passes():
     assert ker_coker_weight_bounds(op, 0) and not ker_coker_weight_bounds(op, 1)
 
 
-def test_verdict_report_equality_and_refusal():
+def test_verdict_report_equality_and_hash():
     report = VerdictReport("P1", 0, False, witness=(1,), weights_used=("P_centering@0",))
     assert report == VerdictReport("P1", 0, False, (1,), ("P_centering@0",))
     assert hash(report) == hash(VerdictReport("P1", 0, False, (1,), ("P_centering@0",)))
@@ -80,6 +78,4 @@ def test_verdict_report_equality_and_refusal():
                     VerdictReport("P1", 0, False, (1,)),
                     VerdictReport("P1", 0, True, weights_used=("P_centering@0",))):
         assert report != changed
-    with pytest.raises(ValueError, match="^witness present on an exact verdict$"):
-        VerdictReport("P1", 0, True, witness=(1,))
 

@@ -1,8 +1,11 @@
+import hashlib
 import inspect
+import json
 from collections import Counter
 
 import pytest
 
+from csverify.cli import main
 from csverify.degenerations import curve_cs_instance
 from csverify.filtration import (
     FilteredMap,
@@ -17,7 +20,7 @@ from csverify.filtration import (
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, image, kernel, span_of_vectors
 from csverify.monodromy import centered_filtration
-from csverify.serialize import instance_from_json, instance_to_json
+from csverify.serialize import dumps, instance_from_json, instance_to_json
 from csverify.verifier import (
     BREAKABLE_HYPOTHESES,
     CONCLUSIONS,
@@ -274,9 +277,59 @@ def test_profile_gate_for_unipotent_entry_point():
     assert all(v.proposition.startswith("THM3:") for v in verdicts)
 
 
-def test_witness_field_consistency():
-    with pytest.raises(ValueError):
-        VerdictReport("P1", 0, True, witness=(1,))
+def _clean_stand_in(inst):
+    """A clean hypothesis report with no verdicts, whatever the instance."""
+    return HypothesisReport({category: {} for category in BREAKABLE_HYPOTHESES})
+
+
+# `verify --thm <t>` of _s_witness(0, 0, 0), written by instance_to_json, with the hypothesis
+# check replaced by _clean_stand_in: t -> (the non-exact verdicts of the JSON report, SHA-256 of
+# that report with timing_ms removed, SHA-256 of the text report), recorded from an earlier version
+_NON_EXACT_REPORTS = {
+    "1": ([{"exact": False, "k": -1, "proposition": "P3", "weights_used": ["B_bound@1", "P_centering@0"],
+            "witness": ["1"]},
+           {"exact": False, "k": 0, "proposition": "P1", "weights_used": ["P_centering@0", "B_bound@1"],
+            "witness": ["1"]}],
+          "29dcf1430d8b3ebf7eacefec87ddbe4051d84b01764b70fbda0de893a6e2af8d",
+          "a7e6871c574f2636d1faca5735e171e031314c4d6880af9cbef10656588dee2f"),
+    "2": ([{"exact": False, "k": 0, "proposition": "THM2", "weights_used": ["P_centering@0", "B_bound@1"],
+            "witness": ["1"]}],
+          "07f01dee5119e03651fc946748088a80aa2faf5edc2b7ef3e3dc31540a796118",
+          "9d9f6e5db73a2d0ca7730b42cae96650f74af9df58fd47aa900e5320366ad083"),
+}
+
+
+def test_non_exact_conclusions_exit_three_with_witnesses(tmp_path, monkeypatch, capsys):
+    """No clean instance has a non-exact conclusion, so the CLI's hypothesis check is replaced by
+    a clean stand-in: _s_witness(0, 0, 0), which fails B_bound at 1 alone, then reports P3 at -1
+    and P1 at 0 non-exact under --thm 1 and THM2 at 0 under --thm 2, each with witness ["1"], and
+    exits 3.  Every verdict that the four engines return, on that instance, on the clean generated
+    corpus and on curve fixtures, carries a witness exactly when it is not exact."""
+    path = tmp_path / "s_witness.json"
+    path.write_text(dumps(instance_to_json(_s_witness(0, 0, 0))))
+    monkeypatch.setattr("csverify.cli.check_instance_hypotheses", _clean_stand_in)
+    for thm, (non_exact, json_sha, text_sha) in _NON_EXACT_REPORTS.items():
+        assert main(["verify", str(path), "--thm", thm, "--format", "json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        del payload["timing_ms"]
+        assert [v for v in payload["verdicts"] if not v["exact"]] == non_exact
+        assert hashlib.sha256(dumps(payload).encode()).hexdigest() == json_sha
+        assert main(["verify", str(path), "--thm", thm, "--format", "text"]) == 3
+        text = capsys.readouterr().out
+        assert [line for line in text.splitlines() if "NOT EXACT" in line] == [
+            f"{v['proposition']} k={v['k']}: NOT EXACT" for v in non_exact]
+        assert hashlib.sha256(text.encode()).hexdigest() == text_sha
+
+    instances = [_s_witness(0, 0, 0)] + [inst for _, _, broken, inst in corpus.generated() if broken is None]
+    instances += [curve_cs_instance(graph) for graph in (cycle_graph(1), cycle_graph(3), theta_graph())]
+    for inst in instances:
+        report = _clean_stand_in(inst)
+        verdicts = assemble_and_verify_les(inst, report)
+        verdicts += [verify_proposition(inst, which, k, report) for which in CONCLUSIONS for k in inst.degrees(pad=2)]
+        verdicts += [verify_invariant_cycles(inst, k, report) for k in inst.degrees(pad=1)]
+        if inst.profile == "geometric":
+            verdicts += verify_unipotent_cs(inst, report)
+        assert all((v.witness is None) == v.exact for v in verdicts)
 
 
 def test_weight_mechanics_of_the_proofs():
