@@ -8,8 +8,9 @@ every exactness argument downstream leans on.  Strictness is decided by
 counting dimensions: a FilteredMap keeps dim f(W_i), the rank of the rows
 its compatibility check forms, and no subspace sum is formed.  Exactness
 passes on two ranks and a zero test of the composite; an image or kernel
-is built only for a failure's witness.  Both verdicts are named tuples,
-true iff they pass.
+is built only for a failure's witness.  Every check of the package
+returns one named tuple, ``Verdict(ok, reason, witness)``, true iff it
+passes.
 
 Three constructions live here and nowhere else: the filtration a
 subspace inherits (``induced_on_subspace``, one elimination per step:
@@ -185,6 +186,23 @@ def induced_on_quotient(v: FilteredSpace, q: Matrix) -> FilteredSpace:
     return FilteredSpace(q.nrows, {w: image(q, step) for w, step in v.steps})
 
 
+class Verdict(NamedTuple):
+    """The outcome of a check, true iff it passes (``ok``); a failure may say why and show where.
+
+    Exactness fails with reason "kernel_exceeds_image" and a vector of ker(g) outside im(f), or
+    "composite_nonzero" and a vector of im(f) that g does not kill; strictness with its failing
+    weight as the witness, or the reason "not weight-compatible"; the centered axioms with the
+    reason "shift" or "graded_iso" and the failing index as the witness.
+    """
+
+    ok: bool
+    reason: Optional[str] = None
+    witness: object = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 class FilteredMap:
     """A weight-compatible linear map between filtered spaces.
 
@@ -214,16 +232,7 @@ class FilteredMap:
         return f"FilteredMap({self.source!r} -> {self.target!r})"
 
 
-class StrictnessVerdict(NamedTuple):
-    strict: bool
-    failing_weight: Optional[int] = None
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.strict
-
-
-def strictness(f: FilteredMap) -> StrictnessVerdict:
+def strictness(f: FilteredMap) -> Verdict:
     """Check im(f) . W_i(target) = f(W_i(source)) at every jump weight.
 
     A weight-compatible f has f(W_i(source)) inside im(f) . W_i(target),
@@ -243,27 +252,11 @@ def strictness(f: FilteredMap) -> StrictnessVerdict:
         else:
             total = step.dim + rank(quotient_map(step) @ f.matrix)
         if mapped != im + step.dim - total:
-            return StrictnessVerdict(False, failing_weight=w)
-    return StrictnessVerdict(True)
+            return Verdict(False, witness=w)
+    return Verdict(True)
 
 
-class ExactnessVerdict(NamedTuple):
-    """Outcome of an image-equals-kernel test, with a failure witness.
-
-    On failure the witness is either a vector of ker(g) outside im(f)
-    (reason "kernel_exceeds_image") or a vector of im(f) not killed by g
-    (reason "composite_nonzero").
-    """
-
-    exact: bool
-    reason: Optional[str] = None
-    witness: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.exact
-
-
-def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
+def exactness_at(f: Matrix, g: Matrix) -> Verdict:
     """Exactness of the two-map matrix sequence . -f-> . -g-> . at the middle.
 
     Like ``strictness``, a passing verdict is a dimension count: im(f) =
@@ -277,7 +270,7 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
             f"maps do not compose: f lands in Q^{f.nrows}, g starts from Q^{g.ncols}")
     rank_f = rank(f)
     if rank_f + rank(g) == f.nrows and (rank_f == 0 or product_is_zero(g, f)):
-        return ExactnessVerdict(True)
+        return Verdict(True)
     im = image(f)
     rows, reason = im.basis, "composite_nonzero"
     hits = [any(r) for r, _ in times_transpose(rows, g).irows]
@@ -285,4 +278,4 @@ def exactness_at(f: Matrix, g: Matrix) -> ExactnessVerdict:
         rows, reason = kernel(g).basis, "kernel_exceeds_image"
         hits = [any(r) for r, _ in times_transpose(rows, quotient_map(im)).irows]
     v, den = rows.irows[hits.index(True)]
-    return ExactnessVerdict(False, reason=reason, witness=tuple(Fraction(x, den) for x in v))
+    return Verdict(False, reason, tuple(Fraction(x, den) for x in v))

@@ -46,7 +46,6 @@ from .monodromy import NilpotentOp
 from .verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
-    NODES,
     CSInstance,
     assemble_row,
     identity_on_shared,
@@ -319,8 +318,7 @@ def _conjugate(inst: CSInstance, rng: random.Random) -> CSInstance:
         source, ds, target, dt = ARROWS[label]
         new[label] = {k: autos[(target, k + dt)][0] @ m @ autos[(source, k + ds)][1]
                       for k, m in family.items()}
-    return CSInstance((inst.k_min, inst.k_max), {node: getattr(inst, node) for node in NODES}, new,
-                      profile=inst.profile)
+    return CSInstance((inst.k_min, inst.k_max), inst.spaces, new, profile=inst.profile)
 
 
 # the largest Jordan block of a drawn P_k, and of the off-center node a P_centering tamper draws

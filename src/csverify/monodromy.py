@@ -31,8 +31,10 @@ command and at scale by the test suite.  ``linalg.chain_steps`` is the
 one place that turns chains into weights: the matrix's centre-0 steps
 come from it, and so do the generators' P_k, from the chains of a Jordan
 form.  The axiom check, ``centered_axioms`` (the verifier's P_centering), takes graded
-pieces from ``filtration.graded_complement``.  Its verdict, the bounds verdict and a
-``CenteredFiltration`` are named tuples; each verdict is true iff it passes.
+pieces from ``filtration.graded_complement`` and returns a ``filtration.Verdict``.  The
+benchmark reads two older shapes, ``AxiomVerdict`` (the same verdict under other field names)
+and ``BoundsVerdict``; they and ``CenteredFiltration`` are named tuples, each verdict true iff
+it passes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional
 
-from .filtration import FilteredSpace, graded_complement, shifted
+from .filtration import FilteredSpace, Verdict, graded_complement, shifted
 from .linalg import (
     DimensionMismatchError,
     Matrix,
@@ -163,7 +165,7 @@ def monodromy_filtration_recursive(n: NilpotentOp, k: int,
 
 
 class AxiomVerdict(NamedTuple):
-    """Result of checking the two centered-filtration axioms."""
+    """``centered_axioms``' verdict under the field names the benchmark reads."""
 
     ok: bool
     failed_axiom: Optional[str] = None   # "shift" or "graded_iso"
@@ -173,10 +175,11 @@ class AxiomVerdict(NamedTuple):
         return self.ok
 
 
-def centered_axioms(space: FilteredSpace, k: int, matrix: Matrix) -> AxiomVerdict:
+def centered_axioms(space: FilteredSpace, k: int, matrix: Matrix) -> Verdict:
     """Check N.M_i <= M_{i-2} and that N^i induces Gr_{k+i} ~ Gr_{k-i}, for M = space, N = matrix.
 
-    Returns the first failing axiom with its witness index; this is a verdict, not an exception.
+    Returns the first failing axiom ("shift" or "graded_iso") as the reason and its index as the
+    witness; this is a verdict, not an exception.
     No power of N, and no image of a step, is formed: N is applied i times to the rows representing
     Gr_{k+i} by ``linalg.times_transpose``.  The centered filtration is the unique finite one with
     both properties, so this decides ``centered_filtration(matrix, k) == space`` with none built.
@@ -187,7 +190,7 @@ def centered_axioms(space: FilteredSpace, k: int, matrix: Matrix) -> AxiomVerdic
         raise DimensionMismatchError("filtration and operator live on different spaces")
     for w in space.jumps:
         if not maps_into(matrix, space.step(w), space.step(w - 2)):
-            return AxiomVerdict(False, failed_axiom="shift", failed_index=w)
+            return Verdict(False, "shift", w)
     spread = max((abs(w - k) for w in space.jumps), default=0)
     for i in range(1, spread + 1):
         up = graded_complement(space, k + i)
@@ -199,13 +202,13 @@ def centered_axioms(space: FilteredSpace, k: int, matrix: Matrix) -> AxiomVerdic
             # the shift axiom puts N^i.up inside W_{k-i}; modulo W_{k-i-1} it must keep full rank
             iso = rank(times_transpose(up, quotient_map(below))) == up.nrows
         if not iso:
-            return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
-    return AxiomVerdict(True)
+            return Verdict(False, "graded_iso", i)
+    return Verdict(True)
 
 
 def verify_centered_axioms(f: CenteredFiltration, n: NilpotentOp) -> AxiomVerdict:
-    """``centered_axioms`` of a candidate filtration and an operator."""
-    return centered_axioms(f.filtration, f.center, n.matrix)
+    """``centered_axioms`` of a candidate filtration and an operator, in the benchmark's fields."""
+    return AxiomVerdict(*centered_axioms(f.filtration, f.center, n.matrix))
 
 
 class BoundsVerdict(NamedTuple):

@@ -57,11 +57,7 @@ from math import gcd
 from typing import Dict, Tuple
 
 from .degenerations import MAX_FIXTURE_DIM, DualGraph, betti
-from .filtration import (
-    ExactnessVerdict,
-    FilteredSpace,
-    StrictnessVerdict,
-)
+from .filtration import FilteredSpace, Verdict
 from .linalg import Matrix, Subspace, canonicalize, ratio_row
 from .monodromy import NilpotentOp
 from .verifier import NODES, CSInstance, HypothesisReport, VerdictReport
@@ -313,7 +309,7 @@ _INSTANCE_KEYS[None] += ("range", *NODES, "col", "row", "purity", "profile")
 def instance_to_json(inst: CSInstance) -> dict:
     out = {"range": [inst.k_min, inst.k_max], "col": {}, "row": {}, "purity": 0}
     for node in NODES:
-        out[node] = {str(k): filtered_space_to_json(v) for k, v in getattr(inst, node).items()}
+        out[node] = {str(k): filtered_space_to_json(v) for k, v in inst.spaces[node].items()}
     for label, group in _MAP_GROUP.items():
         (out[group] if group else out)[label] = {str(k): matrix_to_json(m) for k, m in inst.maps[label].items()}
     if inst.profile != "abstract":
@@ -350,17 +346,17 @@ def _witness_json(witness: tuple) -> list:
     return [_ratio_str(x.numerator, x.denominator) for x in witness]
 
 
-def exactness_verdict_to_json(v: ExactnessVerdict) -> dict:
-    return {"exact": True} if v.exact else {"exact": False, "reason": v.reason, "witness": _witness_json(v.witness)}
+def exactness_verdict_to_json(v: Verdict) -> dict:
+    return {"exact": True} if v.ok else {"exact": False, "reason": v.reason, "witness": _witness_json(v.witness)}
 
 
-def strictness_verdict_to_json(v: StrictnessVerdict) -> dict:
-    out = {"strict": v.strict}
-    if not v.strict:
-        if v.failing_weight is not None:
-            out["failing_weight"] = v.failing_weight
-        if v.reason is not None:
-            out["reason"] = v.reason
+def strictness_verdict_to_json(v: Verdict) -> dict:
+    """Schema 3's strictness entry: a failing weight, the witness, is its "failing_weight"."""
+    out = {"strict": v.ok}
+    if v.witness is not None:
+        out["failing_weight"] = v.witness
+    if v.reason is not None:
+        out["reason"] = v.reason
     return out
 
 
@@ -381,7 +377,7 @@ def hypothesis_report_to_json(report: HypothesisReport) -> dict:
         "clean": report.clean,
         "column": grouped(verdicts["column_exact"], exactness_verdict_to_json),
         "row": grouped(verdicts["row_exact"], exactness_verdict_to_json),
-        "bounds": {key: {str(k): ok for k, ok in verdicts[category].items()} for key, category in _BOUNDS},
+        "bounds": {key: {str(k): v.ok for k, v in verdicts[category].items()} for key, category in _BOUNDS},
         "strictness": grouped(verdicts["strictness"], strictness_verdict_to_json),
     }
 

@@ -54,10 +54,9 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .filtration import (
-    ExactnessVerdict,
     FilteredMap,
     FilteredSpace,
-    StrictnessVerdict,
+    Verdict,
     WeightCompatibilityError,
     direct_sum,
     exactness_at,
@@ -211,8 +210,10 @@ class CSInstance:
     cohomology of a degeneration, "abstract" otherwise.
     """
 
-    _FIELDS = ("k_min", "k_max", "A", "B", "C", "P", "maps", "profile")
+    _FIELDS = ("k_min", "k_max", "spaces", "maps", "profile")
     __slots__ = _FIELDS + ("_products",)
+    # each family also as an attribute, inst.A for spaces["A"], which the benchmark's tracer reads
+    A, B, C, P = (property(lambda self, node=node: self.spaces[node]) for node in NODES)
 
     def __init__(self, degree_range: Tuple[int, int],
                  spaces: Dict[str, Dict[int, FilteredSpace]],
@@ -223,8 +224,7 @@ class CSInstance:
         unknown = sorted(set(spaces) - set(NODES)) + sorted(set(maps) - set(ARROWS))
         if unknown:
             raise MalformedInstanceError(f"unknown node or arrow {unknown[0]!r}")
-        for node in NODES:
-            setattr(self, node, {k: v for k, v in spaces.get(node, {}).items() if v.dim > 0})
+        self.spaces = {node: {k: v for k, v in spaces.get(node, {}).items() if v.dim > 0} for node in NODES}
         self._validate(maps)
         self.maps = {label: {k: m for k, m in maps.get(label, {}).items() if not m.is_zero()}
                      for label in ARROWS}
@@ -233,8 +233,8 @@ class CSInstance:
 
     def _validate(self, maps):
         """Stored spaces lie in the degree range; every given map, zero or not, has its arrow's shape."""
-        for node in NODES:
-            for k in getattr(self, node):
+        for node, family in self.spaces.items():
+            for k in family:
                 if k < self.k_min or k > self.k_max:
                     raise MalformedInstanceError(f"{node}_{k} is nonzero outside the degree range")
         for label, family in maps.items():
@@ -246,7 +246,7 @@ class CSInstance:
 
     def space(self, node: str, k: int) -> FilteredSpace:
         """Node ``node`` at degree k; the zero space outside the stored support."""
-        return getattr(self, node).get(k, _ZERO)
+        return self.spaces[node].get(k, _ZERO)
 
     def shape(self, label: str, k: int) -> Tuple[int, int]:
         """(rows, columns) of the map label_k: the dimensions of its target and source."""
@@ -275,7 +275,7 @@ class CSInstance:
         Ascending; its size depends on the stored data, not on the declared range.
         """
         lo, hi = self.k_min - pad, self.k_max + pad
-        stored = set().union(*(getattr(self, node) for node in NODES))
+        stored = set().union(*self.spaces.values())
         return sorted({j for k in stored
                        for j in range(max(lo, k - WINDOW_MARGIN), min(hi, k + WINDOW_MARGIN) + 1)})
 
@@ -289,7 +289,7 @@ class CSInstance:
         return intervals
 
     def node_dims(self) -> Dict[str, Dict[int, int]]:
-        return {node: {k: fs.dim for k, fs in getattr(self, node).items()} for node in NODES}
+        return {node: {k: fs.dim for k, fs in family.items()} for node, family in self.spaces.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CSInstance):
@@ -304,8 +304,8 @@ class HypothesisReport:
     """Per-degree verdicts for the hypotheses of a CSInstance.
 
     ``verdicts``, its one field and read-only, maps each category of
-    BREAKABLE_HYPOTHESES to its verdicts: exactness keyed by (degree,
-    node), bounds and centering by degree (a bool each), strictness by
+    BREAKABLE_HYPOTHESES to its verdicts, each a ``Verdict``: exactness
+    keyed by (degree, node), bounds and centering by degree, strictness by
     (map label, degree).  A verdict passes iff it is true, and the report
     is clean iff every verdict passes; the failures are listed once, here.
     """
@@ -355,14 +355,14 @@ def check_instance_hypotheses(inst: CSInstance) -> HypothesisReport:
             for node, arrows in nodes.items():
                 verdicts[category][(k, node)] = _exactness(inst, k, *arrows)
         if inst.k_min <= k <= inst.k_max:
-            verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)
-            verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)
-            verdicts["P_centering"][k] = centered_axioms(inst.space("P", k), k, inst.map("N", k)).ok
+            verdicts["A_bound"][k] = Verdict(weights_leq(inst.space("A", k), k))
+            verdicts["B_bound"][k] = Verdict(weights_geq(inst.space("B", k), k))
+            verdicts["P_centering"][k] = centered_axioms(inst.space("P", k), k, inst.map("N", k))
         for label, mat, src, tgt in _instance_maps(inst, k):
             try:
                 verdict = strictness(FilteredMap(src, tgt, mat))
             except WeightCompatibilityError:
-                verdict = StrictnessVerdict(False, reason="not weight-compatible")
+                verdict = Verdict(False, "not weight-compatible")
             verdicts["strictness"][(label, k)] = verdict
     return HypothesisReport(verdicts)
 
@@ -376,13 +376,13 @@ def checked(inst: CSInstance) -> CSInstance:
     return inst
 
 
-def _exactness(inst: CSInstance, k: int, f: Tuple[str, int], g: Tuple[str, int]) -> ExactnessVerdict:
+def _exactness(inst: CSInstance, k: int, f: Tuple[str, int], g: Tuple[str, int]) -> Verdict:
     """Exactness at degree k of -f-> . -g->, each arrow a (label, degree offset) pair; exact, with
     no map built, where the middle node is zero: f's target, for a composite its outer factor's."""
     label, d = f
     _, _, node, dt = ARROWS[COMPOSITES[label][0] if label in COMPOSITES else label]
-    if k + d + dt not in getattr(inst, node):
-        return ExactnessVerdict(True)
+    if k + d + dt not in inst.spaces[node]:
+        return Verdict(True)
     return exactness_at(inst.map(label, k + d), inst.map(g[0], k + g[1]))
 
 
@@ -403,7 +403,7 @@ def _weights_used(which: str, k: int) -> Tuple[str, ...]:
     return tuple(f"{hyp}@{k + d}" for hyp, d in CONCLUSIONS[which][2])
 
 
-def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdict:
+def conclusion_exactness(inst: CSInstance, which: str, k: int) -> Verdict:
     """Raw image-equals-kernel test for one conclusion, with no gating.
 
     Exposed so hypothesis-necessity experiments can evaluate conclusions
@@ -419,7 +419,7 @@ def conclusion_exactness(inst: CSInstance, which: str, k: int) -> ExactnessVerdi
 def _verdict_report(inst: CSInstance, which: str, k: int, label: str) -> VerdictReport:
     """The conclusion ``which`` at degree k, reported under ``label``."""
     verdict = conclusion_exactness(inst, which, k)
-    return VerdictReport(label, k, verdict.exact, witness=verdict.witness, weights_used=_weights_used(which, k))
+    return VerdictReport(label, k, verdict.ok, witness=verdict.witness, weights_used=_weights_used(which, k))
 
 
 def _gate(report: HypothesisReport):

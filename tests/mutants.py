@@ -1,11 +1,12 @@
 """Mutation gate: deliberate one-edit breakages of src/ and the tests that must catch each.
 
 Run from anywhere with ``python3 tests/mutants.py``.  src/, tests/, bench/ and pyproject.toml are
-copied to a temporary directory once, and the named tests must pass there unmutated.  Each mutant is
-then applied alone, only its named tests run (pytest with the copy as its root, so the copy's
-src/ is the one imported), and the edit is undone.  A mutant is killed when those tests fail
-(pytest exit 1); a pass, or any other exit (a node id that no longer exists is exit 4), leaves
-it surviving, and the gate exits 1.
+copied to WORKERS temporary directories once, and the named tests must pass there unmutated.  Each
+mutant is then applied alone to a copy that no other mutant is using, only its named tests run
+(pytest with the copy as its root, so the copy's src/ is the one imported), and the edit is undone;
+so at most WORKERS pytest processes run at once, one per copy.  A mutant is killed when those
+tests fail (pytest exit 1); a pass, or any other exit (a node id that no longer exists is exit 4),
+leaves it surviving, and the gate exits 1.  The lines are printed in the order of MUTANTS.
 
 The file is not collected by tier-1 (its name does not match ``test_*.py``);
 ``test_mutants.py`` checks that every old text still matches exactly once, so the list cannot
@@ -15,15 +16,19 @@ drift from the code.  Add the mutants a change relies on here, with the tests th
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# copies of the tree, and so pytest processes at once: one per CPU of a two-CPU machine
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -91,18 +96,18 @@ MUTANTS = (
             "tests/test_cli.py::test_fixture_bytes_pinned")),
     # each hypothesis verdict made to pass anything
     Mutant("csverify/verifier.py",
-           'verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)',
-           'verdicts["A_bound"][k] = True',
+           'verdicts["A_bound"][k] = Verdict(weights_leq(inst.space("A", k), k))',
+           'verdicts["A_bound"][k] = Verdict(True)',
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[A_bound]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
     Mutant("csverify/verifier.py",
-           'verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)',
-           'verdicts["B_bound"][k] = True',
+           'verdicts["B_bound"][k] = Verdict(weights_geq(inst.space("B", k), k))',
+           'verdicts["B_bound"][k] = Verdict(True)',
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[B_bound]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
     Mutant("csverify/verifier.py",
            'verdicts["P_centering"][k] = centered',
-           'verdicts["P_centering"][k] = True or centered',
+           'verdicts["P_centering"][k] = Verdict(True) or centered',
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[P_centering]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
     Mutant("csverify/filtration.py",  # the strictness count never compared
@@ -112,22 +117,22 @@ MUTANTS = (
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_hypotheses_bear_load")),
     Mutant("csverify/verifier.py",  # the six exactness hypotheses always exact, the conclusions untouched
            "verdicts[category][(k, node)] = _exactness(inst, k, *arrows)",
-           "verdicts[category][(k, node)] = ExactnessVerdict(True)",
+           "verdicts[category][(k, node)] = Verdict(True)",
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]",
             "tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[row_exact]")),
     Mutant("csverify/verifier.py",  # _exactness always exact, hypotheses and conclusions alike
            "return exactness_at(inst.map(label, k + d), inst.map(g[0], k + g[1]))",
-           "return ExactnessVerdict(True)",
+           "return Verdict(True)",
            ("tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]",
             "tests/test_verifier.py::test_one_dimensional_witnesses_that_a_bears_load")),
     # hypothesis verdicts that a non-exact conclusion should have failed, seen by locality
     Mutant("csverify/verifier.py",  # column exactness at B never failing
            "for node, arrows in nodes.items():\n                verdicts[category][(k, node)] = _exactness(",
-           'for node, arrows in nodes.items():\n                verdicts[category][(k, node)] = ExactnessVerdict(True) if node == "B" else _exactness(',
+           'for node, arrows in nodes.items():\n                verdicts[category][(k, node)] = Verdict(True) if node == "B" else _exactness(',
            ("tests/test_verifier.py::test_every_non_exact_conclusion_has_a_failing_dependency",)),
     Mutant("csverify/verifier.py",  # the zero-middle shortcut reading B_{k+d} for B_{k+d+1}
-           "if k + d + dt not in getattr(inst, node):",
-           "if k + d not in getattr(inst, node):",
+           "if k + d + dt not in inst.spaces[node]:",
+           "if k + d not in inst.spaces[node]:",
            ("tests/test_verifier.py::test_every_non_exact_conclusion_has_a_failing_dependency",)),
     # each CONCLUSIONS row with one degree offset moved by one
     Mutant("csverify/verifier.py",
@@ -192,8 +197,8 @@ MUTANTS = (
            'out["witness"] = _witness_json(v.witness)',
            "pass",
            ("tests/test_verifier.py::test_non_exact_conclusions_exit_three_with_witnesses",)),
-    Mutant("csverify/filtration.py",  # an exactness verdict true as a nonempty tuple
-           "        return self.exact\n",
+    Mutant("csverify/filtration.py",  # a verdict true as a nonempty tuple
+           "        return self.ok\n",
            "        return True\n",
            ("tests/test_value_types.py::test_each_verdict_is_true_iff_it_passes",
             "tests/test_generators.py::test_adversarial_breaks_exactly_named_hypothesis[column_exact]")),
@@ -271,6 +276,23 @@ MUTANTS = (
            "for i in range(1, spread):",
            ("tests/test_monodromy.py::test_p_centering_by_axioms_matches_the_built_filtration",
             "tests/test_monodromy.py::test_axioms_match_the_dense_power_reference")),
+    # one verdict type: P_centering stored as a bare truth value, a strictness failure without its
+    # weight, and the centered axioms naming the wrong axiom
+    Mutant("csverify/verifier.py",
+           'centered_axioms(inst.space("P", k), k, inst.map("N", k))',
+           'centered_axioms(inst.space("P", k), k, inst.map("N", k)).ok',
+           ("tests/test_verifier.py::test_p_centering_failures_keep_their_axiom_and_index",
+            "tests/test_verifier.py::test_every_hypothesis_verdict_is_one_type")),
+    Mutant("csverify/filtration.py",
+           "return Verdict(False, witness=w)",
+           "return Verdict(False)",
+           ("tests/test_filtration.py::test_weight_dropping_identity_not_strict",
+            "tests/test_cli.py::test_report_bytes_pinned_across_seeds")),
+    Mutant("csverify/monodromy.py",
+           'return Verdict(False, "graded_iso", i)',
+           'return Verdict(False, "shift", i)',
+           ("tests/test_verifier.py::test_p_centering_failures_keep_their_axiom_and_index",
+            "tests/test_monodromy.py::test_axioms_match_the_dense_power_reference")),
     # each ARROWS row and each SEQUENCES entry with one degree offset moved by one
     *(Mutant("csverify/verifier.py", old, new,
              ("tests/test_verifier.py::test_i1_fixture_clean_report",
@@ -315,20 +337,32 @@ def main() -> int:
         raise SystemExit("two mutants share a path and old text, and so a test id")
     started = time.monotonic()
     survivors = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
+        copies = [Path(tmp) / str(i) for i in range(WORKERS)]
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for part in ("src", "tests", "bench"):  # the export guards read bench/ as a client
-            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for copy in copies:
+            for part in ("src", "tests", "bench"):  # the export guards read bench/ as a client
+                shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+            shutil.copy(ROOT / "pyproject.toml", copy)
         # a killer that fails on the unmutated code would kill every mutant it is named for
-        if _pytest(copy, sorted({node for mutant in MUTANTS for node in mutant.killers})) != 0:
+        nodes = sorted({node for mutant in MUTANTS for node in mutant.killers})
+        if any(pool.map(_pytest, copies, [nodes[i::WORKERS] for i in range(WORKERS)])):
             raise SystemExit("the named tests do not all pass on the unmutated code")
-        for mutant in MUTANTS:
-            begun = time.monotonic()
-            killed = _killed(copy, mutant)
+        free = queue.SimpleQueue()
+        for copy in copies:
+            free.put(copy)
+
+        def trial(mutant: Mutant) -> Tuple[bool, float]:
+            """Whether the mutant is killed, on a copy no other trial holds, and its wall time."""
+            copy, begun = free.get(), time.monotonic()
+            try:
+                return _killed(copy, mutant), time.monotonic() - begun
+            finally:
+                free.put(copy)
+
+        for mutant, (killed, seconds) in zip(MUTANTS, pool.map(trial, MUTANTS)):
             survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED':8} {time.monotonic() - begun:6.1f}s  "
+            print(f"{'killed' if killed else 'SURVIVED':8} {seconds:6.1f}s  "
                   f"{mutant.path}: {mutant.old!r} -> {mutant.new!r}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed in {time.monotonic() - started:.1f}s")
     return 1 if survivors else 0

@@ -164,7 +164,7 @@ def test_criterion_6_load_bearing_weights(tmp_path):
     out.write_text(dumps(payload))
     restored = instance_from_json(json.loads(out.read_text())["instance"])
     verdict = conclusion_exactness(restored, result.proposition, result.degree)
-    ok = (not verdict.exact
+    ok = (not verdict.ok
           and result.witness is not None
           and result.proposition in ("P1", "P4")
           and failed_categories(check_instance_hypotheses(restored)) == (result.broken,)
@@ -182,7 +182,7 @@ def test_criterion_6_regression_fixture():
     inst = instance_from_json(data["instance"])
     assert failed_categories(check_instance_hypotheses(inst)) == (data["broken_hypothesis"],)
     verdict = conclusion_exactness(inst, data["proposition"], data["degree"])
-    assert not verdict.exact
+    assert not verdict.ok
     stored = tuple(qstr(x) for x in verdict.witness)
     assert list(stored) == data["witness"]
     report("6b regression fixture", True,

@@ -29,7 +29,6 @@ from csverify.serialize import dumps, instance_to_json
 from csverify.verifier import (
     ARROWS,
     BREAKABLE_HYPOTHESES,
-    NODES,
     CSInstance,
     HypothesisReport,
     MalformedInstanceError,
@@ -337,7 +336,7 @@ def test_map_one_column_too_wide_rejected(label, monkeypatch, capsys):
     wide = hstack(m, Matrix.from_rows([[1]] * m.nrows))
     for bad in (wide, Matrix.zero(wide.nrows, wide.ncols)):
         with pytest.raises(MalformedInstanceError):
-            CSInstance((inst.k_min, inst.k_max), {n: getattr(inst, n) for n in NODES},
+            CSInstance((inst.k_min, inst.k_max), inst.spaces,
                        {**inst.maps, label: {**inst.maps[label], k: bad}})
     data = instance_to_json(inst)
     family = next(group[label] for group in (data, data["col"], data["row"]) if label in group)

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csverify.filtration import (
-    ExactnessVerdict,
     FiltrationError,
     FilteredMap,
     FilteredSpace,
-    StrictnessVerdict,
+    Verdict,
     WeightCompatibilityError,
     direct_sum,
     exactness_at,
@@ -148,8 +147,8 @@ def test_weight_predicates():
 
 def test_identity_and_zero_strict():
     v = two_step()
-    assert strictness(FilteredMap(v, v, Matrix.identity(2))).strict
-    assert strictness(FilteredMap(v, FilteredSpace.pure(1, 2), Matrix.zero(1, 2))).strict
+    assert strictness(FilteredMap(v, v, Matrix.identity(2))).ok
+    assert strictness(FilteredMap(v, FilteredSpace.pure(1, 2), Matrix.zero(1, 2))).ok
 
 
 def test_weight_dropping_identity_not_strict():
@@ -157,7 +156,7 @@ def test_weight_dropping_identity_not_strict():
     # meets W_0 of the target while W_0 of the source is zero
     f = FilteredMap(FilteredSpace.pure(1, 2), FilteredSpace.pure(1, 0), Matrix.identity(1))
     verdict = strictness(f)
-    assert not verdict.strict and verdict.failing_weight == 0
+    assert verdict == Verdict(False, witness=0)
 
 
 def test_weight_raising_identity_rejected():
@@ -178,7 +177,7 @@ def test_strict_graded_additivity_on_generated_maps():
             if src.dim == 0 or tgt.dim == 0:
                 continue
             f = FilteredMap(src, tgt, mat)
-            assert strictness(f).strict
+            assert strictness(f).ok
             ker_fs = induced_on_subspace(src, kernel(mat))
             im_fs = induced_on_subspace(tgt, image(mat))
             gr_src, gr_ker, gr_im = graded_dims(src), graded_dims(ker_fs), graded_dims(im_fs)
@@ -203,8 +202,8 @@ def ref_strictness(f):
     im = image(f.matrix)
     for w in sorted(set(f.source.jumps) | set(f.target.jumps)):
         if im.intersect(f.target.step(w)) != image(f.matrix, f.source.step(w)):
-            return StrictnessVerdict(False, failing_weight=w)
-    return StrictnessVerdict(True)
+            return Verdict(False, witness=w)
+    return Verdict(True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -269,8 +268,8 @@ def ref_filtered_map(src, tgt, mat):
         mapped = image_dims.get(w, mapped)
         step = tgt.step(w)
         if mapped != im.dim + step.dim - corpus.subspace_sum(im, step).dim:
-            return image_dims, StrictnessVerdict(False, failing_weight=w)
-    return image_dims, StrictnessVerdict(True)
+            return image_dims, Verdict(False, witness=w)
+    return image_dims, Verdict(True)
 
 
 def counted_filtered_map(src, tgt, mat):
@@ -334,13 +333,13 @@ def test_exact_identity_and_split():
     v = two_step()
     f = FilteredMap(FilteredSpace.zero(), v, Matrix.zero(2, 0))
     g = FilteredMap(v, v, Matrix.identity(2))
-    assert exactness_at(f.matrix, g.matrix).exact
+    assert exactness_at(f.matrix, g.matrix).ok
 
     q = FilteredSpace.pure(1, 0)
     q2 = FilteredSpace.pure(2, 0)
     inj = FilteredMap(q, q2, Matrix.from_rows([[1], [0]]))
     proj_second = FilteredMap(q2, q, Matrix.from_rows([[0, 1]]))
-    assert exactness_at(inj.matrix, proj_second.matrix).exact
+    assert exactness_at(inj.matrix, proj_second.matrix).ok
 
 
 def test_not_exact_composite_nonzero():
@@ -349,7 +348,7 @@ def test_not_exact_composite_nonzero():
     inj = FilteredMap(q, q2, Matrix.from_rows([[1], [0]]))
     proj_first = FilteredMap(q2, q, Matrix.from_rows([[1, 0]]))
     verdict = exactness_at(inj.matrix, proj_first.matrix)
-    assert not verdict.exact
+    assert not verdict.ok
     assert verdict.reason == "composite_nonzero"
     assert verdict.witness is not None
 
@@ -359,7 +358,7 @@ def test_not_exact_kernel_exceeds_image():
     f = FilteredMap(FilteredSpace.zero(), q2, Matrix.zero(2, 0))
     g = FilteredMap(q2, FilteredSpace.zero(), Matrix.zero(0, 2))
     verdict = exactness_at(f.matrix, g.matrix)
-    assert not verdict.exact
+    assert not verdict.ok
     assert verdict.reason == "kernel_exceeds_image"
     assert verdict.witness in ((1, 0), (0, 1))
 
@@ -379,11 +378,11 @@ def reference_exactness(f, g):
     ker = kernel(g)
     for row in im.basis.rows:
         if not (g @ column(*row)).is_zero():
-            return ExactnessVerdict(False, reason="composite_nonzero", witness=row)
+            return Verdict(False, "composite_nonzero", row)
     for row in ker.basis.rows:
         if not ref_contains_vector(im, row):
-            return ExactnessVerdict(False, reason="kernel_exceeds_image", witness=row)
-    return ExactnessVerdict(True)
+            return Verdict(False, "kernel_exceeds_image", row)
+    return Verdict(True)
 
 
 def random_subspace(rng, b, r):

@@ -186,7 +186,7 @@ def test_search_finds_witnessed_counterexample():
     report = check_instance_hypotheses(result.instance)
     assert failed_categories(report) == (result.broken,)
     verdict = conclusion_exactness(result.instance, result.proposition, result.degree)
-    assert not verdict.exact
+    assert not verdict.ok
 
 
 def test_search_reports_inconclusive_budget(monkeypatch):

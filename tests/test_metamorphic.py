@@ -169,7 +169,7 @@ def direct_sum_instance(x: CSInstance, y: CSInstance) -> CSInstance:
 
 def exact_flags(inst):
     """Whether each conclusion is exact at each degree of [k_min - 2, k_max + 2]."""
-    return {(which, k): conclusion_exactness(inst, which, k).exact
+    return {(which, k): conclusion_exactness(inst, which, k).ok
             for which in CONCLUSIONS for k in range(inst.k_min - 2, inst.k_max + 3)}
 
 
@@ -261,7 +261,7 @@ def assert_duality(inst: CSInstance, name):
     report, dual_report = check_instance_hypotheses(inst), check_instance_hypotheses(dual)
     assert sorted(dual_report.failures()) == sorted(dual_failure(*f) for f in report.failures()), name
     flags = exact_flags(inst)
-    assert flags == {(which, k): conclusion_exactness(dual, DUAL_CONCLUSIONS[which], -k - 2).exact
+    assert flags == {(which, k): conclusion_exactness(dual, DUAL_CONCLUSIONS[which], -k - 2).ok
                      for which, k in flags}, name
     if report.clean:
         dual_verdicts = {(v.proposition, v.degree): v for v in assemble_and_verify_les(dual, report=dual_report)}
@@ -323,7 +323,7 @@ def test_long_jordan_blocks(monkeypatch):
         sizes.update(len(chain) for n in inst.maps["N"].values() for chain in jordan_chains(n))
         report = check_instance_hypotheses(inst)
         assert report.clean, seed
-        geometric = CSInstance((inst.k_min, inst.k_max), {node: getattr(inst, node) for node in NODES},
+        geometric = CSInstance((inst.k_min, inst.k_max), inst.spaces,
                                inst.maps, profile="geometric")
         verdicts = (assemble_and_verify_les(inst, report=report)
                     + [verify_invariant_cycles(inst, k, report=report) for k in inst.degrees(pad=1)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from csverify import linalg, monodromy
 from csverify.filtration import (
     FilteredSpace,
+    Verdict,
     full_subspace,
     graded_complement,
     induced_on_subspace,
@@ -39,7 +40,6 @@ from csverify.linalg import (
     vstack,
 )
 from csverify.monodromy import (
-    AxiomVerdict,
     CenteredFiltration,
     NilpotencyError,
     NilpotentOp,
@@ -365,23 +365,22 @@ def test_chain_filtration_matches_the_from_scratch_reference(seed, dim, k):
 
 # -- the axiom check against canonical images and dense powers ---------------
 
-def ref_verify_centered_axioms(f, n):
+def ref_centered_axioms(space, k, matrix):
     """The axiom check that reduces each image N(M_w) and forms the powers N^i."""
-    space, k = f.filtration, f.center
     for w in space.jumps:
-        if not space.step(w - 2).contains(image(n.matrix, space.step(w))):
-            return AxiomVerdict(False, failed_axiom="shift", failed_index=w)
+        if not space.step(w - 2).contains(image(matrix, space.step(w))):
+            return Verdict(False, "shift", w)
     spread = max((abs(w - k) for w in space.jumps), default=0)
-    power = n.matrix
+    power = matrix
     for i in range(1, spread + 1):
         up = graded_complement(space, k + i)
         below = space.step(k - i - 1)
         if up.nrows != space.step(k - i).dim - below.dim:
-            return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
+            return Verdict(False, "graded_iso", i)
         if up.nrows and rank(quotient_map(below) @ power @ transpose(up)) != up.nrows:
-            return AxiomVerdict(False, failed_axiom="graded_iso", failed_index=i)
-        power = power @ n.matrix
-    return AxiomVerdict(True)
+            return Verdict(False, "graded_iso", i)
+        power = power @ matrix
+    return Verdict(True)
 
 
 def moved_step(space, pos):
@@ -416,9 +415,8 @@ def test_axioms_match_the_dense_power_reference(seed, dim, k, kind, offset, pos)
         space = moved_step(space, pos)
     if kind == "squared":
         op = NilpotentOp(space, op.matrix @ op.matrix)
-    cf = CenteredFiltration(centre, space)
-    got, want = verify_centered_axioms(cf, op), ref_verify_centered_axioms(cf, op)
-    assert (got.ok, got.failed_axiom, got.failed_index) == (want.ok, want.failed_axiom, want.failed_index)
+    got, want = centered_axioms(space, centre, op.matrix), ref_centered_axioms(space, centre, op.matrix)
+    assert got == want
     if kind == "true":
         assert got.ok
 
@@ -430,11 +428,10 @@ def test_the_perturbations_reach_both_axioms():
     for i in range(30):
         space, op = gen_centered_mhs(split_seed(59, i), 3 + i % 8, 0)
         squared = NilpotentOp(space, op.matrix @ op.matrix)
-        for cf, n in ((CenteredFiltration(0, space), op), (CenteredFiltration(1, space), op),
-                      (CenteredFiltration(0, moved_step(space, i)), op), (CenteredFiltration(0, space), squared)):
-            got, want = verify_centered_axioms(cf, n), ref_verify_centered_axioms(cf, n)
+        for m, centre, n in ((space, 0, op), (space, 1, op), (moved_step(space, i), 0, op), (space, 0, squared)):
+            got, want = centered_axioms(m, centre, n.matrix), ref_centered_axioms(m, centre, n.matrix)
             assert got == want
-            outcomes[got.failed_axiom, n is squared] += 1
+            outcomes[got.reason, n is squared] += 1
     # N^2 fails only on rank, since the dimensions of the graded pieces are those of N's filtration
     assert outcomes["shift", False] and outcomes["graded_iso", False] and outcomes[None, False]
     assert outcomes["graded_iso", True] and not outcomes["shift", True]
@@ -449,15 +446,14 @@ def test_fast_paths_match_the_oracles_on_generated_instances():
     for seed in range(1, 13):
         for inst in (gen_cs_instance(GenProfile(seed=seed)),
                      gen_adversarial(GenProfile(seed=seed, broken_hypothesis="P_centering"))):
-            for k, space in inst.P.items():
+            for k, space in inst.spaces["P"].items():
                 n = inst.map("N", k)
                 steps = [space.step(w) for w in space.jumps]
                 for s in steps:
                     for t in steps:
                         assert maps_into(n, s, t) == t.contains(image(n, s))
-                cf, op = CenteredFiltration(k, space), NilpotentOp(space, n)
-                got = verify_centered_axioms(cf, op)
-                assert got == ref_verify_centered_axioms(cf, op)
+                got = centered_axioms(space, k, n)
+                assert got == ref_centered_axioms(space, k, n)
                 assert got.ok == (centered_filtration(n, k) == space)
                 seen[got.ok] += 1
     assert seen[True] and seen[False]
@@ -472,11 +468,12 @@ def test_uniqueness_three_deciders_agree_on_every_stored_p():
         if broken not in (None, "P_centering"):
             continue
         report = check_instance_hypotheses(inst)
-        for k, space in inst.P.items():
+        for k, space in inst.spaces["P"].items():
             n = inst.map("N", k)
             axioms = verify_centered_axioms(CenteredFiltration(k, space), NilpotentOp(space, n))
-            deciders = (axioms.ok, centered_filtration(n, k) == space, report.verdicts["P_centering"][k])
+            deciders = (axioms.ok, centered_filtration(n, k) == space, report.verdicts["P_centering"][k].ok)
             assert len(set(deciders)) == 1, (seed, max_dim, broken, k, deciders)
+            assert report.verdicts["P_centering"][k] == axioms
             outcomes[axioms.failed_axiom] += 1
     # the tampered nodes fail: P_k centred one weight too high keeps the shift axiom
     assert outcomes[None] and outcomes["graded_iso"] and not outcomes["shift"]
@@ -502,8 +499,8 @@ def test_p_centering_by_axioms_matches_the_built_filtration():
         verdicts = check_instance_hypotheses(inst).verdicts["P_centering"]
         for k in range(inst.k_min, inst.k_max + 1):
             space, n = inst.space("P", k), inst.map("N", k)
-            assert verdicts[k] == centered_axioms(space, k, n).ok == ref_p_centering(space, k, n), k
-            outcomes["corpus", verdicts[k]] += 1
+            assert verdicts[k] == centered_axioms(space, k, n) and verdicts[k].ok == ref_p_centering(space, k, n), k
+            outcomes["corpus", verdicts[k].ok] += 1
     for i in range(80):
         centre = i % 7 - 3
         space, op = gen_centered_mhs(split_seed(97, i), i % 11, centre)
@@ -517,7 +514,7 @@ def test_p_centering_by_axioms_matches_the_built_filtration():
         projection = Matrix.of((one.irows[0],) + Matrix.zero(space.dim - 1, space.dim).irows, space.dim)
         for other in (one, op.matrix + one, projection):
             got = centered_axioms(space, centre, other)
-            assert (got.ok, got.failed_axiom) == (False, "shift") and not ref_p_centering(space, centre, other)
+            assert got[:2] == (False, "shift") and not ref_p_centering(space, centre, other)
             outcomes["not nilpotent"] += 1
     assert min(outcomes.values()) >= 20 and len(outcomes) == 5, outcomes
 

@@ -142,7 +142,7 @@ def test_instance_round_trip_generated():
 
 def test_instance_round_trip_negative_degrees():
     inst = gen_cs_instance(GenProfile(seed=31, max_dim_per_node=6, degree_range=(-3, 1)))
-    assert any(k < 0 for k in inst.A)
+    assert any(k < 0 for k in inst.spaces["A"])
     assert instance_from_json(instance_to_json(inst)) == inst
 
 

@@ -202,11 +202,11 @@ def test_instance_verdicts_match_sympy_ranks(seed, broken, max_dim):
         assert {node for _, node in verdicts[category]} <= set(nodes)
         for (k, node), verdict in verdicts[category].items():
             (f, df), (g, dg) = nodes[node]
-            assert verdict.exact == sympy_exact(inst.map(f, k + df), inst.map(g, k + dg)), (category, k, node)
+            assert verdict.ok == sympy_exact(inst.map(f, k + df), inst.map(g, k + dg)), (category, k, node)
     for which, ((f, df), (g, dg), _) in CONCLUSIONS.items():
         for k in inst.degrees(pad=2):
             want = sympy_exact(inst.map(f, k + df), inst.map(g, k + dg))
-            assert conclusion_exactness(inst, which, k).exact == want, (which, k)
+            assert conclusion_exactness(inst, which, k).ok == want, (which, k)
     strict = {(label, k): sympy_strict(mat, src, tgt)
               for k in inst.degrees() for label, mat, src, tgt in _instance_maps(inst, k)
               if mat.nrows and mat.ncols}

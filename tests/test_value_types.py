@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from csverify.filtration import ExactnessVerdict, FilteredSpace, StrictnessVerdict
+from csverify.filtration import FilteredSpace, Verdict
 from csverify.generators import gen_centered_mhs
 from csverify.linalg import Matrix, canonicalize, span_of_vectors
 from csverify.monodromy import (
     AxiomVerdict,
     BoundsVerdict,
     CenteredFiltration,
+    centered_axioms,
     ker_coker_weight_bounds,
     monodromy_filtration,
     monodromy_filtration_recursive,
@@ -55,16 +56,18 @@ def test_centered_filtrations_compare_by_centre_and_steps():
 
 
 def test_each_verdict_is_true_iff_it_passes():
-    assert StrictnessVerdict(True) and not StrictnessVerdict(False, failing_weight=0)
-    assert ExactnessVerdict(True) and not ExactnessVerdict(False, "kernel_exceeds_image", (1,))
+    assert Verdict(True) and not Verdict(False, witness=0)
+    assert not Verdict(False, "kernel_exceeds_image", (1,)) and not Verdict(False, "not weight-compatible")
     assert AxiomVerdict(True) and not AxiomVerdict(False, failed_axiom="shift", failed_index=2)
     assert BoundsVerdict("ok") and BoundsVerdict("ok").ok
     for status in ("hypothesis_not_satisfied", "ker_bound_failed", "coker_bound_failed"):
         assert not BoundsVerdict(status) and not BoundsVerdict(status).ok
-    assert ExactnessVerdict(False) == ExactnessVerdict(False, reason=None, witness=None)
+    assert Verdict(False) == Verdict(False, reason=None, witness=None)
     _, op = gen_centered_mhs(3, 5, 0)  # index 3
     assert verify_centered_axioms(monodromy_filtration(op, 0), op)
-    assert not verify_centered_axioms(CenteredFiltration(0, FilteredSpace.pure(5, 0)), op)
+    failed = verify_centered_axioms(CenteredFiltration(0, FilteredSpace.pure(5, 0)), op)
+    assert not failed and type(failed) is AxiomVerdict  # the benchmark reads its field names
+    assert (failed.failed_axiom, failed.failed_index) == centered_axioms(FilteredSpace.pure(5, 0), 0, op.matrix)[1:]
     assert ker_coker_weight_bounds(op, 0) and not ker_coker_weight_bounds(op, 1)
 
 

@@ -10,7 +10,7 @@ from csverify.degenerations import curve_cs_instance
 from csverify.filtration import (
     FilteredMap,
     FilteredSpace,
-    StrictnessVerdict,
+    Verdict,
     WeightCompatibilityError,
     exactness_at,
     strictness,
@@ -19,12 +19,11 @@ from csverify.filtration import (
 )
 from csverify.generators import GenProfile, gen_adversarial, gen_cs_instance, split_seed
 from csverify.linalg import Matrix, image, kernel, span_of_vectors
-from csverify.monodromy import centered_filtration
+from csverify.monodromy import centered_axioms, centered_filtration
 from csverify.serialize import dumps, instance_from_json, instance_to_json
 from csverify.verifier import (
     BREAKABLE_HYPOTHESES,
     CONCLUSIONS,
-    NODES,
     CSInstance,
     DegreeRangeError,
     HypothesesNotSatisfiedError,
@@ -44,6 +43,7 @@ from csverify.verifier import _instance_maps, _weights_used
 import corpus
 from corpus import cycle_graph, failed_categories, subspace_sum, theta_graph
 from test_linalg_oracle import ref_contains_vector
+from test_monodromy import ref_centered_axioms
 
 
 def zero_instance():
@@ -155,7 +155,7 @@ def _a_witness(w, a):
 def _non_exact(inst):
     """{(conclusion, degree): verdict} of every non-exact conclusion over the padded window, ungated."""
     return {(which, k): v for k in inst.degrees(pad=2) for which in CONCLUSIONS
-            if not (v := conclusion_exactness(inst, which, k)).exact}
+            if not (v := conclusion_exactness(inst, which, k)).ok}
 
 
 @pytest.mark.parametrize("p, c, b, failure", _S_WITNESSES)
@@ -373,8 +373,7 @@ def test_foreign_incompatible_map_reported_not_raised():
     inst = instance_from_json(data)
     report = check_instance_hypotheses(inst)
     verdict = report.verdicts["strictness"][("a", 1)]
-    assert not verdict.strict
-    assert verdict.reason == "not weight-compatible"
+    assert verdict == Verdict(False, "not weight-compatible")
     assert "strictness" in failed_categories(report)
 
 
@@ -392,7 +391,7 @@ def test_boundary_degrees_treated_as_zero():
 def ref_invariant_cycles(inst, k):
     """THM2 with its own search: P4, then im(s.a) against ker N directly."""
     at_a = conclusion_exactness(inst, "P4", k)
-    if not at_a.exact:
+    if not at_a.ok:
         return VerdictReport("THM2", k, False, witness=at_a.witness, weights_used=_weights_used("P4", k))
     im = image(inst.map("sa", k))
     ker_n = kernel(inst.map("N", k))
@@ -480,10 +479,10 @@ def _conclusions_match_reference(inst):
     for k in inst.degrees(pad=2):
         for which in CONCLUSIONS:
             got, want = conclusion_exactness(inst, which, k), ref_conclusion_exactness(inst, which, k)
-            assert (got.exact, got.reason, got.witness) == (want.exact, want.reason, want.witness)
+            assert got == want
             used = tuple(t.format(k=k, k1=k + 1, k2=k + 2, km1=k - 1) for t in _REF_BOUNDS[which])
             assert _weights_used(which, k) == used
-            failing[which] += not got.exact
+            failing[which] += not got.ok
     return failing
 
 
@@ -546,7 +545,7 @@ def _check_work(monkeypatch, inst) -> Counter:
             verdict = real_exactness(f, g)
         finally:
             inside.pop()
-        work["exact"] += verdict.exact
+        work["exact"] += verdict.ok
         return verdict
 
     def counted(name, real):
@@ -598,9 +597,9 @@ def ref_failures(inst):
         row[(k, "P")] = exactness_at(s, n)
         row[(k, "P(-1)")] = exactness_at(n, inst.map("r", k + 1))
     for k in range(inst.k_min, inst.k_max + 1):
-        bounds_a[k] = weights_leq(inst.space("A", k), k)
-        bounds_b[k] = weights_geq(inst.space("B", k), k)
-        centering_p[k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
+        bounds_a[k] = Verdict(weights_leq(inst.space("A", k), k))
+        bounds_b[k] = Verdict(weights_geq(inst.space("B", k), k))
+        centering_p[k] = Verdict(centered_filtration(inst.map("N", k), k) == inst.space("P", k))
     for k in every_degree(inst, 1):
         for label, mat, src, tgt in _instance_maps(inst, k):
             if mat.nrows == 0 or mat.ncols == 0:
@@ -608,15 +607,10 @@ def ref_failures(inst):
             try:
                 strict[(label, k)] = strictness(FilteredMap(src, tgt, mat))
             except WeightCompatibilityError:
-                strict[(label, k)] = StrictnessVerdict(False, reason="not weight-compatible")
-    out = []
-    out += [("column_exact", key) for key, v in sorted(column.items()) if not v.exact]
-    out += [("row_exact", key) for key, v in sorted(row.items()) if not v.exact]
-    out += [("A_bound", k) for k, ok in sorted(bounds_a.items()) if not ok]
-    out += [("B_bound", k) for k, ok in sorted(bounds_b.items()) if not ok]
-    out += [("P_centering", k) for k, ok in sorted(centering_p.items()) if not ok]
-    out += [("strictness", key) for key, v in sorted(strict.items()) if not v.strict]
-    return out
+                strict[(label, k)] = Verdict(False, "not weight-compatible")
+    fields = (("column_exact", column), ("row_exact", row), ("A_bound", bounds_a), ("B_bound", bounds_b),
+              ("P_centering", centering_p), ("strictness", strict))
+    return [(category, key) for category, field in fields for key, v in sorted(field.items()) if not v]
 
 
 def test_failures_match_six_field_report_on_clean_instances():
@@ -644,14 +638,36 @@ def test_failures_match_six_field_report_across_categories():
     # many failures in four categories per instance
     for i in range(1, 6):
         inst = gen_cs_instance(GenProfile(seed=split_seed(62, i), max_dim_per_node=6))
-        spaces = {node: getattr(inst, node) for node in NODES}
-        spaces["A"] = {k: FilteredSpace.pure(a.dim, k + 1) for k, a in inst.A.items()}
+        spaces = dict(inst.spaces, A={k: FilteredSpace.pure(a.dim, k + 1) for k, a in inst.spaces["A"].items()})
         maps = {label: {k: m if label == "N" else Matrix.from_rows([[1] * m.ncols] * m.nrows)
                         for k, m in family.items()} for label, family in inst.maps.items()}
         inst = CSInstance((inst.k_min, inst.k_max), spaces, maps)
         report = check_instance_hypotheses(inst)
         assert report.failures() == ref_failures(inst)
         assert failed_categories(report) == ("A_bound", "column_exact", "row_exact", "strictness")
+
+
+def test_every_hypothesis_verdict_is_one_type():
+    """Every entry of a report, in every category, is a ``Verdict``: over the shared corpus (clean
+    and each break) and the curve fixtures."""
+    instances = [inst for _, _, _, inst in corpus.generated()]
+    instances += [curve_cs_instance(cycle_graph(n)) for n in range(1, 8)] + [curve_cs_instance(theta_graph())]
+    types = Counter(type(v) for inst in instances
+                    for verdicts in check_instance_hypotheses(inst).verdicts.values() for v in verdicts.values())
+    assert list(types) == [Verdict] and types[Verdict] > 40000, types
+
+
+def test_p_centering_failures_keep_their_axiom_and_index():
+    """On each of the 80 P_centering breaks, the report's failing verdict is the axiom check's own,
+    reason and index included: a P_k centred one weight too high fails graded_iso."""
+    breaks = [inst for _, _, broken, inst in corpus.generated() if broken == "P_centering"]
+    assert len(breaks) == 80
+    for inst in breaks:
+        report = check_instance_hypotheses(inst)
+        [(_, t)] = report.failures()
+        verdict = report.verdicts["P_centering"][t]
+        assert verdict == centered_axioms(inst.space("P", t), t, inst.map("N", t))
+        assert verdict.reason == "graded_iso" and type(verdict.witness) is int and verdict.witness > 0
 
 
 def test_report_is_frozen_with_one_field():
@@ -677,16 +693,19 @@ def ref_hypotheses(inst):
             for node, (f, g) in nodes.items():
                 verdicts[category][(k, node)] = exactness_at(inst.map(f[0], k + f[1]), inst.map(g[0], k + g[1]))
         if inst.k_min <= k <= inst.k_max:
-            verdicts["A_bound"][k] = weights_leq(inst.space("A", k), k)
-            verdicts["B_bound"][k] = weights_geq(inst.space("B", k), k)
-            verdicts["P_centering"][k] = centered_filtration(inst.map("N", k), k) == inst.space("P", k)
+            verdicts["A_bound"][k] = Verdict(weights_leq(inst.space("A", k), k))
+            verdicts["B_bound"][k] = Verdict(weights_geq(inst.space("B", k), k))
+            # the truth value from the built filtration, the failing axiom and index from dense powers
+            space, n = inst.space("P", k), inst.map("N", k)
+            verdicts["P_centering"][k] = ref_centered_axioms(space, k, n)
+            assert verdicts["P_centering"][k].ok == (centered_filtration(n, k) == space)
         for label, mat, src, tgt in _instance_maps(inst, k):
             if mat.nrows == 0 or mat.ncols == 0:
                 continue
             try:
                 verdict = strictness(FilteredMap(src, tgt, mat))
             except WeightCompatibilityError:
-                verdict = StrictnessVerdict(False, reason="not weight-compatible")
+                verdict = Verdict(False, "not weight-compatible")
             verdicts["strictness"][(label, k)] = verdict
     return verdicts
 
@@ -697,19 +716,19 @@ def ref_les(inst):
     for k in every_degree(inst, 2):
         for which in CONCLUSIONS:
             verdict = conclusion_exactness(inst, which, k)
-            out.append(VerdictReport(which, k, verdict.exact, witness=verdict.witness,
+            out.append(VerdictReport(which, k, verdict.ok, witness=verdict.witness,
                                      weights_used=_weights_used(which, k)))
     return out
 
 
 def _widened(inst, width):
-    return CSInstance((inst.k_min - width, inst.k_max + width), {node: getattr(inst, node) for node in NODES},
+    return CSInstance((inst.k_min - width, inst.k_max + width), inst.spaces,
                       inst.maps, profile=inst.profile)
 
 
 def _gapped_instance():
     # stored data at degrees 0 and 10 only: the window is two blocks with a trivial gap between
-    spaces = {node: dict(getattr(_partial_invariants_instance(), node)) for node in NODES}
+    spaces = {node: dict(family) for node, family in _partial_invariants_instance().spaces.items()}
     spaces["P"][10] = FilteredSpace.pure(2, 10)
     return CSInstance((0, 10), spaces, {"a": {0: Matrix.from_rows([[1], [0]])}, "s": {0: Matrix.identity(2)}})
 
